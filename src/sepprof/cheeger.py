@@ -202,14 +202,12 @@ class WeightedMetricGraph:
             raise ValueError("dist must be an n by n matrix")
         self.dist = dist
 
-    def balls(self, radius: float):
-        """Closed balls at integer-rounded radius, as index arrays."""
-        r = math.floor(radius)
-        return [
-            np.array([y for y in range(self.graph.vertex_count)
-                      if self.dist[x][y] <= r], dtype=int)
-            for x in range(self.graph.vertex_count)
-        ]
+    def balls(self, radius: float) -> np.ndarray:
+        """Closed balls at integer-rounded radius, as one (n, B) index
+        matrix: row x lists the ball of x in vertex order, padded with its
+        first member (``optimize.index_matrix``)."""
+        within = np.asarray(self.dist) <= math.floor(radius)
+        return optimize.index_matrix([np.flatnonzero(row) for row in within])
 
     def total_measure(self) -> float:
         return float(self.nu.sum())
@@ -252,7 +250,8 @@ def lp_cheeger_ratio(G: Graph, f, p: float, gradient: str = "sup_scale",
     den = optimize.weighted_pnorm(centered, nu, p)
     if den < 1e-15:
         raise ValueError("constant function: quotient undefined")
-    num = optimize.modified_gradient_pow(f, G.neighbors, nu, p) ** (1.0 / p)
+    num = optimize.modified_gradient_pow(
+        f, optimize.NeighborIndex(G.neighbors), nu, p) ** (1.0 / p)
     return num / den
 
 
@@ -354,8 +353,9 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
         numer_pow = lambda f: float(nu @ (optimize.sup_gradient_rows(f, balls, p) ** p))
         numer_sub = lambda f: optimize.sup_gradient_subgrad(f, balls, nu, p)
     elif gradient == "modified":
-        numer_pow = lambda f: optimize.modified_gradient_pow(f, G.neighbors, nu, p)
-        numer_sub = lambda f: optimize.modified_gradient_subgrad(f, G.neighbors, nu, p)
+        nbrs = optimize.NeighborIndex(G.neighbors)
+        numer_pow = lambda f: optimize.modified_gradient_pow(f, nbrs, nu, p)
+        numer_sub = lambda f: optimize.modified_gradient_subgrad(f, nbrs, nu, p)
     else:
         raise ValueError(f"unknown gradient {gradient!r}")
     _, best_f = optimize.minimize_quotient(

@@ -3,11 +3,42 @@
 The quotient objectives are scale-invariant, so iterates live on the
 weighted mean-zero unit p-sphere. Any feasible point certifies an upper
 bound; optimizer quality only affects tightness, never soundness.
+
+Index contract. The gradients work on whole arrays over index lists built
+once per estimate. ``index_matrix`` stacks n index lists into one (n, B)
+integer matrix and pads each row with its own first member; balls come in
+this form (``WeightedMetricGraph.balls``), neighbour lists as a
+``NeighborIndex``, which adds the degrees, the edge list and the rows
+grouped by degree. A pad repeats a value that comes earlier in its row, and
+``argmax``/``argmin`` return the first extremum, so a pad is never chosen and
+ties keep going to the first member in ball order; for d > 1, to the first
+pair (i, j) of the ball in row-major order. Balls of one vertex and vertices
+without neighbours add nothing to a subgradient.
+
+Bit-identity. These functions return the bits of the per-vertex loops they
+replaced, which tests/test_optimize.py keeps as oracles:
+
+- the per-ball root ``** (1/p)`` is taken with ``np.float_power``, which
+  rounds like the scalar ``pow`` the loops used; ``np.power`` on arrays may
+  run SIMD code that rounds differently. Powers the loops already took on
+  arrays (``** p``, ``** (p - 1)``) stay ``**``;
+- subgradient contributions are added in the loops' order, (hi, +v), (lo, -v)
+  per ball and (x, +v), (y, -v) per edge, by ``np.bincount``, which
+  accumulates sequentially (``scatter_pairs``);
+- products keep the loops' association: ``nu[x] * (p * sign * |d|^(p-1))``
+  for the sup gradient, ``(nu[x] * p) * sign * |d|^(p-1)`` for the
+  neighbour sum;
+- the neighbour-sum numerator sums each vertex's row within a group of equal
+  degree, so every row keeps its length and numpy's pairwise summation, then
+  adds the per-vertex terms left to right in vertex order (``ordered_sum``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Entries of the (balls, B, B, d) pair-difference array built at once.
+PAIR_CHUNK = 1 << 20
 
 
 def weighted_center(f: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -57,60 +88,126 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200):
     return best_val, best_f
 
 
-def sup_gradient_rows(f: np.ndarray, balls, p: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Index structures and ordered reductions
+
+
+def index_matrix(rows) -> np.ndarray:
+    """n index lists as one (n, B) int matrix, B the longest list; each row
+    is padded with its own first member, an empty row with its row number."""
+    width = max([1] + [len(row) for row in rows])
+    out = np.empty((len(rows), width), dtype=np.intp)
+    for x, row in enumerate(rows):
+        out[x] = row[0] if len(row) else x
+        out[x, :len(row)] = row
+    return out
+
+
+class NeighborIndex:
+    """Neighbour lists as index arrays for the neighbour-sum gradient.
+
+    ``matrix`` is their ``index_matrix`` and ``degree`` their lengths;
+    ``src``/``dst`` list every pair (x, y) with y a neighbour of x, x
+    ascending and y in list order; ``groups`` pairs the vertices of each
+    positive degree k, ascending, with their (vertices, k) neighbour matrix.
+    """
+
+    def __init__(self, neighbors):
+        self.matrix = index_matrix(neighbors)
+        self.degree = np.array([len(row) for row in neighbors], dtype=np.intp)
+        real = np.arange(self.matrix.shape[1]) < self.degree[:, None]
+        self.src, self.dst = np.nonzero(real)[0], self.matrix[real]
+        self.groups = []
+        # Not np.unique: it imports numpy.ma, 0.5 MB of resident memory.
+        for k in sorted({len(row) for row in neighbors} - {0}):
+            xs = np.flatnonzero(self.degree == k)
+            self.groups.append((xs, self.matrix[xs, :k]))
+
+
+def scatter_pairs(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
+    """g = 0 of shape (n,) + v.shape[1:], then g[plus[k]] += v[k] and
+    g[minus[k]] -= v[k] for k ascending, in that order."""
+    if not len(v):  # np.bincount would return integers
+        return np.zeros((n,) + v.shape[1:])
+    idx = np.column_stack((plus, minus)).ravel()
+    w = np.stack((v, -v), axis=1).reshape((len(idx),) + v.shape[1:])
+    if v.ndim == 1:
+        return np.bincount(idx, weights=w, minlength=n)
+    return np.column_stack([np.bincount(idx, weights=w[:, k], minlength=n)
+                            for k in range(v.shape[1])])
+
+
+def ordered_sum(terms: np.ndarray):
+    """terms[0] + terms[1] + ... added left to right, as np.float64; the
+    Python float 0.0 when there are none. For terms other than -0.0 these
+    are the bits of ``total = 0.0; for t in terms: total += t``."""
+    return np.add.accumulate(terms)[-1] if len(terms) else 0.0
+
+
+def _widest_pairs(F: np.ndarray, p: float):
+    """For F of shape (m, B, d): per row the largest ||F[i]-F[j]||_p^p over
+    pairs, and the flat index i*B + j of its first occurrence in row-major
+    order. Rows are taken in chunks of at most PAIR_CHUNK difference entries."""
+    m, B, d = F.shape
+    top, at = np.empty(m), np.empty(m, dtype=np.intp)
+    step = max(1, PAIR_CHUNK // (B * B * d))
+    for s in range(0, m, step):
+        G = F[s:s + step]
+        S = np.sum(np.abs(G[:, :, None, :] - G[:, None, :, :]) ** p, axis=3)
+        S = S.reshape(len(G), B * B)
+        at[s:s + step] = S.argmax(axis=1)
+        top[s:s + step] = S[np.arange(len(G)), at[s:s + step]]
+    return top, at
+
+
+# ---------------------------------------------------------------------------
+# Gradients
+
+
+def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
     """u_x = max over pairs y,y' in the ball of x of ||f(y)-f(y')||_p."""
+    if f.shape[1] == 1:
+        F = f[:, 0][balls]
+        return F.max(axis=1) - F.min(axis=1)
+    top, _ = _widest_pairs(f[balls], p)
+    return np.float_power(top, 1.0 / p)
+
+
+def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
+                         p: float) -> np.ndarray:
     n, d = f.shape
-    u = np.zeros(n)
-    for x in range(n):
-        ball = balls[x]
-        if len(ball) < 2:
-            continue
-        sub = f[ball]
-        if d == 1:
-            u[x] = float(sub.max() - sub.min())
-        else:
-            diffs = sub[:, None, :] - sub[None, :, :]
-            u[x] = float(np.max(np.sum(np.abs(diffs) ** p, axis=2)) ** (1.0 / p))
-    return u
+    if balls.shape[1] < 2:
+        return np.zeros_like(f)
+    # Members are distinct, so a ball has a second one iff its column 1 is
+    # not the pad.
+    xs = np.flatnonzero(balls[:, 1] != balls[:, 0])
+    rows = balls[xs]
+    if d == 1:
+        F = f[:, 0][rows]
+        i, j = F.argmax(axis=1), F.argmin(axis=1)
+    else:
+        _, at = _widest_pairs(f[rows], p)
+        i, j = np.divmod(at, rows.shape[1])
+    pick = np.arange(len(xs))
+    hi, lo = rows[pick, i], rows[pick, j]
+    delta = f[hi] - f[lo]
+    grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
+    return scatter_pairs(n, hi, lo, nu[xs][:, None] * grad)
 
 
-def sup_gradient_subgrad(f: np.ndarray, balls, nu, p: float) -> np.ndarray:
-    g = np.zeros_like(f)
-    n, d = f.shape
-    for x in range(n):
-        ball = balls[x]
-        if len(ball) < 2:
-            continue
-        sub = f[ball]
-        if d == 1:
-            hi = ball[int(np.argmax(sub[:, 0]))]
-            lo = ball[int(np.argmin(sub[:, 0]))]
-        else:
-            diffs = np.sum(np.abs(sub[:, None, :] - sub[None, :, :]) ** p, axis=2)
-            i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-            hi, lo = ball[i], ball[j]
-        delta = f[hi] - f[lo]
-        grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
-        g[hi] += nu[x] * grad
-        g[lo] -= nu[x] * grad
-    return g
+def modified_gradient_pow(f: np.ndarray, neighbors: NeighborIndex, nu,
+                          p: float) -> float:
+    rows = np.zeros(f.shape[0])
+    for xs, nbrs in neighbors.groups:
+        powers = np.abs(f[xs][:, None, :] - f[nbrs]) ** p
+        rows[xs] = powers.reshape(len(xs), -1).sum(axis=1)
+    present = neighbors.degree > 0
+    return ordered_sum(nu[present] * rows[present])
 
 
-def modified_gradient_pow(f: np.ndarray, neighbors, nu, p: float) -> float:
-    total = 0.0
-    for x in range(f.shape[0]):
-        nbrs = neighbors[x]
-        if len(nbrs):
-            total += nu[x] * float(np.sum(np.abs(f[x] - f[list(nbrs)]) ** p))
-    return total
-
-
-def modified_gradient_subgrad(f: np.ndarray, neighbors, nu, p: float) -> np.ndarray:
-    g = np.zeros_like(f)
-    for x in range(f.shape[0]):
-        for y in neighbors[x]:
-            delta = f[x] - f[y]
-            grad = nu[x] * p * np.sign(delta) * np.abs(delta) ** (p - 1)
-            g[x] += grad
-            g[y] -= grad
-    return g
+def modified_gradient_subgrad(f: np.ndarray, neighbors: NeighborIndex, nu,
+                              p: float) -> np.ndarray:
+    x, y = neighbors.src, neighbors.dst
+    delta = f[x] - f[y]
+    grad = (nu[x] * p)[:, None] * np.sign(delta) * np.abs(delta) ** (p - 1)
+    return scatter_pairs(f.shape[0], x, y, grad)

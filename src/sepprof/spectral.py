@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
+from .optimize import NeighborIndex, ordered_sum, scatter_pairs
 
 LAMBDA2_TOL = 1e-9
 
@@ -63,6 +64,18 @@ def fiedler_vector(G: Graph) -> np.ndarray:
     return lambda2(G).witness_vector
 
 
+def _steepest_neighbors(f: np.ndarray, nbrs: NeighborIndex):
+    """(i, j, (f_i - f_j)^2) for each vertex i with neighbours, ascending:
+    j is its first neighbour in list order maximising the square."""
+    i = np.flatnonzero(nbrs.degree)
+    cols = nbrs.matrix[i]
+    d = f[i, None] - f[cols]
+    sq = d * d
+    at = sq.argmax(axis=1)
+    pick = np.arange(len(i))
+    return i, cols[pick, at], sq[pick, at]
+
+
 def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
     """The vertex-isoperimetric spectral ratio evaluated at f.
 
@@ -71,13 +84,8 @@ def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
     """
     f = np.asarray(f, dtype=float)
     n = G.vertex_count
-    num = 0.0
-    for i in range(n):
-        nbrs = G.neighbors[i]
-        if nbrs:
-            d = f[i] - f[list(nbrs)]
-            num += float(np.max(d * d))
-    num /= n
+    _, _, sq = _steepest_neighbors(f, NeighborIndex(G.neighbors))
+    num = float(ordered_sum(sq)) / n
     centered = f - f.mean()
     den = 2.0 * float(centered @ centered) / n
     if den == 0.0:
@@ -98,27 +106,15 @@ def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):
     if n < 2:
         raise ValueError("need at least 2 vertices")
     rng = np.random.default_rng(seed)
-    nbr_idx = [np.array(G.neighbors[i], dtype=int) for i in range(n)]
+    nbrs = NeighborIndex(G.neighbors)
 
     def objective(f):
         # sum_i max_{j~i} (f_i - f_j)^2 on the mean-zero unit sphere
-        total = 0.0
-        for i in range(n):
-            if len(nbr_idx[i]):
-                d = f[i] - f[nbr_idx[i]]
-                total += float(np.max(d * d))
-        return total
+        return float(ordered_sum(_steepest_neighbors(f, nbrs)[2]))
 
     def subgradient(f):
-        g = np.zeros(n)
-        for i in range(n):
-            if len(nbr_idx[i]) == 0:
-                continue
-            d = f[i] - f[nbr_idx[i]]
-            j = nbr_idx[i][int(np.argmax(d * d))]
-            g[i] += 2.0 * (f[i] - f[j])
-            g[j] -= 2.0 * (f[i] - f[j])
-        return g
+        i, j, _ = _steepest_neighbors(f, nbrs)
+        return scatter_pairs(n, i, j, 2.0 * (f[i] - f[j]))
 
     def project(f):
         # Mean-zero unit sphere; None when the step collapsed to a constant.
