@@ -27,39 +27,46 @@ def cheeger_exhaustive(masks, n, mode):
     Returns (boundary_count, size, subset_mask) for the first minimizer in
     lexicographic subset order. boundary_count is |external|, |majored| or
     the crossing-edge count depending on mode.
+
+    The majored count adds the inner boundary A & N(V - A) to the external
+    one. The DFS extends A only by vertices above its largest member, so
+    when v has just been added, V - A is the passed-over vertices below v
+    plus everything above v, and N(V - A) = skipped | suffix[v + 1]: skipped
+    is the union of the masks of the passed-over vertices and suffix[v] the
+    union of masks[v:]. This needs symmetric masks (an undirected graph).
     """
     max_size = n // 2
     if max_size == 0:
         return (0, 0, 0)
-    best = [1, 0, 0]  # numerator, size, mask; size 0 means +infinity
+    suffix = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix[v] = suffix[v + 1] | masks[v]
+    best_num, best_size, best_mask = 1, 0, 0  # size 0 means +infinity
 
-    def visit(a_mask, size, union, cross):
-        if mode == MODE_PLAIN:
-            num = (union & ~a_mask).bit_count()
-        elif mode == MODE_MAJORED:
-            num = (union & ~a_mask).bit_count()
-            for v in _iter_bits(a_mask):
-                if masks[v] & ~a_mask:
-                    num += 1
-        else:
-            num = cross
-        if num * best[1] < best[0] * size:
-            best[0], best[1], best[2] = num, size, a_mask
-
-    def rec(a_mask, size, union, cross, start):
+    def rec(a_mask, size, union, cross, skipped, start):
+        nonlocal best_num, best_size, best_mask
+        size += 1
         for v in range(start, n):
-            bit = 1 << v
-            new_a = a_mask | bit
-            new_union = union | masks[v]
-            comp = ~new_a
-            new_cross = cross - (masks[v] & a_mask).bit_count() \
-                + (masks[v] & comp).bit_count()
-            visit(new_a, size + 1, new_union, new_cross)
-            if size + 1 < max_size:
-                rec(new_a, size + 1, new_union, new_cross, v + 1)
+            m = masks[v]
+            new_a = a_mask | 1 << v
+            new_union = union | m
+            if mode == MODE_EDGE:
+                new_cross = cross - (m & a_mask).bit_count() \
+                    + (m & ~new_a).bit_count()
+                num = new_cross
+            else:
+                new_cross = 0
+                num = (new_union & ~new_a).bit_count()
+                if mode == MODE_MAJORED:
+                    num += ((skipped | suffix[v + 1]) & new_a).bit_count()
+            if num * best_size < best_num * size:
+                best_num, best_size, best_mask = num, size, new_a
+            if size < max_size:
+                rec(new_a, size, new_union, new_cross, skipped, v + 1)
+            skipped |= m
 
-    rec(0, 0, 0, 0, 0)
-    return (best[0], best[1], best[2])
+    rec(0, 0, 0, 0, 0, 0)
+    return (best_num, best_size, best_mask)
 
 
 def _components_ok(masks, full, cut_mask, num, den, n):

@@ -4,6 +4,16 @@ The supremum over subgraphs with at most n vertices is taken over connected
 induced subgraphs only: removing edges never increases a half-cut or an L^p
 constant (balls shrink, so gradients shrink pointwise), and disconnected
 subgraphs contribute 0, so the sup is attained on connected induced ones.
+
+Each subgraph is relabelled in sorted vertex order before it reaches a
+kernel, so translated copies of one shape (in a grid, say) give the same
+tuple of neighbour masks. One profile call evaluates each distinct tuple
+once and reuses the result for the other subgraphs that share it. This is
+exact: the tuple is the kernel's whole input, and it also fixes the
+relabelled induced subgraph that ``lambda2`` and ``max_degree`` see, so
+every bound is the value a fresh call would give. Witnesses still come from
+the first subgraph, in enumeration order, that improves a row. The memo is
+local to the call.
 """
 
 from __future__ import annotations
@@ -89,11 +99,14 @@ def separation_profile_exact(G: Graph, n_max: int,
     n_max = min(n_max, G.vertex_count)
     best = [0] * (n_max + 1)
     witness: list[Optional[frozenset]] = [None] * (n_max + 1)
+    cut_sizes: dict[tuple, int] = {}
     for verts in _subset_list(G, n_max, budget):
         m = len(verts)
-        sub_masks = _induced_masks(G.neighbor_masks, verts)
-        mask, _ = kernels.min_cut_exact(sub_masks, m, 1, 2, m, cut_budget)
-        size = mask.bit_count()
+        key = tuple(_induced_masks(G.neighbor_masks, verts))
+        size = cut_sizes.get(key)
+        if size is None:
+            mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, cut_budget)
+            size = cut_sizes[key] = mask.bit_count()
         if size > best[m]:
             best[m] = size
             witness[m] = frozenset(verts)
@@ -159,17 +172,26 @@ def poincare_profile(G: Graph, n_max: int, p: float,
     if mode != "exact_small":
         raise ValueError(f"unknown mode {mode!r}")
     n_max = min(n_max, G.vertex_count)
+    if n_max > EXACT_LIMIT:
+        raise ExactSearchInfeasible(
+            f"exact profile search infeasible for n_max {n_max} > "
+            f"{EXACT_LIMIT}; use a smaller n_max or mode='witness_lower'")
     best_lo = [0.0] * (n_max + 1)
     best_up = [0.0] * (n_max + 1)
     witness: list[Optional[frozenset]] = [None] * (n_max + 1)
+    brackets: dict[tuple, tuple[float, float]] = {}
     for verts in _subset_list(G, n_max, budget):
         m = len(verts)
         if m < 2:
             continue
-        sub_masks = _induced_masks(G.neighbor_masks, verts)
-        num, size, _ = kernels.cheeger_exhaustive(sub_masks, m, kernels.MODE_MAJORED)
-        maj = Fraction(num, size)
-        lo, up = _hp_bracket(G, verts, p, maj)
+        key = tuple(_induced_masks(G.neighbor_masks, verts))
+        bracket = brackets.get(key)
+        if bracket is None:
+            num, size, _ = kernels.cheeger_exhaustive(
+                key, m, kernels.MODE_MAJORED)
+            bracket = brackets[key] = _hp_bracket(
+                G, verts, p, Fraction(num, size))
+        lo, up = bracket
         if m * lo > best_lo[m]:
             best_lo[m] = m * lo
         if m * up > best_up[m]:

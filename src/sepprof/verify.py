@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -53,6 +53,9 @@ class CheckRow:
     rhs: str
     tol: float
     ms: Optional[float] = None
+    # perf_counter() at creation; run_suites turns it into per-check ms.
+    created: float = field(default_factory=time.perf_counter, compare=False,
+                           repr=False)
 
 
 @dataclass
@@ -729,16 +732,23 @@ EXPECTED_FAILURES = frozenset({"lamp:homothety-stated-2k"})
 
 
 def run_suites(names, ctx: VerifyContext, timings: bool = False):
+    """Run the named suites; return their rows sorted by check id.
+
+    With ``timings`` each row's ``ms`` is the time from the creation of the
+    previous row of its suite (from the suite's start, for the first row)
+    to its own creation, so a slow check shows on its own row.
+    """
     rows: list[CheckRow] = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
         start = time.perf_counter()
         suite_rows = SUITES[name](ctx)
-        elapsed = (time.perf_counter() - start) * 1000.0 / max(len(suite_rows), 1)
         if timings:
-            for r in suite_rows:
-                r.ms = elapsed
+            prev = start
+            for r in sorted(suite_rows, key=lambda r: r.created):
+                r.ms = (r.created - prev) * 1000.0
+                prev = r.created
         rows.extend(suite_rows)
     rows.sort(key=lambda r: r.check_id)
     return rows

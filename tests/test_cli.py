@@ -105,6 +105,15 @@ def test_invariant_oversize_exact_is_validation_error(tmp_path, capsys):
     assert code == 0 and "certified False" in out
 
 
+def test_invariant_profile_beyond_exact_limit_is_validation_error(
+        tmp_path, capsys):
+    g_path = str(tmp_path / "p30.g")
+    run(["family", "path", "30", "--out", g_path], capsys)
+    code, _, err = run(["invariant", "profile", g_path, "--nmax", "30"],
+                       capsys)
+    assert code == 2 and err.startswith("error:") and "infeasible" in err
+
+
 def test_verify_timings_flag_fills_ms(tmp_path, capsys):
     out_path = str(tmp_path / "t.csv")
     code, _, _ = run(["verify", "conditions", "--timings", "--out", out_path],

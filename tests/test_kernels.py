@@ -38,6 +38,56 @@ def brute_cheeger(G, mode):
     return best
 
 
+def brute_cheeger_first(G, mode):
+    """Oracle for the full kernel triple: the first minimizer, taking the
+    admissible subsets in the DFS order of their sorted vertex tuples."""
+    from sepprof.cheeger import boundary_count
+
+    n = G.vertex_count
+    combos = sorted(combo for size in range(1, n // 2 + 1)
+                    for combo in itertools.combinations(range(n), size))
+    best = (0, 0, 0)
+    for combo in combos:
+        mask = sum(1 << v for v in combo)
+        num = boundary_count(G, mask, mode)
+        if best[1] == 0 or num * best[1] < best[0] * len(combo):
+            best = (num, len(combo), mask)
+    return best
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Graphs on 1..12 vertices: random sparse or dense ones, and symmetric
+    ones (empty, complete, cycles) where many subsets tie."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "dense", "empty", "complete",
+                                 "cycle"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "random":
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=n)) \
+            if pairs else set()
+    elif kind == "dense":
+        edges = [e for e in pairs if draw(st.integers(0, 3))]
+    elif kind == "empty":
+        edges = []
+    elif kind == "complete":
+        edges = pairs
+    else:
+        edges = [(v, (v + 1) % n) for v in range(n)] if n >= 3 else []
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(G=tie_heavy_graphs())
+def test_cheeger_witness_is_first_minimizer(backend, G):
+    for mode_name, mode in (("plain", kernels.MODE_PLAIN),
+                            ("majored", kernels.MODE_MAJORED),
+                            ("edge", kernels.MODE_EDGE)):
+        got = kernels.cheeger_exhaustive(
+            G.neighbor_masks, G.vertex_count, mode, backend=backend)
+        assert got == brute_cheeger_first(G, mode_name)
+
+
 def brute_min_cut(G, num, den):
     n = G.vertex_count
     for size in range(n + 1):

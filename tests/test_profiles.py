@@ -1,10 +1,17 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sepprof import kernels
 from sepprof.errors import BudgetError, ExactSearchInfeasible
-from sepprof.graphs import build_family, cartesian_power
-from sepprof.profiles import poincare_profile, separation_profile_exact
+from sepprof.graphs import Graph, build_family, cartesian_power
+from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
+                              ProfileRow, _hp_bracket, _induced_masks,
+                              _subset_list, poincare_profile,
+                              separation_profile_exact)
 
 
 def test_sep_paths_are_one():
@@ -92,3 +99,123 @@ def test_profile_csv(tmp_path):
     assert lines[0] == "n,lower,upper,exact,witness"
     assert len(lines) == 9
     assert lines[1].startswith("1,1,1,1,")
+
+
+# Reference loops: the per-subgraph evaluation without the per-call memo.
+def _oracle_separation(G, n_max):
+    n_max = min(n_max, G.vertex_count)
+    best = [0] * (n_max + 1)
+    witness = [None] * (n_max + 1)
+    for verts in _subset_list(G, n_max, DEFAULT_SUBGRAPH_BUDGET):
+        m = len(verts)
+        sub_masks = _induced_masks(G.neighbor_masks, verts)
+        mask, _ = kernels.min_cut_exact(sub_masks, m, 1, 2, m,
+                                        DEFAULT_CUT_BUDGET)
+        size = mask.bit_count()
+        if size > best[m]:
+            best[m] = size
+            witness[m] = frozenset(verts)
+    rows = []
+    run, run_wit = 0, None
+    for n in range(1, n_max + 1):
+        if best[n] > run:
+            run, run_wit = best[n], witness[n]
+        rows.append(ProfileRow(n=n, lower=float(run), upper=float(run),
+                               exact=True, witness=run_wit))
+    return rows
+
+
+def _oracle_poincare(G, n_max, p):
+    n_max = min(n_max, G.vertex_count)
+    best_lo = [0.0] * (n_max + 1)
+    best_up = [0.0] * (n_max + 1)
+    witness = [None] * (n_max + 1)
+    for verts in _subset_list(G, n_max, DEFAULT_SUBGRAPH_BUDGET):
+        m = len(verts)
+        if m < 2:
+            continue
+        sub_masks = _induced_masks(G.neighbor_masks, verts)
+        num, size, _ = kernels.cheeger_exhaustive(sub_masks, m,
+                                                  kernels.MODE_MAJORED)
+        lo, up = _hp_bracket(G, verts, p, Fraction(num, size))
+        if m * lo > best_lo[m]:
+            best_lo[m] = m * lo
+        if m * up > best_up[m]:
+            best_up[m] = m * up
+            witness[m] = frozenset(verts)
+    rows = []
+    run_lo, run_up, run_wit = 0.0, 0.0, None
+    for n in range(1, n_max + 1):
+        if best_up[n] > run_up:
+            run_up, run_wit = best_up[n], witness[n]
+        run_lo = max(run_lo, best_lo[n])
+        rows.append(ProfileRow(n=n, lower=run_lo, upper=run_up,
+                               exact=False, witness=run_wit))
+    return rows
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random extra edges, on 2..9 vertices."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= draw(st.sets(st.sampled_from(pairs), max_size=n))
+    return Graph(n, edges)
+
+
+_ORACLE_HOSTS = [
+    ("grid6x6", lambda: build_family("grid", 6, 6), 6),
+    ("Q4", lambda: build_family("hypercube", 4), 7),
+    ("C8", lambda: build_family("cycle", 8), 8),
+]
+
+
+@pytest.mark.parametrize("name,make,n_max", _ORACLE_HOSTS)
+def test_profiles_equal_reference_loops(name, make, n_max):
+    G = make()
+    assert separation_profile_exact(G, n_max).rows == \
+        _oracle_separation(G, n_max)
+    for p in (1, 2, 3):
+        assert poincare_profile(G, n_max, p).rows == \
+            _oracle_poincare(G, n_max, p)
+
+
+@given(connected_graphs(), st.sampled_from([1, 2, 3]))
+def test_profiles_equal_reference_loops_random(G, p):
+    n = G.vertex_count
+    assert separation_profile_exact(G, n).rows == _oracle_separation(G, n)
+    assert poincare_profile(G, n, p).rows == _oracle_poincare(G, n, p)
+
+
+def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
+    G = build_family("grid", 6, 6)
+    keys = [tuple(_induced_masks(G.neighbor_masks, verts))
+            for verts in _subset_list(G, 6, DEFAULT_SUBGRAPH_BUDGET)]
+    calls = {"cheeger": [], "cut": []}
+    cheeger, min_cut = kernels.cheeger_exhaustive, kernels.min_cut_exact
+
+    def counted_cheeger(masks, n, mode, backend=None):
+        calls["cheeger"].append(tuple(masks))
+        return cheeger(masks, n, mode, backend)
+
+    def counted_cut(masks, n, num, den, max_k, budget, backend=None):
+        calls["cut"].append(tuple(masks))
+        return min_cut(masks, n, num, den, max_k, budget, backend)
+
+    monkeypatch.setattr(kernels, "cheeger_exhaustive", counted_cheeger)
+    monkeypatch.setattr(kernels, "min_cut_exact", counted_cut)
+    poincare_profile(G, 6, 2)
+    separation_profile_exact(G, 6)
+    assert len(calls["cheeger"]) == len(set(calls["cheeger"]))
+    assert set(calls["cheeger"]) == {k for k in keys if len(k) >= 2}
+    assert len(calls["cut"]) == len(set(calls["cut"]))
+    assert set(calls["cut"]) == set(keys)
+    assert len(keys) > 5 * len(set(keys))  # translates do repeat
+
+
+def test_exact_profile_budget():
+    with pytest.raises(ExactSearchInfeasible, match="n_max 30 > 22"):
+        poincare_profile(build_family("path", 30), 30, 1)
+    # n_max is clamped to the host first, so a small host is fine
+    assert len(poincare_profile(build_family("path", 5), 30, 1).rows) == 5

@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 from sepprof.verify import (EXPECTED_FAILURES, SUITES, VerifyContext,
                             hard_failures, rows_to_csv, run_suites)
 
@@ -34,3 +38,15 @@ def test_seed_changes_estimates_but_not_exact_rows():
     rows_b = run_suites(["conditions"], VerifyContext(seed=2))
     assert [(r.check_id, r.lhs, r.rhs) for r in rows_a] == \
         [(r.check_id, r.lhs, r.rhs) for r in rows_b]
+
+
+def test_timings_are_per_check():
+    start = time.perf_counter()
+    rows = run_suites(["cuts_profiles"], VerifyContext(seed=7), timings=True)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    ms = [r.ms for r in rows]
+    assert all(m >= 0 for m in ms) and len(set(ms)) > 1
+    assert sum(ms) == pytest.approx(elapsed, rel=0.01, abs=1.0)
+    # the creation stamp does not take part in row equality
+    ctx = VerifyContext(seed=7)
+    assert run_suites(["conditions"], ctx) == run_suites(["conditions"], ctx)
