@@ -1,19 +1,8 @@
-# Builds the optional compiled kernel extension. The package works without it
-# (sepprof.kernels falls back to the pure-Python implementation), so any build
-# failure here is demoted to a warning instead of aborting the install.
-import sys
+# Builds the optional compiled kernel extension from one C file. The package
+# works without it (sepprof.kernels falls back to the pure-Python
+# implementation), so optional=True demotes a failed build to a warning.
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/sepprof/_kernels.pyx"],
-        compiler_directives={"language_level": "3", "boundscheck": False},
-    )
-except Exception as exc:  # noqa: BLE001
-    print(f"warning: compiled kernels disabled ({exc})", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("sepprof._kernels", ["src/sepprof/_kernels.c"], optional=True),
+])

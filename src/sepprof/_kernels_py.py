@@ -1,9 +1,10 @@
 """Pure-Python bitmask kernels.
 
 Same contracts and the same enumeration order as the compiled versions in
-``_kernels.pyx``; this module is the fallback selected at import time when the
+``_kernels.c``; this module is the fallback selected at import time when the
 extension is unavailable (or forced via SEPPROF_PURE_PY=1). Masks are Python
-ints, so there is no 64-vertex limit here.
+ints, so there is no 64-vertex limit here. Every argument is a plain integer:
+``min_cut_exact`` takes the component-size cap, not a fraction.
 """
 
 BACKEND = "python"
@@ -69,8 +70,8 @@ def cheeger_exhaustive(masks, n, mode):
     return (best_num, best_size, best_mask)
 
 
-def _components_ok(masks, full, cut_mask, num, den, n):
-    # Every component of the graph minus cut_mask must have size*den <= num*n.
+def _components_ok(masks, full, cut_mask, cap):
+    # Every component of the graph minus cut_mask must have at most cap vertices.
     rem = full & ~cut_mask
     while rem:
         low = rem & -rem
@@ -82,14 +83,14 @@ def _components_ok(masks, full, cut_mask, num, den, n):
                 nxt |= masks[v]
             frontier = nxt & rem & ~comp
             comp |= frontier
-        if den * comp.bit_count() > num * n:
+        if comp.bit_count() > cap:
             return False
         rem &= ~comp
     return True
 
 
-def min_cut_exact(masks, n, num, den, max_k, budget):
-    """Smallest S with all components of G-S of size <= (num/den)*n.
+def min_cut_exact(masks, n, cap, max_k, budget):
+    """Smallest S with all components of G-S of at most cap vertices.
 
     Increasing-cardinality search, lexicographic within each size. Returns
     (mask, examined); mask is -1 if no cut of size <= max_k exists and -2 if
@@ -108,7 +109,7 @@ def min_cut_exact(masks, n, num, den, max_k, budget):
                 examined += 1
                 if examined > budget:
                     return -2
-                if _components_ok(masks, full, mask, num, den, n):
+                if _components_ok(masks, full, mask, cap):
                     return mask
                 continue
             # Push in reverse so lexicographically smallest pops first.

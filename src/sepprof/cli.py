@@ -137,7 +137,11 @@ def _cmd_invariant(args) -> int:
             _write_witness(args.witness_out, w)
             print(f"witness {args.witness_out}")
     elif args.which == "cut":
-        result = cut(G, Fraction(args.s), args.mode)
+        try:
+            s = Fraction(args.s)
+        except ZeroDivisionError:
+            raise ValueError(f"--s {args.s}: zero denominator") from None
+        result = cut(G, s, args.mode)
         print(f"value {result.size}")
         print(f"certified {result.exact}")
         print("cut_set " + " ".join(map(str, sorted(result.cut_set))))

@@ -1,8 +1,11 @@
 """Kernel backend selection.
 
-The compiled extension handles graphs up to 64 vertices; anything larger (or
-SEPPROF_PURE_PY=1, or a missing extension) goes to the pure-Python fallback.
-Both backends share contracts and enumeration order, so results are identical.
+The compiled extension (``_kernels.c``) handles graphs up to 64 vertices;
+anything larger (or SEPPROF_PURE_PY=1, or a missing extension) goes to the
+pure-Python fallback. Both backends share contracts and enumeration order, so
+results are identical. Backends take plain integers only: ``min_cut_exact``
+turns the fraction num/den into the component-size cap ``num * n // den``
+here, so no backend multiplies by an unbounded numerator or denominator.
 """
 
 import os
@@ -49,8 +52,11 @@ def cheeger_exhaustive(masks, n, mode, backend=None):
 
 
 def min_cut_exact(masks, n, num, den, max_k, budget, backend=None):
+    # A component of k vertices is small enough iff k * den <= num * n, that
+    # is k <= num * n // den; no component exceeds n, hence the clamp.
+    cap = min(num * n // den, n)
     mask, examined = _impl(n, backend).min_cut_exact(
-        list(masks), n, num, den, max_k, budget)
+        list(masks), n, cap, max_k, budget)
     if mask == -2:
         raise BudgetError(
             f"exact cut search exceeded budget of {budget} subsets "

@@ -1,6 +1,12 @@
 import json
+from fractions import Fraction
 
+import pytest
+
+from sepprof import kernels
 from sepprof.cli import main
+from sepprof.cuts import is_cut_set
+from sepprof.graphs import read_edgelist
 from sepprof.groups import klein_four, write_group_file
 
 
@@ -60,6 +66,26 @@ def test_validation_error_exit_code(tmp_path, capsys):
     code, _, err = run(["family", "cycle", "0", "--out",
                         str(tmp_path / "x.g")], capsys)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_invariant_cut_fraction_edge_cases(tmp_path, capsys, monkeypatch,
+                                           compiled_kernels, backend):
+    if backend == "compiled" and compiled_kernels is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(kernels, "_compiled",
+                        compiled_kernels if backend == "compiled" else None)
+    g_path = str(tmp_path / "g34.g")
+    run(["family", "grid", "3", "4", "--out", g_path], capsys)
+    code, out, err = run(["invariant", "cut", "--s", "1/0", g_path], capsys)
+    assert code == 2 and err.startswith("error:") and out == ""
+    s = "0.3333333333333333333333"
+    code, out, _ = run(["invariant", "cut", "--s", s, g_path], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    cut_set = [int(v) for v in lines[2].split()[1:]]
+    assert lines[0] == f"value {len(cut_set)}" and lines[1] == "certified True"
+    assert is_cut_set(read_edgelist(g_path), cut_set, Fraction(s))
 
 
 def test_budget_exit_code(tmp_path, capsys):
