@@ -213,6 +213,12 @@ class WeightedMetricGraph:
         return float(self.nu.sum())
 
 
+def validate_exponent(p: float) -> None:
+    """Raise ValueError unless p is a finite number >= 1 (NaN included)."""
+    if not (1 <= p < math.inf):
+        raise ValueError("p must be a finite number >= 1")
+
+
 def _as_matrix(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
@@ -330,8 +336,7 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
     sqrt(2*lambda2) is returned. certified_lower comes from the exhaustive
     sandwich chain when available (scale 1 only).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    validate_exponent(p)
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
     n = G.vertex_count
@@ -349,9 +354,8 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
     nu = np.ones(n)
     rng = np.random.default_rng(seed)
     if gradient == "sup_scale":
-        balls = WeightedMetricGraph(G).balls(scale_a)
-        numer_pow = lambda f: float(nu @ (optimize.sup_gradient_rows(f, balls, p) ** p))
-        numer_sub = lambda f: optimize.sup_gradient_subgrad(f, balls, nu, p)
+        numer_pow, numer_sub = optimize.sup_gradient_objective(
+            WeightedMetricGraph(G).balls(scale_a), nu, p)
     elif gradient == "modified":
         nbrs = optimize.NeighborIndex(G.neighbors)
         numer_pow = lambda f: optimize.modified_gradient_pow(f, nbrs, nu, p)
@@ -377,8 +381,7 @@ def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
     Gradient is the sup over the closed a-ball; means and norms are taken
     against the vertex measure. Value 0 by convention on measure-zero Z.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    validate_exponent(p)
     if a <= 0:
         raise ValueError("scale must be positive")
     n = Z.graph.vertex_count
@@ -387,10 +390,8 @@ def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
     if n == 1:
         return CheegerWitness(0.0, "function", exact=True, certified_lower=0.0)
     nu = Z.nu
-    balls = Z.balls(a)
     rng = np.random.default_rng(seed)
-    numer_pow = lambda f: float(nu @ (optimize.sup_gradient_rows(f, balls, p) ** p))
-    numer_sub = lambda f: optimize.sup_gradient_subgrad(f, balls, nu, p)
+    numer_pow, numer_sub = optimize.sup_gradient_objective(Z.balls(a), nu, p)
     _, best_f = optimize.minimize_quotient(
         numer_pow, numer_sub, nu, p, _starts(Z.graph, n, 1, restarts, rng, nu))
     value = scale_ratio(Z, best_f, p, a)

@@ -23,14 +23,24 @@ replaced, which tests/test_optimize.py keeps as oracles:
   run SIMD code that rounds differently. Powers the loops already took on
   arrays (``** p``, ``** (p - 1)``) stay ``**``;
 - subgradient contributions are added in the loops' order, (hi, +v), (lo, -v)
-  per ball and (x, +v), (y, -v) per edge, by ``np.bincount``, which
-  accumulates sequentially (``scatter_pairs``);
+  per ball and (x, +v), (y, -v) per edge, by one ``np.bincount`` over the
+  flattened (vertex, coordinate) bins ``vertex * d + k``, which adds in input
+  order within each bin (``scatter_pairs``);
 - products keep the loops' association: ``nu[x] * (p * sign * |d|^(p-1))``
   for the sup gradient, ``(nu[x] * p) * sign * |d|^(p-1)`` for the
   neighbour sum;
 - the neighbour-sum numerator sums each vertex's row within a group of equal
   degree, so every row keeps its length and numpy's pairwise summation, then
   adds the per-vertex terms left to right in vertex order (``ordered_sum``).
+
+One ball pass per step. ``sup_gradient_objective`` returns the objective and
+subgradient of the sup gradient as two callables that share the per-ball
+extremes (``_ball_extremes``) through a one-slot memo keyed on the identity of
+the last iterate; ``spectral.lambda_infinity_upper`` shares its steepest
+neighbours the same way (``memo_last``). This relies on the contract of
+``minimize_quotient``: the subgradient is only asked for the array the
+objective saw last, and no iterate is changed in place. Called in another
+order or on other arrays the pair stays correct and only recomputes.
 """
 
 from __future__ import annotations
@@ -65,6 +75,10 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200):
     numer_pow(f) evaluates the p-th power of the numerator; numer_subgrad(f)
     a subgradient of it. Returns (best objective^p, best f); callers recompute
     the reported quotient from the witness.
+
+    Every numer_subgrad(f) follows numer_pow(f) on the same array, and no
+    iterate is changed in place once either callable has seen it, so the pair
+    may share work through a memo keyed on the identity of f (``memo_last``).
     """
     best_val, best_f = np.inf, None
     for f0 in starts:
@@ -127,14 +141,32 @@ class NeighborIndex:
 def scatter_pairs(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
     """g = 0 of shape (n,) + v.shape[1:], then g[plus[k]] += v[k] and
     g[minus[k]] -= v[k] for k ascending, in that order."""
+    tail = v.shape[1:]
     if not len(v):  # np.bincount would return integers
-        return np.zeros((n,) + v.shape[1:])
-    idx = np.column_stack((plus, minus)).ravel()
-    w = np.stack((v, -v), axis=1).reshape((len(idx),) + v.shape[1:])
-    if v.ndim == 1:
-        return np.bincount(idx, weights=w, minlength=n)
-    return np.column_stack([np.bincount(idx, weights=w[:, k], minlength=n)
-                            for k in range(v.shape[1])])
+        return np.zeros((n,) + tail)
+    d = v.size // len(v)
+    idx = np.empty(2 * len(v), dtype=np.intp)
+    idx[0::2], idx[1::2] = plus, minus
+    w = np.empty((len(idx),) + tail)
+    w[0::2], w[1::2] = v, -v
+    if d > 1:
+        idx = (idx[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(idx, weights=w.ravel(), minlength=n * d)
+    return out.reshape((n,) + tail)
+
+
+def memo_last(fn):
+    """fn of one array argument, remembering its result for the last array
+    passed, by identity. The memo holds a reference to that array, so its id
+    cannot be reused; callers must not change it in place."""
+    last = [None, None]
+
+    def call(f):
+        if last[0] is not f:
+            last[0], last[1] = f, fn(f)
+        return last[1]
+
+    return call
 
 
 def ordered_sum(terms: np.ndarray):
@@ -164,35 +196,59 @@ def _widest_pairs(F: np.ndarray, p: float):
 # Gradients
 
 
-def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
-    """u_x = max over pairs y,y' in the ball of x of ||f(y)-f(y')||_p."""
+def _ball_extremes(f: np.ndarray, balls: np.ndarray, p: float):
+    """Per row of balls the width u = max over pairs y, y' of the ball of
+    ||f(y)-f(y')||_p, and the columns (i, j) of its first extremal pair: for
+    d = 1 the first argmax and the first argmin, for d > 1 the first pair in
+    row-major order."""
     if f.shape[1] == 1:
         F = f[:, 0][balls]
-        return F.max(axis=1) - F.min(axis=1)
-    top, _ = _widest_pairs(f[balls], p)
-    return np.float_power(top, 1.0 / p)
+        i, j = F.argmax(axis=1), F.argmin(axis=1)
+        pick = np.arange(len(F))
+        return F[pick, i] - F[pick, j], i, j
+    top, at = _widest_pairs(f[balls], p)
+    i, j = np.divmod(at, balls.shape[1])
+    return np.float_power(top, 1.0 / p), i, j
+
+
+def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
+    """u_x = max over pairs y,y' in the ball of x of ||f(y)-f(y')||_p."""
+    return _ball_extremes(f, balls, p)[0]
 
 
 def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
                          p: float) -> np.ndarray:
-    n, d = f.shape
-    if balls.shape[1] < 2:
-        return np.zeros_like(f)
-    # Members are distinct, so a ball has a second one iff its column 1 is
-    # not the pad.
-    xs = np.flatnonzero(balls[:, 1] != balls[:, 0])
-    rows = balls[xs]
-    if d == 1:
-        F = f[:, 0][rows]
-        i, j = F.argmax(axis=1), F.argmin(axis=1)
-    else:
-        _, at = _widest_pairs(f[rows], p)
-        i, j = np.divmod(at, rows.shape[1])
+    return sup_gradient_objective(balls, nu, p)[1](f)
+
+
+def sup_gradient_objective(balls: np.ndarray, nu, p: float):
+    """(numer_pow, numer_subgrad) of the sup gradient for minimize_quotient:
+    f -> sum_x nu_x u_x^p as a float, and a subgradient of it. The two share
+    one ball pass per iterate (``memo_last``); only balls with a second
+    member take part, the others have u_x = 0 and add nothing."""
+    # Members are distinct, so a ball has a second one iff its row is not
+    # all pad.
+    xs = np.flatnonzero((balls != balls[:, :1]).any(axis=1))
+    rows, weight = balls[xs], nu[xs][:, None]
     pick = np.arange(len(xs))
-    hi, lo = rows[pick, i], rows[pick, j]
-    delta = f[hi] - f[lo]
-    grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
-    return scatter_pairs(n, hi, lo, nu[xs][:, None] * grad)
+
+    @memo_last
+    def extremes(f):
+        u, i, j = _ball_extremes(f, rows, p)
+        return u, rows[pick, i], rows[pick, j]
+
+    def numer_pow(f):
+        u = np.zeros(len(balls))
+        u[xs] = extremes(f)[0]
+        return float(nu @ (u ** p))
+
+    def numer_subgrad(f):
+        _, hi, lo = extremes(f)
+        delta = f[hi] - f[lo]
+        grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
+        return scatter_pairs(len(f), hi, lo, weight * grad)
+
+    return numer_pow, numer_subgrad
 
 
 def modified_gradient_pow(f: np.ndarray, neighbors: NeighborIndex, nu,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kernels
-from .cheeger import EXACT_LIMIT, certified_lp_lower
+from .cheeger import EXACT_LIMIT, certified_lp_lower, validate_exponent
 from .errors import ExactSearchInfeasible
 from .graphs import Graph, induced_subgraph
 from .spectral import lambda2
@@ -77,6 +77,11 @@ def _induced_masks(masks, vertices):
     return out
 
 
+def _validate_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+
 def _subset_list(G: Graph, n_max: int, budget: int):
     subsets = kernels.connected_subsets(
         G.neighbor_masks, G.vertex_count, n_max, budget)
@@ -96,6 +101,7 @@ def separation_profile_exact(G: Graph, n_max: int,
                              budget: int = DEFAULT_SUBGRAPH_BUDGET,
                              cut_budget: int = DEFAULT_CUT_BUDGET) -> ProfileTable:
     """Exact sep(n) = max half-cut over connected induced subgraphs, n <= n_max."""
+    _validate_n_max(n_max)
     n_max = min(n_max, G.vertex_count)
     best = [0] * (n_max + 1)
     witness: list[Optional[frozenset]] = [None] * (n_max + 1)
@@ -152,8 +158,8 @@ def poincare_profile(G: Graph, n_max: int, p: float,
     and upper per row); witness_lower reports certified lower bounds for a
     supplied family of vertex sets.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    validate_exponent(p)
+    _validate_n_max(n_max)
     if mode == "witness_lower":
         if subgraphs is None:
             raise ValueError("witness_lower mode needs a subgraph family")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .optimize import NeighborIndex, ordered_sum, scatter_pairs
+from .optimize import NeighborIndex, memo_last, ordered_sum, scatter_pairs
 
 LAMBDA2_TOL = 1e-9
 
@@ -107,13 +107,16 @@ def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):
         raise ValueError("need at least 2 vertices")
     rng = np.random.default_rng(seed)
     nbrs = NeighborIndex(G.neighbors)
+    # One pass per iterate: the loop below never changes an iterate in place
+    # and asks for the subgradient only at the iterate it just evaluated.
+    steepest = memo_last(lambda f: _steepest_neighbors(f, nbrs))
 
     def objective(f):
         # sum_i max_{j~i} (f_i - f_j)^2 on the mean-zero unit sphere
-        return float(ordered_sum(_steepest_neighbors(f, nbrs)[2]))
+        return float(ordered_sum(steepest(f)[2]))
 
     def subgradient(f):
-        i, j, _ = _steepest_neighbors(f, nbrs)
+        i, j, _ = steepest(f)
         return scatter_pairs(n, i, j, 2.0 * (f[i] - f[j]))
 
     def project(f):

@@ -154,3 +154,23 @@ def test_verify_expected_failure_does_not_flip_exit(capsys):
     assert code == 0
     assert "expected-fail" in err
     assert "lamp:homothety-stated-2k,lamp-homothety,fail" in out
+
+
+@pytest.mark.parametrize("which", ["hp", "profile"])
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "0.5"])
+def test_invariant_rejects_exponent_outside_one_to_inf(tmp_path, capsys,
+                                                       which, p):
+    g_path = str(tmp_path / "c6.g")
+    run(["family", "cycle", "6", "--out", g_path], capsys)
+    code, out, err = run(["invariant", which, f"--p={p}", g_path], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: p must be a finite number >= 1\n"
+
+
+@pytest.mark.parametrize("which,nmax", [("profile", "0"), ("sep", "-1"),
+                                        ("sep", "0")])
+def test_invariant_rejects_nmax_below_one(tmp_path, capsys, which, nmax):
+    g_path = str(tmp_path / "c6.g")
+    run(["family", "cycle", "6", "--out", g_path], capsys)
+    code, out, err = run(["invariant", which, "--nmax", nmax, g_path], capsys)
+    assert code == 2 and out == "" and err.startswith("error: n_max")

@@ -182,7 +182,7 @@ def cases(draw):
     name = draw(st.sampled_from(sorted(GRAPHS)))
     d = draw(st.sampled_from([1, 2, 3]))
     p = draw(st.sampled_from([1, 1.5, 2, 3]))
-    radius = draw(st.integers(1, 6))
+    radius = draw(st.integers(0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = GRAPHS[name].vertex_count
     f = rng.standard_normal((n, d))
@@ -214,6 +214,88 @@ def test_sup_gradient_matches_loops(case):
               oracle_sup_rows(f, loops, p))
     same_bits(optimize.sup_gradient_subgrad(f, balls, nu, p),
               oracle_sup_subgrad(f, loops, nu, p))
+
+
+@settings(max_examples=150)
+@given(cases())
+def test_sup_gradient_objective_matches_loops(case):
+    name, f, nu, p, radius = case
+    Z = METRICS[name]
+    loops = oracle_balls(Z, radius)
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
+        Z.balls(radius), nu, p)
+    same_bits(numer_pow(f), float(nu @ (oracle_sup_rows(f, loops, p) ** p)))
+    same_bits(numer_subgrad(f), oracle_sup_subgrad(f, loops, nu, p))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sup_gradient_objective_recomputes_for_other_arrays(d):
+    Z = METRICS["irregular"]
+    loops = oracle_balls(Z, 2)
+    rng = np.random.default_rng(d)
+    nu = rng.uniform(0.5, 2.0, 15)
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
+        Z.balls(2), nu, 1.5)
+
+    def value(f):
+        return float(nu @ (oracle_sup_rows(f, loops, 1.5) ** 1.5))
+
+    f = rng.standard_normal((15, d))
+    for g in [f.copy(), -f] + [rng.standard_normal((15, d)) for _ in range(8)]:
+        numer_pow(f)
+        same_bits(numer_subgrad(g), oracle_sup_subgrad(g, loops, nu, 1.5))
+        same_bits(numer_pow(g), value(g))
+        same_bits(numer_subgrad(f), oracle_sup_subgrad(f, loops, nu, 1.5))
+        same_bits(numer_pow(f), value(f))
+    for _ in range(8):
+        # Freed unless the memo holds it, and then g may get its id.
+        temp = rng.standard_normal((15, d))
+        numer_pow(temp)
+        del temp
+        g = rng.standard_normal((15, d))
+        same_bits(numer_subgrad(g), oracle_sup_subgrad(g, loops, nu, 1.5))
+
+
+def test_minimize_quotient_keeps_iterates_and_call_order():
+    """The memo contract: each subgradient is asked for at the array the
+    objective saw last, and no array either callable saw changes later."""
+    Z = METRICS["grid"]
+    nu = np.random.default_rng(0).uniform(0.5, 2.0, 20)
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
+        Z.balls(1), nu, 1.5)
+    seen = []
+
+    def objective(f):
+        seen.append((f, f.tobytes()))
+        return numer_pow(f)
+
+    def subgradient(f):
+        assert f is seen[-1][0]
+        assert all(g.tobytes() == data for g, data in seen)
+        return numer_subgrad(f)
+
+    starts = list(np.random.default_rng(1).standard_normal((3, 20, 1)))
+    optimize.minimize_quotient(objective, subgradient, nu, 1.5, starts,
+                               iters=40)
+    assert len(seen) == 3 * 41
+    assert all(g.tobytes() == data for g, data in seen)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6), st.sampled_from([None, 1, 2, 3]),
+       st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_scatter_pairs_matches_loop(n, d, m, seed):
+    rng = np.random.default_rng(seed)
+    plus, minus = rng.integers(0, n, m), rng.integers(0, n, m)
+    shape = (m,) if d is None else (m, d)
+    # Magnitudes far apart, so that another order of addition shows in the
+    # bits; few vertices, so that indices repeat.
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    expected = np.zeros((n,) + shape[1:])
+    for k in range(m):
+        expected[plus[k]] += v[k]
+        expected[minus[k]] -= v[k]
+    same_bits(optimize.scatter_pairs(n, plus, minus, v), expected)
 
 
 @settings(max_examples=150)
@@ -272,8 +354,7 @@ def test_minimize_quotient_same_witness(name, gradient, d, p, radius):
     nu = np.random.default_rng(0).uniform(0.5, 2.0, n)
     if gradient == "sup":
         balls, loops = Z.balls(radius), oracle_balls(Z, radius)
-        new = (lambda f: float(nu @ (optimize.sup_gradient_rows(f, balls, p) ** p)),
-               lambda f: optimize.sup_gradient_subgrad(f, balls, nu, p))
+        new = optimize.sup_gradient_objective(balls, nu, p)
         old = (lambda f: float(nu @ (oracle_sup_rows(f, loops, p) ** p)),
                lambda f: oracle_sup_subgrad(f, loops, nu, p))
     else:
