@@ -94,6 +94,55 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
+class _FlipBoundary:
+    """A vertex set (bitmask) and its ``boundary_count``, kept up to date one
+    flipped vertex at a time in O(degree): ``inside[u]`` counts the
+    neighbours of u in the set."""
+
+    def __init__(self, G: Graph, mode: str, mask: int):
+        self.neighbors, self.mode, self.mask = G.neighbors, mode, mask
+        self.degree = [len(nbrs) for nbrs in G.neighbors]
+        self.inside = [(m & mask).bit_count() for m in G.neighbor_masks]
+        self.count = boundary_count(G, mask, mode)
+
+    def flipped_count(self, v: int) -> int:
+        """The boundary count of the set with v added or removed.
+
+        Edge mode counts the edges leaving the set. Plain mode counts the
+        outside vertices with an inside neighbour; majored mode adds the
+        members with an outside neighbour. A flip of v changes these only
+        at v and its neighbours."""
+        mask, inside, degree = self.mask, self.inside, self.degree
+        k, deg = inside[v], degree[v]
+        majored = self.mode == "majored"
+        leaving = mask >> v & 1
+        if self.mode == "edge":
+            return self.count + (2 * k - deg if leaving else deg - 2 * k)
+        if leaving:
+            change = (k > 0) - (majored and k < deg)
+            for w in self.neighbors[v]:
+                if not mask >> w & 1:
+                    change -= inside[w] == 1  # v was its one inside neighbour
+                elif majored:
+                    change += inside[w] == degree[w]  # v becomes outside
+        else:
+            change = (majored and k < deg) - (k > 0)
+            for w in self.neighbors[v]:
+                if not mask >> w & 1:
+                    change += inside[w] == 0
+                elif majored:
+                    change -= inside[w] + 1 == degree[w]  # v was outside
+        return self.count + change
+
+    def flip(self, v: int, count: int) -> None:
+        """Add or remove v; count is ``flipped_count(v)``."""
+        step = -1 if self.mask >> v & 1 else 1
+        for w in self.neighbors[v]:
+            self.inside[w] += step
+        self.mask ^= 1 << v
+        self.count = count
+
+
 def _anneal(G: Graph, mode: str, restarts: int, seed: int):
     """Simulated-annealing upper bound; returns (num, size, mask)."""
     n = G.vertex_count
@@ -114,28 +163,27 @@ def _anneal(G: Graph, mode: str, restarts: int, seed: int):
         if best is None or num * best[1] < best[0] * cand[1]:
             best = cand
     for _ in range(restarts):
-        mask = best[2]
+        state = _FlipBoundary(G, mode, best[2])
         size = best[1]
-        cur = boundary_count(G, mask, mode)
         temp = 1.0
         for step in range(3000):
             temp *= 0.998
             v = int(rng.integers(n))
-            bit = 1 << v
-            if mask & bit:
+            if state.mask >> v & 1:
                 if size == 1:
                     continue
-                new_mask, new_size = mask ^ bit, size - 1
+                new_size = size - 1
             else:
                 if 2 * (size + 1) > n:
                     continue
-                new_mask, new_size = mask | bit, size + 1
-            new_num = boundary_count(G, new_mask, mode)
-            delta = ratio_key(new_num, new_size) - ratio_key(cur, size)
+                new_size = size + 1
+            new_num = state.flipped_count(v)
+            delta = ratio_key(new_num, new_size) - ratio_key(state.count, size)
             if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
-                mask, size, cur = new_mask, new_size, new_num
-                if cur * best[1] < best[0] * size:
-                    best = (cur, size, mask)
+                state.flip(v, new_num)
+                size = new_size
+                if state.count * best[1] < best[0] * size:
+                    best = (state.count, size, state.mask)
     return best
 
 
@@ -209,9 +257,6 @@ class WeightedMetricGraph:
         within = np.asarray(self.dist) <= math.floor(radius)
         return optimize.index_matrix([np.flatnonzero(row) for row in within])
 
-    def total_measure(self) -> float:
-        return float(self.nu.sum())
-
 
 def validate_exponent(p: float) -> None:
     """Raise ValueError unless p is a finite number >= 1 (NaN included)."""
@@ -226,18 +271,28 @@ def _as_matrix(f) -> np.ndarray:
     return f
 
 
+def _spread(f: np.ndarray, nu: np.ndarray, p: float) -> float:
+    """||f - mean||_p against nu, the denominator of every L^p quotient."""
+    den = optimize.weighted_pnorm(optimize.weighted_center(f, nu), nu, p)
+    if den < 1e-15:
+        raise ValueError("constant function: quotient undefined")
+    return den
+
+
+def _modified_ratio(nbrs: optimize.NeighborIndex, nu: np.ndarray, f,
+                    p: float) -> float:
+    f = _as_matrix(f)
+    den = _spread(f, nu, p)
+    return optimize.modified_gradient_pow(f, nbrs, nu, p) ** (1.0 / p) / den
+
+
 def scale_ratio(Z: WeightedMetricGraph, f, p: float, a: float) -> float:
     """Scale-a quotient ||grad_a f||_p / ||f - mean||_p against Z's measure
     and metric. Pure evaluation, shared by the optimizer and witness audits."""
     f = _as_matrix(f)
-    nu = Z.nu
-    centered = optimize.weighted_center(f, nu)
-    den = optimize.weighted_pnorm(centered, nu, p)
-    if den < 1e-15:
-        raise ValueError("constant function: quotient undefined")
+    den = _spread(f, Z.nu, p)
     u = optimize.sup_gradient_rows(f, Z.balls(a), p)
-    num = float((nu @ (u ** p)) ** (1.0 / p))
-    return num / den
+    return float((Z.nu @ (u ** p)) ** (1.0 / p)) / den
 
 
 def lp_cheeger_ratio(G: Graph, f, p: float, gradient: str = "sup_scale",
@@ -247,18 +302,8 @@ def lp_cheeger_ratio(G: Graph, f, p: float, gradient: str = "sup_scale",
         return scale_ratio(WeightedMetricGraph(G, nu), f, p, scale_a)
     if gradient != "modified":
         raise ValueError(f"unknown gradient {gradient!r}")
-    f = _as_matrix(f)
-    n = G.vertex_count
-    if nu is None:
-        nu = np.ones(n)
-    nu = np.asarray(nu, dtype=float)
-    centered = optimize.weighted_center(f, nu)
-    den = optimize.weighted_pnorm(centered, nu, p)
-    if den < 1e-15:
-        raise ValueError("constant function: quotient undefined")
-    num = optimize.modified_gradient_pow(
-        f, optimize.NeighborIndex(G.neighbors), nu, p) ** (1.0 / p)
-    return num / den
+    nu = np.ones(G.vertex_count) if nu is None else np.asarray(nu, dtype=float)
+    return _modified_ratio(optimize.NeighborIndex(G.neighbors), nu, f, p)
 
 
 def certified_lp_lower(G: Graph, p: float, gradient: str) -> Optional[float]:
@@ -353,19 +398,20 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
             certified_lower=value)
     nu = np.ones(n)
     rng = np.random.default_rng(seed)
+    # The metric or the index built here also serves the recheck.
     if gradient == "sup_scale":
-        numer_pow, numer_sub = optimize.sup_gradient_objective(
-            WeightedMetricGraph(G).balls(scale_a), nu, p)
+        Z = WeightedMetricGraph(G)
+        objective = optimize.sup_gradient_objective(Z.balls(scale_a), nu, p)
+        ratio = lambda f: scale_ratio(Z, f, p, scale_a)
     elif gradient == "modified":
         nbrs = optimize.NeighborIndex(G.neighbors)
-        numer_pow = lambda f: optimize.modified_gradient_pow(f, nbrs, nu, p)
-        numer_sub = lambda f: optimize.modified_gradient_subgrad(f, nbrs, nu, p)
+        objective = optimize.modified_gradient_objective(nbrs, nu, p)
+        ratio = lambda f: _modified_ratio(nbrs, nu, f, p)
     else:
         raise ValueError(f"unknown gradient {gradient!r}")
     _, best_f = optimize.minimize_quotient(
-        numer_pow, numer_sub, nu, p,
-        _starts(G, n, target_dim, restarts, rng, nu))
-    value = lp_cheeger_ratio(G, best_f, p, gradient, scale_a)
+        *objective, nu, p, _starts(G, n, target_dim, restarts, rng, nu))
+    value = ratio(best_f)
     lower = certified_lp_lower(G, p, gradient) if scale_a == 1 else None
     if lower is not None:
         lower = min(lower, value)
@@ -391,9 +437,9 @@ def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
         return CheegerWitness(0.0, "function", exact=True, certified_lower=0.0)
     nu = Z.nu
     rng = np.random.default_rng(seed)
-    numer_pow, numer_sub = optimize.sup_gradient_objective(Z.balls(a), nu, p)
     _, best_f = optimize.minimize_quotient(
-        numer_pow, numer_sub, nu, p, _starts(Z.graph, n, 1, restarts, rng, nu))
+        *optimize.sup_gradient_objective(Z.balls(a), nu, p), nu, p,
+        _starts(Z.graph, n, 1, restarts, rng, nu))
     value = scale_ratio(Z, best_f, p, a)
     return CheegerWitness(value=value, kind="function",
                           function_witness=best_f, exact=False)

@@ -56,10 +56,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.neighbors), default=0)
 
-    def is_regular(self) -> bool:
-        degs = {len(a) for a in self.neighbors}
-        return len(degs) <= 1
-
     def label(self, v: int):
         return self.labels[v] if self.labels is not None else v
 

@@ -33,21 +33,30 @@ replaced, which tests/test_optimize.py keeps as oracles:
   degree, so every row keeps its length and numpy's pairwise summation, then
   adds the per-vertex terms left to right in vertex order (``ordered_sum``).
 
-One ball pass per step. ``sup_gradient_objective`` returns the objective and
-subgradient of the sup gradient as two callables that share the per-ball
-extremes (``_ball_extremes``) through a one-slot memo keyed on the identity of
-the last iterate; ``spectral.lambda_infinity_upper`` shares its steepest
-neighbours the same way (``memo_last``). This relies on the contract of
-``minimize_quotient``: the subgradient is only asked for the array the
-objective saw last, and no iterate is changed in place. Called in another
-order or on other arrays the pair stays correct and only recomputes.
+Batched restarts. ``minimize_quotient`` steps all its starts together as one
+stack: an (R, n, d) array, row r the iterate of start r. The objective maps a
+stack to its R values and the subgradient to an (R, n, d) stack, each row
+with the bits it would have alone. So only operations that give every row
+those bits are used: elementwise ones, reductions along the last axis of a
+C-ordered array (``np.take`` keeps C order where fancy indexing may not),
+``nu @ F``, and per-row dot products as a stacked matmul (``rowdot``; a
+2-norm is the root of one). Neither ``einsum`` nor ``norm(axis=...)`` gives
+them. Both callables of a pair share one pass per stack (the per-ball
+extremes, the neighbour differences) through a one-slot memo keyed on the
+identity of the last stack (``memo_last``). This relies on the contract of
+``minimize_quotient``: the subgradient is only asked for the stack the
+objective saw last, and no stack is changed in place. Called in another
+order or on other arrays the pair stays correct and only recomputes. The
+single-function forms (``sup_gradient_rows``, ``sup_gradient_subgrad``,
+``modified_gradient_pow``, ``modified_gradient_subgrad``) run the batched
+code on a stack of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Entries of the (balls, B, B, d) pair-difference array built at once.
+# Entries of the pair-difference array built at once.
 PAIR_CHUNK = 1 << 20
 
 
@@ -61,45 +70,89 @@ def weighted_pnorm(f: np.ndarray, nu: np.ndarray, p: float) -> float:
     return float((nu @ row) ** (1.0 / p))
 
 
-def project_sphere(f: np.ndarray, nu: np.ndarray, p: float):
-    f = weighted_center(f, nu)
-    norm = weighted_pnorm(f, nu, p)
-    if norm < 1e-12:
-        return None
-    return f / norm
+def rowdot(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A[r] @ v, or A[r] @ v[r] for v of A's shape, for each row of the
+    contiguous (R, m) array A, with the bits of that dot product alone."""
+    return (A[:, None, :] @ v[..., None])[:, 0, 0]
 
 
-def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200):
+def sphere_projection(nu: np.ndarray, p: float):
+    """The projection of a stack of (n, d) functions onto the nu-weighted
+    mean-zero unit p-sphere, as ``minimize_quotient`` takes it: F maps to
+    (its rows that survive, projected; a mask of those rows). A row whose
+    centered norm is below 1e-12 or not finite is constant, or became so
+    when the norm overflowed, and does not survive."""
+    total = nu.sum()
+
+    def project(F):
+        F = F - ((nu @ F) / total)[:, None, :]
+        with np.errstate(over="ignore"):  # an overflowing row does not survive
+            row = np.sum(np.abs(F) ** p, axis=2)
+        norm = np.float_power(rowdot(row, nu), 1.0 / p)
+        ok = (norm >= 1e-12) & (norm < np.inf)
+        return F[ok] / norm[ok][:, None, None], ok
+
+    return project
+
+
+def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
+                      project=None, min_grad=1e-15):
     """Minimize numerator^p over the weighted mean-zero unit p-sphere.
 
-    numer_pow(f) evaluates the p-th power of the numerator; numer_subgrad(f)
-    a subgradient of it. Returns (best objective^p, best f); callers recompute
-    the reported quotient from the witness.
+    All starts step together as one stack of iterates. numer_pow maps a
+    stack to the p-th powers of the numerator, one per row; numer_subgrad
+    to a stack of subgradients. Returns (best objective^p, best f), the
+    first start with the least objective winning; callers recompute the
+    reported quotient from the witness.
 
-    Every numer_subgrad(f) follows numer_pow(f) on the same array, and no
-    iterate is changed in place once either callable has seen it, so the pair
-    may share work through a memo keyed on the identity of f (``memo_last``).
+    ``project`` replaces the projection onto the sphere of nu and p (see
+    ``sphere_projection``); a start whose projection fails is skipped, and
+    one that fails later stops at its best iterate so far. A subgradient
+    with norm at most ``min_grad`` leaves its iterate in place. Raises
+    ValueError when no start survives.
+
+    Every numer_subgrad(F) follows numer_pow(F) on the same stack, and no
+    stack is changed in place once either callable has seen it, so the pair
+    may share work through a memo keyed on the identity of F (``memo_last``).
     """
-    best_val, best_f = np.inf, None
-    for f0 in starts:
-        f = project_sphere(np.asarray(f0, dtype=float), nu, p)
-        if f is None:
-            continue
-        cur_val, cur_f = numer_pow(f), f.copy()
-        for t in range(1, iters + 1):
-            g = numer_subgrad(f)
-            norm = np.linalg.norm(g)
-            if norm > 1e-15:
-                stepped = project_sphere(f - g / (norm * np.sqrt(t)), nu, p)
-                if stepped is None:
+    if project is None:
+        project = sphere_projection(nu, p)
+    F = np.array([np.asarray(f0, dtype=float) for f0 in starts])
+    if len(F):
+        F, _ = project(F)
+    if not len(F):
+        raise ValueError("no start survived projection onto the unit sphere")
+    live = np.arange(len(F))  # the start of each row of F
+    best_val, best_F = np.array(numer_pow(F), dtype=float), F.copy()
+    for t in range(1, iters + 1):
+        G = numer_subgrad(F)
+        flat = G.reshape(len(G), -1)
+        norm = np.sqrt(rowdot(flat, flat))
+        moving = norm > min_grad
+        if moving.any():
+            scale = norm[moving].reshape((-1,) + (1,) * (F.ndim - 1))
+            stepped, ok = project(F[moving] - G[moving] / (scale * np.sqrt(t)))
+            if moving.all() and ok.all():
+                F = stepped
+            else:
+                rows = np.flatnonzero(moving)
+                F = F.copy()
+                F[rows[ok]] = stepped
+                keep = np.ones(len(F), dtype=bool)
+                keep[rows[~ok]] = False
+                F, live = F[keep], live[keep]
+                if not len(F):
                     break
-                f = stepped
-            val = numer_pow(f)
-            if val < cur_val:
-                cur_val, cur_f = val, f.copy()
-        if cur_val < best_val:
-            best_val, best_f = cur_val, cur_f
-    return best_val, best_f
+        val = numer_pow(F)
+        better = val < best_val[live]
+        if better.any():
+            best_val[live[better]] = val[better]
+            best_F[live[better]] = F[better]
+    finite = np.flatnonzero(best_val < np.inf)
+    if not len(finite):
+        raise ValueError("no start reached a finite objective")
+    win = finite[np.argmin(best_val[finite])]  # the first of the least
+    return float(best_val[win]), best_F[win]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +176,8 @@ class NeighborIndex:
     ``matrix`` is their ``index_matrix`` and ``degree`` their lengths;
     ``src``/``dst`` list every pair (x, y) with y a neighbour of x, x
     ascending and y in list order; ``groups`` pairs the vertices of each
-    positive degree k, ascending, with their (vertices, k) neighbour matrix.
+    positive degree k, ascending, with the (vertices, k) matrix of the
+    positions of their pairs in that list.
     """
 
     def __init__(self, neighbors):
@@ -131,11 +185,12 @@ class NeighborIndex:
         self.degree = np.array([len(row) for row in neighbors], dtype=np.intp)
         real = np.arange(self.matrix.shape[1]) < self.degree[:, None]
         self.src, self.dst = np.nonzero(real)[0], self.matrix[real]
+        first = np.cumsum(self.degree) - self.degree
         self.groups = []
         # Not np.unique: it imports numpy.ma, 0.5 MB of resident memory.
         for k in sorted({len(row) for row in neighbors} - {0}):
             xs = np.flatnonzero(self.degree == k)
-            self.groups.append((xs, self.matrix[xs, :k]))
+            self.groups.append((xs, first[xs][:, None] + np.arange(k)))
 
 
 def scatter_pairs(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
@@ -155,6 +210,17 @@ def scatter_pairs(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
     return out.reshape((n,) + tail)
 
 
+def scatter_rows(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
+    """``scatter_pairs(n, plus[r], minus[r], v[r])`` for each row r of the
+    stack v, in one pass: row r's vertices become the bins r * n + vertex.
+    plus and minus are (R, m), or (m,) when every row shares them."""
+    offset = (np.arange(len(v)) * n)[:, None]
+    out = scatter_pairs(len(v) * n, (plus + offset).ravel(),
+                        (minus + offset).ravel(),
+                        v.reshape((-1,) + v.shape[2:]))
+    return out.reshape((len(v), n) + v.shape[2:])
+
+
 def memo_last(fn):
     """fn of one array argument, remembering its result for the last array
     passed, by identity. The memo holds a reference to that array, so its id
@@ -170,62 +236,92 @@ def memo_last(fn):
 
 
 def ordered_sum(terms: np.ndarray):
-    """terms[0] + terms[1] + ... added left to right, as np.float64; the
-    Python float 0.0 when there are none. For terms other than -0.0 these
-    are the bits of ``total = 0.0; for t in terms: total += t``."""
-    return np.add.accumulate(terms)[-1] if len(terms) else 0.0
+    """terms[..., 0] + terms[..., 1] + ... added left to right along the
+    last axis, as np.float64; zeros when that axis is empty. For terms other
+    than -0.0 these are the bits of ``total = 0.0; for t in row: total += t``
+    on each row."""
+    if terms.shape[-1]:
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+    return np.zeros(terms.shape[:-1])
 
 
-def _widest_pairs(F: np.ndarray, p: float):
-    """For F of shape (m, B, d): per row the largest ||F[i]-F[j]||_p^p over
-    pairs, and the flat index i*B + j of its first occurrence in row-major
-    order. Rows are taken in chunks of at most PAIR_CHUNK difference entries."""
-    m, B, d = F.shape
-    top, at = np.empty(m), np.empty(m, dtype=np.intp)
-    step = max(1, PAIR_CHUNK // (B * B * d))
-    for s in range(0, m, step):
-        G = F[s:s + step]
-        S = np.sum(np.abs(G[:, :, None, :] - G[:, None, :, :]) ** p, axis=3)
-        S = S.reshape(len(G), B * B)
-        at[s:s + step] = S.argmax(axis=1)
-        top[s:s + step] = S[np.arange(len(G)), at[s:s + step]]
-    return top, at
+def _widest_pairs(F: np.ndarray, balls: np.ndarray, p: float):
+    """For a stack F of shape (R, n, d) with d > 1 and balls (m, B) with
+    B > 1: per row r and ball x the largest ||F[r, y] - F[r, y']||_p^p over
+    pairs of members, and the columns (i, j) of its first occurrence in
+    row-major order over all B * B pairs, flattened to length R * m.
+
+    Only the pairs i < j are searched: the value of (i, j) is that of
+    (j, i) and the diagonal is 0, so a positive maximum first occurs above
+    the diagonal, and a row whose pairs are all 0 has its first maximum at
+    (0, 0). The coordinate terms are added left to right, as ``np.sum`` adds
+    fewer than 8 of them. (row, ball) pairs are taken in chunks of at most
+    PAIR_CHUNK difference entries, or one."""
+    R, n, d = F.shape
+    m, B = balls.shape
+    iu, ju = np.triu_indices(B, 1)
+    left, right = balls[:, iu], balls[:, ju]
+    flat = F.reshape(R * n, d)
+    top, at = np.empty(R * m), np.empty(R * m, dtype=np.intp)
+    step = max(1, PAIR_CHUNK // (len(iu) * d))
+    for s in range(0, R * m, step):
+        k = np.arange(s, min(s + step, R * m))
+        r, x = np.divmod(k, m)
+        base = (r * n)[:, None]
+        D = np.take(flat, left[x] + base, axis=0)
+        D -= np.take(flat, right[x] + base, axis=0)
+        np.abs(D, out=D)
+        D **= p
+        S = D[..., 0] + D[..., 1]
+        for c in range(2, d):
+            S += D[..., c]
+        at[k] = S.argmax(axis=1)
+        top[k] = S[np.arange(len(k)), at[k]]
+    positive = top > 0
+    return top, np.where(positive, iu[at], 0), np.where(positive, ju[at], 0)
 
 
 # ---------------------------------------------------------------------------
 # Gradients
 
 
-def _ball_extremes(f: np.ndarray, balls: np.ndarray, p: float):
-    """Per row of balls the width u = max over pairs y, y' of the ball of
-    ||f(y)-f(y')||_p, and the columns (i, j) of its first extremal pair: for
-    d = 1 the first argmax and the first argmin, for d > 1 the first pair in
-    row-major order."""
-    if f.shape[1] == 1:
-        F = f[:, 0][balls]
-        i, j = F.argmax(axis=1), F.argmin(axis=1)
-        pick = np.arange(len(F))
-        return F[pick, i] - F[pick, j], i, j
-    top, at = _widest_pairs(f[balls], p)
-    i, j = np.divmod(at, balls.shape[1])
-    return np.float_power(top, 1.0 / p), i, j
+def _ball_extremes(F: np.ndarray, balls: np.ndarray, p: float):
+    """For a stack F of shape (R, n, d), per row r and ball x the width
+    u = max over pairs y, y' of the ball of ||F[r, y] - F[r, y']||_p, and
+    the columns (i, j) of its first extremal pair: for d = 1 the first argmax
+    and the first argmin, for d > 1 the first pair in row-major order. Each
+    is an (R, len(balls)) array."""
+    R, _, d = F.shape
+    m, B = balls.shape
+    if d == 1:
+        V = F[:, balls, 0].reshape(R * m, B)
+        i, j = V.argmax(axis=1), V.argmin(axis=1)
+        pick = np.arange(len(V))
+        u = V[pick, i] - V[pick, j]
+    elif B == 1:
+        u, i = np.zeros(R * m), np.zeros(R * m, dtype=np.intp)
+        j = i
+    else:
+        top, i, j = _widest_pairs(F, balls, p)
+        u = np.float_power(top, 1.0 / p)
+    return u.reshape(R, m), i.reshape(R, m), j.reshape(R, m)
 
 
 def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
     """u_x = max over pairs y,y' in the ball of x of ||f(y)-f(y')||_p."""
-    return _ball_extremes(f, balls, p)[0]
+    return _ball_extremes(f[None], balls, p)[0][0]
 
 
 def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
                          p: float) -> np.ndarray:
-    return sup_gradient_objective(balls, nu, p)[1](f)
+    return sup_gradient_objective(balls, nu, p)[1](f[None])[0]
 
 
 def sup_gradient_objective(balls: np.ndarray, nu, p: float):
     """(numer_pow, numer_subgrad) of the sup gradient for minimize_quotient:
-    f -> sum_x nu_x u_x^p as a float, and a subgradient of it. The two share
-    one ball pass per iterate (``memo_last``); only balls with a second
-    member take part, the others have u_x = 0 and add nothing."""
+    a stack F maps to sum_x nu_x u_x^p per row, and to a subgradient of it.
+    The two share one ball pass per stack (``memo_last``); only balls with a
+    second member take part, the others have u_x = 0 and add nothing."""
     # Members are distinct, so a ball has a second one iff its row is not
     # all pad.
     xs = np.flatnonzero((balls != balls[:, :1]).any(axis=1))
@@ -233,37 +329,63 @@ def sup_gradient_objective(balls: np.ndarray, nu, p: float):
     pick = np.arange(len(xs))
 
     @memo_last
-    def extremes(f):
-        u, i, j = _ball_extremes(f, rows, p)
+    def extremes(F):
+        u, i, j = _ball_extremes(F, rows, p)
         return u, rows[pick, i], rows[pick, j]
 
-    def numer_pow(f):
-        u = np.zeros(len(balls))
-        u[xs] = extremes(f)[0]
-        return float(nu @ (u ** p))
+    def numer_pow(F):
+        U = np.zeros((len(F), len(balls)))
+        U[:, xs] = extremes(F)[0]
+        return rowdot(U ** p, nu)
 
-    def numer_subgrad(f):
-        _, hi, lo = extremes(f)
-        delta = f[hi] - f[lo]
+    def numer_subgrad(F):
+        _, hi, lo = extremes(F)
+        stack = np.arange(len(F))[:, None]
+        delta = F[stack, hi] - F[stack, lo]
         grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
-        return scatter_pairs(len(f), hi, lo, weight * grad)
+        return scatter_rows(F.shape[1], hi, lo, weight * grad)
+
+    return numer_pow, numer_subgrad
+
+
+def modified_gradient_objective(neighbors: NeighborIndex, nu, p: float):
+    """(numer_pow, numer_subgrad) of the neighbour-sum gradient for
+    minimize_quotient: a stack F maps to sum_x nu_x sum_{y~x}
+    ||F(x)-F(y)||_p^p per row, and to a subgradient of it. The two share the
+    differences F(x) - F(y) over the edge list per stack (``memo_last``)."""
+    x, y = neighbors.src, neighbors.dst
+    present = neighbors.degree > 0
+    weight = (nu[x] * p)[:, None]
+
+    @memo_last
+    def differences(F):
+        return F[:, x] - F[:, y]
+
+    def numer_pow(F):
+        powers = np.abs(differences(F)) ** p
+        rows = np.zeros(F.shape[:2])
+        for xs, at in neighbors.groups:
+            # np.take, unlike powers[:, at], gives C order, so each sum runs
+            # over its row as it did for one function.
+            group = np.take(powers, at, axis=1)
+            rows[:, xs] = group.reshape(len(F), len(xs), -1).sum(axis=2)
+        return ordered_sum(nu[present] * rows[:, present])
+
+    def numer_subgrad(F):
+        delta = differences(F)
+        grad = weight * np.sign(delta) * np.abs(delta) ** (p - 1)
+        return scatter_rows(F.shape[1], x, y, grad)
 
     return numer_pow, numer_subgrad
 
 
 def modified_gradient_pow(f: np.ndarray, neighbors: NeighborIndex, nu,
                           p: float) -> float:
-    rows = np.zeros(f.shape[0])
-    for xs, nbrs in neighbors.groups:
-        powers = np.abs(f[xs][:, None, :] - f[nbrs]) ** p
-        rows[xs] = powers.reshape(len(xs), -1).sum(axis=1)
-    present = neighbors.degree > 0
-    return ordered_sum(nu[present] * rows[present])
+    if not len(neighbors.src):
+        return 0.0
+    return modified_gradient_objective(neighbors, nu, p)[0](f[None])[0]
 
 
 def modified_gradient_subgrad(f: np.ndarray, neighbors: NeighborIndex, nu,
                               p: float) -> np.ndarray:
-    x, y = neighbors.src, neighbors.dst
-    delta = f[x] - f[y]
-    grad = (nu[x] * p)[:, None] * np.sign(delta) * np.abs(delta) ** (p - 1)
-    return scatter_pairs(f.shape[0], x, y, grad)
+    return modified_gradient_objective(neighbors, nu, p)[1](f[None])[0]

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .optimize import NeighborIndex, memo_last, ordered_sum, scatter_pairs
+from .optimize import (NeighborIndex, memo_last, minimize_quotient,
+                       ordered_sum, rowdot, scatter_rows)
 
 LAMBDA2_TOL = 1e-9
 
@@ -66,14 +67,16 @@ def fiedler_vector(G: Graph) -> np.ndarray:
 
 def _steepest_neighbors(f: np.ndarray, nbrs: NeighborIndex):
     """(i, j, (f_i - f_j)^2) for each vertex i with neighbours, ascending:
-    j is its first neighbour in list order maximising the square."""
+    j is its first neighbour in list order maximising the square. f is one
+    function of shape (n,) or a stack (R, n); then j and the squares are
+    (R, len(i)), row r for f[r]."""
     i = np.flatnonzero(nbrs.degree)
     cols = nbrs.matrix[i]
-    d = f[i, None] - f[cols]
+    d = f[..., i, None] - f[..., cols]
     sq = d * d
-    at = sq.argmax(axis=1)
-    pick = np.arange(len(i))
-    return i, cols[pick, at], sq[pick, at]
+    at = sq.argmax(axis=-1)
+    return i, cols[np.arange(len(i)), at], np.take_along_axis(
+        sq, at[..., None], axis=-1)[..., 0]
 
 
 def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
@@ -93,6 +96,34 @@ def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
     return 2.0 * num / den
 
 
+def lambda_infinity_objective(nbrs: NeighborIndex):
+    """(objective, subgradient) of sum_i max_{j~i} (f_i - f_j)^2 over a
+    stack of functions (R, n), for ``minimize_quotient``; the two share the
+    steepest neighbours per stack (``memo_last``)."""
+    steepest = memo_last(lambda F: _steepest_neighbors(F, nbrs))
+
+    def objective(F):
+        return ordered_sum(steepest(F)[2])
+
+    def subgradient(F):
+        i, j, _ = steepest(F)
+        stack = np.arange(len(F))[:, None]
+        step = 2.0 * (F[stack, i] - F[stack, j])
+        return scatter_rows(F.shape[1], i, j, step)
+
+    return objective, subgradient
+
+
+def unit_sphere(F: np.ndarray):
+    """Projection of a stack of functions (R, n) onto the mean-zero unit
+    2-sphere for ``minimize_quotient``: (the rows with norm above 1e-12,
+    projected; a mask of those rows)."""
+    F = F - F.mean(axis=1)[:, None]
+    norm = np.sqrt(rowdot(F, F))
+    ok = norm > 1e-12
+    return F[ok] / norm[ok][:, None], ok
+
+
 def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):
     """Certified upper bound on the vertex-isoperimetric spectral quantity.
 
@@ -106,45 +137,10 @@ def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):
     if n < 2:
         raise ValueError("need at least 2 vertices")
     rng = np.random.default_rng(seed)
-    nbrs = NeighborIndex(G.neighbors)
-    # One pass per iterate: the loop below never changes an iterate in place
-    # and asks for the subgradient only at the iterate it just evaluated.
-    steepest = memo_last(lambda f: _steepest_neighbors(f, nbrs))
-
-    def objective(f):
-        # sum_i max_{j~i} (f_i - f_j)^2 on the mean-zero unit sphere
-        return float(ordered_sum(steepest(f)[2]))
-
-    def subgradient(f):
-        i, j, _ = steepest(f)
-        return scatter_pairs(n, i, j, 2.0 * (f[i] - f[j]))
-
-    def project(f):
-        # Mean-zero unit sphere; None when the step collapsed to a constant.
-        f = f - f.mean()
-        norm = np.linalg.norm(f)
-        return f / norm if norm > 1e-12 else None
-
     starts = [fiedler_vector(G)]
     starts += [rng.standard_normal(n) for _ in range(max(0, restarts - 1))]
-    best_val, best_f = np.inf, None
-    for f0 in starts:
-        f = project(np.asarray(f0, dtype=float))
-        if f is None:
-            continue
-        cur_val, cur_f = objective(f), f.copy()
-        for t in range(1, 201):
-            g = subgradient(f)
-            norm = np.linalg.norm(g)
-            if norm > 0:
-                stepped = project(f - g / (norm * np.sqrt(t)))
-                if stepped is None:
-                    break
-                f = stepped
-            val = objective(f)
-            if val < cur_val:
-                cur_val, cur_f = val, f.copy()
-        if cur_val < best_val:
-            best_val, best_f = cur_val, cur_f
-    value = lambda_infinity_ratio(G, best_f)
-    return value, best_f
+    # nu and p only define the default projection, which unit_sphere replaces.
+    _, best_f = minimize_quotient(
+        *lambda_infinity_objective(NeighborIndex(G.neighbors)), None, 2,
+        starts, project=unit_sphere, min_grad=0.0)
+    return lambda_infinity_ratio(G, best_f), best_f

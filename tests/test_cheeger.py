@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepprof.cheeger import (WeightedMetricGraph, cheeger_combinatorial,
+from sepprof import cheeger
+from sepprof.cheeger import (WeightedMetricGraph, _FlipBoundary,
+                             boundary_count, cheeger_combinatorial,
                              cheeger_lp, characteristic_witness,
                              lp_cheeger_ratio, p_variance,
                              scale_poincare_constant, set_ratio)
 from sepprof.errors import ExactSearchInfeasible
 from sepprof.graphs import Graph, build_family, cartesian_power
-from sepprof.spectral import lambda2
+from sepprof.spectral import fiedler_vector, lambda2
 
 
 @st.composite
@@ -198,3 +200,69 @@ def test_custom_metric_is_honored():
     f = np.array([1.0, -1.0])
     assert scale_ratio(far, f, 1, 5) > 0
     assert scale_ratio(far, f, 1, 4) == 0.0
+
+
+def oracle_anneal(G, mode, restarts, seed):
+    """The former annealer, which recounted the boundary at every step."""
+    n = G.vertex_count
+    rng = np.random.default_rng(seed)
+    order = list(np.argsort(fiedler_vector(G)))
+    best = None
+    prefix_mask = 0
+    for i in range(n // 2):
+        prefix_mask |= 1 << int(order[i])
+        num = boundary_count(G, prefix_mask, mode)
+        if best is None or num * best[1] < best[0] * (i + 1):
+            best = (num, i + 1, prefix_mask)
+    for _ in range(restarts):
+        mask, size = best[2], best[1]
+        cur = boundary_count(G, mask, mode)
+        temp = 1.0
+        for _ in range(3000):
+            temp *= 0.998
+            v = int(rng.integers(n))
+            bit = 1 << v
+            if mask & bit:
+                if size == 1:
+                    continue
+                new_mask, new_size = mask ^ bit, size - 1
+            else:
+                if 2 * (size + 1) > n:
+                    continue
+                new_mask, new_size = mask | bit, size + 1
+            new_num = boundary_count(G, new_mask, mode)
+            delta = new_num / new_size - cur / size
+            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
+                mask, size, cur = new_mask, new_size, new_num
+                if cur * best[1] < best[0] * size:
+                    best = (cur, size, mask)
+    return best
+
+
+@pytest.mark.parametrize("mode", ["plain", "majored", "edge"])
+@pytest.mark.parametrize("seed", range(4))
+def test_flip_boundary_matches_boundary_count(mode, seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < 0.3
+    # Sparse enough to leave some vertices isolated.
+    G = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    mask = int(rng.integers(0, 1 << n))
+    state = _FlipBoundary(G, mode, mask)
+    for _ in range(300):
+        v = int(rng.integers(n))
+        count = state.flipped_count(v)
+        assert count == boundary_count(G, state.mask ^ (1 << v), mode)
+        if rng.random() < 0.7:
+            state.flip(v, count)
+            assert state.count == boundary_count(G, state.mask, mode)
+            assert state.inside == [(m & state.mask).bit_count()
+                                    for m in G.neighbor_masks]
+
+
+@pytest.mark.parametrize("mode", ["plain", "majored", "edge"])
+def test_anneal_matches_recounting_annealer(mode):
+    for G in (build_family("grid", 4, 5), cartesian_power(
+            build_family("cycle", 4), 2)):
+        assert cheeger._anneal(G, mode, 2, 7) == oracle_anneal(G, mode, 2, 7)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -174,3 +175,19 @@ def test_invariant_rejects_nmax_below_one(tmp_path, capsys, which, nmax):
     run(["family", "cycle", "6", "--out", g_path], capsys)
     code, out, err = run(["invariant", which, "--nmax", nmax, g_path], capsys)
     assert code == 2 and out == "" and err.startswith("error: n_max")
+
+
+@pytest.mark.parametrize("grad", ["sup_scale", "modified"])
+def test_invariant_hp_when_no_start_survives_projection(tmp_path, capsys,
+                                                        grad):
+    """At p = 1e308 the p-norm of every start underflows to 0 or overflows
+    to inf, so no start lies on the unit sphere: a plain validation error,
+    with no numpy warning."""
+    g_path = str(tmp_path / "grid33.g")
+    run(["family", "grid", "3", "3", "--out", g_path], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["invariant", "hp", "--p", "1e308", "--grad",
+                              grad, g_path], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: no start survived projection onto the unit sphere\n"

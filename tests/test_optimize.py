@@ -1,4 +1,5 @@
-"""The whole-array L^p gradients against the per-vertex loops they replaced.
+"""The whole-array L^p gradients and the batched optimizer loop against the
+per-vertex loops and the one-start-at-a-time loops they replaced.
 
 The loops below are the former implementations, kept as oracles: the
 vectorized code must return the same bits, so that every witness, value and
@@ -103,6 +104,16 @@ def oracle_lambda_infinity_ratio(G, f):
 def oracle_lambda_infinity_upper(G, restarts, seed):
     n = G.vertex_count
     rng = np.random.default_rng(seed)
+    starts = [spectral.fiedler_vector(G)]
+    starts += [rng.standard_normal(n) for _ in range(max(0, restarts - 1))]
+    best_f = oracle_lambda_infinity_loop(G, starts)[1]
+    return oracle_lambda_infinity_ratio(G, best_f), best_f
+
+
+def oracle_lambda_infinity_loop(G, starts):
+    """The former private loop of lambda_infinity_upper, one start at a
+    time; returns (best objective, best f, starts that collapsed)."""
+    n = G.vertex_count
     nbr_idx = [np.array(G.neighbors[i], dtype=int) for i in range(n)]
 
     def objective(f):
@@ -129,9 +140,7 @@ def oracle_lambda_infinity_upper(G, restarts, seed):
         norm = np.linalg.norm(f)
         return f / norm if norm > 1e-12 else None
 
-    starts = [spectral.fiedler_vector(G)]
-    starts += [rng.standard_normal(n) for _ in range(max(0, restarts - 1))]
-    best_val, best_f = np.inf, None
+    best_val, best_f, collapsed = np.inf, None, 0
     for f0 in starts:
         f = project(np.asarray(f0, dtype=float))
         if f is None:
@@ -143,6 +152,7 @@ def oracle_lambda_infinity_upper(G, restarts, seed):
             if norm > 0:
                 stepped = project(f - g / (norm * np.sqrt(t)))
                 if stepped is None:
+                    collapsed += 1
                     break
                 f = stepped
             val = objective(f)
@@ -150,7 +160,53 @@ def oracle_lambda_infinity_upper(G, restarts, seed):
                 cur_val, cur_f = val, f.copy()
         if cur_val < best_val:
             best_val, best_f = cur_val, cur_f
-    return oracle_lambda_infinity_ratio(G, best_f), best_f
+    return best_val, best_f, collapsed
+
+
+def oracle_project_sphere(f, nu, p):
+    f = f - (nu @ f) / nu.sum()
+    norm = float((nu @ np.sum(np.abs(f) ** p, axis=1)) ** (1.0 / p))
+    if norm < 1e-12:
+        return None
+    return f / norm
+
+
+def oracle_minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters):
+    """The former optimizer loop, one start at a time; returns (best
+    objective, best f, starts that collapsed)."""
+    best_val, best_f, collapsed = np.inf, None, 0
+    for f0 in starts:
+        f = oracle_project_sphere(np.asarray(f0, dtype=float), nu, p)
+        if f is None:
+            continue
+        cur_val, cur_f = numer_pow(f), f.copy()
+        for t in range(1, iters + 1):
+            g = numer_subgrad(f)
+            norm = np.linalg.norm(g)
+            if norm > 1e-15:
+                stepped = oracle_project_sphere(f - g / (norm * np.sqrt(t)),
+                                                nu, p)
+                if stepped is None:
+                    collapsed += 1
+                    break
+                f = stepped
+            val = numer_pow(f)
+            if val < cur_val:
+                cur_val, cur_f = val, f.copy()
+        if cur_val < best_val:
+            best_val, best_f = cur_val, cur_f
+    return best_val, best_f, collapsed
+
+
+def oracle_widest_pairs(F, p):
+    """The former full search over all B * B pairs of each row of F (m, B,
+    d): the largest sum of |differences|^p and the first (i, j) reaching it
+    in row-major order."""
+    m, B, d = F.shape
+    S = np.sum(np.abs(F[:, :, None, :] - F[:, None, :, :]) ** p, axis=3)
+    at = S.reshape(m, B * B).argmax(axis=1)
+    i, j = np.divmod(at, B)
+    return S[np.arange(m), i, j], i, j
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +248,48 @@ def cases(draw):
     return name, f, nu, p, radius
 
 
+@st.composite
+def stacked_cases(draw):
+    """A case whose f is the first row of a stack of 1 to 4 functions, each
+    further row rounded (ties) or not."""
+    name, f, nu, p, radius = draw(cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [f]
+    for _ in range(draw(st.integers(0, 3))):
+        g = rng.standard_normal(f.shape)
+        rows.append(np.round(2 * g) if draw(st.booleans()) else g)
+    return name, np.array(rows), nu, p, radius
+
+
 def same_bits(a, b):
     assert type(a) is type(b)
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def sup_oracles(name, nu, p, radius):
+    """The sup-gradient (numer_pow, numer_subgrad) as per-vertex loops on
+    one function."""
+    loops = oracle_balls(METRICS[name], radius)
+    return (lambda f: float(nu @ (oracle_sup_rows(f, loops, p) ** p)),
+            lambda f: oracle_sup_subgrad(f, loops, nu, p))
+
+
+def modified_oracles(name, nu, p):
+    G = GRAPHS[name]
+    return (lambda f: oracle_modified_pow(f, G.neighbors, nu, p),
+            lambda f: oracle_modified_subgrad(f, G.neighbors, nu, p))
+
+
+def same_rows(objective, oracles, F):
+    """A batched (numer_pow, numer_subgrad) on the stack F gives, row by
+    row, the bits of the one-function oracles."""
+    values, subgrads = objective[0](F), objective[1](F)
+    assert values.shape == (len(F),) and subgrads.shape == F.shape
+    for r, f in enumerate(F):
+        same_bits(float(values[r]), float(oracles[0](f)))
+        same_bits(subgrads[r], oracles[1](f))
 
 
 # ---------------------------------------------------------------------------
@@ -217,68 +310,96 @@ def test_sup_gradient_matches_loops(case):
 
 
 @settings(max_examples=150)
-@given(cases())
+@given(stacked_cases())
 def test_sup_gradient_objective_matches_loops(case):
-    name, f, nu, p, radius = case
-    Z = METRICS[name]
-    loops = oracle_balls(Z, radius)
-    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
-        Z.balls(radius), nu, p)
-    same_bits(numer_pow(f), float(nu @ (oracle_sup_rows(f, loops, p) ** p)))
-    same_bits(numer_subgrad(f), oracle_sup_subgrad(f, loops, nu, p))
+    name, F, nu, p, radius = case
+    same_rows(optimize.sup_gradient_objective(METRICS[name].balls(radius),
+                                              nu, p),
+              sup_oracles(name, nu, p, radius), F)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 8), st.integers(1, 8), st.sampled_from([2, 3]),
+       st.sampled_from([1, 1.5, 2, 3]), st.integers(0, 2 ** 32 - 1))
+def test_widest_pairs_matches_full_search(B, m, d, p, seed):
+    """The search over pairs i < j against the one over all B * B pairs,
+    on balls with pads and on values with many ties, including rows where
+    every pair is at 0."""
+    rng = np.random.default_rng(seed)
+    R, n = int(rng.integers(1, 4)), B + 3
+    F = rng.standard_normal((R, n, d))
+    F = np.round(F) if rng.random() < 0.5 else F
+    F[:, 0] = F[:, 1] = F[:, 2]  # some balls below are all one value
+    balls = np.empty((m, B), dtype=np.intp)
+    for x in range(m):
+        size = int(rng.integers(1, B + 1))
+        members = rng.choice(n, size, replace=False)
+        balls[x] = members[0]
+        balls[x, :size] = members
+    balls[0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
+    top, i, j = optimize._widest_pairs(F, balls, p)
+    top_all, i_all, j_all = oracle_widest_pairs(
+        F[:, balls].reshape(R * m, B, d), p)
+    same_bits(top, top_all)
+    same_bits(i, i_all.astype(np.intp))
+    same_bits(j, j_all.astype(np.intp))
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_sup_gradient_objective_recomputes_for_other_arrays(d):
     Z = METRICS["irregular"]
-    loops = oracle_balls(Z, 2)
     rng = np.random.default_rng(d)
     nu = rng.uniform(0.5, 2.0, 15)
+    oracles = sup_oracles("irregular", nu, 1.5, 2)
     numer_pow, numer_subgrad = optimize.sup_gradient_objective(
         Z.balls(2), nu, 1.5)
 
-    def value(f):
-        return float(nu @ (oracle_sup_rows(f, loops, 1.5) ** 1.5))
+    def check(F, values, subgrads):
+        for r, f in enumerate(F):
+            same_bits(float(values[r]), oracles[0](f))
+            same_bits(subgrads[r], oracles[1](f))
 
-    f = rng.standard_normal((15, d))
-    for g in [f.copy(), -f] + [rng.standard_normal((15, d)) for _ in range(8)]:
-        numer_pow(f)
-        same_bits(numer_subgrad(g), oracle_sup_subgrad(g, loops, nu, 1.5))
-        same_bits(numer_pow(g), value(g))
-        same_bits(numer_subgrad(f), oracle_sup_subgrad(f, loops, nu, 1.5))
-        same_bits(numer_pow(f), value(f))
+    F = rng.standard_normal((2, 15, d))
+    for G in [F.copy(), -F, F[::-1]] + [rng.standard_normal((2, 15, d))
+                                        for _ in range(8)]:
+        numer_pow(F)
+        check(G, numer_pow(G), numer_subgrad(G))
+        numer_pow(F)
+        check(G, [oracles[0](g) for g in G], numer_subgrad(G))
+        check(F, numer_pow(F), numer_subgrad(F))
     for _ in range(8):
-        # Freed unless the memo holds it, and then g may get its id.
-        temp = rng.standard_normal((15, d))
+        # Freed unless the memo holds it, and then G may get its id.
+        temp = rng.standard_normal((2, 15, d))
         numer_pow(temp)
         del temp
-        g = rng.standard_normal((15, d))
-        same_bits(numer_subgrad(g), oracle_sup_subgrad(g, loops, nu, 1.5))
+        G = rng.standard_normal((2, 15, d))
+        check(G, [oracles[0](g) for g in G], numer_subgrad(G))
 
 
 def test_minimize_quotient_keeps_iterates_and_call_order():
-    """The memo contract: each subgradient is asked for at the array the
-    objective saw last, and no array either callable saw changes later."""
+    """The memo contract: each subgradient is asked for at the stack the
+    objective saw last, and no stack either callable saw changes later."""
     Z = METRICS["grid"]
     nu = np.random.default_rng(0).uniform(0.5, 2.0, 20)
     numer_pow, numer_subgrad = optimize.sup_gradient_objective(
         Z.balls(1), nu, 1.5)
     seen = []
 
-    def objective(f):
-        seen.append((f, f.tobytes()))
-        return numer_pow(f)
+    def objective(F):
+        seen.append((F, F.tobytes()))
+        return numer_pow(F)
 
-    def subgradient(f):
-        assert f is seen[-1][0]
-        assert all(g.tobytes() == data for g, data in seen)
-        return numer_subgrad(f)
+    def subgradient(F):
+        assert F is seen[-1][0]
+        assert all(G.tobytes() == data for G, data in seen)
+        return numer_subgrad(F)
 
     starts = list(np.random.default_rng(1).standard_normal((3, 20, 1)))
     optimize.minimize_quotient(objective, subgradient, nu, 1.5, starts,
                                iters=40)
-    assert len(seen) == 3 * 41
-    assert all(g.tobytes() == data for g, data in seen)
+    assert len(seen) == 41  # one objective call per step, for all 3 starts
+    assert all(F.shape == (3, 20, 1) for F, _ in seen)
+    assert all(G.tobytes() == data for G, data in seen)
 
 
 @settings(max_examples=150)
@@ -299,6 +420,24 @@ def test_scatter_pairs_matches_loop(n, d, m, seed):
 
 
 @settings(max_examples=150)
+@given(st.integers(1, 6), st.sampled_from([None, 1, 2, 3]),
+       st.integers(0, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_scatter_rows_matches_scatter_pairs_per_row(n, d, m, R, seed):
+    rng = np.random.default_rng(seed)
+    plus, minus = rng.integers(0, n, (R, m)), rng.integers(0, n, (R, m))
+    shape = (R, m) if d is None else (R, m, d)
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    out = optimize.scatter_rows(n, plus, minus, v)
+    assert out.shape == (R, n) + shape[2:]
+    for r in range(R):
+        same_bits(out[r], optimize.scatter_pairs(n, plus[r], minus[r], v[r]))
+    shared = optimize.scatter_rows(n, plus[0], minus[0], v)
+    for r in range(R):
+        same_bits(shared[r],
+                  optimize.scatter_pairs(n, plus[0], minus[0], v[r]))
+
+
+@settings(max_examples=150)
 @given(cases())
 def test_modified_gradient_matches_loops(case):
     name, f, nu, p, _ = case
@@ -309,6 +448,19 @@ def test_modified_gradient_matches_loops(case):
     same_bits(value, oracle_modified_pow(f, G.neighbors, nu, p))
     same_bits(optimize.modified_gradient_subgrad(f, nbrs, nu, p),
               oracle_modified_subgrad(f, G.neighbors, nu, p))
+
+
+@settings(max_examples=150)
+@given(stacked_cases())
+def test_modified_gradient_objective_matches_loops(case):
+    name, F, nu, p, _ = case
+    objective = optimize.modified_gradient_objective(
+        optimize.NeighborIndex(GRAPHS[name].neighbors), nu, p)
+    same_rows(objective, modified_oracles(name, nu, p), F)
+    # The subgradient alone, at a stack the objective has not seen.
+    G = -F
+    for r, g in enumerate(objective[1](G)):
+        same_bits(g, modified_oracles(name, nu, p)[1](G[r]))
 
 
 @settings(max_examples=150)
@@ -341,33 +493,90 @@ def test_modified_gradient_without_edges_is_python_zero():
               np.zeros((3, 1)))
 
 
-@pytest.mark.parametrize("name,gradient,d,p,radius", [
-    ("grid", "sup", 1, 1, 1),
-    ("grid", "sup", 2, 3, 2),
-    ("irregular", "sup", 1, 1.5, 2),
-    ("hypercube", "modified", 1, 1.5, 1),
-    ("irregular", "modified", 3, 3, 1),
-])
-def test_minimize_quotient_same_witness(name, gradient, d, p, radius):
-    G, Z = GRAPHS[name], METRICS[name]
-    n = G.vertex_count
-    nu = np.random.default_rng(0).uniform(0.5, 2.0, n)
+def batched_and_oracle(G, gradient, nu, p, radius, starts, iters):
+    """(batched result, oracle result) of the optimizer on one input."""
     if gradient == "sup":
-        balls, loops = Z.balls(radius), oracle_balls(Z, radius)
-        new = optimize.sup_gradient_objective(balls, nu, p)
+        loops = oracle_balls(WeightedMetricGraph(G), radius)
+        new = optimize.sup_gradient_objective(
+            WeightedMetricGraph(G).balls(radius), nu, p)
         old = (lambda f: float(nu @ (oracle_sup_rows(f, loops, p) ** p)),
                lambda f: oracle_sup_subgrad(f, loops, nu, p))
     else:
-        nbrs = optimize.NeighborIndex(G.neighbors)
-        new = (lambda f: optimize.modified_gradient_pow(f, nbrs, nu, p),
-               lambda f: optimize.modified_gradient_subgrad(f, nbrs, nu, p))
+        new = optimize.modified_gradient_objective(
+            optimize.NeighborIndex(G.neighbors), nu, p)
         old = (lambda f: oracle_modified_pow(f, G.neighbors, nu, p),
                lambda f: oracle_modified_subgrad(f, G.neighbors, nu, p))
+    return (optimize.minimize_quotient(*new, nu, p, starts, iters=iters),
+            oracle_minimize_quotient(*old, nu, p, starts, iters))
+
+
+@pytest.mark.parametrize("name,gradient,d,p,radius", [
+    ("grid", "sup", 1, 1, 1),
+    ("grid", "sup", 2, 3, 2),
+    ("grid", "sup", 3, 1.5, 6),
+    ("path", "sup", 3, 2, 0),
+    ("path", "sup", 1, 3, 4),
+    ("cycle", "sup", 2, 1, 3),
+    ("irregular", "sup", 1, 1.5, 2),
+    ("irregular", "sup", 3, 1, 5),
+    ("hypercube", "sup", 2, 2, 1),
+    ("hypercube", "modified", 1, 1.5, 1),
+    ("irregular", "modified", 3, 3, 1),
+    ("grid", "modified", 2, 1, 1),
+])
+def test_minimize_quotient_same_witness(name, gradient, d, p, radius):
+    n = GRAPHS[name].vertex_count
+    nu = np.random.default_rng(0).uniform(0.5, 2.0, n)
     starts = list(np.random.default_rng(1).standard_normal((3, n, d)))
-    val_new, f_new = optimize.minimize_quotient(*new, nu, p, starts, iters=60)
-    val_old, f_old = optimize.minimize_quotient(*old, nu, p, starts, iters=60)
-    same_bits(val_new, val_old)
-    same_bits(f_new, f_old)
+    (val, f), (val_old, f_old, _) = batched_and_oracle(
+        GRAPHS[name], gradient, nu, p, radius, starts, 60)
+    same_bits(val, float(val_old))
+    same_bits(f, f_old)
+
+
+TWO_EDGES = Graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("G,gradient,p,seed", [
+    (build_family("path", 3), "sup", 2, 4),
+    (build_family("path", 3), "modified", 2, 5),
+    (build_family("cycle", 4), "sup", 1, 4),
+    (build_family("cycle", 4), "modified", 2, 5),
+    (TWO_EDGES, "modified", 2, 4),
+    (TWO_EDGES, "sup", 2, 4),
+])
+def test_minimize_quotient_same_witness_when_starts_stop(G, gradient, p, seed):
+    """On small hosts some steps land on a constant: such a start stops at
+    its best iterate while the others go on, and a constant start is
+    skipped. On the two disjoint edges a start constant on each edge has a
+    zero subgradient and stays in place while the others step."""
+    n = G.vertex_count
+    rng = np.random.default_rng(seed)
+    starts = [np.ones((n, 1))]
+    if G is TWO_EDGES:
+        starts.append(np.array([[1.0], [1.0], [-1.0], [-1.0]]))
+    starts += [np.round(rng.standard_normal((n, 1))) for _ in range(4)]
+    starts += [rng.standard_normal((n, 1)) for _ in range(4)]
+    (val, f), (val_old, f_old, collapsed) = batched_and_oracle(
+        G, gradient, np.ones(n), p, 1, starts, 60)
+    assert 0 < collapsed < len(starts) - 1
+    same_bits(val, float(val_old))
+    same_bits(f, f_old)
+
+
+def test_minimize_quotient_raises_when_no_start_survives():
+    nu = np.ones(4)
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
+        METRICS["path"].balls(1)[:4, :2] % 4, nu, 2)
+    with pytest.raises(ValueError, match="no start survived projection"):
+        optimize.minimize_quotient(numer_pow, numer_subgrad, nu, 2,
+                                   [np.ones((4, 1)), np.zeros((4, 1))])
+    with pytest.raises(ValueError, match="no start survived projection"):
+        # Every norm underflows to 0 or overflows to inf.
+        optimize.minimize_quotient(
+            numer_pow, numer_subgrad, nu, 1e308,
+            [np.array([[0.0], [0.0], [0.5], [-0.5]]),
+             np.array([[0.0], [0.0], [3.0], [-3.0]])])
 
 
 @pytest.mark.parametrize("name", ["grid", "irregular"])
@@ -377,6 +586,45 @@ def test_lambda_infinity_upper_same_witness(name):
     value_old, witness_old = oracle_lambda_infinity_upper(G, 3, 5)
     same_bits(value, value_old)
     same_bits(witness, witness_old)
+
+
+def test_lambda_infinity_loop_same_witness_when_a_start_collapses():
+    """On the 4-cycle, +-1/2 on two opposite edges is its own normalized
+    subgradient, so the first step lands on 0 and that start stops."""
+    G = build_family("cycle", 4)
+    rng = np.random.default_rng(3)
+    starts = [rng.standard_normal(4), np.array([0.5, 0.5, -0.5, -0.5]),
+              np.ones(4), rng.standard_normal(4)]
+    val_old, f_old, collapsed = oracle_lambda_infinity_loop(G, starts)
+    assert collapsed == 1
+    val, f = optimize.minimize_quotient(
+        *spectral.lambda_infinity_objective(optimize.NeighborIndex(
+            G.neighbors)), None, 2, starts, project=spectral.unit_sphere,
+        min_grad=0.0)
+    same_bits(val, val_old)
+    same_bits(f, f_old)
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_lambda_infinity_objective_matches_loops(case):
+    name, f, _, _, _ = case
+    G = GRAPHS[name]
+    F = np.ascontiguousarray(f.T)  # d functions of n vertices
+    objective, subgradient = spectral.lambda_infinity_objective(
+        optimize.NeighborIndex(G.neighbors))
+    values, subgrads = objective(F), subgradient(F)
+    for r, g in enumerate(F):
+        total, expected = 0.0, np.zeros(len(g))
+        for i, nbrs in enumerate(G.neighbors):
+            if nbrs:
+                d = g[i] - g[list(nbrs)]
+                total += float(np.max(d * d))
+                j = nbrs[int(np.argmax(d * d))]
+                expected[i] += 2.0 * (g[i] - g[j])
+                expected[j] -= 2.0 * (g[i] - g[j])
+        same_bits(float(values[r]), total)
+        same_bits(subgrads[r], expected)
 
 
 @pytest.mark.parametrize("radius", [1, 3])
@@ -391,3 +639,6 @@ def test_sup_gradient_in_row_chunks(monkeypatch, radius):
               oracle_sup_rows(f, loops, 1.5))
     same_bits(optimize.sup_gradient_subgrad(f, balls, nu, 1.5),
               oracle_sup_subgrad(f, loops, nu, 1.5))
+    F = rng.standard_normal((3, 20, 2))
+    same_rows(optimize.sup_gradient_objective(balls, nu, 1.5),
+              sup_oracles("grid", nu, 1.5, radius), F)
