@@ -189,12 +189,11 @@ def _anneal(G: Graph, mode: str, restarts: int, seed: int):
 
 def cheeger_combinatorial(G: Graph, mode: str = "plain",
                           allow_heuristic: bool = False,
-                          exact_limit: int = EXACT_LIMIT,
                           restarts: int = 4, seed: int = 0) -> CheegerWitness:
     """Combinatorial Cheeger constant: inf |boundary(A)|/|A| over non-empty
     A with 2|A| <= |V|.
 
-    Exhaustive (exact) up to ``exact_limit`` vertices; larger graphs need
+    Exhaustive (exact) up to ``EXACT_LIMIT`` vertices; larger graphs need
     ``allow_heuristic`` and get an annealed upper bound flagged inexact.
     Graphs with at most one vertex return 0 by convention.
     """
@@ -204,14 +203,14 @@ def cheeger_combinatorial(G: Graph, mode: str = "plain",
     if n <= 1:
         return CheegerWitness(0.0, "set", set_witness=frozenset(), exact=True,
                               value_exact=Fraction(0), certified_lower=0.0)
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         num, size, mask = kernels.cheeger_exhaustive(
             G.neighbor_masks, n, _MODE_CODE[mode])
         exact = True
     else:
         if not allow_heuristic:
             raise ExactSearchInfeasible(
-                f"exact search infeasible for {n} > {exact_limit} vertices; "
+                f"exact search infeasible for {n} > {EXACT_LIMIT} vertices; "
                 f"pass allow_heuristic=True for an annealed upper bound")
         num, size, mask = _anneal(G, mode, restarts, seed)
         exact = False
@@ -306,29 +305,35 @@ def lp_cheeger_ratio(G: Graph, f, p: float, gradient: str = "sup_scale",
     return _modified_ratio(optimize.NeighborIndex(G.neighbors), nu, f, p)
 
 
-def certified_lp_lower(G: Graph, p: float, gradient: str) -> Optional[float]:
-    """Certified lower bound for h_p via the majored-constant sandwich.
+def majored_lp_lower(h_maj: float, p: float) -> float:
+    """The majored-constant sandwich: certified h_p >= h_maj/2 for p = 1,
+    times the comparison factor min(1/12, 4^-p/2) for p > 1 (graphs with at
+    least 2 vertices, and at least 3 for p > 1)."""
+    lower = h_maj / 2.0
+    if p > 1:
+        lower *= min(1.0 / 12.0, (4.0 ** -p) / 2.0)
+    return lower
 
-    Chain: exhaustive majored constant, then h_1 >= majored/2, then for p > 1
-    the comparison factor min(1/12, 4^-p/2) (graphs with >= 3 vertices); the
-    neighbour-sum gradient costs a further 2^-((p-1)/p).
-    """
+
+def certified_lp_lower(G: Graph, p: float, gradient: str) -> Optional[float]:
+    """Certified lower bound for h_p from the exhaustive majored constant
+    (``majored_lp_lower``); the neighbour-sum gradient costs a further
+    2^-((p-1)/p). None above ``EXACT_LIMIT`` vertices and below the
+    sandwich's size."""
     n = G.vertex_count
-    if n > EXACT_LIMIT or n < 2:
+    if n > EXACT_LIMIT or n < 2 or (p > 1 and n < 3):
         return None
     maj = cheeger_combinatorial(G, "majored")
-    lower = float(maj.value_exact) / 2.0
-    if p > 1:
-        if n < 3:
-            return None
-        lower *= min(1.0 / 12.0, (4.0 ** -p) / 2.0)
+    lower = majored_lp_lower(float(maj.value_exact), p)
     if gradient == "modified":
         lower *= 2.0 ** (-(p - 1) / p)
     return lower
 
 
-def _starts(G: Graph, n: int, dim: int, restarts: int, rng,
+def _starts(G: Graph, dim: int, restarts: int, seed: int,
             nu: np.ndarray) -> list:
+    n = G.vertex_count
+    rng = np.random.default_rng(seed)
     starts = []
     if n >= 2:
         fv = np.zeros((n, dim))
@@ -396,28 +401,34 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
             value=value, kind="function",
             function_witness=lam.witness_vector, exact=True,
             certified_lower=value)
-    nu = np.ones(n)
-    rng = np.random.default_rng(seed)
-    # The metric or the index built here also serves the recheck.
     if gradient == "sup_scale":
-        Z = WeightedMetricGraph(G)
-        objective = optimize.sup_gradient_objective(Z.balls(scale_a), nu, p)
-        ratio = lambda f: scale_ratio(Z, f, p, scale_a)
+        est = _scale_estimate(WeightedMetricGraph(G), scale_a, p, target_dim,
+                              restarts, seed)
     elif gradient == "modified":
+        nu = np.ones(n)
         nbrs = optimize.NeighborIndex(G.neighbors)
-        objective = optimize.modified_gradient_objective(nbrs, nu, p)
-        ratio = lambda f: _modified_ratio(nbrs, nu, f, p)
+        _, best_f = optimize.minimize_quotient(
+            *optimize.modified_gradient_objective(nbrs, nu, p), nu, p,
+            _starts(G, target_dim, restarts, seed, nu))
+        est = CheegerWitness(value=_modified_ratio(nbrs, nu, best_f, p),
+                             kind="function", function_witness=best_f)
     else:
         raise ValueError(f"unknown gradient {gradient!r}")
-    _, best_f = optimize.minimize_quotient(
-        *objective, nu, p, _starts(G, n, target_dim, restarts, rng, nu))
-    value = ratio(best_f)
     lower = certified_lp_lower(G, p, gradient) if scale_a == 1 else None
     if lower is not None:
-        lower = min(lower, value)
-    return CheegerWitness(
-        value=value, kind="function", function_witness=best_f,
-        exact=False, certified_lower=lower)
+        est.certified_lower = min(lower, est.value)
+    return est
+
+
+def _scale_estimate(Z: WeightedMetricGraph, a: float, p: float,
+                    target_dim: int, restarts: int, seed: int):
+    """The sup-gradient estimate at scale a on at least two vertices: the
+    best function found from the seeded starts, rechecked."""
+    _, best_f = optimize.minimize_quotient(
+        *optimize.sup_gradient_objective(Z.balls(a), Z.nu, p), Z.nu, p,
+        _starts(Z.graph, target_dim, restarts, seed, Z.nu))
+    return CheegerWitness(value=scale_ratio(Z, best_f, p, a), kind="function",
+                          function_witness=best_f)
 
 
 def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
@@ -430,19 +441,9 @@ def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
     validate_exponent(p)
     if a <= 0:
         raise ValueError("scale must be positive")
-    n = Z.graph.vertex_count
-    if n == 0:
+    if Z.graph.vertex_count <= 1:
         return CheegerWitness(0.0, "function", exact=True, certified_lower=0.0)
-    if n == 1:
-        return CheegerWitness(0.0, "function", exact=True, certified_lower=0.0)
-    nu = Z.nu
-    rng = np.random.default_rng(seed)
-    _, best_f = optimize.minimize_quotient(
-        *optimize.sup_gradient_objective(Z.balls(a), nu, p), nu, p,
-        _starts(Z.graph, n, 1, restarts, rng, nu))
-    value = scale_ratio(Z, best_f, p, a)
-    return CheegerWitness(value=value, kind="function",
-                          function_witness=best_f, exact=False)
+    return _scale_estimate(Z, a, p, 1, restarts, seed)
 
 
 def p_variance(f, p: float) -> float:

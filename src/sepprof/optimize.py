@@ -86,8 +86,7 @@ def sphere_projection(nu: np.ndarray, p: float):
 
     def project(F):
         F = F - ((nu @ F) / total)[:, None, :]
-        with np.errstate(over="ignore"):  # an overflowing row does not survive
-            row = np.sum(np.abs(F) ** p, axis=2)
+        row = np.sum(np.abs(F) ** p, axis=2)
         norm = np.float_power(rowdot(row, nu), 1.0 / p)
         ok = (norm >= 1e-12) & (norm < np.inf)
         return F[ok] / norm[ok][:, None, None], ok
@@ -95,6 +94,7 @@ def sphere_projection(nu: np.ndarray, p: float):
     return project
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
                       project=None, min_grad=1e-15):
     """Minimize numerator^p over the weighted mean-zero unit p-sphere.
@@ -109,7 +109,10 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
     ``sphere_projection``); a start whose projection fails is skipped, and
     one that fails later stops at its best iterate so far. A subgradient
     with norm at most ``min_grad`` leaves its iterate in place. Raises
-    ValueError when no start survives.
+    ValueError when no start survives. Overflow, and the NaN it may cause,
+    raise no numpy warning: such an objective is never best, such a row
+    fails projection, and a finite subgradient whose norm overflows is
+    rescaled.
 
     Every numer_subgrad(F) follows numer_pow(F) on the same stack, and no
     stack is changed in place once either callable has seen it, so the pair
@@ -128,6 +131,13 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
         G = numer_subgrad(F)
         flat = G.reshape(len(G), -1)
         norm = np.sqrt(rowdot(flat, flat))
+        if np.inf in norm.tolist():
+            # Large p: only directions are used, so divide each finite row
+            # whose squared norm overflows by its largest |entry|, others by 1.
+            big = np.isinf(norm) & np.isfinite(flat).all(axis=1)
+            top = np.where(big, np.abs(flat).max(axis=1), 1.0)
+            flat = flat / top[:, None]
+            norm, G = np.sqrt(rowdot(flat, flat)), flat.reshape(G.shape)
         moving = norm > min_grad
         if moving.any():
             scale = norm[moving].reshape((-1,) + (1,) * (F.ndim - 1))

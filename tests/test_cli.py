@@ -191,3 +191,30 @@ def test_invariant_hp_when_no_start_survives_projection(tmp_path, capsys,
                               grad, g_path], capsys)
     assert code == 2 and out == ""
     assert err == "error: no start survived projection onto the unit sphere\n"
+
+
+def test_invariant_hp_at_large_p_moves_every_start(tmp_path, capsys):
+    """At p = 700 some subgradients have a squared norm that overflows; they
+    are rescaled, so no numpy warning reaches stderr, and with every start
+    moving the estimate falls below the 1.0042 of the stuck starts."""
+    g_path = str(tmp_path / "grid33.g")
+    run(["family", "grid", "3", "3", "--out", g_path], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["invariant", "hp", "--p", "700", g_path],
+                             capsys)
+    assert code == 0 and err == "" and out.startswith("value ")
+    assert float(out.split()[1]) < 1.0
+
+
+def test_invariant_hp_when_every_objective_overflows(tmp_path, capsys):
+    """At p = 2000 every objective overflows: a plain validation error, with
+    no numpy warning."""
+    g_path = str(tmp_path / "grid33.g")
+    run(["family", "grid", "3", "3", "--out", g_path], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["invariant", "hp", "--p", "2000", g_path],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "error: no start reached a finite objective\n"

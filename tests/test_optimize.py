@@ -7,6 +7,7 @@ report byte stays as it was.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sepprof import optimize, spectral
-from sepprof.cheeger import WeightedMetricGraph
+from sepprof.cheeger import WeightedMetricGraph, _starts
 from sepprof.graphs import Graph, build_family
 
 # ---------------------------------------------------------------------------
@@ -401,6 +402,37 @@ def test_minimize_quotient_keeps_iterates_and_call_order():
     assert all(F.shape == (3, 20, 1) for F, _ in seen)
     assert all(G.tobytes() == data for G, data in seen)
 
+
+
+def test_minimize_quotient_moves_starts_whose_squared_norm_overflows():
+    """At p = 700 on grid 3x3 some of cheeger_lp's starts have a finite
+    subgradient whose squared norm overflows; each start still takes its
+    first step, a unit step, not a reprojection in place, with no numpy
+    warning."""
+    G = build_family("grid", 3, 3)
+    nu, p = np.ones(9), 700.0
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
+        WeightedMetricGraph(G).balls(1), nu, p)
+    seen, overflowed = [], []
+
+    def objective(F):
+        seen.append(F)
+        return numer_pow(F)
+
+    def subgradient(F):
+        G = numer_subgrad(F)
+        flat = G.reshape(len(G), -1)
+        with np.errstate(over="ignore"):
+            overflowed.append(np.isinf(optimize.rowdot(flat, flat)))
+        return G
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimize.minimize_quotient(objective, subgradient, nu, p,
+                                   _starts(G, 1, 8, 0, nu), iters=1)
+    assert overflowed[0].any() and len(seen) == 2
+    assert seen[1].shape == seen[0].shape
+    assert (np.abs(seen[1] - seen[0]).max(axis=(1, 2)) > 1e-3).all()
 
 @settings(max_examples=150)
 @given(st.integers(1, 6), st.sampled_from([None, 1, 2, 3]),

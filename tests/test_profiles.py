@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepprof import kernels
+from sepprof.cheeger import certified_lp_lower, majored_lp_lower
 from sepprof.errors import BudgetError, ExactSearchInfeasible
-from sepprof.graphs import Graph, build_family, cartesian_power
+from sepprof.graphs import (Graph, build_family, cartesian_power,
+                            induced_subgraph)
 from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
-                              ProfileRow, _hp_bracket, _induced_masks,
-                              _subset_list, poincare_profile,
+                              ProfileRow, _hp_bracket, _subgraphs,
+                              poincare_lower_bounds, poincare_profile,
                               separation_profile_exact)
 
 
@@ -35,6 +37,11 @@ def test_sep_monotone_in_n():
 def test_sep_budget_error():
     with pytest.raises(BudgetError):
         separation_profile_exact(build_family("grid", 4, 4), 16, budget=20)
+
+
+def test_poincare_budget_error():
+    with pytest.raises(BudgetError):
+        poincare_profile(build_family("grid", 4, 4), 16, 1, budget=20)
 
 
 def test_poincare_bracket_structure():
@@ -67,8 +74,7 @@ def test_poincare_lower_beats_comparison_constant():
 
 def test_witness_lower_mode():
     g = build_family("cycle", 12)
-    table = poincare_profile(g, 12, 1, mode="witness_lower",
-                             subgraphs=[range(6), range(12)])
+    table = poincare_lower_bounds(g, [range(6), range(12)], 1)
     assert len(table.rows) == 2
     assert all(r.upper is None for r in table.rows)
     assert table.rows[0].n == 6 and table.rows[1].n == 12
@@ -78,8 +84,7 @@ def test_witness_lower_mode():
 def test_witness_lower_never_exceeds_exact_upper():
     g = build_family("cycle", 10)
     exact = poincare_profile(g, 10, 1)
-    lower = poincare_profile(g, 10, 1, mode="witness_lower",
-                             subgraphs=[range(n) for n in range(2, 11)])
+    lower = poincare_lower_bounds(g, [range(n) for n in range(2, 11)], 1)
     for row in lower.rows:
         assert row.lower <= exact.value(row.n).upper + 1e-9
 
@@ -87,8 +92,27 @@ def test_witness_lower_never_exceeds_exact_upper():
 def test_witness_lower_rejects_oversize():
     g = cartesian_power(build_family("cycle", 4), 3)
     with pytest.raises(ExactSearchInfeasible):
-        poincare_profile(g, 64, 1, mode="witness_lower",
-                         subgraphs=[range(30)])
+        poincare_lower_bounds(g, [range(30)], 1)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 3])
+def test_bracket_lower_is_the_certified_sandwich(p):
+    """The profile's lower end and certified_lp_lower are one sandwich:
+    equal bits on every induced subgraph with at least 3 vertices."""
+    G = build_family("hypercube", 4)
+    for verts in _subset_list(G, 6, DEFAULT_SUBGRAPH_BUDGET):
+        m = len(verts)
+        if m < 3:
+            continue
+        num, size, _ = kernels.cheeger_exhaustive(
+            _induced_masks(G.neighbor_masks, verts), m, kernels.MODE_MAJORED)
+        h_maj = num / size
+        factor = 1.0 if p == 1 else min(1 / 12, 4.0 ** -p / 2)
+        expected = majored_lp_lower(h_maj, p)
+        assert expected == pytest.approx(factor * h_maj / 2, rel=1e-15)
+        assert _hp_bracket(G, verts, p, Fraction(num, size))[0] == expected
+        sub = induced_subgraph(G, verts)
+        assert certified_lp_lower(sub, p, "sup_scale") == expected
 
 
 def test_profile_csv(tmp_path):
@@ -99,6 +123,41 @@ def test_profile_csv(tmp_path):
     assert lines[0] == "n,lower,upper,exact,witness"
     assert len(lines) == 9
     assert lines[1].startswith("1,1,1,1,")
+
+
+# Reference relabelling: each subset as a sorted vertex tuple, and its
+# neighbour masks relabelled through a dict over all pairs of members.
+def _subset_list(G, n_max, budget):
+    subsets = kernels.connected_subsets(
+        G.neighbor_masks, G.vertex_count, n_max, budget)
+    out = []
+    for mask in subsets:
+        verts = []
+        m = mask
+        while m:
+            low = m & -m
+            verts.append(low.bit_length() - 1)
+            m ^= low
+        out.append(tuple(verts))
+    return out
+
+
+def _induced_masks(masks, vertices):
+    remap = {v: i for i, v in enumerate(vertices)}
+    out = []
+    for v in vertices:
+        m = masks[v]
+        acc = 0
+        for u in vertices:
+            if m >> u & 1:
+                acc |= 1 << remap[u]
+        out.append(acc)
+    return out
+
+
+def _reference_subgraphs(G, n_max):
+    return [(verts, tuple(_induced_masks(G.neighbor_masks, verts)))
+            for verts in _subset_list(G, n_max, DEFAULT_SUBGRAPH_BUDGET)]
 
 
 # Reference loops: the per-subgraph evaluation without the per-call memo.
@@ -181,6 +240,23 @@ def test_profiles_equal_reference_loops(name, make, n_max):
             _oracle_poincare(G, n_max, p)
 
 
+@pytest.mark.parametrize("make,n_max", [
+    (lambda: build_family("grid", 6, 6), 6),
+    (lambda: build_family("hypercube", 4), 16),
+])
+def test_subgraph_keys_equal_reference_relabelling(make, n_max):
+    G = make()
+    assert list(_subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET)) == \
+        _reference_subgraphs(G, n_max)
+
+
+@given(connected_graphs())
+def test_subgraph_keys_equal_reference_relabelling_random(G):
+    n = G.vertex_count
+    assert list(_subgraphs(G, n, DEFAULT_SUBGRAPH_BUDGET)) == \
+        _reference_subgraphs(G, n)
+
+
 @given(connected_graphs(), st.sampled_from([1, 2, 3]))
 def test_profiles_equal_reference_loops_random(G, p):
     n = G.vertex_count
@@ -190,8 +266,7 @@ def test_profiles_equal_reference_loops_random(G, p):
 
 def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     G = build_family("grid", 6, 6)
-    keys = [tuple(_induced_masks(G.neighbor_masks, verts))
-            for verts in _subset_list(G, 6, DEFAULT_SUBGRAPH_BUDGET)]
+    keys = [key for _, key in _reference_subgraphs(G, 6)]
     calls = {"cheeger": [], "cut": []}
     cheeger, min_cut = kernels.cheeger_exhaustive, kernels.min_cut_exact
 
