@@ -5,7 +5,19 @@
  * sepprof.kernels routes larger graphs to the Python module. Vertex v is bit
  * v of a uint64_t, and masks[v] is the neighbour mask of v (undirected graph,
  * no self-loops). Every size and count fits in an int, so no comparison here
- * can overflow.
+ * can overflow; the stop test of cheeger_exhaustive multiplies in long long.
+ *
+ * Threshold forms, for callers that only need to know whether a value lies
+ * at or below a bound:
+ *   cheeger_exhaustive(masks, n, mode, stop_num, stop_den) with stop_den > 0
+ *     ends at the first new best whose ratio is at most stop_num/stop_den,
+ *     which is the first subset in lexicographic order at or below the stop;
+ *     when no subset gets there the result is the full search's.
+ *   min_cut_exact(masks, n, cap, max_k, budget, min_k) searches the sizes
+ *     min_k..max_k only. Removing more vertices never enlarges a component,
+ *     so min_k = max_k = t tells whether a cut of at most t vertices exists.
+ * Without the optional arguments both run the full search, with no extra
+ * work per subset.
  *
  * Build: setup.py, or by hand with any C compiler, e.g.
  *   cc -O2 -shared -fPIC -I$(python3 -c "import sysconfig; \
@@ -67,6 +79,7 @@ typedef struct {
     const uint64_t *masks;
     uint64_t suffix[MAX_N + 1]; /* suffix[v] = masks[v] | ... | masks[n-1] */
     int n, mode, max_size;
+    int stop_num, stop_den;     /* stop_den 0 means never stop */
     int best_num, best_size;    /* best_size 0 means +infinity */
     uint64_t best_mask;
 } Cheeger;
@@ -95,6 +108,13 @@ static void cheeger_rec(Cheeger *c, uint64_t a_mask, int size, uint64_t uni,
             c->best_num = num;
             c->best_size = size;
             c->best_mask = new_a;
+            if (c->stop_den && (long long)num * c->stop_den
+                    <= (long long)c->stop_num * size) {
+                /* Every enclosing loop runs while v < c->n, so this ends
+                 * the whole search as the recursion unwinds. */
+                c->n = 0;
+                return;
+            }
         }
         if (size < c->max_size)
             cheeger_rec(c, new_a, size, new_union, new_cross, skipped, v + 1);
@@ -107,7 +127,9 @@ static PyObject *cheeger_exhaustive(PyObject *self, PyObject *args)
     PyObject *seq;
     uint64_t masks[MAX_N];
     Cheeger c;
-    if (!PyArg_ParseTuple(args, "Oii", &seq, &c.n, &c.mode)
+    c.stop_num = c.stop_den = 0;
+    if (!PyArg_ParseTuple(args, "Oii|ii", &seq, &c.n, &c.mode, &c.stop_num,
+                          &c.stop_den)
             || load_masks(seq, c.n, masks) < 0)
         return NULL;
     c.max_size = c.n / 2;
@@ -182,9 +204,9 @@ static PyObject *min_cut_exact(PyObject *self, PyObject *args)
     PyObject *seq;
     uint64_t masks[MAX_N];
     Cut s;
-    int max_k, r = 0;
-    if (!PyArg_ParseTuple(args, "OiiiO&", &seq, &s.n, &s.cap, &max_k,
-                          to_budget, &s.budget)
+    int max_k, min_k = 0, r = 0;
+    if (!PyArg_ParseTuple(args, "OiiiO&|i", &seq, &s.n, &s.cap, &max_k,
+                          to_budget, &s.budget, &min_k)
             || load_masks(seq, s.n, masks) < 0)
         return NULL;
     s.masks = masks;
@@ -193,7 +215,7 @@ static PyObject *min_cut_exact(PyObject *self, PyObject *args)
     if (max_k > s.n)
         max_k = s.n;
     Py_BEGIN_ALLOW_THREADS
-    for (s.k = 0; s.k <= max_k && r == 0; s.k++)
+    for (s.k = min_k < 0 ? 0 : min_k; s.k <= max_k && r == 0; s.k++)
         r = cut_rec(&s, 0, 0, 0);
     Py_END_ALLOW_THREADS
     if (r == 1)
@@ -272,9 +294,11 @@ static PyObject *connected_subsets(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"cheeger_exhaustive", cheeger_exhaustive, METH_VARARGS,
-     "cheeger_exhaustive(masks, n, mode) -> (boundary, size, mask)"},
+     "cheeger_exhaustive(masks, n, mode, stop_num=0, stop_den=0)"
+     " -> (boundary, size, mask)"},
     {"min_cut_exact", min_cut_exact, METH_VARARGS,
-     "min_cut_exact(masks, n, cap, max_k, budget) -> (mask, examined)"},
+     "min_cut_exact(masks, n, cap, max_k, budget, min_k=0)"
+     " -> (mask, examined)"},
     {"connected_subsets", connected_subsets, METH_VARARGS,
      "connected_subsets(masks, n, max_size, budget) -> list or None"},
     {NULL, NULL, 0, NULL},

@@ -4,7 +4,8 @@ Same contracts and the same enumeration order as the compiled versions in
 ``_kernels.c``; this module is the fallback selected at import time when the
 extension is unavailable (or forced via SEPPROF_PURE_PY=1). Masks are Python
 ints, so there is no 64-vertex limit here. Every argument is a plain integer:
-``min_cut_exact`` takes the component-size cap, not a fraction.
+``min_cut_exact`` takes the component-size cap, not a fraction, and
+``cheeger_exhaustive`` a stop ratio as a small numerator and denominator.
 """
 
 BACKEND = "python"
@@ -22,12 +23,22 @@ def _iter_bits(mask):
         mask ^= low
 
 
-def cheeger_exhaustive(masks, n, mode):
+class _Stop(Exception):
+    """Ends a stopped Cheeger search from inside its recursion."""
+
+
+def cheeger_exhaustive(masks, n, mode, stop_num=0, stop_den=0):
     """Minimize boundary(A)/|A| over non-empty A with 2|A| <= n.
 
     Returns (boundary_count, size, subset_mask) for the first minimizer in
     lexicographic subset order. boundary_count is |external|, |majored| or
     the crossing-edge count depending on mode.
+
+    With stop_den > 0 the search ends at the first new best whose ratio is
+    at most stop_num/stop_den and returns it: that is the first subset in
+    lexicographic order at or below the stop. When no subset gets there, or
+    with stop_den == 0, the result is the full minimizer. The stop is tested
+    only on a new best, so the search pays nothing per subset for it.
 
     The majored count adds the inner boundary A & N(V - A) to the external
     one. The DFS extends A only by vertices above its largest member, so
@@ -62,11 +73,16 @@ def cheeger_exhaustive(masks, n, mode):
                     num += ((skipped | suffix[v + 1]) & new_a).bit_count()
             if num * best_size < best_num * size:
                 best_num, best_size, best_mask = num, size, new_a
+                if stop_den and num * stop_den <= stop_num * size:
+                    raise _Stop
             if size < max_size:
                 rec(new_a, size, new_union, new_cross, skipped, v + 1)
             skipped |= m
 
-    rec(0, 0, 0, 0, 0, 0)
+    try:
+        rec(0, 0, 0, 0, 0, 0)
+    except _Stop:
+        pass
     return (best_num, best_size, best_mask)
 
 
@@ -89,12 +105,13 @@ def _components_ok(masks, full, cut_mask, cap):
     return True
 
 
-def min_cut_exact(masks, n, cap, max_k, budget):
-    """Smallest S with all components of G-S of at most cap vertices.
+def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
+    """Smallest S of min_k..max_k vertices with all components of G-S of at
+    most cap vertices.
 
-    Increasing-cardinality search, lexicographic within each size. Returns
-    (mask, examined); mask is -1 if no cut of size <= max_k exists and -2 if
-    the budget on examined subsets ran out first.
+    Increasing-cardinality search from size min_k, lexicographic within each
+    size. Returns (mask, examined); mask is -1 if no cut of size min_k..max_k
+    exists and -2 if the budget on examined subsets ran out first.
     """
     full = (1 << n) - 1
     examined = 0
@@ -117,7 +134,7 @@ def min_cut_exact(masks, n, cap, max_k, budget):
                 stack.append((mask | (1 << v), size + 1, v + 1))
         return -1
 
-    for k in range(0, min(max_k, n) + 1):
+    for k in range(max(min_k, 0), min(max_k, n) + 1):
         result = search(k)
         if result != -1:
             return (result, examined)

@@ -9,6 +9,7 @@ failure, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -107,6 +108,8 @@ def _write_witness(path, witness) -> None:
 
 
 def _cmd_invariant(args) -> int:
+    if args.restarts < 0:
+        raise ValueError("--restarts must be >= 0")
     G = read_edgelist(args.graph)
     if args.which in ("h", "h_maj", "h_edge"):
         mode = {"h": "plain", "h_maj": "majored", "h_edge": "edge"}[args.which]
@@ -157,6 +160,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise ValueError("--tol must be a finite number >= 0")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ctx = VerifyContext(seed=args.seed, tol=args.tol, budget=args.budget)
     rows = run_suites(names, ctx, timings=args.timings)

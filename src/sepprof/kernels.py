@@ -6,6 +6,20 @@ pure-Python fallback. Both backends share contracts and enumeration order, so
 results are identical. Backends take plain integers only: ``min_cut_exact``
 turns the fraction num/den into the component-size cap ``num * n // den``
 here, so no backend multiplies by an unbounded numerator or denominator.
+
+Two threshold forms answer "is the value at most t?" without the full
+search, and are exact:
+
+- ``cheeger_exhaustive(..., stop=t)`` ends at the first subset, in
+  lexicographic order, whose ratio is at most t, and returns it; when there
+  is none the result is the full search's. The stop reaches the backend as
+  the largest a/b <= t with 1 <= b <= n // 2, clamped to n/1. Every ratio
+  the search compares is boundary/size with size <= n // 2 and at most n,
+  so it is at most t exactly when it is at most a/b, and both are small.
+- ``min_cut_exact(..., min_k=t)`` searches the sizes t..max_k only. It gives
+  the full search's answer whenever that is at least t; with max_k = t it
+  finds a cut exactly when one of at most t vertices exists, since removing
+  more vertices never enlarges a component.
 """
 
 import os
@@ -47,16 +61,34 @@ def _impl(n: int, backend=None):
     return _kernels_py
 
 
-def cheeger_exhaustive(masks, n, mode, backend=None):
-    return _impl(n, backend).cheeger_exhaustive(list(masks), n, mode)
+def _stop_fraction(stop, n):
+    """(a, b) for the stop ratio of an n-vertex Cheeger search, (0, 0) for
+    none; see the module docstring."""
+    if stop is None or stop < 0 or n < 2:
+        return 0, 0
+    if stop >= n:
+        return n, 1
+    num, den = stop.as_integer_ratio()
+    best = (0, 1)
+    for b in range(1, n // 2 + 1):
+        a = num * b // den
+        if a * best[1] > best[0] * b:
+            best = (a, b)
+    return best
 
 
-def min_cut_exact(masks, n, num, den, max_k, budget, backend=None):
+def cheeger_exhaustive(masks, n, mode, backend=None, *, stop=None):
+    return _impl(n, backend).cheeger_exhaustive(
+        list(masks), n, mode, *_stop_fraction(stop, n))
+
+
+def min_cut_exact(masks, n, num, den, max_k, budget, backend=None, *,
+                  min_k=0):
     # A component of k vertices is small enough iff k * den <= num * n, that
     # is k <= num * n // den; no component exceeds n, hence the clamp.
     cap = min(num * n // den, n)
     mask, examined = _impl(n, backend).min_cut_exact(
-        list(masks), n, cap, max_k, budget)
+        list(masks), n, cap, max_k, budget, min_k)
     if mask == -2:
         raise BudgetError(
             f"exact cut search exceeded budget of {budget} subsets "

@@ -17,6 +17,22 @@ the value a fresh evaluation would give. An evaluation is a (lower, upper)
 pair; row n holds the largest of each over the subgraphs with at most n
 vertices, and its witness is the first subgraph, in enumeration order, that
 strictly raises the upper value of its size. The memo is local to the call.
+
+The driver prunes exactly. It visits the subgraphs by increasing size, in
+enumeration order within a size, so while it is at size m the running row
+values lo and up are max(row(m - 1), best of size m so far). A subgraph
+whose lower end is at most lo and upper end at most up changes no row: it
+raises neither maximum, and as it does not strictly raise up it is not a
+witness either. The evaluator is handed lo and up and may answer None for
+such a subgraph after deciding only that, with a threshold form of its
+kernel (see ``kernels``). Rows only grow, so a key answered None stays None
+in the memo. The half-cut asks the cut kernel whether a cut of int(up)
+vertices exists, and searches the larger sizes only if not. At p = 1 both
+bracket ends are nondecreasing in the majored constant h, so the Cheeger
+kernel stops at the first set with m * (h/2, h) within (lo, up); the float
+bracket at that set decides, and if float rounding puts it above a row the
+search runs in full. Other p evaluate in full: the p = 2 lower end needs a
+bound on lambda2 of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from . import kernels
@@ -35,6 +52,7 @@ from .spectral import lambda2
 
 DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
+_UNSEEN = object()
 
 
 @dataclass
@@ -73,12 +91,14 @@ def _validate_n_max(n_max: int) -> None:
 
 def _subgraphs(G: Graph, n_max: int, budget: int):
     """Yield (vertices, key) for each connected induced subgraph with at most
-    n_max vertices, in ``kernels.connected_subsets`` order: the sorted
-    members, and per member its neighbours as a mask over positions in
-    vertices. Member u of the subset S is at popcount(S & ((1 << u) - 1))."""
+    n_max vertices, by increasing size and in ``kernels.connected_subsets``
+    order within a size: the sorted members, and per member its neighbours
+    as a mask over positions in vertices. Member u of the subset S is at
+    popcount(S & ((1 << u) - 1))."""
     masks = G.neighbor_masks
-    for subset in kernels.connected_subsets(masks, G.vertex_count, n_max,
-                                            budget):
+    subsets = kernels.connected_subsets(masks, G.vertex_count, n_max, budget)
+    subsets.sort(key=int.bit_count)
+    for subset in subsets:
         verts, key = [], []
         rest = subset
         while rest:
@@ -98,30 +118,30 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
 def _sup_rows(G: Graph, n_max: int, budget: int, evaluate,
               exact: bool) -> list[ProfileRow]:
     """Rows n = 1..n_max of the sup over connected induced subgraphs with at
-    most n vertices of evaluate(vertices, key) -> (lower, upper), floats."""
-    best_lo = [0.0] * (n_max + 1)
-    best_up = [0.0] * (n_max + 1)
-    witness: list[Optional[frozenset]] = [None] * (n_max + 1)
-    values: dict[tuple, tuple[float, float]] = {}
-    for verts, key in _subgraphs(G, n_max, budget):
-        m = len(verts)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = evaluate(verts, key)
-        lo, up = value
-        if lo > best_lo[m]:
-            best_lo[m] = lo
-        if up > best_up[m]:
-            best_up[m] = up
-            witness[m] = frozenset(verts)
-    rows = []
-    run_lo, run_up, run_wit = 0.0, 0.0, None
-    for n in range(1, n_max + 1):
-        if best_up[n] > run_up:
-            run_up, run_wit = best_up[n], witness[n]
-        run_lo = max(run_lo, best_lo[n])
-        rows.append(ProfileRow(n=n, lower=run_lo, upper=run_up,
-                               exact=exact, witness=run_wit))
+    most n vertices of evaluate(vertices, key, lo, up), which returns the
+    subgraph's (lower, upper) floats or None when neither exceeds the
+    running row values lo and up."""
+    rows: list[ProfileRow] = []
+    lo, up, witness = 0.0, 0.0, None
+    values: dict[tuple, Optional[tuple[float, float]]] = {}
+    for m, group in groupby(_subgraphs(G, n_max, budget),
+                            key=lambda sub: len(sub[0])):
+        for verts, key in group:
+            value = values.get(key, _UNSEEN)
+            if value is _UNSEEN:
+                value = values[key] = evaluate(verts, key, lo, up)
+            if value is None:
+                continue
+            if value[0] > lo:
+                lo = value[0]
+            if value[1] > up:
+                up, witness = value[1], frozenset(verts)
+        rows.append(ProfileRow(n=m, lower=lo, upper=up, exact=exact,
+                               witness=witness))
+    # Connected subgraphs of every size up to the largest exist, so only the
+    # sizes above the largest component can be missing.
+    rows += [ProfileRow(n=n, lower=lo, upper=up, exact=exact, witness=witness)
+             for n in range(len(rows) + 1, n_max + 1)]
     return rows
 
 
@@ -131,9 +151,16 @@ def separation_profile_exact(G: Graph, n_max: int,
     """Exact sep(n) = max half-cut over connected induced subgraphs, n <= n_max."""
     _validate_n_max(n_max)
 
-    def half_cut(verts, key):
-        m = len(key)
-        mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, cut_budget)
+    def half_cut(verts, key, lo, up):
+        # lo == up: every half-cut value is its own lower and upper end.
+        m, t = len(key), int(up)
+        if t >= m:
+            return None
+        found, _ = kernels.min_cut_exact(key, m, 1, 2, t, cut_budget, min_k=t)
+        if found >= 0:
+            return None
+        mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, cut_budget,
+                                        min_k=t + 1)
         size = float(mask.bit_count())
         return size, size
 
@@ -159,6 +186,12 @@ def _hp_bracket(G: Graph, verts, p: float, maj: Fraction):
     return majored_lp_lower(h_maj, p), upper
 
 
+def _p1_stop(run_lo: float, run_up: float, m: int) -> float:
+    """The majored ratio at or below which the p = 1 bracket of an m-vertex
+    subgraph, m * (h/2, h), stays within the rows run_lo and run_up."""
+    return min(run_up, 2.0 * run_lo) / m
+
+
 def poincare_profile(G: Graph, n_max: int, p: float,
                      budget: int = DEFAULT_SUBGRAPH_BUDGET) -> ProfileTable:
     """Poincare profile rows sup |V(H)| * h_p(H) over connected induced
@@ -171,12 +204,23 @@ def poincare_profile(G: Graph, n_max: int, p: float,
             f"exact profile search infeasible for n_max {n_max} > "
             f"{EXACT_LIMIT}; use a smaller n_max or poincare_lower_bounds")
 
-    def scaled_bracket(verts, key):
+    def scaled_bracket(verts, key, run_lo, run_up):
         m = len(key)
         if m < 2:
             return 0.0, 0.0
-        num, size, _ = kernels.cheeger_exhaustive(key, m, kernels.MODE_MAJORED)
+        stop = _p1_stop(run_lo, run_up, m) if p == 1 and m > 2 else None
+        num, size, _ = kernels.cheeger_exhaustive(
+            key, m, kernels.MODE_MAJORED, stop=stop)
         lo, up = _hp_bracket(G, verts, p, Fraction(num, size))
+        if stop is not None:
+            if m * lo <= run_lo and m * up <= run_up:
+                return None
+            if Fraction(num, size) <= stop:
+                # Stopped, yet the bracket at the stopped set exceeds a row:
+                # float rounding at the edge of the stop. Search in full.
+                num, size, _ = kernels.cheeger_exhaustive(
+                    key, m, kernels.MODE_MAJORED)
+                lo, up = _hp_bracket(G, verts, p, Fraction(num, size))
         return m * lo, m * up
 
     return ProfileTable(_sup_rows(G, n_max, budget, scaled_bracket, False), p)

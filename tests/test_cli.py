@@ -218,3 +218,20 @@ def test_invariant_hp_when_every_objective_overflows(tmp_path, capsys):
                              capsys)
     assert code == 2 and out == ""
     assert err == "error: no start reached a finite objective\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-9"])
+def test_verify_rejects_tolerance_outside_zero_to_inf(capsys, tol):
+    code, out, err = run(["verify", "conditions", f"--tol={tol}"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --tol must be a finite number >= 0\n"
+
+
+@pytest.mark.parametrize("which", ["hp", "lambda_inf", "h"])
+def test_invariant_rejects_negative_restarts(tmp_path, capsys, which):
+    g_path = str(tmp_path / "c6.g")
+    run(["family", "cycle", "6", "--out", g_path], capsys)
+    code, out, err = run(["invariant", which, "--restarts", "-5", g_path],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --restarts must be >= 0\n"

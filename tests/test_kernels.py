@@ -109,6 +109,82 @@ def test_cheeger_witness_is_first_minimizer(backends, backend, G):
         assert got == brute_cheeger_first(G, mode_name)
 
 
+def lex_subsets(n, max_size):
+    """Non-empty subsets of range(n) with at most max_size members, as
+    sorted tuples in lexicographic order: the Cheeger kernel's DFS order."""
+    def rec(prefix, start):
+        if len(prefix) == max_size:
+            return
+        for v in range(start, n):
+            yield prefix + (v,)
+            yield from rec(prefix + (v,), v + 1)
+    return rec((), 0)
+
+
+def brute_cheeger_stopped(G, mode, stop):
+    """Oracle for the stop form: the first admissible subset, in DFS order,
+    whose ratio is at most stop; without one, the full search's triple."""
+    from sepprof.cheeger import boundary_count
+
+    for combo in lex_subsets(G.vertex_count, G.vertex_count // 2):
+        mask = sum(1 << v for v in combo)
+        num = boundary_count(G, mask, mode)
+        if Fraction(num, len(combo)) <= stop:
+            return (num, len(combo), mask)
+    return brute_cheeger_first(G, mode)
+
+
+_MODES = (("plain", kernels.MODE_PLAIN), ("majored", kernels.MODE_MAJORED),
+          ("edge", kernels.MODE_EDGE))
+
+stops = st.one_of(
+    st.fractions(min_value=0, max_value=14, max_denominator=12),
+    st.floats(min_value=0, max_value=14),
+    st.sampled_from([-1, 0, 1, 13]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(G=tie_heavy_graphs(), stop=stops)
+def test_cheeger_stop_is_first_set_at_or_below(backends, backend, G, stop):
+    require(backend, backends)
+    n = G.vertex_count
+    for mode_name, mode in _MODES:
+        got = kernels.cheeger_exhaustive(G.neighbor_masks, n, mode,
+                                         backend=backend, stop=stop)
+        assert got == brute_cheeger_stopped(G, mode_name, stop)
+        full = kernels.cheeger_exhaustive(G.neighbor_masks, n, mode,
+                                          backend=backend)
+        if got[1] == 0 or Fraction(got[0], got[1]) > stop:
+            assert got == full  # no set reaches the stop
+        else:
+            assert full[0] * got[1] <= got[0] * full[1]
+
+
+@given(small_graphs(), stops)
+def test_backend_parity_cheeger_stop(backends, G, stop):
+    require("compiled", backends)
+    for _, mode in _MODES:
+        assert len({kernels.cheeger_exhaustive(
+            G.neighbor_masks, G.vertex_count, mode, backend=backend,
+            stop=stop) for backend in backends}) == 1
+
+
+def test_stop_fraction_is_the_largest_below_with_small_denominator():
+    assert kernels._stop_fraction(None, 8) == (0, 0)
+    assert kernels._stop_fraction(-0.5, 8) == (0, 0)
+    assert kernels._stop_fraction(0.3, 1) == (0, 0)
+    assert kernels._stop_fraction(8, 8) == (8, 1)
+    assert kernels._stop_fraction(2 ** 100, 8) == (8, 1)
+    for n in range(2, 23):
+        for stop in (0, 0.1, 1 / 3, 0.5, Fraction(7, 5), 2.75, n - 1e-9):
+            a, b = kernels._stop_fraction(stop, n)
+            assert 1 <= b <= n // 2 and Fraction(a, b) <= stop
+            assert all(Fraction(num, size) <= Fraction(a, b)
+                       for size in range(1, n // 2 + 1)
+                       for num in range(n * size + 1)
+                       if Fraction(num, size) <= stop)
+
+
 def brute_min_cut(G, num, den):
     n = G.vertex_count
     for size in range(n + 1):
@@ -191,6 +267,34 @@ def test_backend_parity_and_oracle_subsets(backends, G, max_size):
     assert all(v == values[0] for v in values)
     assert set(values[0]) == brute_connected_subsets(G, max_size)
     assert len(values[0]) == len(set(values[0]))
+
+
+@given(small_graphs(), st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 9)]))
+def test_min_cut_from_min_k(backends, G, frac):
+    """A search from size t gives the full answer when that is at least t;
+    at size t alone it finds a cut exactly when the answer is at most t."""
+    num, den = frac
+    masks, n = G.neighbor_masks, G.vertex_count
+    for t in range(n + 1):
+        results = {}
+        for backend in backends:
+            full = kernels.min_cut_exact(masks, n, num, den, n, 10 ** 7,
+                                         backend=backend)
+            level = kernels.min_cut_exact(masks, n, num, den, t, 10 ** 7,
+                                          backend=backend, min_k=t)
+            above = kernels.min_cut_exact(masks, n, num, den, n, 10 ** 7,
+                                          backend=backend, min_k=t)
+            results[backend] = (full, level, above)
+        assert len(set(results.values())) == 1
+        (full, _), (level, _), (above, _) = results["python"]
+        answer = full.bit_count()
+        assert (level >= 0) == (answer <= t)
+        if level >= 0:
+            cut_set = [v for v in range(n) if level >> v & 1]
+            assert len(cut_set) == t
+            assert is_cut_set(G, cut_set, Fraction(num, den))
+        if answer >= t:
+            assert above == full
 
 
 def test_min_cut_budget_error():
@@ -287,3 +391,56 @@ def test_connected_subsets_wide_graphs(backends, G, max_size):
         verts = [v for v in range(G.vertex_count) if mask >> v & 1]
         assert len(verts) <= max_size
         assert len(connected_components(induced_subgraph(G, verts))) == 1
+
+
+@settings(max_examples=15)
+@given(wide_graphs(), st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 64)]),
+       st.integers(0, 2))
+def test_min_cut_min_k_wide_graphs(backends, G, frac, t):
+    num, den = frac
+    masks, n = G.neighbor_masks, G.vertex_count
+    results = {
+        backend: tuple(kernels.min_cut_exact(masks, n, num, den, max_k,
+                                             10 ** 7, backend=backend,
+                                             min_k=min_k)
+                       for min_k, max_k in ((0, 2), (t, t), (t, 2)))
+        for backend in backends
+    }
+    assert len(set(results.values())) == 1
+    (full, _), (level, _), (above, _) = results["python"]
+    if level >= 0:
+        assert level.bit_count() == t
+        cut_set = [v for v in range(n) if level >> v & 1]
+        assert is_cut_set(G, cut_set, Fraction(num, den))
+    if full >= 0:
+        assert (level >= 0) == (full.bit_count() <= t)
+        if full.bit_count() >= t:
+            assert above == full
+
+
+@settings(max_examples=15)
+@given(wide_graphs(), st.sampled_from(_MODES),
+       st.sampled_from([1, 2, Fraction(5, 2), 3.0]))
+def test_cheeger_stop_wide_graphs(backends, G, mode, stop):
+    """On 63 and 64 vertices the full search is out of reach, but the DFS
+    meets a path prefix with a small ratio within a few sets, so a stop
+    ends it there: the same set on both backends, and the first one in
+    lexicographic order at or below the stop."""
+    from sepprof.cheeger import boundary_count
+
+    mode_name, mode = mode
+    n = G.vertex_count
+    results = {kernels.cheeger_exhaustive(G.neighbor_masks, n, mode,
+                                          backend=backend, stop=stop)
+               for backend in backends}
+    assert len(results) == 1
+    num, size, mask = results.pop()
+    assert Fraction(num, size) <= stop and mask.bit_count() == size
+    assert boundary_count(G, mask, mode_name) == num
+    for checked, combo in enumerate(lex_subsets(n, n // 2)):
+        assert checked < 100
+        subset = sum(1 << v for v in combo)
+        if subset == mask:
+            break
+        assert Fraction(boundary_count(G, subset, mode_name), len(combo)) \
+            > stop

@@ -1,12 +1,15 @@
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepprof import kernels
+from sepprof import kernels, profiles
 from sepprof.cheeger import certified_lp_lower, majored_lp_lower
+from sepprof.constructions import coarsen
 from sepprof.errors import BudgetError, ExactSearchInfeasible
 from sepprof.graphs import (Graph, build_family, cartesian_power,
                             induced_subgraph)
@@ -156,8 +159,10 @@ def _induced_masks(masks, vertices):
 
 
 def _reference_subgraphs(G, n_max):
+    """The driver's visiting order: by size, enumeration order within one."""
     return [(verts, tuple(_induced_masks(G.neighbor_masks, verts)))
-            for verts in _subset_list(G, n_max, DEFAULT_SUBGRAPH_BUDGET)]
+            for verts in sorted(_subset_list(G, n_max, DEFAULT_SUBGRAPH_BUDGET),
+                                key=len)]
 
 
 # Reference loops: the per-subgraph evaluation without the per-call memo.
@@ -264,29 +269,100 @@ def test_profiles_equal_reference_loops_random(G, p):
     assert poincare_profile(G, n, p).rows == _oracle_poincare(G, n, p)
 
 
-def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
-    G = build_family("grid", 6, 6)
-    keys = [key for _, key in _reference_subgraphs(G, 6)]
-    calls = {"cheeger": [], "cut": []}
+def _kernel_calls(monkeypatch, profile):
+    """The (form, key) of each kernel call profile() makes: "stop" for a
+    Cheeger search that ended at its stop, "level" for a cut search at one
+    size below the subgraph's, and "full" for a search run to its end."""
+    calls = []
     cheeger, min_cut = kernels.cheeger_exhaustive, kernels.min_cut_exact
 
-    def counted_cheeger(masks, n, mode, backend=None):
-        calls["cheeger"].append(tuple(masks))
-        return cheeger(masks, n, mode, backend)
+    def counted_cheeger(masks, n, mode, backend=None, *, stop=None):
+        num, size, mask = cheeger(masks, n, mode, backend, stop=stop)
+        stopped = stop is not None and Fraction(num, size) <= stop
+        calls.append(("stop" if stopped else "full", tuple(masks)))
+        return num, size, mask
 
-    def counted_cut(masks, n, num, den, max_k, budget, backend=None):
-        calls["cut"].append(tuple(masks))
-        return min_cut(masks, n, num, den, max_k, budget, backend)
+    def counted_cut(masks, n, num, den, max_k, budget, backend=None, *,
+                    min_k=0):
+        calls.append(("full" if max_k == n else "level", tuple(masks)))
+        return min_cut(masks, n, num, den, max_k, budget, backend,
+                       min_k=min_k)
 
-    monkeypatch.setattr(kernels, "cheeger_exhaustive", counted_cheeger)
-    monkeypatch.setattr(kernels, "min_cut_exact", counted_cut)
-    poincare_profile(G, 6, 2)
-    separation_profile_exact(G, 6)
-    assert len(calls["cheeger"]) == len(set(calls["cheeger"]))
-    assert set(calls["cheeger"]) == {k for k in keys if len(k) >= 2}
-    assert len(calls["cut"]) == len(set(calls["cut"]))
-    assert set(calls["cut"]) == set(keys)
-    assert len(keys) > 5 * len(set(keys))  # translates do repeat
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "cheeger_exhaustive", counted_cheeger)
+        patch.setattr(kernels, "min_cut_exact", counted_cut)
+        profile()
+    return calls
+
+
+def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
+    """No key is searched twice in the same form, every key searched is a
+    real key, and on grid 6x6 the pruned profiles run few full searches."""
+    G = build_family("grid", 6, 6)
+    keys = [key for _, key in _reference_subgraphs(G, 6)]
+    distinct = set(keys)
+    assert len(keys) > 5 * len(distinct)  # translates do repeat
+    forms = {}
+    for name, profile in (
+            ("sep", lambda: separation_profile_exact(G, 6)),
+            ("p1", lambda: poincare_profile(G, 6, 1)),
+            ("p2", lambda: poincare_profile(G, 6, 2))):
+        calls = _kernel_calls(monkeypatch, profile)
+        assert len(calls) == len(set(calls))
+        assert {key for _, key in calls} <= distinct
+        forms[name] = Counter(form for form, _ in calls)
+    # p = 2 is not pruned: one full search per key with an edge.
+    assert forms["p2"] == {"full": len([k for k in distinct if len(k) >= 2])}
+    # The half-cut asks every key for one cut size first (166 keys, 2 full
+    # searches); at p = 1, 147 searches end at their stop and 18 run out.
+    assert forms["sep"]["level"] == len(distinct)
+    assert forms["sep"]["full"] * 10 < len(distinct)
+    assert forms["p1"]["full"] * 5 < len(distinct)
+
+
+def _pinned_rows_digest():
+    """SHA-256 of the rows, values and witnesses, of the exact-profile calls
+    of the verify suites whose floats are pure Python (no p = 2)."""
+    g44 = build_family("grid", 4, 4)
+    quotient = coarsen(g44, [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13],
+                             [10, 11, 14, 15]]).coarse_graph
+    tables = [separation_profile_exact(g44, 16),
+              separation_profile_exact(quotient, 4),
+              separation_profile_exact(build_family("cycle", 12), 12),
+              separation_profile_exact(build_family("path", 15), 15),
+              poincare_profile(build_family("hypercube", 4), 8, 1),
+              poincare_profile(build_family("grid", 6, 6), 8, 1)]
+    text = "".join(
+        f"{r.n} {r.lower!r} {r.upper!r} {r.exact} "
+        f"{None if r.witness is None else sorted(r.witness)}\n"
+        for table in tables for r in table.rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Taken before the driver pruned, when every subgraph was searched in full.
+PINNED_ROWS_SHA256 = \
+    "11ceb5ce50f4f1014704ea967324b481984ffbd105243bf4d834fbcc65546cee"
+
+
+def test_pinned_rows_digest():
+    assert _pinned_rows_digest() == PINNED_ROWS_SHA256
+
+
+def test_float_edge_fallback_keeps_the_rows(monkeypatch):
+    """A p = 1 stop set too high, as float rounding at the edge could set
+    it, stops the Cheeger kernel at sets whose bracket still exceeds a row;
+    each such key is searched again in full and the rows do not change."""
+    p1_stop = profiles._p1_stop
+    monkeypatch.setattr(profiles, "_p1_stop",
+                        lambda lo, up, m: 2 * p1_stop(lo, up, m))
+    digest = []
+    calls = _kernel_calls(monkeypatch,
+                          lambda: digest.append(_pinned_rows_digest()))
+    assert digest == [PINNED_ROWS_SHA256]
+    stopped = {key for form, key in calls if form == "stop"}
+    fallbacks = [key for form, key in calls
+                 if form == "full" and key in stopped]
+    assert len(fallbacks) > 10
 
 
 def test_exact_profile_budget():
