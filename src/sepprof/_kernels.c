@@ -15,7 +15,8 @@
  *     when no subset gets there the result is the full search's.
  *   min_cut_exact(masks, n, cap, max_k, budget, min_k) searches the sizes
  *     min_k..max_k only. Removing more vertices never enlarges a component,
- *     so min_k = max_k = t tells whether a cut of at most t vertices exists.
+ *     so the search from min_k = t finds a cut of t vertices exactly when
+ *     one of at most t exists.
  * Without the optional arguments both run the full search, with no extra
  * work per subset.
  *

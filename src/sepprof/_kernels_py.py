@@ -8,19 +8,12 @@ ints, so there is no 64-vertex limit here. Every argument is a plain integer:
 ``cheeger_exhaustive`` a stop ratio as a small numerator and denominator.
 """
 
-BACKEND = "python"
+from itertools import combinations
 
 # Boundary modes for cheeger_exhaustive.
 MODE_PLAIN = 0
 MODE_MAJORED = 1
 MODE_EDGE = 2
-
-
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Stop(Exception):
@@ -95,8 +88,10 @@ def _components_ok(masks, full, cut_mask, cap):
         frontier = low
         while frontier:
             nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= masks[v]
+            while frontier:
+                bit = frontier & -frontier
+                nxt |= masks[bit.bit_length() - 1]
+                frontier ^= bit
             frontier = nxt & rem & ~comp
             comp |= frontier
         if comp.bit_count() > cap:
@@ -114,30 +109,16 @@ def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
     exists and -2 if the budget on examined subsets ran out first.
     """
     full = (1 << n) - 1
+    bits = [1 << v for v in range(n)]
     examined = 0
-
-    def search(k):
-        nonlocal examined
-        # DFS over k-subsets in lexicographic order.
-        stack = [(0, 0, 0)]  # (mask, size, next_vertex)
-        while stack:
-            mask, size, start = stack.pop()
-            if size == k:
-                examined += 1
-                if examined > budget:
-                    return -2
-                if _components_ok(masks, full, mask, cap):
-                    return mask
-                continue
-            # Push in reverse so lexicographically smallest pops first.
-            for v in range(n - (k - size), start - 1, -1):
-                stack.append((mask | (1 << v), size + 1, v + 1))
-        return -1
-
     for k in range(max(min_k, 0), min(max_k, n) + 1):
-        result = search(k)
-        if result != -1:
-            return (result, examined)
+        for combo in combinations(bits, k):
+            examined += 1
+            if examined > budget:
+                return (-2, examined)
+            mask = sum(combo)
+            if _components_ok(masks, full, mask, cap):
+                return (mask, examined)
     return (-1, examined)
 
 

@@ -265,13 +265,14 @@ def _phi_value(z: DiagonalElement, members: frozenset, r: int) -> float:
     return max(0.0, 1.0 - abs(z.cursor) / r)
 
 
-def cocycle_norm(spec: DiagonalSpec, j: int, z: DiagonalElement,
-                 max_elements: int = 500_000) -> float:
-    """Norm of the j-th range-detecting cocycle at z.
+def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
+                  max_elements: int = 500_000) -> list[float]:
+    """Norms of the j-th range-detecting cocycle at each element of zs.
 
-    phi_r is the tent function on U_r (r = 2^j); the cocycle value is
+    phi_r is the tent function on U_r (r = 2^j); the cocycle value at z is
     ||phi_r - (phi_r translated by z)||_2 / ||grad phi_r||_2, the gradient
     taken along tau only since A- and B-translates leave phi_r invariant.
+    U_r and the gradient are computed once for all of zs.
     """
     r = 2 ** j
     members = range_set(spec, r, max_elements)
@@ -285,14 +286,17 @@ def cocycle_norm(spec: DiagonalSpec, j: int, z: DiagonalElement,
         grad_sq += diff * diff
     if grad_sq == 0.0:
         raise ValueError("gradient of phi_r vanishes")
-    num_sq = 0.0
-    shifted = {multiply(spec, u, z): u for u in members}
-    for h in set(members) | set(shifted):
-        left = _phi_value(h, members, r)
-        pre = shifted.get(h)
-        right = _phi_value(pre, members, r) if pre is not None else 0.0
-        num_sq += (left - right) ** 2
-    return math.sqrt(num_sq / grad_sq)
+    norms = []
+    for z in zs:
+        num_sq = 0.0
+        shifted = {multiply(spec, u, z): u for u in members}
+        for h in set(members) | set(shifted):
+            left = _phi_value(h, members, r)
+            pre = shifted.get(h)
+            right = _phi_value(pre, members, r) if pre is not None else 0.0
+            num_sq += (left - right) ** 2
+        norms.append(math.sqrt(num_sq / grad_sq))
+    return norms
 
 
 # ---------------------------------------------------------------------------

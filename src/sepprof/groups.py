@@ -37,7 +37,7 @@ class FiniteGroup:
         self.B = tuple(B)
         self.identity = _find_identity(self.table)
         self.inverse = _inverse_table(self.table, self.identity)
-        # proj, a_index, b_index are attached by validate_group.
+        # proj is attached by validate_group.
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

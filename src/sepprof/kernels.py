@@ -16,10 +16,11 @@ search, and are exact:
   the largest a/b <= t with 1 <= b <= n // 2, clamped to n/1. Every ratio
   the search compares is boundary/size with size <= n // 2 and at most n,
   so it is at most t exactly when it is at most a/b, and both are small.
-- ``min_cut_exact(..., min_k=t)`` searches the sizes t..max_k only. It gives
-  the full search's answer whenever that is at least t; with max_k = t it
-  finds a cut exactly when one of at most t vertices exists, since removing
-  more vertices never enlarges a component.
+- ``min_cut_exact(..., min_k=t)`` searches the sizes t..max_k only. Removing
+  more vertices never enlarges a component, so a cut of t vertices exists
+  exactly when one of at most t does. With max_k = n the search therefore
+  returns a cut of exactly t vertices when the full search's answer has at
+  most t, and the full search's answer itself otherwise.
 """
 
 import os

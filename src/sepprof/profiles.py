@@ -11,9 +11,9 @@ induced ones.
 copies of one shape (in a grid, say) give the same key: the tuple of
 relabelled neighbour masks. The driver evaluates each distinct key once per
 call and reuses the value for the other subgraphs that share it. This is
-exact: the key is the kernel's whole input, and it also fixes the relabelled
-induced subgraph that ``lambda2`` and ``max_degree`` see, so every bound is
-the value a fresh evaluation would give. An evaluation is a (lower, upper)
+exact because the key is the evaluator's whole input: it is all the kernels
+get, and ``_hp_bracket`` builds the p = 2 subgraph from it, so every bound
+is the value a fresh evaluation would give. An evaluation is a (lower, upper)
 pair; row n holds the largest of each over the subgraphs with at most n
 vertices, and its witness is the first subgraph, in enumeration order, that
 strictly raises the upper value of its size. The memo is local to the call.
@@ -26,13 +26,14 @@ raises neither maximum, and as it does not strictly raise up it is not a
 witness either. The evaluator is handed lo and up and may answer None for
 such a subgraph after deciding only that, with a threshold form of its
 kernel (see ``kernels``). Rows only grow, so a key answered None stays None
-in the memo. The half-cut asks the cut kernel whether a cut of int(up)
-vertices exists, and searches the larger sizes only if not. At p = 1 both
-bracket ends are nondecreasing in the majored constant h, so the Cheeger
-kernel stops at the first set with m * (h/2, h) within (lo, up); the float
-bracket at that set decides, and if float rounding puts it above a row the
-search runs in full. Other p evaluate in full: the p = 2 lower end needs a
-bound on lambda2 of its own.
+in the memo. The half-cut is one cut search over the sizes int(up)..m: a
+cut of exactly int(up) vertices means it cannot raise a row, and a larger
+first cut is the half-cut itself. At p = 1 both bracket ends are
+nondecreasing in the majored constant h, so the Cheeger kernel stops at the
+first set with m * (h/2, h) within (lo, up); the float bracket at that set
+decides, and if float rounding puts it above a row the search runs in full.
+Other p evaluate in full: the p = 2 lower end needs a bound on lambda2 of
+its own.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from itertools import groupby
 from typing import Optional
 
 from . import kernels
-from .cheeger import (EXACT_LIMIT, certified_lp_lower, majored_lp_lower,
-                      validate_exponent)
+from .cheeger import (EXACT_LIMIT, _mask_to_set, certified_lp_lower,
+                      majored_lp_lower, validate_exponent)
 from .errors import ExactSearchInfeasible
 from .graphs import Graph, induced_subgraph
 from .spectral import lambda2
@@ -90,52 +91,49 @@ def _validate_n_max(n_max: int) -> None:
 
 
 def _subgraphs(G: Graph, n_max: int, budget: int):
-    """Yield (vertices, key) for each connected induced subgraph with at most
+    """Yield (subset, key) for each connected induced subgraph with at most
     n_max vertices, by increasing size and in ``kernels.connected_subsets``
-    order within a size: the sorted members, and per member its neighbours
-    as a mask over positions in vertices. Member u of the subset S is at
-    popcount(S & ((1 << u) - 1))."""
+    order within a size: the subset mask, and per member in increasing order
+    its neighbours as a mask over member positions. Member u of the subset S
+    is at position popcount(S & ((1 << u) - 1))."""
     masks = G.neighbor_masks
     subsets = kernels.connected_subsets(masks, G.vertex_count, n_max, budget)
     subsets.sort(key=int.bit_count)
     for subset in subsets:
-        verts, key = [], []
-        rest = subset
+        key, rest = [], subset
         while rest:
             low = rest & -rest
-            verts.append(low.bit_length() - 1)
             rest ^= low
-        for v in verts:
-            nbrs, acc = masks[v] & subset, 0
+            nbrs, acc = masks[low.bit_length() - 1] & subset, 0
             while nbrs:
                 low = nbrs & -nbrs
                 acc |= 1 << (subset & (low - 1)).bit_count()
                 nbrs ^= low
             key.append(acc)
-        yield tuple(verts), tuple(key)
+        yield subset, tuple(key)
 
 
 def _sup_rows(G: Graph, n_max: int, budget: int, evaluate,
               exact: bool) -> list[ProfileRow]:
     """Rows n = 1..n_max of the sup over connected induced subgraphs with at
-    most n vertices of evaluate(vertices, key, lo, up), which returns the
-    subgraph's (lower, upper) floats or None when neither exceeds the
-    running row values lo and up."""
+    most n vertices of evaluate(key, lo, up), which returns the subgraph's
+    (lower, upper) floats or None when neither exceeds the running row
+    values lo and up."""
     rows: list[ProfileRow] = []
     lo, up, witness = 0.0, 0.0, None
     values: dict[tuple, Optional[tuple[float, float]]] = {}
     for m, group in groupby(_subgraphs(G, n_max, budget),
-                            key=lambda sub: len(sub[0])):
-        for verts, key in group:
+                            key=lambda sub: len(sub[1])):
+        for subset, key in group:
             value = values.get(key, _UNSEEN)
             if value is _UNSEEN:
-                value = values[key] = evaluate(verts, key, lo, up)
+                value = values[key] = evaluate(key, lo, up)
             if value is None:
                 continue
             if value[0] > lo:
                 lo = value[0]
             if value[1] > up:
-                up, witness = value[1], frozenset(verts)
+                up, witness = value[1], _mask_to_set(subset)
         rows.append(ProfileRow(n=m, lower=lo, upper=up, exact=exact,
                                witness=witness))
     # Connected subgraphs of every size up to the largest exist, so only the
@@ -146,37 +144,37 @@ def _sup_rows(G: Graph, n_max: int, budget: int, evaluate,
 
 
 def separation_profile_exact(G: Graph, n_max: int,
-                             budget: int = DEFAULT_SUBGRAPH_BUDGET,
-                             cut_budget: int = DEFAULT_CUT_BUDGET) -> ProfileTable:
+                             budget: int = DEFAULT_SUBGRAPH_BUDGET) -> ProfileTable:
     """Exact sep(n) = max half-cut over connected induced subgraphs, n <= n_max."""
     _validate_n_max(n_max)
 
-    def half_cut(verts, key, lo, up):
-        # lo == up: every half-cut value is its own lower and upper end.
+    def half_cut(key, lo, up):
+        # lo == up: every half-cut value is its own lower and upper end. The
+        # search from t vertices finds a cut of t exactly when the half-cut
+        # is at most t; otherwise its first cut is the half-cut.
         m, t = len(key), int(up)
         if t >= m:
             return None
-        found, _ = kernels.min_cut_exact(key, m, 1, 2, t, cut_budget, min_k=t)
-        if found >= 0:
-            return None
-        mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, cut_budget,
-                                        min_k=t + 1)
+        mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, DEFAULT_CUT_BUDGET,
+                                        min_k=t)
         size = float(mask.bit_count())
-        return size, size
+        return None if size == t else (size, size)
 
     return ProfileTable(_sup_rows(G, min(n_max, G.vertex_count), budget,
                                   half_cut, True))
 
 
-def _hp_bracket(G: Graph, verts, p: float, maj: Fraction):
+def _hp_bracket(key, p: float, maj: Fraction):
     """Certified [lower, upper] for the sup-gradient L^p constant of the
-    induced subgraph, from the majored constant and, for p=2, the gap."""
-    m = len(verts)
+    subgraph with neighbour masks key, from the majored constant and, for
+    p=2, the gap."""
+    m = len(key)
     if m == 2:
         return 2.0, 2.0  # two connected vertices form K2; h_p(K2) = 2
     h_maj = float(maj)
     if p == 2:
-        sub = induced_subgraph(G, verts)
+        sub = Graph(m, [(u, v) for u in range(m) for v in range(u + 1, m)
+                        if key[u] >> v & 1])
         h2mod = math.sqrt(2.0 * lambda2(sub).lambda2)
         deg = sub.max_degree()
         lower = h2mod / math.sqrt(deg) if deg else 0.0
@@ -204,14 +202,14 @@ def poincare_profile(G: Graph, n_max: int, p: float,
             f"exact profile search infeasible for n_max {n_max} > "
             f"{EXACT_LIMIT}; use a smaller n_max or poincare_lower_bounds")
 
-    def scaled_bracket(verts, key, run_lo, run_up):
+    def scaled_bracket(key, run_lo, run_up):
         m = len(key)
         if m < 2:
             return 0.0, 0.0
         stop = _p1_stop(run_lo, run_up, m) if p == 1 and m > 2 else None
         num, size, _ = kernels.cheeger_exhaustive(
             key, m, kernels.MODE_MAJORED, stop=stop)
-        lo, up = _hp_bracket(G, verts, p, Fraction(num, size))
+        lo, up = _hp_bracket(key, p, Fraction(num, size))
         if stop is not None:
             if m * lo <= run_lo and m * up <= run_up:
                 return None
@@ -220,7 +218,7 @@ def poincare_profile(G: Graph, n_max: int, p: float,
                 # float rounding at the edge of the stop. Search in full.
                 num, size, _ = kernels.cheeger_exhaustive(
                     key, m, kernels.MODE_MAJORED)
-                lo, up = _hp_bracket(G, verts, p, Fraction(num, size))
+                lo, up = _hp_bracket(key, p, Fraction(num, size))
         return m * lo, m * up
 
     return ProfileTable(_sup_rows(G, n_max, budget, scaled_bracket, False), p)

@@ -30,7 +30,7 @@ from .constructions import (LampGraphSpec, b_rescaling, coarsen,
                             distorted_lamp_graph, maximal_b_separated,
                             scale_b_partition)
 from .cuts import cut, iterated_halving_cut
-from .diagonal import (DiagonalSpec, apply_generator, ball, cocycle_norm,
+from .diagonal import (DiagonalSpec, apply_generator, ball, cocycle_norms,
                        embed_lamp_graph, range_of, range_set)
 from .graphs import (Graph, bfs_distances, build_family, cartesian_power,
                      connected_components, subdivide)
@@ -79,6 +79,15 @@ def _row(check_id, anchor, ok, lhs, rhs, tol=0.0) -> CheckRow:
     status = "skip" if ok is None else ("pass" if ok else "fail")
     return CheckRow(check_id=check_id, anchor=anchor, status=status,
                     lhs=_fmt(lhs), rhs=_fmt(rhs), tol=tol)
+
+
+def _dominated_row(check_id, anchor, n, lhs, rhs) -> CheckRow:
+    """Row for lhs(m) <= rhs(m) + 1e-12 at every m in 2..n, reported at the
+    m that minimises rhs(m) - lhs(m)."""
+    worst = min(range(2, n + 1), key=lambda m: rhs(m) - lhs(m))
+    return _row(check_id, anchor,
+                all(lhs(m) <= rhs(m) + 1e-12 for m in range(2, n + 1)),
+                lhs(worst), rhs(worst))
 
 
 def _regular_small_graphs():
@@ -279,30 +288,19 @@ def suite_cuts_profiles(ctx: VerifyContext):
         for p in (1, 2, 3):
             table = poincare_profile(G, n, p, budget=ctx.budget)
             cpow = min(1 / 96, 4.0 ** -p / 24)
-            worst = min(range(2, n + 1),
-                        key=lambda m: table.value(m).lower - cpow * sep.value(m).lower)
-            rows.append(_row(
+            rows.append(_dominated_row(
                 f"profiles:poincare{p}-vs-sep:{name}", "poincare-vs-separation",
-                all(cpow * sep.value(m).lower <= table.value(m).lower + 1e-12
-                    for m in range(2, n + 1)),
-                cpow * sep.value(worst).lower, table.value(worst).lower))
+                n, lambda m: cpow * sep.value(m).lower,
+                lambda m: table.value(m).lower))
             if p == 1:
-                worst = min(range(2, n + 1),
-                            key=lambda m: table.value(m).lower - sep.value(m).lower / 8)
-                rows.append(_row(
+                rows.append(_dominated_row(
                     f"profiles:sep-eighth:{name}", "separation-vs-poincare1",
-                    all(sep.value(m).lower / 8 <= table.value(m).lower + 1e-12
-                        for m in range(2, n + 1)),
-                    sep.value(worst).lower / 8, table.value(worst).lower))
-                worst = min(range(2, n + 1),
-                            key=lambda m: 4 * (D + 1) * sep.value(m).lower
-                            - table.value(m).lower)
-                rows.append(_row(
+                    n, lambda m: sep.value(m).lower / 8,
+                    lambda m: table.value(m).lower))
+                rows.append(_dominated_row(
                     f"profiles:poincare1-upper:{name}", "separation-vs-poincare1",
-                    all(table.value(m).lower <= 4 * (D + 1) * sep.value(m).lower + 1e-12
-                        for m in range(2, n + 1)),
-                    table.value(worst).lower,
-                    4 * (D + 1) * sep.value(worst).lower))
+                    n, lambda m: table.value(m).lower,
+                    lambda m: 4 * (D + 1) * sep.value(m).lower))
     g = build_family("cycle", 12)
     exact = cut(g, Fraction(1, 2), "exact")
     single = iterated_halving_cut(g, Fraction(1, 2))
@@ -570,12 +568,12 @@ def suite_cocycles(ctx: VerifyContext):
     rows.append(_row(
         "cocycle:far-element-count", "range-cocycle-lower",
         len(far) >= 20 and tau5 in far, len(far), 20))
-    norms = [cocycle_norm(spec, 1, z) for z in far]
+    norms = cocycle_norms(spec, 1, far)
     rows.append(_row(
         "cocycle:norm-lower-bound", "range-cocycle-lower",
         min(norms) >= 2.0 / 3.0, min(norms), 2.0 / 3.0))
-    gen_norms = [cocycle_norm(spec, 1, apply_generator(spec, ident, gen))
-                 for gen in spec.generators()]
+    gen_norms = cocycle_norms(spec, 1, [apply_generator(spec, ident, gen)
+                                        for gen in spec.generators()])
     rows.append(_row(
         "cocycle:lipschitz-on-generators", "cocycle-lipschitz",
         max(gen_norms) <= 1.0 + 1e-12, max(gen_norms), 1.0))

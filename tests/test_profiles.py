@@ -17,6 +17,7 @@ from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
                               ProfileRow, _hp_bracket, _subgraphs,
                               poincare_lower_bounds, poincare_profile,
                               separation_profile_exact)
+from sepprof.spectral import lambda2
 
 
 def test_sep_paths_are_one():
@@ -107,13 +108,13 @@ def test_bracket_lower_is_the_certified_sandwich(p):
         m = len(verts)
         if m < 3:
             continue
-        num, size, _ = kernels.cheeger_exhaustive(
-            _induced_masks(G.neighbor_masks, verts), m, kernels.MODE_MAJORED)
+        key = tuple(_induced_masks(G.neighbor_masks, verts))
+        num, size, _ = kernels.cheeger_exhaustive(key, m, kernels.MODE_MAJORED)
         h_maj = num / size
         factor = 1.0 if p == 1 else min(1 / 12, 4.0 ** -p / 2)
         expected = majored_lp_lower(h_maj, p)
         assert expected == pytest.approx(factor * h_maj / 2, rel=1e-15)
-        assert _hp_bracket(G, verts, p, Fraction(num, size))[0] == expected
+        assert _hp_bracket(key, p, Fraction(num, size))[0] == expected
         sub = induced_subgraph(G, verts)
         assert certified_lp_lower(sub, p, "sup_scale") == expected
 
@@ -159,8 +160,10 @@ def _induced_masks(masks, vertices):
 
 
 def _reference_subgraphs(G, n_max):
-    """The driver's visiting order: by size, enumeration order within one."""
-    return [(verts, tuple(_induced_masks(G.neighbor_masks, verts)))
+    """The driver's (subset mask, key) pairs in its visiting order: by size,
+    enumeration order within one."""
+    return [(sum(1 << v for v in verts),
+             tuple(_induced_masks(G.neighbor_masks, verts)))
             for verts in sorted(_subset_list(G, n_max, DEFAULT_SUBGRAPH_BUDGET),
                                 key=len)]
 
@@ -201,7 +204,18 @@ def _oracle_poincare(G, n_max, p):
         sub_masks = _induced_masks(G.neighbor_masks, verts)
         num, size, _ = kernels.cheeger_exhaustive(sub_masks, m,
                                                   kernels.MODE_MAJORED)
-        lo, up = _hp_bracket(G, verts, p, Fraction(num, size))
+        h_maj = float(Fraction(num, size))
+        if m == 2:
+            lo = up = 2.0
+        elif p == 2:
+            sub = induced_subgraph(G, verts)
+            h2mod = math.sqrt(2.0 * lambda2(sub).lambda2)
+            deg = sub.max_degree()
+            lo = h2mod / math.sqrt(deg) if deg else 0.0
+            up = min(math.sqrt(2.0) * h2mod, 2.0 * math.sqrt(h_maj))
+        else:
+            lo = majored_lp_lower(h_maj, p)
+            up = h_maj if p == 1 else 2.0 * h_maj ** (1.0 / p)
         if m * lo > best_lo[m]:
             best_lo[m] = m * lo
         if m * up > best_up[m]:
@@ -271,8 +285,8 @@ def test_profiles_equal_reference_loops_random(G, p):
 
 def _kernel_calls(monkeypatch, profile):
     """The (form, key) of each kernel call profile() makes: "stop" for a
-    Cheeger search that ended at its stop, "level" for a cut search at one
-    size below the subgraph's, and "full" for a search run to its end."""
+    Cheeger search that ended at its stop, "level" for a cut search that
+    returned a cut of its min_k size, and "full" for any other search."""
     calls = []
     cheeger, min_cut = kernels.cheeger_exhaustive, kernels.min_cut_exact
 
@@ -284,9 +298,11 @@ def _kernel_calls(monkeypatch, profile):
 
     def counted_cut(masks, n, num, den, max_k, budget, backend=None, *,
                     min_k=0):
-        calls.append(("full" if max_k == n else "level", tuple(masks)))
-        return min_cut(masks, n, num, den, max_k, budget, backend,
-                       min_k=min_k)
+        mask, examined = min_cut(masks, n, num, den, max_k, budget, backend,
+                                 min_k=min_k)
+        at_min = mask.bit_count() == min_k
+        calls.append(("level" if at_min else "full", tuple(masks)))
+        return mask, examined
 
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "cheeger_exhaustive", counted_cheeger)
@@ -297,12 +313,13 @@ def _kernel_calls(monkeypatch, profile):
 
 def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     """No key is searched twice in the same form, every key searched is a
-    real key, and on grid 6x6 the pruned profiles run few full searches."""
+    real key, the half-cut makes one cut search per distinct key, and on
+    grid 6x6 the pruned profiles run few full searches."""
     G = build_family("grid", 6, 6)
     keys = [key for _, key in _reference_subgraphs(G, 6)]
     distinct = set(keys)
     assert len(keys) > 5 * len(distinct)  # translates do repeat
-    forms = {}
+    forms, searched = {}, {}
     for name, profile in (
             ("sep", lambda: separation_profile_exact(G, 6)),
             ("p1", lambda: poincare_profile(G, 6, 1)),
@@ -311,11 +328,13 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
         assert len(calls) == len(set(calls))
         assert {key for _, key in calls} <= distinct
         forms[name] = Counter(form for form, _ in calls)
+        searched[name] = Counter(key for _, key in calls)
     # p = 2 is not pruned: one full search per key with an edge.
     assert forms["p2"] == {"full": len([k for k in distinct if len(k) >= 2])}
-    # The half-cut asks every key for one cut size first (166 keys, 2 full
-    # searches); at p = 1, 147 searches end at their stop and 18 run out.
-    assert forms["sep"]["level"] == len(distinct)
+    # The half-cut searches each key once (166 keys, 2 of them find a cut
+    # above the running row); at p = 1, 147 searches end at their stop and
+    # 18 run out.
+    assert searched["sep"] == Counter(distinct)
     assert forms["sep"]["full"] * 10 < len(distinct)
     assert forms["p1"]["full"] * 5 < len(distinct)
 
