@@ -162,6 +162,8 @@ def _cmd_invariant(args) -> int:
 def _cmd_verify(args) -> int:
     if not math.isfinite(args.tol) or args.tol < 0:
         raise ValueError("--tol must be a finite number >= 0")
+    if args.budget < 0:
+        raise ValueError("--budget must be >= 0")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ctx = VerifyContext(seed=args.seed, tol=args.tol, budget=args.budget)
     rows = run_suites(names, ctx, timings=args.timings)

@@ -25,6 +25,8 @@ class CutResult:
     cut_set: frozenset
     size: int
     exact: bool
+    # Subsets the exact cut kernel examined (summed over the halving's cuts).
+    examined: int = 0
 
 
 def is_cut_set(G: Graph, S, s: Fraction) -> bool:
@@ -38,11 +40,13 @@ def is_cut_set(G: Graph, S, s: Fraction) -> bool:
     return True
 
 
-def _result(G: Graph, s: Fraction, S, exact: bool) -> CutResult:
+def _result(G: Graph, s: Fraction, S, exact: bool,
+            examined: int = 0) -> CutResult:
     S = frozenset(S)
     if not is_cut_set(G, S, s):
         raise AssertionError("produced set fails the exact cut validation")
-    return CutResult(epsilon=s, cut_set=S, size=len(S), exact=exact)
+    return CutResult(epsilon=s, cut_set=S, size=len(S), exact=exact,
+                     examined=examined)
 
 
 def _heuristic_cut_set(G: Graph, s: Fraction) -> frozenset:
@@ -93,10 +97,10 @@ def cut(G: Graph, s, mode: str = "exact",
     if n == 0:
         return CutResult(s, frozenset(), 0, True)
     if mode == "exact":
-        mask, _ = kernels.min_cut_exact(
+        mask, examined = kernels.min_cut_exact(
             G.neighbor_masks, n, s.numerator, s.denominator, n, budget)
         S = frozenset(v for v in range(n) if mask >> v & 1)
-        return _result(G, s, S, exact=True)
+        return _result(G, s, S, exact=True, examined=examined)
     if mode == "heuristic":
         return _result(G, s, _heuristic_cut_set(G, s), exact=False)
     raise ValueError(f"unknown mode {mode!r}")
@@ -122,6 +126,7 @@ def iterated_halving_cut(G: Graph, s, budget: int = DEFAULT_CUT_BUDGET) -> CutRe
     chosen: set[int] = set()
     first = cut(G, half, "exact", budget=budget)
     chosen.update(first.cut_set)
+    examined = first.examined
     for j in range(2, levels + 1):
         prev_cap = Fraction(n, 2 ** (j - 1))
         target = Fraction(n, 2 ** j)
@@ -147,4 +152,5 @@ def iterated_halving_cut(G: Graph, s, budget: int = DEFAULT_CUT_BUDGET) -> CutRe
             H = induced_subgraph(G, group)
             inner = cut(H, half, "exact", budget=budget)
             chosen.update(H.original_vertices[v] for v in inner.cut_set)
-    return _result(G, s, chosen, exact=False)
+            examined += inner.examined
+    return _result(G, s, chosen, exact=False, examined=examined)

@@ -2,8 +2,14 @@
 
 The compiled extension (``_kernels.c``) handles graphs up to 64 vertices;
 anything larger (or SEPPROF_PURE_PY=1, or a missing extension) goes to the
-pure-Python fallback. Both backends share contracts and enumeration order, so
-results are identical. Backends take plain integers only: ``min_cut_exact``
+pure-Python fallback. Both backends return the same results: the first
+minimiser in DFS preorder of the sorted vertex tuples from
+``cheeger_exhaustive``, the first cut in increasing-cardinality,
+lexicographic order with the same ``examined`` from ``min_cut_exact``, and
+the same list from ``connected_subsets``. The fallback runs the large searches
+as numpy array passes: full Cheeger searches on 10..24 vertices, and cut
+searches on at most 64 vertices past their first 256 subsets, in blocks of
+2048 (see ``_kernels_py``). Backends take plain integers only: ``min_cut_exact``
 turns the fraction num/den into the component-size cap ``num * n // den``
 here, so no backend multiplies by an unbounded numerator or denominator.
 

@@ -235,3 +235,10 @@ def test_invariant_rejects_negative_restarts(tmp_path, capsys, which):
                          capsys)
     assert code == 2 and out == ""
     assert err == "error: --restarts must be >= 0\n"
+
+
+@pytest.mark.parametrize("budget", ["-1", str(-2 ** 70)])
+def test_verify_rejects_negative_budget(capsys, budget):
+    code, out, err = run(["verify", "all", f"--budget={budget}"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be >= 0\n"

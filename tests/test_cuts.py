@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sepprof import kernels
 from sepprof.cuts import cut, is_cut_set, iterated_halving_cut
 from sepprof.errors import BudgetError
 from sepprof.graphs import Graph, build_family, connected_components, induced_subgraph
@@ -90,3 +91,28 @@ def test_halving_rejects_large_s():
 def test_halving_eighth_is_valid(G):
     r = iterated_halving_cut(G, Fraction(1, 8))
     assert is_cut_set(G, r.cut_set, Fraction(1, 8))
+
+
+def test_examined_is_the_kernel_count():
+    for G, s in ((build_family("grid", 3, 4), Fraction(1, 3)),
+                 (build_family("cycle", 12), Fraction(1, 2)),
+                 (build_family("hypercube", 4), Fraction(1, 4))):
+        n = G.vertex_count
+        _, examined = kernels.min_cut_exact(
+            G.neighbor_masks, n, s.numerator, s.denominator, n, 10 ** 7)
+        assert cut(G, s).examined == examined > 0
+    assert cut(build_family("grid", 3, 4), "1/3", "heuristic").examined == 0
+
+
+def test_halving_examined_sums_its_exact_cuts(monkeypatch):
+    counts = []
+    search = kernels.min_cut_exact
+
+    def counted(*args, **kwargs):
+        mask, examined = search(*args, **kwargs)
+        counts.append(examined)
+        return mask, examined
+
+    monkeypatch.setattr(kernels, "min_cut_exact", counted)
+    r = iterated_halving_cut(build_family("path", 15), "1/8")
+    assert len(counts) > 1 and r.examined == sum(counts)

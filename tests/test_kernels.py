@@ -1,13 +1,14 @@
 """Backend parity and brute-force oracles for the bitmask kernels."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepprof import kernels
+from sepprof import _kernels_py, kernels
 from sepprof.cuts import is_cut_set
 from sepprof.errors import BudgetError
 from sepprof.graphs import Graph, build_family, connected_components, induced_subgraph
@@ -76,10 +77,10 @@ def brute_cheeger_first(G, mode):
 
 
 @st.composite
-def tie_heavy_graphs(draw):
-    """Graphs on 1..12 vertices: random sparse or dense ones, and symmetric
-    ones (empty, complete, cycles) where many subsets tie."""
-    n = draw(st.integers(1, 12))
+def tie_heavy_graphs(draw, min_n=1, max_n=12):
+    """Graphs on min_n..max_n vertices: random sparse or dense ones, and
+    symmetric ones (empty, complete, cycles) where many subsets tie."""
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(["random", "dense", "empty", "complete",
                                  "cycle"]))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -109,6 +110,47 @@ def test_cheeger_witness_is_first_minimizer(backends, backend, G):
         assert got == brute_cheeger_first(G, mode_name)
 
 
+_MODES = (("plain", kernels.MODE_PLAIN), ("majored", kernels.MODE_MAJORED),
+          ("edge", kernels.MODE_EDGE))
+
+
+@given(G=tie_heavy_graphs(2, 12))
+def test_cheeger_array_is_first_minimizer(G):
+    for mode_name, mode in _MODES:
+        assert _kernels_py._cheeger_array(
+            G.neighbor_masks, G.vertex_count, mode) \
+            == brute_cheeger_first(G, mode_name)
+
+
+@settings(max_examples=25)
+@given(G=tie_heavy_graphs(10, 16))
+def test_cheeger_array_matches_dfs(G):
+    masks, n = G.neighbor_masks, G.vertex_count
+    for _, mode in _MODES:
+        assert _kernels_py.cheeger_exhaustive(masks, n, mode) \
+            == _kernels_py._cheeger_dfs(masks, n, mode)
+
+
+def _random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+@pytest.mark.parametrize("G,modes", [
+    (Graph(18, []), _MODES),
+    (build_family("complete", 18), _MODES),
+    (build_family("cycle", 18), _MODES),
+    (_random_graph(20, 0.2, 1), _MODES),
+    (build_family("grid", 2, 11), _MODES[1:2]),  # 22 vertices: 1.7 s a mode
+], ids=["empty18", "complete18", "cycle18", "random20", "grid2x11"])
+def test_cheeger_array_matches_dfs_large(G, modes):
+    masks, n = G.neighbor_masks, G.vertex_count
+    for _, mode in modes:
+        assert _kernels_py.cheeger_exhaustive(masks, n, mode) \
+            == _kernels_py._cheeger_dfs(masks, n, mode)
+
+
 def lex_subsets(n, max_size):
     """Non-empty subsets of range(n) with at most max_size members, as
     sorted tuples in lexicographic order: the Cheeger kernel's DFS order."""
@@ -133,9 +175,6 @@ def brute_cheeger_stopped(G, mode, stop):
             return (num, len(combo), mask)
     return brute_cheeger_first(G, mode)
 
-
-_MODES = (("plain", kernels.MODE_PLAIN), ("majored", kernels.MODE_MAJORED),
-          ("edge", kernels.MODE_EDGE))
 
 stops = st.one_of(
     st.fractions(min_value=0, max_value=14, max_denominator=12),
@@ -444,3 +483,71 @@ def test_cheeger_stop_wide_graphs(backends, G, mode, stop):
             break
         assert Fraction(boundary_count(G, subset, mode_name), len(combo)) \
             > stop
+
+
+def scalar_min_cut(masks, n, cap, max_k, budget, min_k=0):
+    """The exact cut search one subset at a time, with the scalar component
+    check: the reference for the kernel's block path."""
+    full = (1 << n) - 1
+    examined = 0
+    for k in range(max(min_k, 0), min(max_k, n) + 1):
+        for combo in itertools.combinations(range(n), k):
+            examined += 1
+            if examined > budget:
+                return (-2, examined)
+            mask = sum(1 << v for v in combo)
+            if _kernels_py._components_ok(masks, full, mask, cap):
+                return (mask, examined)
+    return (-1, examined)
+
+
+# Budgets around the switch from single subsets to blocks, and within the
+# first block.
+SWITCH_BUDGETS = (0, 255, 256, 257, 256 + 2047, 256 + 2048, 256 + 2049)
+
+
+def _budgeted(result, budget):
+    """The result under a smaller budget: subset budget + 1 is never
+    checked."""
+    return result if result[1] <= budget else (-2, budget + 1)
+
+
+@settings(max_examples=30)
+@given(st.integers(12, 18).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([0.1, 0.2, 0.35, 0.6]), st.integers(0, 99),
+    st.integers(0, n), st.integers(-1, 3), st.integers(0, 3))))
+def test_min_cut_blocks_match_scalar_loop(case):
+    n, p, seed, cap, min_k, extra = case
+    masks = _random_graph(n, p, seed).neighbor_masks
+    max_k = max(min_k, 0) + extra
+    full = scalar_min_cut(masks, n, cap, max_k, 10 ** 7, min_k)
+    for budget in SWITCH_BUDGETS + (10 ** 7,):
+        assert scalar_min_cut(masks, n, cap, max_k, budget, min_k) \
+            == _budgeted(full, budget)
+        assert _kernels_py.min_cut_exact(masks, n, cap, max_k, budget,
+                                         min_k) == _budgeted(full, budget)
+
+
+def test_min_cut_blocks_past_the_first_block():
+    """A cut found in the second block and an exhausted search that spans
+    several blocks, with the exact examined counts."""
+    grid = build_family("grid", 4, 5).neighbor_masks
+    found = scalar_min_cut(grid, 20, 5, 20, 10 ** 7)
+    assert found[1] > 256 + 2048 and found[0] >= 0
+    none = scalar_min_cut(grid, 20, 0, 4, 10 ** 7)
+    assert none == (-1, 1 + 20 + 190 + 1140 + 4845)
+    for ref, cap, max_k in ((found, 5, 20), (none, 0, 4)):
+        for budget in SWITCH_BUDGETS + (ref[1] - 1, ref[1], ref[1] + 1):
+            assert _kernels_py.min_cut_exact(grid, 20, cap, max_k, budget) \
+                == _budgeted(ref, budget)
+
+
+@settings(max_examples=15)
+@given(wide_graphs(), st.integers(0, 3), st.integers(0, 2))
+def test_min_cut_blocks_wide_graphs(G, cap, min_k):
+    """Masks with bit 63 set go through the uint64 blocks."""
+    masks, n = G.neighbor_masks, G.vertex_count
+    full = scalar_min_cut(masks, n, cap, 2, 10 ** 7, min_k)
+    for budget in SWITCH_BUDGETS + (10 ** 7,):
+        assert _kernels_py.min_cut_exact(masks, n, cap, 2, budget, min_k) \
+            == _budgeted(full, budget)
