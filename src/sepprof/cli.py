@@ -98,6 +98,9 @@ def _write_witness(path, witness) -> None:
             for v in sorted(witness.set_witness):
                 fh.write(f"{v}\n")
             return
+        if witness.function_witness is None:
+            fh.write("vertex\n")
+            return
         f = np.atleast_2d(np.asarray(witness.function_witness, dtype=float))
         if f.shape[0] == 1:
             f = f.T

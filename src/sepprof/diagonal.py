@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetError
 from .graphs import Graph
@@ -95,16 +95,13 @@ def _check_correspondence(g0: FiniteGroup, g: FiniteGroup, s: int, which: str):
                     f"level {s}: {which} correspondence is not an isomorphism")
 
 
-def _lamp_write(lamps_s: tuple, pos: int, elem: int, group: FiniteGroup) -> tuple:
-    """Right-multiply the lamp at ``pos`` by ``elem``."""
-    entries = dict(lamps_s)
-    cur = entries.get(pos, group.identity)
-    new = group.mul(cur, elem)
+def _lamp_mul(entries: dict, pos: int, elem: int, group: FiniteGroup) -> None:
+    """Right-multiply the lamp at ``pos`` by ``elem``, dropping it at the identity."""
+    new = group.mul(entries.get(pos, group.identity), elem)
     if new == group.identity:
         entries.pop(pos, None)
     else:
         entries[pos] = new
-    return tuple(sorted(entries.items()))
 
 
 def apply_generator(spec: DiagonalSpec, z: DiagonalElement, gen) -> DiagonalElement:
@@ -125,7 +122,9 @@ def apply_generator(spec: DiagonalSpec, z: DiagonalElement, gen) -> DiagonalElem
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
         if elem != group.identity:
-            lamps[s] = _lamp_write(lamps[s], pos, elem, group)
+            entries = dict(lamps[s])
+            _lamp_mul(entries, pos, elem, group)
+            lamps[s] = tuple(sorted(entries.items()))
     return DiagonalElement(z.cursor, tuple(lamps))
 
 
@@ -136,13 +135,7 @@ def multiply(spec: DiagonalSpec, z1: DiagonalElement,
     for s, (group, _) in enumerate(spec.levels):
         entries = dict(z1.lamps[s])
         for pos, elem in z2.lamps[s]:
-            target = pos + z1.cursor
-            cur = entries.get(target, group.identity)
-            new = group.mul(cur, elem)
-            if new == group.identity:
-                entries.pop(target, None)
-            else:
-                entries[target] = new
+            _lamp_mul(entries, pos + z1.cursor, elem, group)
         lamps.append(tuple(sorted(entries.items())))
     return DiagonalElement(z1.cursor + z2.cursor, tuple(lamps))
 
@@ -165,30 +158,47 @@ class BallResult(NamedTuple):
     graph: Graph
 
 
+def _bfs(spec: DiagonalSpec, lo: int, hi: int, radius: float,
+         max_elements: int):
+    """Yield (element, word length) in BFS order from the identity, over
+    words of length <= radius whose cursor stays in [lo, hi]."""
+    gens = spec.generators()
+    start = spec.identity()
+    seen = {start}
+    yield start, 0
+    frontier = [start]
+    d = 0
+    while frontier and d < radius:
+        d += 1
+        nxt = []
+        for z in frontier:
+            for gen in gens:
+                w = apply_generator(spec, z, gen)
+                if not (lo <= w.cursor <= hi) or w in seen:
+                    continue
+                seen.add(w)
+                nxt.append(w)
+                yield w, d
+                if len(seen) > max_elements:
+                    raise BudgetError(
+                        f"BFS exceeded {max_elements} elements at word "
+                        f"length {d}")
+        frontier = nxt
+
+
+def _shift_lamps(lamps: tuple, by: int) -> tuple:
+    """The lamps of t^by * z, where z has the lamps ``lamps``."""
+    return tuple(tuple((pos + by, e) for pos, e in level) for level in lamps)
+
+
 def ball(spec: DiagonalSpec, radius: int,
          max_elements: int = 200_000) -> BallResult:
     """BFS ball around the identity and the induced Cayley graph."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    dist = dict(_bfs(spec, -radius, radius, radius, max_elements))
+    index = {z: i for i, z in enumerate(dist)}
     gens = spec.generators()
-    start = spec.identity()
-    dist = {start: 0}
-    order = [start]
-    frontier = [start]
-    for d in range(1, radius + 1):
-        nxt = []
-        for z in frontier:
-            for gen in gens:
-                w = apply_generator(spec, z, gen)
-                if w not in dist:
-                    dist[w] = d
-                    order.append(w)
-                    nxt.append(w)
-                    if len(order) > max_elements:
-                        raise BudgetError(
-                            f"ball exceeded {max_elements} elements at radius {d}")
-        frontier = nxt
-    index = {z: i for i, z in enumerate(order)}
     edges = []
     for z, i in index.items():
         for gen in gens:
@@ -196,67 +206,49 @@ def ball(spec: DiagonalSpec, radius: int,
             j = index.get(w)
             if j is not None and i < j:
                 edges.append((i, j))
-    graph = Graph(len(order), edges, labels=order)
-    return BallResult(tuple(order), dist, graph)
-
-
-def _box_reachable(spec: DiagonalSpec, lo: int, hi: int,
-                   target: Optional[DiagonalElement],
-                   max_elements: int):
-    """BFS from the identity with the cursor confined to [lo, hi].
-
-    Returns the reached set, stopping early if target is found (returning
-    None for the set in that case to signal success).
-    """
-    gens = spec.generators()
-    start = spec.identity()
-    if not (lo <= 0 <= hi):
-        raise ValueError("interval must contain the starting cursor 0")
-    seen = {start}
-    frontier = [start]
-    if target is not None and start == target:
-        return None
-    while frontier:
-        nxt = []
-        for z in frontier:
-            for gen in gens:
-                w = apply_generator(spec, z, gen)
-                if not (lo <= w.cursor <= hi) or w in seen:
-                    continue
-                if target is not None and w == target:
-                    return None
-                seen.add(w)
-                nxt.append(w)
-                if len(seen) > max_elements:
-                    raise BudgetError(
-                        f"box BFS exceeded {max_elements} elements")
-        frontier = nxt
-    return seen
+    graph = Graph(len(index), edges, labels=list(index))
+    return BallResult(tuple(index), dist, graph)
 
 
 def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int,
              max_elements: int = 500_000) -> int:
     """Minimal cursor-interval diameter over all words representing z.
 
-    Searches intervals of increasing diameter containing 0 and the cursor of
-    z; raises BudgetError if the window is exhausted without reaching z.
+    z is reached with the cursor confined to [lo, lo + d] exactly when
+    t^-lo z is reached within [0, d], so one confined BFS per diameter d
+    looks for every such translate at once. Raises BudgetError if the
+    window is exhausted without reaching z.
     """
     lo_req, hi_req = min(0, z.cursor), max(0, z.cursor)
     for d in range(hi_req - lo_req, window + 1):
-        for lo in range(hi_req - d, lo_req + 1):
-            if _box_reachable(spec, lo, lo + d, z, max_elements) is None:
-                return d
+        targets = {DiagonalElement(z.cursor - lo, _shift_lamps(z.lamps, -lo))
+                   for lo in range(hi_req - d, lo_req + 1)}
+        if not targets.isdisjoint(
+                w for w, _ in _bfs(spec, 0, d, math.inf, max_elements)):
+            return d
     raise BudgetError(
         f"element not reachable within cursor window {window}")
 
 
 def range_set(spec: DiagonalSpec, r: int,
               max_elements: int = 500_000) -> frozenset:
-    """U_r: all elements of range <= r (union of diameter-r cursor boxes)."""
-    out = set()
-    for lo in range(-r, 1):
-        out |= _box_reachable(spec, lo, lo + r, None, max_elements)
-    return frozenset(out)
+    """U_r: all elements of range <= r (union of diameter-r cursor boxes).
+
+    The box [lo, lo + r] is the left translate by t^lo of the box [0, r],
+    and tau moves the cursor freely within a box, so the [0, r] box is
+    every cursor in [0, r] with every lamp configuration its BFS reaches.
+    """
+    configs = {w.lamps for w, _ in _bfs(spec, 0, r, math.inf, max_elements)}
+
+    def members():
+        for lamps in configs:
+            for lo in range(-r, 1):
+                # one translated tuple, shared by the r + 1 cursors
+                shifted = _shift_lamps(lamps, lo)
+                for c in range(lo, lo + r + 1):
+                    yield DiagonalElement(c, shifted)
+
+    return frozenset(members())
 
 
 def _phi_value(z: DiagonalElement, members: frozenset, r: int) -> float:
@@ -273,7 +265,15 @@ def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
     ||phi_r - (phi_r translated by z)||_2 / ||grad phi_r||_2, the gradient
     taken along tau only since A- and B-translates leave phi_r invariant.
     U_r and the gradient are computed once for all of zs.
+
+    The sums do not depend on the iteration order of the sets. Every tent
+    value 1 - |cursor|/r is a multiple of 2^-j, so every square and partial
+    sum is a multiple of 4^-j of at most (set size) * 4^j units, far below
+    2^53: each addition is exact, and only the final quotient and square
+    root round.
     """
+    if j < 0:
+        raise ValueError("j must be >= 0")
     r = 2 ** j
     members = range_set(spec, r, max_elements)
     tau = ("tau", 1)
@@ -338,22 +338,12 @@ def embed_lamp_graph(spec: DiagonalSpec, s: int, r: int) -> EmbeddingReport:
             for idx, x in enumerate(xs):
                 j = idx - r
                 if t == s:
-                    if x != group_s.identity:
-                        entries[j] = x
+                    _lamp_mul(entries, j, x, group_t)
                     continue
                 pa, pb = group_s.proj_abstract(x)
-                a_elem = group_t.A[pa]
-                b_elem = group_t.B[pb]
-                if a_elem != group_t.identity:
-                    pos = j + k_s - k_t
-                    cur = entries.get(pos, group_t.identity)
-                    entries[pos] = group_t.mul(cur, a_elem)
-                if b_elem != group_t.identity:
-                    pos = j - k_s + k_t
-                    cur = entries.get(pos, group_t.identity)
-                    entries[pos] = group_t.mul(cur, b_elem)
-            lamps.append(tuple(sorted(
-                (p, e) for p, e in entries.items() if e != group_t.identity)))
+                _lamp_mul(entries, j + k_s - k_t, group_t.A[pa], group_t)
+                _lamp_mul(entries, j - k_s + k_t, group_t.B[pb], group_t)
+            lamps.append(tuple(sorted(entries.items())))
         return DiagonalElement(i, tuple(lamps))
 
     vertex_map = {lamp.label(v): image(lamp.label(v))

@@ -53,6 +53,18 @@ def test_invariant_hp_with_witness(tmp_path, capsys):
     assert lines[0] == "vertex,value0" and len(lines) == 5
 
 
+@pytest.mark.parametrize("header", ["1 0", "0 0"])
+def test_invariant_hp_witness_without_function(tmp_path, capsys, header):
+    # on fewer than two vertices the estimate has no function witness
+    g_path = tmp_path / "tiny.g"
+    g_path.write_text(header + "\n")
+    wit = tmp_path / "wit.csv"
+    code, out, _ = run(["invariant", "hp", "--p", "2", str(g_path),
+                        "--witness-out", str(wit)], capsys)
+    assert code == 0 and "value 0" in out
+    assert wit.read_text() == "vertex\n"
+
+
 def test_invariant_sep_and_profile(tmp_path, capsys):
     g_path = str(tmp_path / "p10.g")
     run(["family", "path", "10", "--out", g_path], capsys)

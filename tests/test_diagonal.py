@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -147,6 +149,100 @@ def test_range_window_exhaustion():
         range_of(spec, z, 3)
 
 
+def oracle_ball(spec, radius):
+    """Plain BFS ball: (elements, word-length items, Cayley edges)."""
+    dist = {spec.identity(): 0}
+    frontier = [spec.identity()]
+    for d in range(1, radius + 1):
+        nxt = []
+        for z in frontier:
+            for gen in spec.generators():
+                w = apply_generator(spec, z, gen)
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    index = {z: i for i, z in enumerate(dist)}
+    edges = []
+    for z, i in index.items():
+        for gen in spec.generators():
+            j = index.get(apply_generator(spec, z, gen))
+            if j is not None and i < j:
+                edges.append((i, j))
+    return tuple(dist), list(dist.items()), tuple(sorted(edges))
+
+
+def box_reachable(spec, lo, hi, cache):
+    """Every element reached from the identity with the cursor in [lo, hi]."""
+    if (lo, hi) not in cache:
+        seen = {spec.identity()}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for z in frontier:
+                for gen in spec.generators():
+                    w = apply_generator(spec, z, gen)
+                    if lo <= w.cursor <= hi and w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        cache[lo, hi] = frozenset(seen)
+    return cache[lo, hi]
+
+
+def oracle_range_set(spec, r):
+    """U_r as the union of the r + 1 diameter-r cursor boxes around 0."""
+    cache = {}
+    return frozenset().union(*(box_reachable(spec, lo, lo + r, cache)
+                               for lo in range(-r, 1)))
+
+
+def oracle_range_of(spec, z, window, cache):
+    """Smallest d such that some box [lo, lo + d] around 0 and z reaches z."""
+    lo_req, hi_req = min(0, z.cursor), max(0, z.cursor)
+    for d in range(hi_req - lo_req, window + 1):
+        for lo in range(hi_req - d, lo_req + 1):
+            if z in box_reachable(spec, lo, lo + d, cache):
+                return d
+    return None
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_ball_matches_oracle_on_two_levels(radius):
+    spec = two_level()
+    result = ball(spec, radius)
+    elements, lengths, edges = oracle_ball(spec, radius)
+    assert result.elements == elements
+    assert list(result.word_length.items()) == lengths
+    assert result.graph.edges == edges
+
+
+@pytest.mark.parametrize("make_spec", [single_level, two_level])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_range_set_matches_union_of_boxes(make_spec, r):
+    spec = make_spec()
+    assert range_set(spec, r) == oracle_range_set(spec, r)
+
+
+@pytest.mark.parametrize("make_spec", [single_level, two_level])
+def test_range_of_matches_box_search(make_spec):
+    spec = make_spec()
+    cache = {}
+    for z in ball(spec, 4).elements:
+        assert range_of(spec, z, 6) == oracle_range_of(spec, z, 6, cache)
+
+
+def test_range_searches_keep_their_budget():
+    spec = two_level()
+    with pytest.raises(BudgetError, match="exceeded"):
+        range_set(spec, 3, max_elements=100)
+    z = spec.identity()
+    for _ in range(5):
+        z = apply_generator(spec, z, ("tau", 1))
+    with pytest.raises(BudgetError, match="exceeded"):
+        range_of(spec, z, 8, max_elements=10)
+
+
 def test_range_set_is_exact():
     spec = single_level()
     u2 = range_set(spec, 2)
@@ -180,6 +276,42 @@ def test_cocycle_values():
     assert norms[1] == 0.0
     assert norms[2] == pytest.approx(1.0)
     assert norms[3] >= 2.0 / 3.0
+
+
+def test_cocycle_rejects_negative_j():
+    spec = single_level()
+    with pytest.raises(ValueError, match="j must be >= 0"):
+        cocycle_norms(spec, -1, [spec.identity()])
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_cocycle_sums_are_exact(j):
+    # the float sums equal the rational ones, so no set order can move them
+    spec = single_level()
+    r = 2 ** j
+    members = range_set(spec, r)
+
+    def r_phi(z):
+        # r times the tent value, an integer
+        return max(0, r - abs(z.cursor)) if z in members else 0
+
+    support = members | {apply_generator(spec, u, ("tau", -1)) for u in members}
+    grad = Fraction(sum(
+        (r_phi(g) - r_phi(apply_generator(spec, g, ("tau", 1)))) ** 2
+        for g in support), r * r)
+    lamps_and_cursor, tau3 = spec.identity(), spec.identity()
+    for gen in [("a", spec.a_positions()[0]), ("tau", 1), ("tau", 1),
+                ("b", spec.b_positions()[0])]:
+        lamps_and_cursor = apply_generator(spec, lamps_and_cursor, gen)
+    for _ in range(3):
+        tau3 = apply_generator(spec, tau3, ("tau", 1))
+    zs = [lamps_and_cursor, tau3]
+    for z, norm in zip(zs, cocycle_norms(spec, j, zs)):
+        shifted = {multiply(spec, u, z): u for u in members}
+        num = Fraction(sum(
+            (r_phi(h) - (r_phi(shifted[h]) if h in shifted else 0)) ** 2
+            for h in members | shifted.keys()), r * r)
+        assert norm.hex() == math.sqrt(float(num / grad)).hex()
 
 
 def test_embedding_two_level():

@@ -50,3 +50,16 @@ def test_timings_are_per_check():
     # the creation stamp does not take part in row equality
     ctx = VerifyContext(seed=7)
     assert run_suites(["conditions"], ctx) == run_suites(["conditions"], ctx)
+
+
+def test_cocycle_rows_are_pinned():
+    rows = run_suites(["cocycles"], VerifyContext(seed=7))
+    assert [(r.check_id, r.status, r.lhs, r.rhs) for r in rows] == [
+        ("cocycle:ball-growth", "pass", "710", "710"),
+        ("cocycle:far-element-count", "pass", "28", "20"),
+        ("cocycle:lamp-generators-null", "pass", "0", "0"),
+        ("cocycle:lipschitz-on-generators", "pass", "1", "1"),
+        ("cocycle:norm-lower-bound", "pass", "1.44115338425", "0.666666666667"),
+        ("cocycle:range-identity", "pass", "0", "0"),
+        ("cocycle:range-tau5", "pass", "5", "5"),
+    ]
