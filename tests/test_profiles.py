@@ -351,6 +351,10 @@ def _pinned_rows_digest():
               separation_profile_exact(build_family("path", 15), 15),
               poincare_profile(build_family("hypercube", 4), 8, 1),
               poincare_profile(build_family("grid", 6, 6), 8, 1)]
+    return _rows_digest(tables)
+
+
+def _rows_digest(tables):
     text = "".join(
         f"{r.n} {r.lower!r} {r.upper!r} {r.exact} "
         f"{None if r.witness is None else sorted(r.witness)}\n"
@@ -365,6 +369,26 @@ PINNED_ROWS_SHA256 = \
 
 def test_pinned_rows_digest():
     assert _pinned_rows_digest() == PINNED_ROWS_SHA256
+
+
+def _pinned_exponent_rows_digest():
+    """SHA-256 of the rows, values and witnesses, of poincare_profile at the
+    exponents other than 1 on three small hosts."""
+    tables = [poincare_profile(G, n_max, p)
+              for G, n_max in ((build_family("grid", 3, 4), 12),
+                               (build_family("cycle", 8), 8),
+                               (build_family("hypercube", 4), 8))
+              for p in (1.5, 2, 3)]
+    return _rows_digest(tables)
+
+
+# Taken before the driver pruned any exponent but p = 1.
+PINNED_EXPONENT_ROWS_SHA256 = \
+    "456014a7bed15fa54069f9dbe45068f3c4ce6d9d5e619d9b2f5e3f2ab311872b"
+
+
+def test_pinned_exponent_rows_digest():
+    assert _pinned_exponent_rows_digest() == PINNED_EXPONENT_ROWS_SHA256
 
 
 def test_float_edge_fallback_keeps_the_rows(monkeypatch):
