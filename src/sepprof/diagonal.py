@@ -290,7 +290,7 @@ def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
     for z in zs:
         num_sq = 0.0
         shifted = {multiply(spec, u, z): u for u in members}
-        for h in set(members) | set(shifted):
+        for h in members | shifted.keys():
             left = _phi_value(h, members, r)
             pre = shifted.get(h)
             right = _phi_value(pre, members, r) if pre is not None else 0.0

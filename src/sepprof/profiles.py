@@ -9,31 +9,43 @@ induced ones.
 
 ``_subgraphs`` relabels each subgraph in sorted vertex order, so translated
 copies of one shape (in a grid, say) give the same key: the tuple of
-relabelled neighbour masks. The driver evaluates each distinct key once per
-call and reuses the value for the other subgraphs that share it. This is
-exact because the key is the evaluator's whole input: it is all the kernels
-get, and ``_hp_bracket`` builds the p = 2 subgraph from it, so every bound
-is the value a fresh evaluation would give. An evaluation is a (lower, upper)
-pair; row n holds the largest of each over the subgraphs with at most n
-vertices, and its witness is the first subgraph, in enumeration order, that
-strictly raises the upper value of its size. The memo is local to the call.
+relabelled neighbour masks. It computes the keys of one size as numpy passes
+and yields only the distinct ones, each with the first subgraph, in
+enumeration order, that has it; the driver evaluates each of them once. This
+is exact because the key is the evaluator's whole input: it is all the
+kernels get, and ``_hp_bracket`` builds the p = 2 subgraph from it. An
+evaluation is a (lower, upper) pair; row n holds the largest of each over
+the subgraphs with at most n vertices, and its witness is the first
+subgraph, in enumeration order, that strictly raises the upper value of its
+size. A later subgraph with a key already evaluated can do neither: the
+first one raised lo and up to at least its values, or they were already
+there, and rows only grow.
 
-The driver prunes exactly. It visits the subgraphs by increasing size, in
-enumeration order within a size, so while it is at size m the running row
+The driver prunes exactly. It visits the keys by increasing size, in order
+of first appearance within a size, so while it is at size m the running row
 values lo and up are max(row(m - 1), best of size m so far). A subgraph
 whose lower end is at most lo and upper end at most up changes no row: it
 raises neither maximum, and as it does not strictly raise up it is not a
 witness either. The evaluator is handed lo and up and may answer None for
 such a subgraph after deciding only that, with a threshold form of its
-kernel (see ``kernels``). Rows only grow, so a key answered None stays None
-in the memo. The half-cut is one cut search over the sizes int(up)..m: a
-cut of exactly int(up) vertices means it cannot raise a row, and a larger
-first cut is the half-cut itself. At p = 1 both bracket ends are
-nondecreasing in the majored constant h, so the Cheeger kernel stops at the
-first set with m * (h/2, h) within (lo, up); the float bracket at that set
-decides, and if float rounding puts it above a row the search runs in full.
-Other p evaluate in full: the p = 2 lower end needs a bound on lambda2 of
-its own.
+kernel (see ``kernels``). The half-cut is one cut search over the sizes
+int(up)..m: a cut of exactly int(up) vertices means it cannot raise a row,
+and a larger first cut is the half-cut itself.
+
+At every p but 2 both bracket ends, majored_lp_lower(h, p) and h (p = 1) or
+2 h^(1/p), are nondecreasing in the majored constant h, so the Cheeger
+kernel stops at the first set whose ratio is at most ``_stop``, the largest
+h with m times the bracket within (lo, up). The float bracket at the
+stopped set decides: within both rows, the full minimum, which is at most
+that set's ratio, is within them too; otherwise float rounding at the edge
+of the stop put it above a row, and the search runs in full. The float
+bracket is monotone as well: products are correctly rounded, and two
+distinct majored ratios at most m <= 22, with denominators at most 11,
+differ by a factor of at least 1 + 1/2662, so their p-th roots differ by a
+relative 3.7e-4 / p, far more than the sub-ulp error of ``pow`` for p up
+to ``_STOP_MAX_P``; a smaller ratio never gets a larger float upper end.
+Above that p, and at p = 2, whose lower end comes from lambda2 of the
+subgraph and not from h, every key is evaluated in full.
 """
 
 from __future__ import annotations
@@ -41,8 +53,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Optional
+
+import numpy as np
 
 from . import kernels
 from .cheeger import (EXACT_LIMIT, _mask_to_set, certified_lp_lower,
@@ -53,7 +67,9 @@ from .spectral import lambda2
 
 DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
-_UNSEEN = object()
+_KEY_CHUNK = 1024
+# The largest p at which the float bracket is monotone in h (module docstring).
+_STOP_MAX_P = 1e9
 
 
 @dataclass
@@ -90,27 +106,70 @@ def _validate_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row: the
+    first index of each run of a stable sort of the row bytes. Rows of
+    Python ints (keys wider than 64 bits) are all returned."""
+    if rows.dtype == object:
+        return np.arange(len(rows))
+    flat = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    return np.sort(order[first])
+
+
 def _subgraphs(G: Graph, n_max: int, budget: int):
-    """Yield (subset, key) for each connected induced subgraph with at most
-    n_max vertices, by increasing size and in ``kernels.connected_subsets``
-    order within a size: the subset mask, and per member in increasing order
-    its neighbours as a mask over member positions. Member u of the subset S
-    is at position popcount(S & ((1 << u) - 1))."""
-    masks = G.neighbor_masks
-    subsets = kernels.connected_subsets(masks, G.vertex_count, n_max, budget)
+    """Yield (m, subsets, keys) for each size m = 1..n_max of a connected
+    induced subgraph, in increasing m: the distinct keys of that size in
+    order of first appearance in ``kernels.connected_subsets`` order, and the
+    first subset mask of each. A key lists, per member in increasing order,
+    its neighbours as a mask over member positions; member u of the subset S
+    is at position popcount(S & ((1 << u) - 1)).
+
+    The keys of one size are computed as array passes over chunks of at most
+    ``_KEY_CHUNK`` subsets: each subset unpacked to one bit per host vertex,
+    the positions as the running count of those bits, and a key row as the
+    OR over each member's neighbours v of bit_v << position_v. Only the
+    first row of each distinct byte string in a chunk becomes a tuple; a set
+    carries the keys already seen across the chunks of one size."""
+    n = G.vertex_count
+    subsets = kernels.connected_subsets(G.neighbor_masks, n, n_max, budget)
     subsets.sort(key=int.bit_count)
-    for subset in subsets:
-        key, rest = [], subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs, acc = masks[low.bit_length() - 1] & subset, 0
-            while nbrs:
-                low = nbrs & -nbrs
-                acc |= 1 << (subset & (low - 1)).bit_count()
-                nbrs ^= low
-            key.append(acc)
-        yield subset, tuple(key)
+    # Neighbour lists padded with n, the index of an all-zero column.
+    width = max([1] + [len(row) for row in G.neighbors])
+    nbrs = np.full((n, width), n, dtype=np.intp)
+    for u, row in enumerate(G.neighbors):
+        nbrs[u, :len(row)] = row
+    nbytes = (n + 7) // 8
+    for m, group in groupby(subsets, key=int.bit_count):
+        kind = np.uint32 if m <= 32 else np.uint64 if m <= 64 else object
+        seen: set[tuple] = set()
+        firsts, keys = [], []
+        while chunk := list(islice(group, _KEY_CHUNK)):
+            packed = np.frombuffer(
+                b"".join(S.to_bytes(nbytes, "little") for S in chunk),
+                dtype=np.uint8).reshape(len(chunk), nbytes)
+            # Column n stays 0: the zero column the padded lists point at.
+            bits = np.unpackbits(packed, axis=1, count=n + 1,
+                                 bitorder="little")
+            pos = np.cumsum(bits, axis=1, dtype=np.uint8 if m < 256 else None)
+            pos -= bits
+            # The members of each subset in increasing order, m per row.
+            members = np.nonzero(bits)[1].reshape(len(chunk), m)
+            row = np.arange(len(chunk))[:, None]
+            rows = np.zeros((len(chunk), m), dtype=kind)
+            for d in range(width):
+                v = nbrs[members, d]
+                rows |= np.left_shift(bits[row, v], pos[row, v], dtype=kind)
+            index = _first_rows(rows)
+            for i, key in zip(index.tolist(), map(tuple, rows[index].tolist())):
+                if key not in seen:
+                    seen.add(key)
+                    firsts.append(chunk[i])
+                    keys.append(key)
+        yield m, firsts, keys
 
 
 def _sup_rows(G: Graph, n_max: int, budget: int, evaluate,
@@ -118,16 +177,13 @@ def _sup_rows(G: Graph, n_max: int, budget: int, evaluate,
     """Rows n = 1..n_max of the sup over connected induced subgraphs with at
     most n vertices of evaluate(key, lo, up), which returns the subgraph's
     (lower, upper) floats or None when neither exceeds the running row
-    values lo and up."""
+    values lo and up. Each distinct key is evaluated once, with its first
+    subset as the witness candidate."""
     rows: list[ProfileRow] = []
     lo, up, witness = 0.0, 0.0, None
-    values: dict[tuple, Optional[tuple[float, float]]] = {}
-    for m, group in groupby(_subgraphs(G, n_max, budget),
-                            key=lambda sub: len(sub[1])):
-        for subset, key in group:
-            value = values.get(key, _UNSEEN)
-            if value is _UNSEEN:
-                value = values[key] = evaluate(key, lo, up)
+    for m, subsets, keys in _subgraphs(G, n_max, budget):
+        for subset, key in zip(subsets, keys):
+            value = evaluate(key, lo, up)
             if value is None:
                 continue
             if value[0] > lo:
@@ -184,10 +240,25 @@ def _hp_bracket(key, p: float, maj: Fraction):
     return majored_lp_lower(h_maj, p), upper
 
 
-def _p1_stop(run_lo: float, run_up: float, m: int) -> float:
-    """The majored ratio at or below which the p = 1 bracket of an m-vertex
-    subgraph, m * (h/2, h), stays within the rows run_lo and run_up."""
-    return min(run_up, 2.0 * run_lo) / m
+def _stop(p: float, run_lo: float, run_up: float, m: int) -> Optional[float]:
+    """The majored ratio h at or below which the bracket of an m-vertex
+    subgraph, m * (majored_lp_lower(h, p), upper(h)), stays within the rows
+    run_lo and run_up; None where the module docstring says to search in
+    full.
+
+    A lower factor that underflows to 0 (4^-p at large p) never binds, and
+    the upper limit is clamped at m before the power, so that large p
+    neither divides by 0 nor overflows; the kernel clamps a stop of m or
+    more to m/1 anyway."""
+    if p == 1:
+        return min(run_up, 2.0 * run_lo) / m
+    if p == 2 or p > _STOP_MAX_P:
+        return None
+    factor = majored_lp_lower(1.0, p)
+    lo_limit = run_lo / (m * factor) if factor > 0.0 else math.inf
+    base = run_up / (2.0 * m)
+    up_limit = float(m) if base >= m ** (1.0 / p) else base ** p
+    return min(lo_limit, up_limit)
 
 
 def poincare_profile(G: Graph, n_max: int, p: float,
@@ -206,7 +277,7 @@ def poincare_profile(G: Graph, n_max: int, p: float,
         m = len(key)
         if m < 2:
             return 0.0, 0.0
-        stop = _p1_stop(run_lo, run_up, m) if p == 1 and m > 2 else None
+        stop = _stop(p, run_lo, run_up, m) if m > 2 else None
         num, size, _ = kernels.cheeger_exhaustive(
             key, m, kernels.MODE_MAJORED, stop=stop)
         lo, up = _hp_bracket(key, p, Fraction(num, size))

@@ -75,6 +75,17 @@ def test_invariant_sep_and_profile(tmp_path, capsys):
     assert code == 0 and out.splitlines()[1] == "profile 2 4 4"
 
 
+def test_invariant_profile_at_large_p(tmp_path, capsys):
+    """At p = 700 the profile's stop neither divides by an underflowed
+    factor nor overflows a power."""
+    g_path = str(tmp_path / "p3.g")
+    run(["family", "path", "3", "--out", g_path], capsys)
+    code, out, err = run(["invariant", "profile", "--p", "700", "--nmax", "3",
+                          g_path], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "profile 3 4 6.00594420407"
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     code, _, err = run(["family", "cycle", "0", "--out",
                         str(tmp_path / "x.g")], capsys)

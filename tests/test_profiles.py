@@ -259,24 +259,39 @@ def test_profiles_equal_reference_loops(name, make, n_max):
             _oracle_poincare(G, n_max, p)
 
 
+def _assert_keys_equal_reference(G, n_max):
+    """_subgraphs gives, per size in increasing order, the reference's
+    distinct keys in order of first appearance, each with the first subset
+    that has it."""
+    reference = _reference_subgraphs(G, n_max)
+    sizes = {}
+    for subset, key in reference:
+        sizes.setdefault(len(key), {}).setdefault(key, subset)
+    got = list(_subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET))
+    assert got == [(m, list(firsts.values()), list(firsts))
+                   for m, firsts in sizes.items()]
+    for m, _, keys in got:
+        assert set(keys) == {key for _, key in reference if len(key) == m}
+
+
 @pytest.mark.parametrize("make,n_max", [
     (lambda: build_family("grid", 6, 6), 6),
     (lambda: build_family("hypercube", 4), 16),
+    # Above 64 vertices a subset spans several 64-bit words.
+    (lambda: build_family("cycle", 70), 4),
+    # Keys of more than 64 members are rows of Python ints.
+    (lambda: build_family("path", 66), 66),
 ])
 def test_subgraph_keys_equal_reference_relabelling(make, n_max):
-    G = make()
-    assert list(_subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET)) == \
-        _reference_subgraphs(G, n_max)
+    _assert_keys_equal_reference(make(), n_max)
 
 
 @given(connected_graphs())
 def test_subgraph_keys_equal_reference_relabelling_random(G):
-    n = G.vertex_count
-    assert list(_subgraphs(G, n, DEFAULT_SUBGRAPH_BUDGET)) == \
-        _reference_subgraphs(G, n)
+    _assert_keys_equal_reference(G, G.vertex_count)
 
 
-@given(connected_graphs(), st.sampled_from([1, 2, 3]))
+@given(connected_graphs(), st.sampled_from([1, 1.5, 2, 3, 700]))
 def test_profiles_equal_reference_loops_random(G, p):
     n = G.vertex_count
     assert separation_profile_exact(G, n).rows == _oracle_separation(G, n)
@@ -311,6 +326,17 @@ def _kernel_calls(monkeypatch, profile):
     return calls
 
 
+def test_large_exponent_equals_reference_loop():
+    """At p = 700 the lower factor 4^-p underflows to 0 and the upper limit
+    (up / 2m)^p would overflow; the stop handles both. Far above that the
+    float bracket is no longer monotone in h, and nothing is pruned."""
+    G = build_family("grid", 3, 4)
+    assert poincare_profile(G, 12, 700).rows == _oracle_poincare(G, 12, 700)
+    assert profiles._stop(1e12, 4.0, 4.0, 3) is None
+    G = build_family("cycle", 8)
+    assert poincare_profile(G, 8, 1e12).rows == _oracle_poincare(G, 8, 1e12)
+
+
 def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     """No key is searched twice in the same form, every key searched is a
     real key, the half-cut makes one cut search per distinct key, and on
@@ -323,7 +349,8 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     for name, profile in (
             ("sep", lambda: separation_profile_exact(G, 6)),
             ("p1", lambda: poincare_profile(G, 6, 1)),
-            ("p2", lambda: poincare_profile(G, 6, 2))):
+            ("p2", lambda: poincare_profile(G, 6, 2)),
+            ("p3", lambda: poincare_profile(G, 6, 3))):
         calls = _kernel_calls(monkeypatch, profile)
         assert len(calls) == len(set(calls))
         assert {key for _, key in calls} <= distinct
@@ -333,10 +360,11 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     assert forms["p2"] == {"full": len([k for k in distinct if len(k) >= 2])}
     # The half-cut searches each key once (166 keys, 2 of them find a cut
     # above the running row); at p = 1, 147 searches end at their stop and
-    # 18 run out.
+    # 18 run out, and at p = 3, 157 and 8.
     assert searched["sep"] == Counter(distinct)
     assert forms["sep"]["full"] * 10 < len(distinct)
     assert forms["p1"]["full"] * 5 < len(distinct)
+    assert forms["p3"]["full"] * 5 < len(distinct)
 
 
 def _pinned_rows_digest():
@@ -391,20 +419,38 @@ def test_pinned_exponent_rows_digest():
     assert _pinned_exponent_rows_digest() == PINNED_EXPONENT_ROWS_SHA256
 
 
+def _fallbacks_under_doubled_stop(monkeypatch, digest_of):
+    """Run digest_of() with every stop doubled; return its digest and the
+    keys searched in full after a search of theirs stopped."""
+    stop = profiles._stop
+
+    def doubled(p, lo, up, m):
+        value = stop(p, lo, up, m)
+        return None if value is None else 2 * value
+
+    monkeypatch.setattr(profiles, "_stop", doubled)
+    digest = []
+    calls = _kernel_calls(monkeypatch, lambda: digest.append(digest_of()))
+    stopped = {key for form, key in calls if form == "stop"}
+    return digest, [key for form, key in calls
+                    if form == "full" and key in stopped]
+
+
 def test_float_edge_fallback_keeps_the_rows(monkeypatch):
     """A p = 1 stop set too high, as float rounding at the edge could set
     it, stops the Cheeger kernel at sets whose bracket still exceeds a row;
     each such key is searched again in full and the rows do not change."""
-    p1_stop = profiles._p1_stop
-    monkeypatch.setattr(profiles, "_p1_stop",
-                        lambda lo, up, m: 2 * p1_stop(lo, up, m))
-    digest = []
-    calls = _kernel_calls(monkeypatch,
-                          lambda: digest.append(_pinned_rows_digest()))
+    digest, fallbacks = _fallbacks_under_doubled_stop(monkeypatch,
+                                                      _pinned_rows_digest)
     assert digest == [PINNED_ROWS_SHA256]
-    stopped = {key for form, key in calls if form == "stop"}
-    fallbacks = [key for form, key in calls
-                 if form == "full" and key in stopped]
+    assert len(fallbacks) > 10
+
+
+def test_float_edge_fallback_keeps_the_exponent_rows(monkeypatch):
+    """The same at p = 1.5 and 3, whose stop inverts both bracket ends."""
+    digest, fallbacks = _fallbacks_under_doubled_stop(
+        monkeypatch, _pinned_exponent_rows_digest)
+    assert digest == [PINNED_EXPONENT_ROWS_SHA256]
     assert len(fallbacks) > 10
 
 
