@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -160,6 +161,40 @@ def test_linear_upper_bound_six():
             for p in (1.0, 2.0):
                 w = scale_poincare_constant(Z, a, p, restarts=3, seed=0)
                 assert w.value <= 6.0 + 1e-9
+
+
+def _pinned_scale_digest():
+    """SHA-256 of the value and witness bits of scale_poincare_constant on
+    P13, C8 and grid 3x4, with uniform and non-uniform measures, and of the
+    two-dimensional sup-scale estimate of cheeger_lp on the same hosts."""
+    digest = hashlib.sha256()
+
+    def add(w):
+        digest.update(repr(w.value).encode())
+        digest.update(w.function_witness.tobytes())
+
+    for G in (build_family("path", 13), build_family("cycle", 8),
+              build_family("grid", 3, 4)):
+        n = G.vertex_count
+        for nu in (None, 1.0 + (np.arange(n) % 3) / 2.0):
+            Z = WeightedMetricGraph(G, nu)
+            for p in (1, 2, 3):
+                for a in (0.5, 1, 1.5, 3):
+                    add(scale_poincare_constant(Z, a, p, restarts=3, seed=1))
+        for p in (1, 2, 3):
+            for a in (0.5, 1, 1.5, 3):
+                add(cheeger_lp(G, p, scale_a=a, target_dim=2, restarts=3,
+                               seed=1))
+    return digest.hexdigest()
+
+
+# Taken while every scale was estimated by a call of its own.
+PINNED_SCALE_SHA256 = \
+    "877b71ef483301ebf3015f898844987e829f5dc64cc0d183f8cf8314b513aba6"
+
+
+def test_pinned_scale_digest():
+    assert _pinned_scale_digest() == PINNED_SCALE_SHA256
 
 
 def test_characteristic_witness_balanced():
