@@ -263,6 +263,13 @@ def validate_exponent(p: float) -> None:
         raise ValueError("p must be a finite number >= 1")
 
 
+def _validate_scale(a: float) -> None:
+    """Raise ValueError unless the scale a is a finite number > 0 (NaN
+    included)."""
+    if not (0 < a < math.inf):
+        raise ValueError("scale must be a finite number > 0")
+
+
 def _as_matrix(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
@@ -288,6 +295,7 @@ def _modified_ratio(nbrs: optimize.NeighborIndex, nu: np.ndarray, f,
 def scale_ratio(Z: WeightedMetricGraph, f, p: float, a: float) -> float:
     """Scale-a quotient ||grad_a f||_p / ||f - mean||_p against Z's measure
     and metric. Pure evaluation, shared by the optimizer and witness audits."""
+    _validate_scale(a)
     f = _as_matrix(f)
     den = _spread(f, Z.nu, p)
     u = optimize.sup_gradient_rows(f, Z.balls(a), p)
@@ -387,6 +395,7 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
     sandwich chain when available (scale 1 only).
     """
     validate_exponent(p)
+    _validate_scale(scale_a)
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
     n = G.vertex_count
@@ -402,14 +411,14 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
             function_witness=lam.witness_vector, exact=True,
             certified_lower=value)
     if gradient == "sup_scale":
-        est = _scale_estimate(WeightedMetricGraph(G), scale_a, p, target_dim,
-                              restarts, seed)
+        est = _scale_estimates(WeightedMetricGraph(G), [scale_a], p,
+                               target_dim, restarts, seed)[0]
     elif gradient == "modified":
         nu = np.ones(n)
         nbrs = optimize.NeighborIndex(G.neighbors)
-        _, best_f = optimize.minimize_quotient(
+        _, best_f = optimize.first_least(*optimize.minimize_quotient(
             *optimize.modified_gradient_objective(nbrs, nu, p), nu, p,
-            _starts(G, target_dim, restarts, seed, nu))
+            _starts(G, target_dim, restarts, seed, nu)))
         est = CheegerWitness(value=_modified_ratio(nbrs, nu, best_f, p),
                              kind="function", function_witness=best_f)
     else:
@@ -420,15 +429,58 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
     return est
 
 
-def _scale_estimate(Z: WeightedMetricGraph, a: float, p: float,
-                    target_dim: int, restarts: int, seed: int):
-    """The sup-gradient estimate at scale a on at least two vertices: the
-    best function found from the seeded starts, rechecked."""
-    _, best_f = optimize.minimize_quotient(
-        *optimize.sup_gradient_objective(Z.balls(a), Z.nu, p), Z.nu, p,
-        _starts(Z.graph, target_dim, restarts, seed, Z.nu))
-    return CheegerWitness(value=scale_ratio(Z, best_f, p, a), kind="function",
-                          function_witness=best_f)
+def _scale_estimates(Z: WeightedMetricGraph, scales, p: float,
+                     target_dim: int, restarts: int, seed: int) -> list:
+    """The sup-gradient estimates at each scale, in order, on at least two
+    vertices: per scale the best function found from the seeded starts,
+    rechecked with ``scale_ratio``.
+
+    Scales with equal ball matrices share one block of starts, and one
+    optimizer stack steps every block, each row with its block's matrix.
+    The matrices are padded to the widest by the ``optimize.index_matrix``
+    rule, which changes no extreme, so each scale gets the bits it would
+    get alone."""
+    blocks, block_of = {}, []
+    for a in scales:
+        balls = Z.balls(a)
+        block_of.append(blocks.setdefault((balls.shape, balls.tobytes()),
+                                          (len(blocks), balls))[0])
+    K, n = len(blocks), Z.graph.vertex_count
+    balls = optimize.index_matrix(
+        [row for _, matrix in blocks.values() for row in matrix])
+    starts = _starts(Z.graph, target_dim, restarts, seed, Z.nu)
+    S = len(starts)
+    if K > 1:  # one matrix per row; a lone matrix is shared by every row
+        balls = np.repeat(balls.reshape(K, n, -1), S, axis=0)
+    best_val, best_F = optimize.minimize_quotient(
+        *optimize.sup_gradient_objective(balls, Z.nu, p), Z.nu, p,
+        starts * K)
+    winners = [optimize.first_least(best_val[k * S:(k + 1) * S],
+                                    best_F[k * S:(k + 1) * S])[1]
+               for k in range(K)]
+    # Scales of one block get copies, so that no two witnesses share memory.
+    return [CheegerWitness(value=scale_ratio(Z, winners[k], p, a),
+                           kind="function", function_witness=winners[k].copy())
+            for a, k in zip(scales, block_of)]
+
+
+def scale_poincare_constants(Z: WeightedMetricGraph, scales, p: float,
+                             restarts: int = 8, seed: int = 0) -> list:
+    """Upper bounds on the L^p Poincare constant of Z at each scale a of
+    ``scales``, in order: one witness per scale, with the bits that
+    ``scale_poincare_constant(Z, a, p, restarts, seed)`` gives, from one
+    optimizer stack for all of them (scales with the same balls share their
+    starts)."""
+    validate_exponent(p)
+    scales = list(scales)
+    for a in scales:
+        _validate_scale(a)
+    if not scales:
+        return []
+    if Z.graph.vertex_count <= 1:
+        return [CheegerWitness(0.0, "function", exact=True,
+                               certified_lower=0.0) for _ in scales]
+    return _scale_estimates(Z, scales, p, 1, restarts, seed)
 
 
 def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
@@ -437,13 +489,10 @@ def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
 
     Gradient is the sup over the closed a-ball; means and norms are taken
     against the vertex measure. Value 0 by convention on measure-zero Z.
+    The one-scale call of ``scale_poincare_constants``: to estimate several
+    scales of one space and exponent, ask for them together.
     """
-    validate_exponent(p)
-    if a <= 0:
-        raise ValueError("scale must be positive")
-    if Z.graph.vertex_count <= 1:
-        return CheegerWitness(0.0, "function", exact=True, certified_lower=0.0)
-    return _scale_estimate(Z, a, p, 1, restarts, seed)
+    return scale_poincare_constants(Z, [a], p, restarts, seed)[0]
 
 
 def p_variance(f, p: float) -> float:

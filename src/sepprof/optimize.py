@@ -4,16 +4,20 @@ The quotient objectives are scale-invariant, so iterates live on the
 weighted mean-zero unit p-sphere. Any feasible point certifies an upper
 bound; optimizer quality only affects tightness, never soundness.
 
-Index contract. The gradients work on whole arrays over index lists built
-once per estimate. ``index_matrix`` stacks n index lists into one (n, B)
-integer matrix and pads each row with its own first member; balls come in
-this form (``WeightedMetricGraph.balls``), neighbour lists as a
-``NeighborIndex``, which adds the degrees, the edge list and the rows
-grouped by degree. A pad repeats a value that comes earlier in its row, and
-``argmax``/``argmin`` return the first extremum, so a pad is never chosen and
-ties keep going to the first member in ball order; for d > 1, to the first
-pair (i, j) of the ball in row-major order. Balls of one vertex and vertices
-without neighbours add nothing to a subgradient.
+Index contract. The gradients work on whole arrays over index lists built once
+per estimate. ``index_matrix`` stacks n index lists into one (n, B) integer
+matrix and pads each row with its own first member; balls come in this form
+(``WeightedMetricGraph.balls``), neighbour lists as a ``NeighborIndex``, which
+adds the degrees, the edge list and the rows grouped by degree. A pad repeats
+a value that comes earlier in its row, and ``argmax``/``argmin`` return the
+first extremum, so a pad is never chosen and ties keep going to the first
+member in ball order; for d > 1, to the first pair (i, j) of the ball in
+row-major order. So padding a matrix wider still, with each row's first
+member, moves none of these extremes: for d > 1 a pair (i, pad) has the value
+of the pair (0, i), which comes earlier. Vertices without neighbours add
+nothing to a subgradient; a ball of one vertex adds +-0.0 to two bins that
+start at +0.0, which leaves every sum as it is, since a sum from +0.0 is never
+-0.0.
 
 Bit-identity. These functions return the bits of the per-vertex loops they
 replaced, which tests/test_optimize.py keeps as oracles:
@@ -34,22 +38,24 @@ replaced, which tests/test_optimize.py keeps as oracles:
   adds the per-vertex terms left to right in vertex order (``ordered_sum``).
 
 Batched restarts. ``minimize_quotient`` steps all its starts together as one
-stack: an (R, n, d) array, row r the iterate of start r. The objective maps a
-stack to its R values and the subgradient to an (R, n, d) stack, each row
-with the bits it would have alone. So only operations that give every row
-those bits are used: elementwise ones, reductions along the last axis of a
-C-ordered array (``np.take`` keeps C order where fancy indexing may not),
-``nu @ F``, and per-row dot products as a stacked matmul (``rowdot``; a
-2-norm is the root of one). Neither ``einsum`` nor ``norm(axis=...)`` gives
-them. Both callables of a pair share one pass per stack (the per-ball
-extremes, the neighbour differences) through a one-slot memo keyed on the
-identity of the last stack (``memo_last``). This relies on the contract of
-``minimize_quotient``: the subgradient is only asked for the stack the
-objective saw last, and no stack is changed in place. Called in another
-order or on other arrays the pair stays correct and only recomputes. The
-single-function forms (``sup_gradient_rows``, ``sup_gradient_subgrad``,
-``modified_gradient_pow``, ``modified_gradient_subgrad``) run the batched
-code on a stack of one.
+stack: an (R, n, d) array, row r the iterate of start r from first step to
+last. The objective maps a stack to its R values and the subgradient to an
+(R, n, d) stack, each row with the bits it would have alone. Row r may have
+data of its own, so one stack can serve several problems: the scale-a
+estimates of one space and exponent give ``sup_gradient_objective`` one ball
+matrix per row. So only operations that give every row those bits are used:
+elementwise ones, reductions along the last axis of a C-ordered array
+(``np.take`` keeps C order where fancy indexing may not), ``nu @ F``, and
+per-row dot products as a stacked matmul (``rowdot``; a 2-norm is the root of
+one). Neither ``einsum`` nor ``norm(axis=...)`` gives them. Both callables of
+a pair share one pass per stack (the per-ball extremes, the neighbour
+differences) through a one-slot memo keyed on the identity of the last stack
+(``memo_last``). This relies on the contract of ``minimize_quotient``: the
+subgradient is only asked for the stack the objective saw last, and no stack
+is changed in place. Called in another order or on other arrays the pair stays
+correct and only recomputes. The single-function forms (``sup_gradient_rows``,
+``sup_gradient_subgrad``, ``modified_gradient_pow``,
+``modified_gradient_subgrad``) run the batched code on a stack of one.
 """
 
 from __future__ import annotations
@@ -97,19 +103,24 @@ def sphere_projection(nu: np.ndarray, p: float):
 @np.errstate(over="ignore", invalid="ignore")
 def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
                       project=None, min_grad=1e-15):
-    """Minimize numerator^p over the weighted mean-zero unit p-sphere.
+    """Minimize numerator^p over the weighted mean-zero unit p-sphere from
+    each start.
 
-    All starts step together as one stack of iterates. numer_pow maps a
-    stack to the p-th powers of the numerator, one per row; numer_subgrad
-    to a stack of subgradients. Returns (best objective^p, best f), the
-    first start with the least objective winning; callers recompute the
-    reported quotient from the witness.
+    All starts step together as one stack of iterates, start r as row r of
+    every stack. numer_pow maps a stack to the p-th powers of the
+    numerator, one per row; numer_subgrad to a stack of subgradients. Row r
+    may stand for a problem of its own, so one call can serve several
+    problems, each a block of rows. Returns (best_val, best_F), shapes (R,)
+    and (R, n, d): each start's least objective^p and the first iterate
+    reaching it. ``first_least`` picks a winner from them, or from a block
+    of them; callers recompute the reported quotient from the witness.
 
     ``project`` replaces the projection onto the sphere of nu and p (see
-    ``sphere_projection``); a start whose projection fails is skipped, and
-    one that fails later stops at its best iterate so far. A subgradient
-    with norm at most ``min_grad`` leaves its iterate in place. Raises
-    ValueError when no start survives. Overflow, and the NaN it may cause,
+    ``sphere_projection``). A start whose projection fails, at the start or
+    later, is frozen: it stops moving and never improves again; one that
+    fails at the start has best value +inf. A subgradient with norm at most
+    ``min_grad`` leaves its iterate in place. Raises ValueError when no
+    start survives the first projection. Overflow, and the NaN it may cause,
     raise no numpy warning: such an objective is never best, such a row
     fails projection, and a finite subgradient whose norm overflows is
     rescaled.
@@ -121,12 +132,14 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
     if project is None:
         project = sphere_projection(nu, p)
     F = np.array([np.asarray(f0, dtype=float) for f0 in starts])
+    alive = np.zeros(len(F), dtype=bool)
     if len(F):
-        F, _ = project(F)
-    if not len(F):
+        projected, alive = project(F)
+        F = np.zeros_like(F)  # where a start that fails stays
+        F[alive] = projected
+    if not alive.any():
         raise ValueError("no start survived projection onto the unit sphere")
-    live = np.arange(len(F))  # the start of each row of F
-    best_val, best_F = np.array(numer_pow(F), dtype=float), F.copy()
+    best_val, best_F = np.where(alive, numer_pow(F), np.inf), F.copy()
     for t in range(1, iters + 1):
         G = numer_subgrad(F)
         flat = G.reshape(len(G), -1)
@@ -138,7 +151,7 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
             top = np.where(big, np.abs(flat).max(axis=1), 1.0)
             flat = flat / top[:, None]
             norm, G = np.sqrt(rowdot(flat, flat)), flat.reshape(G.shape)
-        moving = norm > min_grad
+        moving = alive & (norm > min_grad)
         if moving.any():
             scale = norm[moving].reshape((-1,) + (1,) * (F.ndim - 1))
             stepped, ok = project(F[moving] - G[moving] / (scale * np.sqrt(t)))
@@ -148,16 +161,20 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
                 rows = np.flatnonzero(moving)
                 F = F.copy()
                 F[rows[ok]] = stepped
-                keep = np.ones(len(F), dtype=bool)
-                keep[rows[~ok]] = False
-                F, live = F[keep], live[keep]
-                if not len(F):
+                alive[rows[~ok]] = False
+                if not alive.any():
                     break
         val = numer_pow(F)
-        better = val < best_val[live]
-        if better.any():
-            best_val[live[better]] = val[better]
-            best_F[live[better]] = F[better]
+        better = alive & (val < best_val)
+        best_val[better] = val[better]
+        best_F[better] = F[better]
+    return best_val, best_F
+
+
+def first_least(best_val: np.ndarray, best_F: np.ndarray):
+    """(value, f) of the first start with the least finite best value, from
+    ``minimize_quotient``'s result or a block of its rows. Raises ValueError
+    when no value is finite."""
     finite = np.flatnonzero(best_val < np.inf)
     if not len(finite):
         raise ValueError("no start reached a finite objective")
@@ -256,28 +273,30 @@ def ordered_sum(terms: np.ndarray):
 
 
 def _widest_pairs(F: np.ndarray, balls: np.ndarray, p: float):
-    """For a stack F of shape (R, n, d) with d > 1 and balls (m, B) with
-    B > 1: per row r and ball x the largest ||F[r, y] - F[r, y']||_p^p over
-    pairs of members, and the columns (i, j) of its first occurrence in
-    row-major order over all B * B pairs, flattened to length R * m.
+    """For a stack F of shape (R, n, d) with d > 1 and balls (m, B), shared
+    by every row, or (R, m, B), one matrix per row, with B > 1: per row r
+    and ball x the largest ||F[r, y] - F[r, y']||_p^p over pairs of members,
+    and the columns (i, j) of its first occurrence in row-major order over
+    all B * B pairs, flattened to length R * m.
 
     Only the pairs i < j are searched: the value of (i, j) is that of
     (j, i) and the diagonal is 0, so a positive maximum first occurs above
     the diagonal, and a row whose pairs are all 0 has its first maximum at
     (0, 0). The coordinate terms are added left to right, as ``np.sum`` adds
     fewer than 8 of them. (row, ball) pairs are taken in chunks of at most
-    PAIR_CHUNK difference entries, or one."""
+    PAIR_CHUNK difference entries, or one. The pair table is built once per
+    matrix, not per row: (row, ball) k reads its row k % len(left)."""
     R, n, d = F.shape
-    m, B = balls.shape
+    m, B = balls.shape[-2:]
     iu, ju = np.triu_indices(B, 1)
-    left, right = balls[:, iu], balls[:, ju]
+    left = balls[..., iu].reshape(-1, len(iu))
+    right = balls[..., ju].reshape(-1, len(iu))
     flat = F.reshape(R * n, d)
     top, at = np.empty(R * m), np.empty(R * m, dtype=np.intp)
     step = max(1, PAIR_CHUNK // (len(iu) * d))
     for s in range(0, R * m, step):
         k = np.arange(s, min(s + step, R * m))
-        r, x = np.divmod(k, m)
-        base = (r * n)[:, None]
+        x, base = k % len(left), (k // m * n)[:, None]
         D = np.take(flat, left[x] + base, axis=0)
         D -= np.take(flat, right[x] + base, axis=0)
         np.abs(D, out=D)
@@ -296,17 +315,19 @@ def _widest_pairs(F: np.ndarray, balls: np.ndarray, p: float):
 
 
 def _ball_extremes(F: np.ndarray, balls: np.ndarray, p: float):
-    """For a stack F of shape (R, n, d), per row r and ball x the width
-    u = max over pairs y, y' of the ball of ||F[r, y] - F[r, y']||_p, and
-    the columns (i, j) of its first extremal pair: for d = 1 the first argmax
-    and the first argmin, for d > 1 the first pair in row-major order. Each
-    is an (R, len(balls)) array."""
-    R, _, d = F.shape
-    m, B = balls.shape
+    """For a stack F of shape (R, n, d) and balls (m, B), shared by every
+    row, or (R, m, B), one matrix per row: per row r and ball x the width
+    u = max over pairs y, y' of the ball of ||F[r, y] - F[r, y']||_p, as an
+    (R, m) array, and the rows (hi, lo) of F.reshape(R * n, d) at its first
+    extremal pair, each of length R * m: for d = 1 the first argmax and the
+    first argmin, for d > 1 the first pair in row-major order."""
+    R, n, d = F.shape
+    m, B = balls.shape[-2:]
+    index = (balls + (np.arange(R) * n)[:, None, None]).reshape(R * m, B)
+    pick = np.arange(R * m)
     if d == 1:
-        V = F[:, balls, 0].reshape(R * m, B)
+        V = np.take(F.reshape(R * n), index)
         i, j = V.argmax(axis=1), V.argmin(axis=1)
-        pick = np.arange(len(V))
         u = V[pick, i] - V[pick, j]
     elif B == 1:
         u, i = np.zeros(R * m), np.zeros(R * m, dtype=np.intp)
@@ -314,7 +335,7 @@ def _ball_extremes(F: np.ndarray, balls: np.ndarray, p: float):
     else:
         top, i, j = _widest_pairs(F, balls, p)
         u = np.float_power(top, 1.0 / p)
-    return u.reshape(R, m), i.reshape(R, m), j.reshape(R, m)
+    return u.reshape(R, m), index[pick, i], index[pick, j]
 
 
 def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
@@ -330,30 +351,22 @@ def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
 def sup_gradient_objective(balls: np.ndarray, nu, p: float):
     """(numer_pow, numer_subgrad) of the sup gradient for minimize_quotient:
     a stack F maps to sum_x nu_x u_x^p per row, and to a subgradient of it.
-    The two share one ball pass per stack (``memo_last``); only balls with a
-    second member take part, the others have u_x = 0 and add nothing."""
-    # Members are distinct, so a ball has a second one iff its row is not
-    # all pad.
-    xs = np.flatnonzero((balls != balls[:, :1]).any(axis=1))
-    rows, weight = balls[xs], nu[xs][:, None]
-    pick = np.arange(len(xs))
-
-    @memo_last
-    def extremes(F):
-        u, i, j = _ball_extremes(F, rows, p)
-        return u, rows[pick, i], rows[pick, j]
+    balls is one (n, B) matrix for every row of a stack, or an (R, n, B)
+    stack of them, row r's for F[r]. The two share one ball pass per stack
+    (``memo_last``)."""
+    weight = nu[:, None]
+    extremes = memo_last(lambda F: _ball_extremes(F, balls, p))
 
     def numer_pow(F):
-        U = np.zeros((len(F), len(balls)))
-        U[:, xs] = extremes(F)[0]
-        return rowdot(U ** p, nu)
+        return rowdot(extremes(F)[0] ** p, nu)
 
     def numer_subgrad(F):
         _, hi, lo = extremes(F)
-        stack = np.arange(len(F))[:, None]
-        delta = F[stack, hi] - F[stack, lo]
+        flat = F.reshape(-1, F.shape[2])
+        delta = flat[hi] - flat[lo]
         grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
-        return scatter_rows(F.shape[1], hi, lo, weight * grad)
+        v = (weight * grad.reshape(F.shape)).reshape(flat.shape)
+        return scatter_pairs(len(flat), hi, lo, v).reshape(F.shape)
 
     return numer_pow, numer_subgrad
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .optimize import (NeighborIndex, memo_last, minimize_quotient,
-                       ordered_sum, rowdot, scatter_rows)
+from .optimize import (NeighborIndex, first_least, memo_last,
+                       minimize_quotient, ordered_sum, rowdot, scatter_rows)
 
 LAMBDA2_TOL = 1e-9
 
@@ -140,7 +140,7 @@ def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):
     starts = [fiedler_vector(G)]
     starts += [rng.standard_normal(n) for _ in range(max(0, restarts - 1))]
     # nu and p only define the default projection, which unit_sphere replaces.
-    _, best_f = minimize_quotient(
+    _, best_f = first_least(*minimize_quotient(
         *lambda_infinity_objective(NeighborIndex(G.neighbors)), None, 2,
-        starts, project=unit_sphere, min_grad=0.0)
+        starts, project=unit_sphere, min_grad=0.0))
     return lambda_infinity_ratio(G, best_f), best_f

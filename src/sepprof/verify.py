@@ -24,7 +24,7 @@ from .bounds import (CompressionTable, MonotoneTable, ScaleFunction,
                      poincare_upper_bound, rearrange, rearrange_steps,
                      rho_delta)
 from .cheeger import (WeightedMetricGraph, cheeger_combinatorial,
-                      cheeger_lp, p_variance, scale_poincare_constant,
+                      cheeger_lp, p_variance, scale_poincare_constants,
                       scale_ratio)
 from .constructions import (LampGraphSpec, b_rescaling, coarsen,
                             distorted_lamp_graph, maximal_b_separated,
@@ -405,44 +405,43 @@ def suite_rescaling(ctx: VerifyContext):
         all(r <= 2 * 3 for r in disc.outer_radius),
         max(disc.outer_radius), 6))
     host = WeightedMetricGraph(p13)
-    for tag, Z, scales in (("P13", host, (1.0, 2.0, 3.0, 6.0)),
-                           ("C8", WeightedMetricGraph(build_family("cycle", 8)),
-                            (1.0, 2.0, 3.0)),
-                           ("grid34", WeightedMetricGraph(build_family("grid", 3, 4)),
-                            (1.0, 2.0, 3.0))):
+    spaces = {"P13": host,
+              "C8": WeightedMetricGraph(build_family("cycle", 8)),
+              "grid34": WeightedMetricGraph(build_family("grid", 3, 4)),
+              "Y": _discretization_space(p13, disc)}
+    # Every scale the rows below use, per space and p: one estimate each.
+    used = {"P13": {1.0: (1, 2, 3, 6, 12, 1.5), 2.0: (1, 2, 3, 6, 12)},
+            "C8": {1.0: (1, 2, 3, 1.5), 2.0: (1, 2, 3)},
+            "grid34": {1.0: (1, 2, 3), 2.0: (1, 2, 3)},
+            "Y": {1.0: (6, 18), 2.0: (6, 18)}}
+    h = {(tag, p, a): w
+         for tag, Z in spaces.items() for p, scales in used[tag].items()
+         for a, w in zip(scales, scale_poincare_constants(
+             Z, scales, p, restarts=4, seed=ctx.seed))}
+    for tag, scales in (("P13", (1, 2, 3, 6)), ("C8", (1, 2, 3)),
+                        ("grid34", (1, 2, 3))):
         for p in (1.0, 2.0):
-            worst_val = max(
-                scale_poincare_constant(Z, a, p, restarts=4,
-                                        seed=ctx.seed).value
-                for a in scales)
+            worst_val = max(h[tag, p, a].value for a in scales)
             rows.append(_row(
                 f"rescale:linear-upper:{tag}:p{p}", "linear-poincare-bound",
                 worst_val <= 6.0 + 1e-9, worst_val, 6.0))
     # Discretization transfer at a = 2b, both directions:
     # h_{a,p}(Y) <= 12 h_{2a,p}(Z) and h_{a,p}(Z) <= h_{3a,p}(Y).
-    y_metric = _discretization_space(p13, disc)
     for p in (1.0, 2.0):
-        lhs = scale_poincare_constant(y_metric, 6, p, restarts=4,
-                                      seed=ctx.seed).value
-        rhs = scale_poincare_constant(host, 12, p, restarts=4,
-                                      seed=ctx.seed).value
+        lhs, rhs = h["Y", p, 6].value, h["P13", p, 12].value
         rows.append(_row(
             f"rescale:discretization:P13:p{p}", "discretization-transfer",
             lhs <= 12 * rhs * (1 + ctx.tol), lhs, 12 * rhs, ctx.tol))
-        host_side = scale_poincare_constant(host, 6, p, restarts=4,
-                                            seed=ctx.seed).value
-        disc_side = scale_poincare_constant(y_metric, 18, p, restarts=4,
-                                            seed=ctx.seed).value
+        host_side, disc_side = h["P13", p, 6].value, h["Y", p, 18].value
         rows.append(_row(
             f"rescale:discretization-reverse:P13:p{p}",
             "discretization-transfer",
             host_side <= disc_side * (1 + ctx.tol),
             host_side, disc_side, ctx.tol))
     # Scale comparison with a = 3: nu_min(1/2)/nu_max(2a) h_a <= h_{3/2} <= h_a.
-    for tag, Z in (("P13", host), ("C8", WeightedMetricGraph(build_family("cycle", 8)))):
-        a = 3
-        west = scale_poincare_constant(Z, a, 1, restarts=4, seed=ctx.seed)
-        mid = scale_poincare_constant(Z, 1.5, 1, restarts=4, seed=ctx.seed)
+    for tag in ("P13", "C8"):
+        Z, a = spaces[tag], 3
+        west, mid = h[tag, 1.0, a], h[tag, 1.0, 1.5]
         numin = float(Z.nu.min())
         numax = max(sum(Z.nu[y] for y in range(Z.graph.vertex_count)
                         if Z.dist[x][y] <= 2 * a)
@@ -458,7 +457,7 @@ def suite_rescaling(ctx: VerifyContext):
             f"rescale:scales-upper:{tag}", "scale-comparison",
             reval <= west.value + 1e-12, reval, west.value))
     # Monotonicity of the scale gradient, on re-evaluated witnesses.
-    wit = scale_poincare_constant(host, 1, 1, restarts=4, seed=ctx.seed)
+    wit = h["P13", 1.0, 1]
     vals = [scale_ratio(host, wit.function_witness, 1, a)
             for a in (1, 2, 3, 4)]
     rows.append(_row(

@@ -197,6 +197,35 @@ def test_pinned_scale_digest():
     assert _pinned_scale_digest() == PINNED_SCALE_SHA256
 
 
+@pytest.mark.parametrize("a", [0, -1, math.inf, math.nan])
+def test_scale_must_be_finite_and_positive(a):
+    g = build_family("path", 4)
+    Z = WeightedMetricGraph(g)
+    f = np.array([1.0, 0.0, 0.0, -1.0])
+    calls = [lambda: cheeger_lp(g, 2, scale_a=a),
+             lambda: cheeger_lp(Graph(1, []), 2, scale_a=a),
+             lambda: cheeger_lp(g, 2, gradient="modified", scale_a=a),
+             lambda: scale_poincare_constant(Z, a, 2),
+             lambda: cheeger.scale_poincare_constants(Z, [1, a], 2),
+             lambda: cheeger.scale_ratio(Z, f, 2, a),
+             lambda: lp_cheeger_ratio(g, f, 2, "sup_scale", a)]
+    for call in calls:
+        with pytest.raises(ValueError, match="scale must be a finite number"):
+            call()
+
+
+def test_scale_poincare_constants_edge_lists():
+    Z = WeightedMetricGraph(build_family("path", 4))
+    assert cheeger.scale_poincare_constants(Z, [], 2) == []
+    one = WeightedMetricGraph(Graph(1, []))
+    assert [w.value for w in cheeger.scale_poincare_constants(
+        one, [1, 2], 2)] == [0.0, 0.0]
+    # Scales of one block still get witnesses of their own.
+    w1, w15 = cheeger.scale_poincare_constants(Z, [1, 1.5], 2, restarts=2)
+    assert w1.function_witness.tobytes() == w15.function_witness.tobytes()
+    assert not np.shares_memory(w1.function_witness, w15.function_witness)
+
+
 def test_characteristic_witness_balanced():
     nu = np.ones(9)
     f = characteristic_witness(nu)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepprof import optimize, spectral
+from sepprof import cheeger, optimize, spectral
 from sepprof.cheeger import WeightedMetricGraph, _starts
 from sepprof.graphs import Graph, build_family
 
@@ -269,12 +269,16 @@ def same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def sup_oracles(name, nu, p, radius):
-    """The sup-gradient (numer_pow, numer_subgrad) as per-vertex loops on
-    one function."""
-    loops = oracle_balls(METRICS[name], radius)
+def sup_oracles_for(Z, nu, p, radius):
+    """The sup-gradient (numer_pow, numer_subgrad) on Z as per-vertex loops
+    on one function."""
+    loops = oracle_balls(Z, radius)
     return (lambda f: float(nu @ (oracle_sup_rows(f, loops, p) ** p)),
             lambda f: oracle_sup_subgrad(f, loops, nu, p))
+
+
+def sup_oracles(name, nu, p, radius):
+    return sup_oracles_for(METRICS[name], nu, p, radius)
 
 
 def modified_oracles(name, nu, p):
@@ -538,7 +542,8 @@ def batched_and_oracle(G, gradient, nu, p, radius, starts, iters):
             optimize.NeighborIndex(G.neighbors), nu, p)
         old = (lambda f: oracle_modified_pow(f, G.neighbors, nu, p),
                lambda f: oracle_modified_subgrad(f, G.neighbors, nu, p))
-    return (optimize.minimize_quotient(*new, nu, p, starts, iters=iters),
+    return (optimize.first_least(*optimize.minimize_quotient(
+                *new, nu, p, starts, iters=iters)),
             oracle_minimize_quotient(*old, nu, p, starts, iters))
 
 
@@ -629,10 +634,10 @@ def test_lambda_infinity_loop_same_witness_when_a_start_collapses():
               np.ones(4), rng.standard_normal(4)]
     val_old, f_old, collapsed = oracle_lambda_infinity_loop(G, starts)
     assert collapsed == 1
-    val, f = optimize.minimize_quotient(
+    val, f = optimize.first_least(*optimize.minimize_quotient(
         *spectral.lambda_infinity_objective(optimize.NeighborIndex(
             G.neighbors)), None, 2, starts, project=spectral.unit_sphere,
-        min_grad=0.0)
+        min_grad=0.0))
     same_bits(val, val_old)
     same_bits(f, f_old)
 
@@ -674,3 +679,116 @@ def test_sup_gradient_in_row_chunks(monkeypatch, radius):
     F = rng.standard_normal((3, 20, 2))
     same_rows(optimize.sup_gradient_objective(balls, nu, 1.5),
               sup_oracles("grid", nu, 1.5, radius), F)
+
+
+@st.composite
+def scale_batches(draw):
+    """A host, a measure, p, a target dimension and 1 to 5 scales, with
+    repeats, scales below 1 (every ball a singleton) and scales at or above
+    the diameter (every ball a component)."""
+    name = draw(st.sampled_from(sorted(GRAPHS)))
+    n = GRAPHS[name].vertex_count
+    diameter = max(x for row in METRICS[name].dist for x in row
+                   if x < math.inf)
+    pool = [0.25, 0.5, 1, 1.5, 2, 3, diameter, diameter + 0.5, 100]
+    scales = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nu = rng.uniform(0.5, 2.0, n) if draw(st.booleans()) else None
+    p = draw(st.sampled_from([1, 1.5, 2, 3]))
+    return (WeightedMetricGraph(GRAPHS[name], nu), scales, p,
+            draw(st.sampled_from([1, 2])), draw(st.integers(0, 3)))
+
+
+def same_witness(w, alone):
+    same_bits(w.value, alone.value)
+    same_bits(w.function_witness, alone.function_witness)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scale_batches())
+def test_scale_batch_gives_each_scale_its_bits_alone(case):
+    Z, scales, p, d, seed = case
+    if d == 1:
+        batched = cheeger.scale_poincare_constants(Z, scales, p, restarts=2,
+                                                   seed=seed)
+        alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2,
+                                                 seed=seed) for a in scales]
+    else:
+        batched = cheeger._scale_estimates(Z, scales, p, d, 2, seed)
+        alone = [cheeger._scale_estimates(Z, [a], p, d, 2, seed)[0]
+                 for a in scales]
+    assert len(batched) == len(scales)
+    for w, w_alone in zip(batched, alone):
+        same_witness(w, w_alone)
+
+
+def test_scale_batch_keeps_bits_when_starts_stop(monkeypatch):
+    """On the 4-cycle at p = 1 some starts of the scale-1 block stop on a
+    constant mid-run, and one start is constant from the beginning; every
+    scale of the batch still gets the bits it gets alone."""
+    G = build_family("cycle", 4)
+    Z, nu = WeightedMetricGraph(G), np.ones(4)
+    rng = np.random.default_rng(4)
+    starts = [np.ones((4, 1))]
+    starts += [np.round(rng.standard_normal((4, 1))) for _ in range(4)]
+    starts += [rng.standard_normal((4, 1)) for _ in range(4)]
+    collapsed = oracle_minimize_quotient(
+        *sup_oracles_for(Z, nu, 1, 1), nu, 1, starts, 200)[2]
+    assert collapsed > 0
+    monkeypatch.setattr(cheeger, "_starts", lambda *args: starts)
+    scales = [2, 1, 0.5, 1]
+    for w, a in zip(cheeger.scale_poincare_constants(Z, scales, 1), scales):
+        same_witness(w, cheeger.scale_poincare_constant(Z, a, 1))
+
+
+def test_batched_blocks_keep_their_bits_when_a_start_collapses():
+    """The 4-cycle starts of the collapse test above, as the middle block
+    of one stack: the start that lands on 0 at its first step freezes, the
+    constant start has best value +inf, and each block gets the bits it
+    gets alone."""
+    G = build_family("cycle", 4)
+    rng = np.random.default_rng(3)
+    collapsing = [rng.standard_normal(4), np.array([0.5, 0.5, -0.5, -0.5]),
+                  np.ones(4), rng.standard_normal(4)]
+    other = [rng.standard_normal(4) for _ in range(3)]
+
+    seen = []
+
+    def run(starts):
+        objective, subgradient = spectral.lambda_infinity_objective(
+            optimize.NeighborIndex(G.neighbors))
+
+        def recorded(F):
+            seen.append(F)
+            return objective(F)
+
+        return optimize.minimize_quotient(
+            recorded, subgradient, None, 2, starts,
+            project=spectral.unit_sphere, min_grad=0.0)
+
+    best_val, best_F = run(other + collapsing + other)
+    assert best_val.shape == (10,) and best_F.shape == (10, 4)
+    # Frozen rows stop moving: the collapsed start at its last iterate, the
+    # constant one at 0.
+    assert all((F[4] == seen[1][4]).all() and not F[5].any() for F in seen)
+    for block, rows in ((other, slice(0, 3)), (collapsing, slice(3, 7)),
+                        (other, slice(7, 10))):
+        alone_val, alone_F = run(block)
+        same_bits(best_val[rows], alone_val)
+        same_bits(best_F[rows], alone_F)
+    assert best_val[5] == np.inf
+    val_old, f_old, collapsed = oracle_lambda_infinity_loop(G, collapsing)
+    assert collapsed == 1
+    val, f = optimize.first_least(best_val[3:7], best_F[3:7])
+    same_bits(val, val_old)
+    same_bits(f, f_old)
+
+
+def test_first_least_takes_the_first_least_finite_value():
+    F = np.arange(5.0)[:, None, None]
+    val, f = optimize.first_least(np.array([np.inf, 2.0, np.nan, 1.0, 1.0]),
+                                  F)
+    same_bits(val, 1.0)
+    assert f.tobytes() == F[3].tobytes()
+    with pytest.raises(ValueError, match="no start reached a finite"):
+        optimize.first_least(np.array([np.inf, np.nan]), F[:2])
