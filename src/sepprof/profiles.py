@@ -2,10 +2,10 @@
 
 Both exact profiles are one sup over the connected induced subgraphs with at
 most n vertices, taken by one driver, ``_sup_rows``; each profile only says
-how to evaluate one subgraph. Removing edges never increases a half-cut or
-an L^p constant (balls shrink, so gradients shrink pointwise), and
-disconnected subgraphs contribute 0, so the sup is attained on connected
-induced ones.
+how to evaluate the subgraphs of one size. Removing edges never increases a
+half-cut or an L^p constant (balls shrink, so gradients shrink pointwise),
+and disconnected subgraphs contribute 0, so the sup is attained on
+connected induced ones.
 
 ``_subgraphs`` relabels each subgraph in sorted vertex order, so translated
 copies of one shape (in a grid, say) give the same key: the tuple of
@@ -13,7 +13,7 @@ relabelled neighbour masks. It computes the keys of one size as numpy passes
 and yields only the distinct ones, each with the first subgraph, in
 enumeration order, that has it; the driver evaluates each of them once. This
 is exact because the key is the evaluator's whole input: it is all the
-kernels get, and ``_hp_bracket`` builds the p = 2 subgraph from it. An
+kernels get, and the p = 2 gap and degree are computed from it. An
 evaluation is a (lower, upper) pair; row n holds the largest of each over
 the subgraphs with at most n vertices, and its witness is the first
 subgraph, in enumeration order, that strictly raises the upper value of its
@@ -32,20 +32,31 @@ kernel (see ``kernels``). The half-cut is one cut search over the sizes
 int(up)..m: a cut of exactly int(up) vertices means it cannot raise a row,
 and a larger first cut is the half-cut itself.
 
-At every p but 2 both bracket ends, majored_lp_lower(h, p) and h (p = 1) or
-2 h^(1/p), are nondecreasing in the majored constant h, so the Cheeger
-kernel stops at the first set whose ratio is at most ``_stop``, the largest
-h with m times the bracket within (lo, up). The float bracket at the
-stopped set decides: within both rows, the full minimum, which is at most
-that set's ratio, is within them too; otherwise float rounding at the edge
-of the stop put it above a row, and the search runs in full. The float
-bracket is monotone as well: products are correctly rounded, and two
-distinct majored ratios at most m <= 22, with denominators at most 11,
-differ by a factor of at least 1 + 1/2662, so their p-th roots differ by a
-relative 3.7e-4 / p, far more than the sub-ulp error of ``pow`` for p up
-to ``_STOP_MAX_P``; a smaller ratio never gets a larger float upper end.
-Above that p, and at p = 2, whose lower end comes from lambda2 of the
-subgraph and not from h, every key is evaluated in full.
+Both bracket ends are nondecreasing in the majored constant h: at p = 2
+the lower end comes from lambda2 and not from h, and the upper end is
+min(sqrt(2) h2mod, 2 sqrt(h)); at every other p they are
+majored_lp_lower(h, p) and h (p = 1) or 2 h^(1/p). So a bracket taken at
+any ratio of a set the Cheeger kernel searches bounds the key's own, and
+if it is within both rows the key changes none. Before the keys of one
+size are visited, one array pass over them, in chunks of at most
+``_KEY_CHUNK`` keys, takes such a ratio per key, the least over its prefix
+and suffix sets (``_majored_bounds``), and at p = 2 each key's lambda2 from
+one stacked ``eigh`` (``spectral.lambda2_stack``). A key whose bracket at
+that bound is within the rows is skipped with no kernel call. At p = 2 a
+key that is not is searched in full. At every other p the Cheeger kernel
+stops at the first set whose ratio is at most ``_stop``, the largest h
+with m times the bracket within (lo, up). The float bracket at the stopped
+set decides: within both rows, the full minimum, which is at most that
+set's ratio, is within them too; otherwise float rounding at the edge of
+the stop put it above a row, and the search runs in full.
+
+The float bracket is monotone as well, so the skips are exact in floats.
+At p = 2, sqrt and min are monotone and correctly rounded. At every other p,
+products are correctly rounded, and two distinct majored ratios at most
+m <= 22, with denominators at most 11, differ by a factor of at least
+1 + 1/2662, so their p-th roots differ by a relative 3.7e-4 / p, far more
+than the sub-ulp error of ``pow`` for p up to ``_STOP_MAX_P``; a smaller
+ratio never gets a larger float upper end. Above that p nothing is pruned.
 """
 
 from __future__ import annotations
@@ -63,7 +74,11 @@ from .cheeger import (EXACT_LIMIT, _mask_to_set, certified_lp_lower,
                       majored_lp_lower, validate_exponent)
 from .errors import ExactSearchInfeasible
 from .graphs import Graph, induced_subgraph
-from .spectral import lambda2
+from .spectral import lambda2_stack
+# Not called here; kept as a module attribute, since the benchmark tracer
+# rebinds lambda2 in every module that imported it and its test checks this
+# one.
+from .spectral import lambda2  # noqa: F401
 
 DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
@@ -172,18 +187,20 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
         yield m, firsts, keys
 
 
-def _sup_rows(G: Graph, n_max: int, budget: int, evaluate,
+def _sup_rows(G: Graph, n_max: int, budget: int, evaluator,
               exact: bool) -> list[ProfileRow]:
     """Rows n = 1..n_max of the sup over connected induced subgraphs with at
-    most n vertices of evaluate(key, lo, up), which returns the subgraph's
-    (lower, upper) floats or None when neither exceeds the running row
+    most n vertices of their (lower, upper) floats. evaluator(keys) is called
+    once per size with that size's distinct keys and returns evaluate(i, lo,
+    up): the floats of keys[i], or None when neither exceeds the running row
     values lo and up. Each distinct key is evaluated once, with its first
     subset as the witness candidate."""
     rows: list[ProfileRow] = []
     lo, up, witness = 0.0, 0.0, None
     for m, subsets, keys in _subgraphs(G, n_max, budget):
-        for subset, key in zip(subsets, keys):
-            value = evaluate(key, lo, up)
+        evaluate = evaluator(keys)
+        for i, subset in enumerate(subsets):
+            value = evaluate(i, lo, up)
             if value is None:
                 continue
             if value[0] > lo:
@@ -204,40 +221,69 @@ def separation_profile_exact(G: Graph, n_max: int,
     """Exact sep(n) = max half-cut over connected induced subgraphs, n <= n_max."""
     _validate_n_max(n_max)
 
-    def half_cut(key, lo, up):
-        # lo == up: every half-cut value is its own lower and upper end. The
-        # search from t vertices finds a cut of t exactly when the half-cut
-        # is at most t; otherwise its first cut is the half-cut.
-        m, t = len(key), int(up)
-        if t >= m:
-            return None
-        mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, DEFAULT_CUT_BUDGET,
-                                        min_k=t)
-        size = float(mask.bit_count())
-        return None if size == t else (size, size)
+    def half_cuts(keys):
+        def half_cut(i, lo, up):
+            # lo == up: every half-cut value is its own lower and upper end.
+            # The search from t vertices finds a cut of t exactly when the
+            # half-cut is at most t; otherwise its first cut is the half-cut.
+            key = keys[i]
+            m, t = len(key), int(up)
+            if t >= m:
+                return None
+            mask, _ = kernels.min_cut_exact(key, m, 1, 2, m,
+                                            DEFAULT_CUT_BUDGET, min_k=t)
+            size = float(mask.bit_count())
+            return None if size == t else (size, size)
+
+        return half_cut
 
     return ProfileTable(_sup_rows(G, min(n_max, G.vertex_count), budget,
-                                  half_cut, True))
+                                  half_cuts, True))
 
 
-def _hp_bracket(key, p: float, maj: Fraction):
+def _hp_bracket(key, p: float, maj, gap=None):
     """Certified [lower, upper] for the sup-gradient L^p constant of the
-    subgraph with neighbour masks key, from the majored constant and, for
-    p=2, the gap."""
+    subgraph with neighbour masks key, from the majored constant maj (a
+    Fraction or its float) and, for p = 2, gap: the subgraph's lambda2 and
+    maximum degree."""
     m = len(key)
     if m == 2:
         return 2.0, 2.0  # two connected vertices form K2; h_p(K2) = 2
     h_maj = float(maj)
     if p == 2:
-        sub = Graph(m, [(u, v) for u in range(m) for v in range(u + 1, m)
-                        if key[u] >> v & 1])
-        h2mod = math.sqrt(2.0 * lambda2(sub).lambda2)
-        deg = sub.max_degree()
+        lam, deg = gap
+        h2mod = math.sqrt(2.0 * lam)
         lower = h2mod / math.sqrt(deg) if deg else 0.0
         upper = min(math.sqrt(2.0) * h2mod, 2.0 * math.sqrt(h_maj))
         return lower, upper
     upper = h_maj if p == 1 else 2.0 * h_maj ** (1.0 / p)
     return majored_lp_lower(h_maj, p), upper
+
+
+def _majored_bounds(masks: np.ndarray) -> np.ndarray:
+    """For each row of a stack (k, m), m >= 2, of neighbour masks, the least
+    majored ratio over the prefix sets {0..j-1} and the suffix sets
+    {m-j..m-1}, 1 <= j <= m/2: an upper bound on the majored constant that is
+    itself the ratio of a set the Cheeger kernel searches.
+
+    OR accumulations, forward and reversed, give the neighbourhood of every
+    prefix and suffix; a set's count is its outer boundary plus its members
+    adjacent to the rest. The ratios count/j are compared as the integers
+    count * (L / j), L = lcm(1..m//2), and returned as floats."""
+    k, m = masks.shape
+    prefix = np.bitwise_or.accumulate(masks, axis=1)
+    suffix = np.bitwise_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
+    scale = math.lcm(*range(1, m // 2 + 1))
+    best = np.full(k, np.iinfo(np.int64).max)
+    for j in range(1, m // 2 + 1):
+        low, high = (1 << j) - 1, ((1 << j) - 1) << (m - j)
+        for count in (
+                np.bitwise_count(prefix[:, j - 1] & ~low)
+                + np.bitwise_count(suffix[:, j] & low),
+                np.bitwise_count(suffix[:, m - j] & ~high)
+                + np.bitwise_count(prefix[:, m - j - 1] & high)):
+            np.minimum(best, count * np.int64(scale // j), out=best)
+    return best / scale
 
 
 def _stop(p: float, run_lo: float, run_up: float, m: int) -> Optional[float]:
@@ -273,26 +319,48 @@ def poincare_profile(G: Graph, n_max: int, p: float,
             f"exact profile search infeasible for n_max {n_max} > "
             f"{EXACT_LIMIT}; use a smaller n_max or poincare_lower_bounds")
 
-    def scaled_bracket(key, run_lo, run_up):
-        m = len(key)
+    def scaled_brackets(keys):
+        m = len(keys[0])
         if m < 2:
-            return 0.0, 0.0
-        stop = _stop(p, run_lo, run_up, m) if m > 2 else None
-        num, size, _ = kernels.cheeger_exhaustive(
-            key, m, kernels.MODE_MAJORED, stop=stop)
-        lo, up = _hp_bracket(key, p, Fraction(num, size))
-        if stop is not None:
-            if m * lo <= run_lo and m * up <= run_up:
-                return None
-            if Fraction(num, size) <= stop:
-                # Stopped, yet the bracket at the stopped set exceeds a row:
-                # float rounding at the edge of the stop. Search in full.
-                num, size, _ = kernels.cheeger_exhaustive(
-                    key, m, kernels.MODE_MAJORED)
-                lo, up = _hp_bracket(key, p, Fraction(num, size))
-        return m * lo, m * up
+            return lambda i, run_lo, run_up: (0.0, 0.0)
+        # One array pre-pass over the keys: their majored bounds, and at
+        # p = 2 their lambda2 and maximum degree. Above _STOP_MAX_P nothing
+        # is pruned.
+        prune = p <= _STOP_MAX_P
+        bounds, gaps = [], []
+        for start in range(0, len(keys), _KEY_CHUNK) if prune else ():
+            masks = np.array(keys[start:start + _KEY_CHUNK], dtype=np.int64)
+            bounds += _majored_bounds(masks).tolist()
+            if p == 2:
+                gaps += zip(lambda2_stack(masks).tolist(),
+                            np.bitwise_count(masks).max(axis=1).tolist())
 
-    return ProfileTable(_sup_rows(G, n_max, budget, scaled_bracket, False), p)
+        def scaled_bracket(i, run_lo, run_up):
+            key, gap = keys[i], gaps[i] if gaps else None
+            if prune:
+                lo, up = _hp_bracket(key, p, bounds[i], gap)
+                if m * lo <= run_lo and m * up <= run_up:
+                    return None
+            stop = _stop(p, run_lo, run_up, m) if m > 2 else None
+            num, size, _ = kernels.cheeger_exhaustive(
+                key, m, kernels.MODE_MAJORED, stop=stop)
+            lo, up = _hp_bracket(key, p, Fraction(num, size), gap)
+            if stop is not None:
+                if m * lo <= run_lo and m * up <= run_up:
+                    return None
+                if Fraction(num, size) <= stop:
+                    # Stopped, yet the bracket at the stopped set exceeds a
+                    # row: float rounding at the edge of the stop. Search in
+                    # full.
+                    num, size, _ = kernels.cheeger_exhaustive(
+                        key, m, kernels.MODE_MAJORED)
+                    lo, up = _hp_bracket(key, p, Fraction(num, size), gap)
+            return m * lo, m * up
+
+        return scaled_bracket
+
+    return ProfileTable(_sup_rows(G, n_max, budget, scaled_brackets, False),
+                        p)
 
 
 def poincare_lower_bounds(G: Graph, subgraphs, p: float) -> ProfileTable:

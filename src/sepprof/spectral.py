@@ -61,6 +61,23 @@ def lambda2(G: Graph) -> SpectralReport:
     return SpectralReport(lambda2=lam, certified=True, witness_vector=witness)
 
 
+def lambda2_stack(masks: np.ndarray) -> np.ndarray:
+    """``lambda2(G).lambda2`` of each graph in a stack of neighbour-mask rows
+    (k, m), m >= 2, bit for bit, from one stacked ``eigh``.
+
+    The Laplacians are built entry for entry as ``laplacian`` builds them:
+    the entries off the edges must be +0.0, since with -0.0 (as ``-A`` gives)
+    ``eigh`` rounds the eigenvalues differently. The clamp keeps a value the
+    way ``max(value, 0.0)`` does, -0.0 included."""
+    m = masks.shape[1]
+    adjacent = (masks[:, :, None] >> np.arange(m)) & 1
+    L = np.where(adjacent != 0, -1.0, 0.0)
+    diagonal = np.arange(m)
+    L[:, diagonal, diagonal] = adjacent.sum(axis=2)
+    second = np.linalg.eigh(L)[0][:, 1]
+    return np.where(0.0 > second, 0.0, second)
+
+
 def fiedler_vector(G: Graph) -> np.ndarray:
     return lambda2(G).witness_vector
 

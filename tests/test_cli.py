@@ -86,6 +86,25 @@ def test_invariant_profile_at_large_p(tmp_path, capsys):
     assert out.splitlines()[2] == "profile 3 4 6.00594420407"
 
 
+def test_invariant_profile_at_p2(tmp_path, capsys):
+    """The p = 2 rows of Q4, whose lower ends come from lambda2."""
+    g_path = str(tmp_path / "q4.g")
+    run(["family", "hypercube", "4", "--out", g_path], capsys)
+    code, out, err = run(["invariant", "profile", "--p", "2", "--nmax", "8",
+                          g_path], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "profile 1 0 0",
+        "profile 2 4 4",
+        "profile 3 4 6",
+        "profile 4 5.65685424949 11.313708499",
+        "profile 5 5.65685424949 11.313708499",
+        "profile 6 6 12",
+        "profile 7 6.71894508343 16.4579870642",
+        "profile 8 9.23760430703 19.5959179423",
+    ]
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     code, _, err = run(["family", "cycle", "0", "--out",
                         str(tmp_path / "x.g")], capsys)

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -356,15 +357,16 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
         assert {key for _, key in calls} <= distinct
         forms[name] = Counter(form for form, _ in calls)
         searched[name] = Counter(key for _, key in calls)
-    # p = 2 is not pruned: one full search per key with an edge.
-    assert forms["p2"] == {"full": len([k for k in distinct if len(k) >= 2])}
     # The half-cut searches each key once (166 keys, 2 of them find a cut
-    # above the running row); at p = 1, 147 searches end at their stop and
-    # 18 run out, and at p = 3, 157 and 8.
+    # above the running row). The pre-pass skips most keys without a search:
+    # at p = 1, 25 searches end at their stop and 6 run out, at p = 3, 30
+    # and 8, and at p = 2, which has no stop, 6 keys are searched in full.
     assert searched["sep"] == Counter(distinct)
     assert forms["sep"]["full"] * 10 < len(distinct)
     assert forms["p1"]["full"] * 5 < len(distinct)
     assert forms["p3"]["full"] * 5 < len(distinct)
+    assert set(forms["p2"]) == {"full"}
+    assert forms["p2"]["full"] * 10 < len(distinct)
 
 
 def _pinned_rows_digest():
@@ -452,6 +454,57 @@ def test_float_edge_fallback_keeps_the_exponent_rows(monkeypatch):
         monkeypatch, _pinned_exponent_rows_digest)
     assert digest == [PINNED_EXPONENT_ROWS_SHA256]
     assert len(fallbacks) > 10
+
+
+def _reference_majored_bound(key):
+    """The least majored ratio over the prefix and suffix sets of key, as a
+    loop over the sets: outer boundary plus members adjacent to the rest."""
+    m = len(key)
+    best = None
+    for j in range(1, m // 2 + 1):
+        for members in (range(j), range(m - j, m)):
+            A = sum(1 << v for v in members)
+            reach = rest_reach = 0
+            for v in range(m):
+                if A >> v & 1:
+                    reach |= key[v]
+                else:
+                    rest_reach |= key[v]
+            ratio = Fraction((reach & ~A).bit_count()
+                             + (rest_reach & A).bit_count(), j)
+            best = ratio if best is None else min(best, ratio)
+    return best
+
+
+def test_majored_bounds_equal_reference_loop():
+    """Each bound is the least prefix or suffix ratio, bit for bit, and not
+    below the key's majored constant."""
+    G = build_family("hypercube", 4)
+    for m, _, keys in _subgraphs(G, 8, DEFAULT_SUBGRAPH_BUDGET):
+        if m < 2:
+            continue
+        got = profiles._majored_bounds(np.array(keys, dtype=np.int64))
+        for key, bound in zip(keys, got.tolist()):
+            want = _reference_majored_bound(key)
+            assert bound == float(want)
+            num, size, _ = kernels.cheeger_exhaustive(key, m,
+                                                      kernels.MODE_MAJORED)
+            assert want >= Fraction(num, size)
+
+
+def test_rows_do_not_depend_on_the_majored_bounds(monkeypatch):
+    """With every pre-pass bound +inf no key is dropped at p != 2 (at p = 2
+    the lambda2 end of the bracket alone may still drop one), and the rows
+    are those of the reference loops."""
+    monkeypatch.setattr(profiles, "_majored_bounds",
+                        lambda masks: np.full(len(masks), np.inf))
+    G = build_family("grid", 3, 4)
+    calls = _kernel_calls(monkeypatch, lambda: poincare_profile(G, 12, 3))
+    assert {key for _, key in calls} == {
+        key for _, key in _reference_subgraphs(G, 12) if len(key) >= 2}
+    assert _pinned_rows_digest() == PINNED_ROWS_SHA256
+    assert _pinned_exponent_rows_digest() == PINNED_EXPONENT_ROWS_SHA256
+    assert poincare_profile(G, 12, 2).rows == _oracle_poincare(G, 12, 2)
 
 
 def test_exact_profile_budget():

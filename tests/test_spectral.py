@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sepprof.graphs import Graph, build_family, cartesian_power
-from sepprof.spectral import (lambda2, lambda_infinity_ratio,
+from sepprof.profiles import DEFAULT_SUBGRAPH_BUDGET, _subgraphs
+from sepprof.spectral import (lambda2, lambda2_stack, lambda_infinity_ratio,
                               lambda_infinity_upper)
 
 
@@ -61,3 +62,21 @@ def test_lambda_infinity_deterministic_and_power_halving():
     assert v1a == v1b
     v2, _ = lambda_infinity_upper(cartesian_power(c4, 2), restarts=8, seed=9)
     assert v2 == pytest.approx(v1a / 2, rel=0.10)
+
+
+@pytest.mark.parametrize("make,n_max", [
+    (lambda: build_family("hypercube", 4), 8),
+    (lambda: build_family("grid", 4, 4), 16),
+])
+def test_lambda2_stack_is_lambda2_bit_for_bit(make, n_max):
+    """One stacked eigh gives lambda2 of every profile key bit for bit; with
+    -0.0 off the edges it would not."""
+    for m, _, keys in _subgraphs(make(), n_max, DEFAULT_SUBGRAPH_BUDGET):
+        if m < 2:
+            continue
+        got = lambda2_stack(np.array(keys, dtype=np.int64))
+        want = [lambda2(Graph(m, [(u, v) for u in range(m)
+                                  for v in range(u + 1, m)
+                                  if key[u] >> v & 1])).lambda2
+                for key in keys]
+        assert got.tobytes() == np.array(want).tobytes()
