@@ -241,13 +241,18 @@ def read_group_file(path) -> FiniteGroup:
     while i < len(lines):
         line = lines[i]
         if line.startswith("order"):
-            order = int(line.split()[1])
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"order line needs one number: {line!r}")
+            order = int(fields[1])
             i += 1
         elif line == "table":
             if order is None:
                 raise ValueError("order must precede table")
-            for j in range(order):
-                table.append([int(v) for v in lines[i + 1 + j].split()])
+            rows = lines[i + 1:i + 1 + order]
+            if len(rows) < order:
+                raise ValueError(f"table has {len(rows)} rows, order {order}")
+            table += [[int(v) for v in row.split()] for row in rows]
             i += 1 + order
         elif line.startswith("A "):
             A = tuple(int(v) for v in line.split()[1:])

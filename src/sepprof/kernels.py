@@ -16,12 +16,12 @@ here, so no backend multiplies by an unbounded numerator or denominator.
 Two threshold forms answer "is the value at most t?" without the full
 search, and are exact:
 
-- ``cheeger_exhaustive(..., stop=t)`` ends at the first subset, in
-  lexicographic order, whose ratio is at most t, and returns it; when there
-  is none the result is the full search's. The stop reaches the backend as
-  the largest a/b <= t with 1 <= b <= n // 2, clamped to n/1. Every ratio
-  the search compares is boundary/size with size <= n // 2 and at most n,
-  so it is at most t exactly when it is at most a/b, and both are small.
+- ``cheeger_exhaustive(..., stop=(a, b))`` ends at the first subset, in
+  lexicographic order, whose ratio is at most a/b, and returns it; when
+  there is none the result is the full search's. a and b are plain
+  integers, b >= 1, passed to the backend as they are: it compares
+  boundary * b <= a * size exactly, so the caller keeps them small (a
+  ratio of the search itself, a <= n and b <= n // 2, say).
 - ``min_cut_exact(..., min_k=t)`` searches the sizes t..max_k only. Removing
   more vertices never enlarges a component, so a cut of t vertices exists
   exactly when one of at most t does. With max_k = n the search therefore
@@ -68,25 +68,9 @@ def _impl(n: int, backend=None):
     return _kernels_py
 
 
-def _stop_fraction(stop, n):
-    """(a, b) for the stop ratio of an n-vertex Cheeger search, (0, 0) for
-    none; see the module docstring."""
-    if stop is None or stop < 0 or n < 2:
-        return 0, 0
-    if stop >= n:
-        return n, 1
-    num, den = stop.as_integer_ratio()
-    best = (0, 1)
-    for b in range(1, n // 2 + 1):
-        a = num * b // den
-        if a * best[1] > best[0] * b:
-            best = (a, b)
-    return best
-
-
 def cheeger_exhaustive(masks, n, mode, backend=None, *, stop=None):
     return _impl(n, backend).cheeger_exhaustive(
-        list(masks), n, mode, *_stop_fraction(stop, n))
+        list(masks), n, mode, *(stop or (0, 0)))
 
 
 def min_cut_exact(masks, n, num, den, max_k, budget, backend=None, *,

@@ -42,28 +42,34 @@ size are visited, one array pass over them, in chunks of at most
 ``_KEY_CHUNK`` keys, takes such a ratio per key, the least over its prefix
 and suffix sets (``_majored_bounds``), and at p = 2 each key's lambda2 from
 one stacked ``eigh`` (``spectral.lambda2_stack``). A key whose bracket at
-that bound is within the rows is skipped with no kernel call. At p = 2 a
-key that is not is searched in full. At every other p the Cheeger kernel
-stops at the first set whose ratio is at most ``_stop``, the largest h
-with m times the bracket within (lo, up). The float bracket at the stopped
-set decides: within both rows, the full minimum, which is at most that
-set's ratio, is within them too; otherwise float rounding at the edge of
-the stop put it above a row, and the search runs in full.
+that bound is within the rows is skipped with no kernel call.
 
-The float bracket is monotone as well, so the skips are exact in floats.
-At p = 2, sqrt and min are monotone and correctly rounded. At every other p,
-products are correctly rounded, and two distinct majored ratios at most
-m <= 22, with denominators at most 11, differ by a factor of at least
-1 + 1/2662, so their p-th roots differ by a relative 3.7e-4 / p, far more
-than the sub-ulp error of ``pow`` for p up to ``_STOP_MAX_P``; a smaller
-ratio never gets a larger float upper end. Above that p nothing is pruned.
+Every other key gets one Cheeger search with a stop: the largest ratio a/b
+a set of the key can have (``_ratios``) whose bracket is within both rows,
+found by bisection (``_largest_within``), the same test as the skip. The
+kernel ends at the first set whose ratio is at most a/b; the key's minimum
+is at most that ratio, so its bracket is within the rows and the search is
+final. A search that does not stop runs in full and returns the key's own
+minimum. At p = 2 the lambda2 end depends on no ratio: when it exceeds lo,
+no ratio is within, and the search has no stop.
+
+The float bracket is monotone over these ratios as well, so the skips and
+the stops are exact in floats. At p = 2, sqrt and min are monotone and
+correctly rounded. At every other p, products are correctly rounded, and
+two distinct majored ratios at most m <= 22, with denominators at most 11,
+differ by a factor of at least 1 + 1/2662, so their p-th roots differ by a
+relative 3.7e-4 / p, far more than the sub-ulp error of ``pow`` for p up
+to ``_PRUNE_MAX_P``; a smaller ratio never gets a larger float upper end.
+Above that p nothing is pruned and nothing stops.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby, islice
 from typing import Optional
 
@@ -84,7 +90,7 @@ DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
 _KEY_CHUNK = 1024
 # The largest p at which the float bracket is monotone in h (module docstring).
-_STOP_MAX_P = 1e9
+_PRUNE_MAX_P = 1e9
 
 
 @dataclass
@@ -241,15 +247,14 @@ def separation_profile_exact(G: Graph, n_max: int,
                                   half_cuts, True))
 
 
-def _hp_bracket(key, p: float, maj, gap=None):
+def _hp_bracket(key, p: float, h_maj: float, gap=None):
     """Certified [lower, upper] for the sup-gradient L^p constant of the
-    subgraph with neighbour masks key, from the majored constant maj (a
-    Fraction or its float) and, for p = 2, gap: the subgraph's lambda2 and
-    maximum degree."""
+    subgraph with neighbour masks key, from the float h_maj of its majored
+    constant and, for p = 2, gap: the subgraph's lambda2 and maximum
+    degree."""
     m = len(key)
     if m == 2:
         return 2.0, 2.0  # two connected vertices form K2; h_p(K2) = 2
-    h_maj = float(maj)
     if p == 2:
         lam, deg = gap
         h2mod = math.sqrt(2.0 * lam)
@@ -286,25 +291,22 @@ def _majored_bounds(masks: np.ndarray) -> np.ndarray:
     return best / scale
 
 
-def _stop(p: float, run_lo: float, run_up: float, m: int) -> Optional[float]:
-    """The majored ratio h at or below which the bracket of an m-vertex
-    subgraph, m * (majored_lp_lower(h, p), upper(h)), stays within the rows
-    run_lo and run_up; None where the module docstring says to search in
-    full.
+@lru_cache(maxsize=EXACT_LIMIT)
+def _ratios(m: int) -> tuple[tuple[int, int], ...]:
+    """The distinct majored ratios a/b a set of an m-vertex key can have,
+    count a <= m and size 1 <= b <= m // 2, in increasing order and lowest
+    terms."""
+    return tuple((r.numerator, r.denominator) for r in sorted(
+        {Fraction(a, b) for b in range(1, m // 2 + 1) for a in range(m + 1)}))
 
-    A lower factor that underflows to 0 (4^-p at large p) never binds, and
-    the upper limit is clamped at m before the power, so that large p
-    neither divides by 0 nor overflows; the kernel clamps a stop of m or
-    more to m/1 anyway."""
-    if p == 1:
-        return min(run_up, 2.0 * run_lo) / m
-    if p == 2 or p > _STOP_MAX_P:
-        return None
-    factor = majored_lp_lower(1.0, p)
-    lo_limit = run_lo / (m * factor) if factor > 0.0 else math.inf
-    base = run_up / (2.0 * m)
-    up_limit = float(m) if base >= m ** (1.0 / p) else base ** p
-    return min(lo_limit, up_limit)
+
+def _largest_within(m: int, within) -> Optional[tuple[int, int]]:
+    """The largest of ``_ratios(m)`` whose float passes within, or None when
+    none does. within holds on a prefix of them (module docstring), so a
+    bisection asks it at most 8 times, m <= 22."""
+    ratios = _ratios(m)
+    i = bisect_left(ratios, True, key=lambda r: not within(r[0] / r[1]))
+    return ratios[i - 1] if i else None
 
 
 def poincare_profile(G: Graph, n_max: int, p: float,
@@ -324,9 +326,9 @@ def poincare_profile(G: Graph, n_max: int, p: float,
         if m < 2:
             return lambda i, run_lo, run_up: (0.0, 0.0)
         # One array pre-pass over the keys: their majored bounds, and at
-        # p = 2 their lambda2 and maximum degree. Above _STOP_MAX_P nothing
+        # p = 2 their lambda2 and maximum degree. Above _PRUNE_MAX_P nothing
         # is pruned.
-        prune = p <= _STOP_MAX_P
+        prune = p <= _PRUNE_MAX_P
         bounds, gaps = [], []
         for start in range(0, len(keys), _KEY_CHUNK) if prune else ():
             masks = np.array(keys[start:start + _KEY_CHUNK], dtype=np.int64)
@@ -337,24 +339,21 @@ def poincare_profile(G: Graph, n_max: int, p: float,
 
         def scaled_bracket(i, run_lo, run_up):
             key, gap = keys[i], gaps[i] if gaps else None
+
+            def within(h):
+                lo, up = _hp_bracket(key, p, h, gap)
+                return m * lo <= run_lo and m * up <= run_up
+
+            stop = None
             if prune:
-                lo, up = _hp_bracket(key, p, bounds[i], gap)
-                if m * lo <= run_lo and m * up <= run_up:
+                if within(bounds[i]):
                     return None
-            stop = _stop(p, run_lo, run_up, m) if m > 2 else None
+                stop = _largest_within(m, within)
             num, size, _ = kernels.cheeger_exhaustive(
                 key, m, kernels.MODE_MAJORED, stop=stop)
-            lo, up = _hp_bracket(key, p, Fraction(num, size), gap)
-            if stop is not None:
-                if m * lo <= run_lo and m * up <= run_up:
-                    return None
-                if Fraction(num, size) <= stop:
-                    # Stopped, yet the bracket at the stopped set exceeds a
-                    # row: float rounding at the edge of the stop. Search in
-                    # full.
-                    num, size, _ = kernels.cheeger_exhaustive(
-                        key, m, kernels.MODE_MAJORED)
-                    lo, up = _hp_bracket(key, p, Fraction(num, size), gap)
+            if stop and num * stop[1] <= stop[0] * size:
+                return None  # stopped at a set within the rows
+            lo, up = _hp_bracket(key, p, num / size, gap)
             return m * lo, m * up
 
         return scaled_bracket

@@ -42,6 +42,21 @@ def test_family_power_and_lamp(tmp_path, capsys):
     assert code == 0 and "20 vertices" in out
 
 
+@pytest.mark.parametrize("text,message", [
+    ("order 4\ntable\n0 1 2 3\n1 0 3 2\n", "table has 2 rows, order 4"),
+    ("order\ntable\n0\nA 0\nB 0\n", "order line needs one number"),
+])
+def test_family_lamp_malformed_group_file(tmp_path, capsys, text, message):
+    """A table shorter than its order, or an order line without a number,
+    is a validation error with exit code 2, not a traceback."""
+    grp = tmp_path / "bad.grp"
+    grp.write_text(text)
+    code, out, err = run(["family", "lamp", str(grp), "--out",
+                          str(tmp_path / "lamp.g")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_invariant_hp_with_witness(tmp_path, capsys):
     g_path = str(tmp_path / "c4.g")
     run(["family", "cycle", "4", "--out", g_path], capsys)
@@ -76,8 +91,9 @@ def test_invariant_sep_and_profile(tmp_path, capsys):
 
 
 def test_invariant_profile_at_large_p(tmp_path, capsys):
-    """At p = 700 the profile's stop neither divides by an underflowed
-    factor nor overflows a power."""
+    """At p = 700 the lower factor 4^-p underflows to 0 and the upper end
+    2 h^(1/p) is close to 2 at every ratio; the profile's pre-pass and stop
+    compare those floats as they are."""
     g_path = str(tmp_path / "p3.g")
     run(["family", "path", "3", "--out", g_path], capsys)
     code, out, err = run(["invariant", "profile", "--p", "700", "--nmax", "3",

@@ -165,21 +165,21 @@ def lex_subsets(n, max_size):
 
 def brute_cheeger_stopped(G, mode, stop):
     """Oracle for the stop form: the first admissible subset, in DFS order,
-    whose ratio is at most stop; without one, the full search's triple."""
+    whose ratio is at most a/b for stop = (a, b); without one, the full
+    search's triple."""
     from sepprof.cheeger import boundary_count
 
     for combo in lex_subsets(G.vertex_count, G.vertex_count // 2):
         mask = sum(1 << v for v in combo)
         num = boundary_count(G, mask, mode)
-        if Fraction(num, len(combo)) <= stop:
+        if Fraction(num, len(combo)) <= Fraction(*stop):
             return (num, len(combo), mask)
     return brute_cheeger_first(G, mode)
 
 
-stops = st.one_of(
-    st.fractions(min_value=0, max_value=14, max_denominator=12),
-    st.floats(min_value=0, max_value=14),
-    st.sampled_from([-1, 0, 1, 13]))
+# Stop pairs (a, b) of plain integers, b >= 1: in lowest terms or not, and
+# with a or b beyond the counts and sizes an n-vertex search compares.
+stops = st.tuples(st.integers(0, 14), st.integers(1, 12))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -193,7 +193,7 @@ def test_cheeger_stop_is_first_set_at_or_below(backends, backend, G, stop):
         assert got == brute_cheeger_stopped(G, mode_name, stop)
         full = kernels.cheeger_exhaustive(G.neighbor_masks, n, mode,
                                           backend=backend)
-        if got[1] == 0 or Fraction(got[0], got[1]) > stop:
+        if got[1] == 0 or Fraction(got[0], got[1]) > Fraction(*stop):
             assert got == full  # no set reaches the stop
         else:
             assert full[0] * got[1] <= got[0] * full[1]
@@ -206,22 +206,6 @@ def test_backend_parity_cheeger_stop(backends, G, stop):
         assert len({kernels.cheeger_exhaustive(
             G.neighbor_masks, G.vertex_count, mode, backend=backend,
             stop=stop) for backend in backends}) == 1
-
-
-def test_stop_fraction_is_the_largest_below_with_small_denominator():
-    assert kernels._stop_fraction(None, 8) == (0, 0)
-    assert kernels._stop_fraction(-0.5, 8) == (0, 0)
-    assert kernels._stop_fraction(0.3, 1) == (0, 0)
-    assert kernels._stop_fraction(8, 8) == (8, 1)
-    assert kernels._stop_fraction(2 ** 100, 8) == (8, 1)
-    for n in range(2, 23):
-        for stop in (0, 0.1, 1 / 3, 0.5, Fraction(7, 5), 2.75, n - 1e-9):
-            a, b = kernels._stop_fraction(stop, n)
-            assert 1 <= b <= n // 2 and Fraction(a, b) <= stop
-            assert all(Fraction(num, size) <= Fraction(a, b)
-                       for size in range(1, n // 2 + 1)
-                       for num in range(n * size + 1)
-                       if Fraction(num, size) <= stop)
 
 
 def brute_min_cut(G, num, den):
@@ -459,7 +443,7 @@ def test_min_cut_min_k_wide_graphs(backends, G, frac, t):
 
 @settings(max_examples=15)
 @given(wide_graphs(), st.sampled_from(_MODES),
-       st.sampled_from([1, 2, Fraction(5, 2), 3.0]))
+       st.sampled_from([(1, 1), (2, 1), (5, 2), (3, 1)]))
 def test_cheeger_stop_wide_graphs(backends, G, mode, stop):
     """On 63 and 64 vertices the full search is out of reach, but the DFS
     meets a path prefix with a small ratio within a few sets, so a stop
@@ -474,7 +458,7 @@ def test_cheeger_stop_wide_graphs(backends, G, mode, stop):
                for backend in backends}
     assert len(results) == 1
     num, size, mask = results.pop()
-    assert Fraction(num, size) <= stop and mask.bit_count() == size
+    assert Fraction(num, size) <= Fraction(*stop) and mask.bit_count() == size
     assert boundary_count(G, mask, mode_name) == num
     for checked, combo in enumerate(lex_subsets(n, n // 2)):
         assert checked < 100
@@ -482,7 +466,7 @@ def test_cheeger_stop_wide_graphs(backends, G, mode, stop):
         if subset == mask:
             break
         assert Fraction(boundary_count(G, subset, mode_name), len(combo)) \
-            > stop
+            > Fraction(*stop)
 
 
 def scalar_min_cut(masks, n, cap, max_k, budget, min_k=0):

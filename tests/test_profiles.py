@@ -115,7 +115,7 @@ def test_bracket_lower_is_the_certified_sandwich(p):
         factor = 1.0 if p == 1 else min(1 / 12, 4.0 ** -p / 2)
         expected = majored_lp_lower(h_maj, p)
         assert expected == pytest.approx(factor * h_maj / 2, rel=1e-15)
-        assert _hp_bracket(key, p, Fraction(num, size))[0] == expected
+        assert _hp_bracket(key, p, h_maj)[0] == expected
         sub = induced_subgraph(G, verts)
         assert certified_lp_lower(sub, p, "sup_scale") == expected
 
@@ -308,7 +308,7 @@ def _kernel_calls(monkeypatch, profile):
 
     def counted_cheeger(masks, n, mode, backend=None, *, stop=None):
         num, size, mask = cheeger(masks, n, mode, backend, stop=stop)
-        stopped = stop is not None and Fraction(num, size) <= stop
+        stopped = stop is not None and num * stop[1] <= stop[0] * size
         calls.append(("stop" if stopped else "full", tuple(masks)))
         return num, size, mask
 
@@ -327,15 +327,27 @@ def _kernel_calls(monkeypatch, profile):
     return calls
 
 
-def test_large_exponent_equals_reference_loop():
-    """At p = 700 the lower factor 4^-p underflows to 0 and the upper limit
-    (up / 2m)^p would overflow; the stop handles both. Far above that the
-    float bracket is no longer monotone in h, and nothing is pruned."""
+def test_large_exponent_equals_reference_loop(monkeypatch):
+    """At p = 700 the lower factor 4^-p underflows to 0 and the upper end
+    2 h^(1/p) is close to 2 at every ratio; the pre-pass and the stop
+    compare those floats as they are. Far above that the float bracket is
+    no longer monotone in h: nothing is pruned and no search has a stop."""
     G = build_family("grid", 3, 4)
     assert poincare_profile(G, 12, 700).rows == _oracle_poincare(G, 12, 700)
-    assert profiles._stop(1e12, 4.0, 4.0, 3) is None
     G = build_family("cycle", 8)
-    assert poincare_profile(G, 8, 1e12).rows == _oracle_poincare(G, 8, 1e12)
+    stops = []
+    cheeger = kernels.cheeger_exhaustive
+
+    def recorded(masks, n, mode, backend=None, *, stop=None):
+        stops.append(stop)
+        return cheeger(masks, n, mode, backend, stop=stop)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "cheeger_exhaustive", recorded)
+        rows = poincare_profile(G, 8, 1e12).rows
+    assert 1e12 > profiles._PRUNE_MAX_P
+    assert stops and set(stops) == {None}
+    assert rows == _oracle_poincare(G, 8, 1e12)
 
 
 def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
@@ -359,8 +371,8 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
         searched[name] = Counter(key for _, key in calls)
     # The half-cut searches each key once (166 keys, 2 of them find a cut
     # above the running row). The pre-pass skips most keys without a search:
-    # at p = 1, 25 searches end at their stop and 6 run out, at p = 3, 30
-    # and 8, and at p = 2, which has no stop, 6 keys are searched in full.
+    # at p = 1, 28 searches end at their stop and 3 run out, at p = 3, 30
+    # and 8, and at p = 2, 6 keys are searched and none of them stops.
     assert searched["sep"] == Counter(distinct)
     assert forms["sep"]["full"] * 10 < len(distinct)
     assert forms["p1"]["full"] * 5 < len(distinct)
@@ -421,39 +433,77 @@ def test_pinned_exponent_rows_digest():
     assert _pinned_exponent_rows_digest() == PINNED_EXPONENT_ROWS_SHA256
 
 
-def _fallbacks_under_doubled_stop(monkeypatch, digest_of):
-    """Run digest_of() with every stop doubled; return its digest and the
-    keys searched in full after a search of theirs stopped."""
-    stop = profiles._stop
-
-    def doubled(p, lo, up, m):
-        value = stop(p, lo, up, m)
-        return None if value is None else 2 * value
-
-    monkeypatch.setattr(profiles, "_stop", doubled)
-    digest = []
-    calls = _kernel_calls(monkeypatch, lambda: digest.append(digest_of()))
-    stopped = {key for form, key in calls if form == "stop"}
-    return digest, [key for form, key in calls
-                    if form == "full" and key in stopped]
+_MONOTONE_EXPONENTS = (1, 1.5, 3, 700, 1e9)
+# (lambda2, maximum degree) of P6, the star K1,3, C4, Q3 and K4: the p = 2
+# bracket's lower end depends on them and not on the ratio.
+_GAPS = ((2 - math.sqrt(3), 2), (1.0, 3), (2.0, 2), (2.0, 3), (4.0, 3))
 
 
-def test_float_edge_fallback_keeps_the_rows(monkeypatch):
-    """A p = 1 stop set too high, as float rounding at the edge could set
-    it, stops the Cheeger kernel at sets whose bracket still exceeds a row;
-    each such key is searched again in full and the rows do not change."""
-    digest, fallbacks = _fallbacks_under_doubled_stop(monkeypatch,
-                                                      _pinned_rows_digest)
-    assert digest == [PINNED_ROWS_SHA256]
-    assert len(fallbacks) > 10
+def test_bracket_is_monotone_over_the_ratios():
+    """Both float bracket ends are nondecreasing over _ratios(m), m <= 22,
+    at every exponent the pre-pass and the stop serve: the fact that makes
+    both of them exact."""
+    for m in range(3, 23):
+        ratios = [a / b for a, b in profiles._ratios(m)]
+        assert ratios == sorted(set(ratios))
+        for p, gap in [(p, None) for p in _MONOTONE_EXPONENTS] + \
+                [(2, gap) for gap in _GAPS]:
+            brackets = [_hp_bracket((0,) * m, p, h, gap) for h in ratios]
+            for end in (0, 1):
+                ends = [bracket[end] for bracket in brackets]
+                assert ends == sorted(ends), (m, p, gap, end)
 
 
-def test_float_edge_fallback_keeps_the_exponent_rows(monkeypatch):
-    """The same at p = 1.5 and 3, whose stop inverts both bracket ends."""
-    digest, fallbacks = _fallbacks_under_doubled_stop(
-        monkeypatch, _pinned_exponent_rows_digest)
-    assert digest == [PINNED_EXPONENT_ROWS_SHA256]
-    assert len(fallbacks) > 10
+def test_ratios_are_every_majored_ratio():
+    """_ratios(m) lists the distinct a/b, a <= m, 1 <= b <= m // 2, in
+    lowest terms, and holds every majored minimum and pre-pass bound of
+    Q4's keys."""
+    for m in (2, 3, 8, 22):
+        assert [Fraction(a, b) for a, b in profiles._ratios(m)] == sorted(
+            {Fraction(a, b) for a in range(m + 1)
+             for b in range(1, m // 2 + 1)})
+    assert len(profiles._ratios(22)) == 159
+    G = build_family("hypercube", 4)
+    for m, _, keys in _subgraphs(G, 8, DEFAULT_SUBGRAPH_BUDGET):
+        if m < 2:
+            continue
+        ratios = {Fraction(a, b) for a, b in profiles._ratios(m)}
+        bounds = profiles._majored_bounds(np.array(keys, dtype=np.int64))
+        assert {float(r) for r in ratios} >= set(bounds.tolist())
+        for key in keys:
+            num, size, _ = kernels.cheeger_exhaustive(key, m,
+                                                      kernels.MODE_MAJORED)
+            assert Fraction(num, size) in ratios
+
+
+@pytest.mark.parametrize("p,gap", [(p, None) for p in _MONOTONE_EXPONENTS]
+                         + [(2, gap) for gap in _GAPS])
+def test_largest_within_equals_linear_scan(p, gap):
+    """_largest_within gives the last ratio, in a linear scan, whose scaled
+    bracket is within the rows, or None when the first is not, and asks the
+    bracket at most 8 times."""
+    for m in (2, 3, 7, 12, 22):
+        ratios = profiles._ratios(m)
+        brackets = [_hp_bracket((0,) * m, p, a / b, gap) for a, b in ratios]
+        # Rows at each scaled bracket end, just below and just above it.
+        ends = sorted({m * x for bracket in brackets for x in bracket})
+        levels = [0.0] + [y for x in ends
+                          for y in (x, math.nextafter(x, 0), x * 1.001)]
+        for run_lo in levels[::7]:
+            for run_up in levels[::3]:
+                calls = []
+
+                def within(h):
+                    calls.append(h)
+                    lo, up = _hp_bracket((0,) * m, p, h, gap)
+                    return m * lo <= run_lo and m * up <= run_up
+
+                want = None
+                for ratio, (lo, up) in zip(ratios, brackets):
+                    if m * lo <= run_lo and m * up <= run_up:
+                        want = ratio
+                assert profiles._largest_within(m, within) == want
+                assert len(calls) <= 8
 
 
 def _reference_majored_bound(key):
