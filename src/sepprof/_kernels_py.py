@@ -330,29 +330,28 @@ def connected_subsets(masks, n, max_size, budget):
     more than ``budget`` subsets would be produced.
     """
     out = []
-
-    def rec(s_mask, size, cand, exc, allowed):
-        out.append(s_mask)
-        if len(out) > budget:
-            return False
-        if size == max_size:
-            return True
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            new_s = s_mask | low
-            new_cand = (cand | (masks[v] & allowed)) & ~new_s & ~exc
-            if not rec(new_s, size + 1, new_cand, exc, allowed):
-                return False
-            exc |= low
-        return True
-
     if max_size < 1:
         return out
     for root in range(n):
         allowed = ~((1 << root) - 1)  # vertices >= root
-        bit = 1 << root
-        if not rec(bit, 1, masks[root] & allowed & ~bit, 0, allowed):
-            return None
+        # A frame is the rest of one subset's loop over its candidates:
+        # (subset, size, candidates left, vertices excluded). Each new subset
+        # is entered at once, and the rest of its parent's loop, with the
+        # taken candidate excluded, is pushed, so the order is depth first.
+        # The first frame is the empty set with the root as its candidate.
+        stack = [(0, 0, 1 << root, 0)]
+        while stack:
+            s_mask, size, cand, exc = stack.pop()
+            while cand and size < max_size:
+                low = cand & -cand
+                cand ^= low
+                new_s = s_mask | low
+                out.append(new_s)
+                if len(out) > budget:
+                    return None
+                if cand:
+                    stack.append((s_mask, size, cand, exc | low))
+                v = low.bit_length() - 1
+                s_mask, size = new_s, size + 1
+                cand = (cand | (masks[v] & allowed)) & ~new_s & ~exc
     return out

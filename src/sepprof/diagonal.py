@@ -251,12 +251,6 @@ def range_set(spec: DiagonalSpec, r: int,
     return frozenset(members())
 
 
-def _phi_value(z: DiagonalElement, members: frozenset, r: int) -> float:
-    if z not in members:
-        return 0.0
-    return max(0.0, 1.0 - abs(z.cursor) / r)
-
-
 def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
                   max_elements: int = 500_000) -> list[float]:
     """Norms of the j-th range-detecting cocycle at each element of zs.
@@ -264,39 +258,35 @@ def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
     phi_r is the tent function on U_r (r = 2^j); the cocycle value at z is
     ||phi_r - (phi_r translated by z)||_2 / ||grad phi_r||_2, the gradient
     taken along tau only since A- and B-translates leave phi_r invariant.
-    U_r and the gradient are computed once for all of zs.
+    Right translation by g permutes the group, so the squared distance
+    between phi_r and its translate by g is 2 (||phi_r||^2 - <phi_r,
+    phi_r(. g)>), for g = z in the numerator and g = tau in the gradient;
+    each inner product is one sum over the support of phi_r, the members of
+    U_r with |cursor| < r. U_r and the gradient are computed once for all of
+    zs.
 
     The sums do not depend on the iteration order of the sets. Every tent
-    value 1 - |cursor|/r is a multiple of 2^-j, so every square and partial
-    sum is a multiple of 4^-j of at most (set size) * 4^j units, far below
-    2^53: each addition is exact, and only the final quotient and square
-    root round.
+    value 1 - |cursor|/r is a multiple of 2^-j, so every product, partial
+    sum and difference is a multiple of 4^-j of at most (set size) * 4^j
+    units, far below 2^53: each of them is exact, and only the final
+    quotient and square root round.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     r = 2 ** j
-    members = range_set(spec, r, max_elements)
-    tau = ("tau", 1)
-    grad_sq = 0.0
-    support = set(members)
-    support.update(apply_generator(spec, u, ("tau", -1)) for u in members)
-    for g in support:
-        diff = _phi_value(g, members, r) - _phi_value(
-            apply_generator(spec, g, tau), members, r)
-        grad_sq += diff * diff
+    phi = {u: 1.0 - abs(u.cursor) / r for u in range_set(spec, r, max_elements)
+           if abs(u.cursor) < r}
+    norm_sq = sum(value * value for value in phi.values())
+
+    def distance_sq(g: DiagonalElement) -> float:
+        inner = sum(value * phi.get(multiply(spec, u, g), 0.0)
+                    for u, value in phi.items())
+        return 2.0 * (norm_sq - inner)
+
+    grad_sq = distance_sq(apply_generator(spec, spec.identity(), ("tau", 1)))
     if grad_sq == 0.0:
         raise ValueError("gradient of phi_r vanishes")
-    norms = []
-    for z in zs:
-        num_sq = 0.0
-        shifted = {multiply(spec, u, z): u for u in members}
-        for h in members | shifted.keys():
-            left = _phi_value(h, members, r)
-            pre = shifted.get(h)
-            right = _phi_value(pre, members, r) if pre is not None else 0.0
-            num_sq += (left - right) ** 2
-        norms.append(math.sqrt(num_sq / grad_sq))
-    return norms
+    return [math.sqrt(distance_sq(z) / grad_sq) for z in zs]
 
 
 # ---------------------------------------------------------------------------

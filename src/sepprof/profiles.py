@@ -127,20 +127,6 @@ def _validate_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
-def _first_rows(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row: the
-    first index of each run of a stable sort of the row bytes. Rows of
-    Python ints (keys wider than 64 bits) are all returned."""
-    if rows.dtype == object:
-        return np.arange(len(rows))
-    flat = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
-    return np.sort(order[first])
-
-
 def _subgraphs(G: Graph, n_max: int, budget: int):
     """Yield (m, subsets, keys) for each size m = 1..n_max of a connected
     induced subgraph, in increasing m: the distinct keys of that size in
@@ -152,9 +138,8 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     The keys of one size are computed as array passes over chunks of at most
     ``_KEY_CHUNK`` subsets: each subset unpacked to one bit per host vertex,
     the positions as the running count of those bits, and a key row as the
-    OR over each member's neighbours v of bit_v << position_v. Only the
-    first row of each distinct byte string in a chunk becomes a tuple; a set
-    carries the keys already seen across the chunks of one size."""
+    OR over each member's neighbours v of bit_v << position_v. One dict per
+    size maps each key to its first subset across the chunks."""
     n = G.vertex_count
     subsets = kernels.connected_subsets(G.neighbor_masks, n, n_max, budget)
     subsets.sort(key=int.bit_count)
@@ -166,8 +151,7 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     nbytes = (n + 7) // 8
     for m, group in groupby(subsets, key=int.bit_count):
         kind = np.uint32 if m <= 32 else np.uint64 if m <= 64 else object
-        seen: set[tuple] = set()
-        firsts, keys = [], []
+        first: dict[tuple, int] = {}
         while chunk := list(islice(group, _KEY_CHUNK)):
             packed = np.frombuffer(
                 b"".join(S.to_bytes(nbytes, "little") for S in chunk),
@@ -184,13 +168,9 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
             for d in range(width):
                 v = nbrs[members, d]
                 rows |= np.left_shift(bits[row, v], pos[row, v], dtype=kind)
-            index = _first_rows(rows)
-            for i, key in zip(index.tolist(), map(tuple, rows[index].tolist())):
-                if key not in seen:
-                    seen.add(key)
-                    firsts.append(chunk[i])
-                    keys.append(key)
-        yield m, firsts, keys
+            for S, key in zip(chunk, map(tuple, rows.tolist())):
+                first.setdefault(key, S)
+        yield m, list(first.values()), list(first)
 
 
 def _sup_rows(G: Graph, n_max: int, budget: int, evaluator,

@@ -14,13 +14,10 @@ from .graphs import Graph
 from .optimize import (NeighborIndex, first_least, memo_last,
                        minimize_quotient, ordered_sum, rowdot, scatter_rows)
 
-LAMBDA2_TOL = 1e-9
-
 
 @dataclass
 class SpectralReport:
     lambda2: float
-    certified: bool
     witness_vector: np.ndarray = field(repr=False)
 
 
@@ -58,7 +55,7 @@ def lambda2(G: Graph) -> SpectralReport:
             break
     if witness is None:
         witness = vecs[:, 1] - vecs[:, 1].mean()
-    return SpectralReport(lambda2=lam, certified=True, witness_vector=witness)
+    return SpectralReport(lambda2=lam, witness_vector=witness)
 
 
 def lambda2_stack(masks: np.ndarray) -> np.ndarray:

@@ -332,6 +332,14 @@ def test_connected_subsets_budget_error():
         kernels.connected_subsets(g.neighbor_masks, 12, 12, budget=10)
 
 
+def test_deep_subset_enumeration_ends_at_its_budget():
+    """A subset grows one vertex per step, so on a long path the enumeration
+    goes 1,500 sizes deep; it still ends in the budget error."""
+    g = build_family("path", 1500)
+    with pytest.raises(BudgetError):
+        kernels.connected_subsets(g.neighbor_masks, 1500, 1500, budget=5000)
+
+
 def test_large_graphs_fall_back_to_python():
     # 70 vertices exceeds the compiled 64-bit mask limit
     g = build_family("cycle", 70)
