@@ -13,6 +13,9 @@ from .graphs import (Graph, ConnectedPartition, connected_components,
                      validate_subset)
 from .groups import FiniteGroup
 
+# Largest image graph that bilip_cut_transfer cuts exactly.
+EXACT_IMAGE_LIMIT = 24
+
 
 @dataclass
 class LampGraphSpec:
@@ -95,18 +98,16 @@ def coarsen(G: Graph, partition) -> CoarseningResult:
                             partition=partition)
 
 
-def maximal_b_separated(G: Graph, b: int, scan_order=None) -> frozenset:
-    """Greedy maximal b-separated set: scan vertices, keep those at distance
-    >= b from everything already kept."""
+def maximal_b_separated(G: Graph, b: int) -> frozenset:
+    """Greedy maximal b-separated set: scan vertices in order, keep those at
+    distance >= b from everything already kept."""
     if b < 1:
         raise ValueError("b must be >= 1")
     if not is_connected(G):
         raise ValueError("host graph must be connected")
-    if scan_order is None:
-        scan_order = range(G.vertex_count)
     dist = distance_matrix(G)
     chosen: list[int] = []
-    for v in scan_order:
+    for v in range(G.vertex_count):
         if all(dist[v][y] >= b for y in chosen):
             chosen.append(v)
     return frozenset(chosen)
@@ -230,16 +231,16 @@ def _bfs_parents(X: Graph, source: int):
     return parent, dist
 
 
-def bilip_cut_transfer(Gamma: Graph, X: Graph, f, kappa: int, s,
-                       cut_mode: str = "auto",
-                       exact_limit: int = 24) -> tuple[CutResult, dict]:
+def bilip_cut_transfer(Gamma: Graph, X: Graph, f,
+                       kappa: int, s) -> tuple[CutResult, dict]:
     """Transfer an s-cut of the image graph back through a Lipschitz map.
 
-    f maps V(Gamma) into V(X) with d_X(f(x), f(y)) <= kappa on edges
-    (validated). The image graph consists of all image vertices plus the
-    interiors of canonical BFS geodesics chosen per edge. Its s-cut C' pulls
-    back to C = {x : d_X(f(x), C') <= kappa}, returned with the level it
-    actually achieves on Gamma, plus an audit report.
+    f must map V(Gamma) into V(X) with d_X(f(x), f(y)) <= kappa on edges;
+    both are checked. The image graph consists of all image vertices plus the
+    interiors of canonical BFS geodesics chosen per edge. Its s-cut C' (exact
+    up to EXACT_IMAGE_LIMIT vertices, heuristic above) pulls back to
+    C = {x : d_X(f(x), C') <= kappa}, returned with the level it actually
+    achieves on Gamma, plus an audit report.
     """
     s = Fraction(s)
     if not is_connected(X):
@@ -247,6 +248,7 @@ def bilip_cut_transfer(Gamma: Graph, X: Graph, f, kappa: int, s,
     f = list(f)
     if len(f) != Gamma.vertex_count:
         raise ValueError("f must map every vertex of Gamma")
+    validate_subset(X, f)
     trees = {}
     chosen: set[int] = set(f)
     for x, y in Gamma.edges:
@@ -264,20 +266,16 @@ def bilip_cut_transfer(Gamma: Graph, X: Graph, f, kappa: int, s,
             if v != src:
                 chosen.add(v)
     image = induced_subgraph(X, chosen)
-    if cut_mode == "exact" or (cut_mode == "auto"
-                               and image.vertex_count <= exact_limit):
-        inner = cut(image, s, "exact")
-    else:
-        inner = cut(image, s, "heuristic")
+    inner = cut(image, s, "exact" if image.vertex_count <= EXACT_IMAGE_LIMIT
+                else "heuristic")
     cut_orig = {image.original_vertices[v] for v in inner.cut_set}
     dist_x = distance_matrix(X)
     C = frozenset(
         x for x in range(Gamma.vertex_count)
         if any(dist_x[f[x]][c] <= kappa for c in cut_orig))
     n = Gamma.vertex_count
-    rest = [v for v in range(n) if v not in C]
-    comps = connected_components(induced_subgraph(Gamma, rest))
-    achieved = Fraction(max((len(c) for c in comps), default=0), n)
+    comps = connected_components(Gamma, C)
+    achieved = Fraction(max(map(len, comps), default=0), n)
     level = max(achieved, Fraction(1, n))
     if not is_cut_set(Gamma, C, level):
         raise AssertionError("transfer produced an invalid cut")

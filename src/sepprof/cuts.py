@@ -30,14 +30,11 @@ class CutResult:
 
 
 def is_cut_set(G: Graph, S, s: Fraction) -> bool:
-    S = frozenset(S)
+    """Whether every component of G - S has at most s |V| vertices; S must
+    name vertices of G."""
     n = G.vertex_count
-    rest = [v for v in range(n) if v not in S]
-    sub = induced_subgraph(G, rest)
-    for comp in connected_components(sub):
-        if s.denominator * len(comp) > s.numerator * n:
-            return False
-    return True
+    return all(s.denominator * len(comp) <= s.numerator * n
+               for comp in connected_components(G, S))
 
 
 def _result(G: Graph, s: Fraction, S, exact: bool,
@@ -54,15 +51,11 @@ def _heuristic_cut_set(G: Graph, s: Fraction) -> frozenset:
     n = G.vertex_count
     removed: set[int] = set()
     while True:
-        rest = [v for v in range(n) if v not in removed]
-        sub = induced_subgraph(G, rest)
-        comps = [c for c in connected_components(sub)
+        comps = [c for c in connected_components(G, removed)
                  if s.denominator * len(c) > s.numerator * n]
         if not comps:
             break
-        comp = max(comps, key=len)
-        verts = [sub.original_vertices[v] for v in comp]
-        H = induced_subgraph(G, verts)
+        H = induced_subgraph(G, max(comps, key=len))
         if H.vertex_count == 1:
             removed.add(H.original_vertices[0])
             continue
@@ -130,24 +123,17 @@ def iterated_halving_cut(G: Graph, s, budget: int = DEFAULT_CUT_BUDGET) -> CutRe
     for j in range(2, levels + 1):
         prev_cap = Fraction(n, 2 ** (j - 1))
         target = Fraction(n, 2 ** j)
-        rest = [v for v in range(n) if v not in chosen]
-        sub = induced_subgraph(G, rest)
-        comps = sorted(connected_components(sub), key=len, reverse=True)
-        groups: list[list[int]] = []
-        sizes: list[int] = []
+        comps = sorted(connected_components(G, chosen), key=len, reverse=True)
+        groups: list[set[int]] = []
         for comp in comps:
-            placed = False
-            for gi in range(len(groups)):
-                if sizes[gi] + len(comp) <= prev_cap:
-                    groups[gi].extend(sub.original_vertices[v] for v in comp)
-                    sizes[gi] += len(comp)
-                    placed = True
+            for group in groups:
+                if len(group) + len(comp) <= prev_cap:
+                    group |= comp
                     break
-            if not placed:
-                groups.append([sub.original_vertices[v] for v in comp])
-                sizes.append(len(comp))
-        for group, size in zip(groups, sizes):
-            if size <= target:
+            else:
+                groups.append(set(comp))
+        for group in groups:
+            if len(group) <= target:
                 continue
             H = induced_subgraph(G, group)
             inner = cut(H, half, "exact", budget=budget)

@@ -83,8 +83,8 @@ class ConnectedPartition:
             missing = [v for v in range(n) if assign[v] == -1]
             raise ValueError(f"partition does not cover vertices {missing}")
         for i, block in enumerate(blocks):
-            sub = induced_subgraph(host, block)
-            if len(connected_components(sub)) != 1:
+            outside = [v for v in range(n) if assign[v] != i]
+            if len(connected_components(host, outside)) != 1:
                 raise ValueError(f"block {i} is not connected")
         self.host = host
         self.blocks = blocks
@@ -143,36 +143,24 @@ def build_family(kind: str, *params: int) -> Graph:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def cartesian_product(G: Graph, H: Graph) -> Graph:
-    """Cartesian product: edges change exactly one coordinate along an edge."""
-    n, m = G.vertex_count, H.vertex_count
-
-    def vid(a, b):
-        return a * m + b
-
-    edges = []
-    for a in range(n):
-        for u, v in H.edges:
-            edges.append((vid(a, u), vid(a, v)))
-    for b in range(m):
-        for u, v in G.edges:
-            edges.append((vid(u, b), vid(v, b)))
-    labels = [(G.label(a), H.label(b)) for a in range(n) for b in range(m)]
-    return Graph(n * m, edges, labels=labels)
-
-
 def cartesian_power(G: Graph, k: int) -> Graph:
-    """k-fold Cartesian product of G with itself; labels are vertex tuples."""
+    """k-fold Cartesian product of G with itself.
+
+    Vertex i is the i-th tuple of ``itertools.product(range(n), repeat=k)``
+    (lexicographic, last coordinate fastest) and is labelled by the tuple of
+    its coordinates' labels in G. Edges join the tuples that differ in one
+    coordinate, along an edge of G.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = G.vertex_count
-    result = Graph(n, G.edges, labels=[(G.label(v),) for v in range(n)])
-    for _ in range(k - 1):
-        prev = result
-        prod = cartesian_product(prev, G)
-        labels = [lab[0] + (lab[1],) for lab in prod.labels]
-        result = Graph(prod.vertex_count, prod.edges, labels=labels)
-    return result
+    tuples = list(itertools.product(range(n), repeat=k))
+    strides = [n ** (k - 1 - c) for c in range(k)]
+    edges = [(i, i + (v - x[c]) * strides[c])
+             for i, x in enumerate(tuples) for c in range(k)
+             for v in G.neighbors[x[c]] if v > x[c]]
+    labels = [tuple(G.label(v) for v in x) for x in tuples]
+    return Graph(n ** k, edges, labels=labels)
 
 
 def subdivide(G: Graph, kappa: int) -> Graph:
@@ -241,9 +229,13 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
     return sub
 
 
-def connected_components(G: Graph) -> list[frozenset]:
-    """Connected components as vertex sets, ordered by smallest member."""
+def connected_components(G: Graph,
+                         removed: Iterable[int] = ()) -> list[frozenset]:
+    """Connected components of G minus ``removed``, as sets of G's vertices
+    ordered by smallest member; ``removed`` must name vertices of G."""
     seen = [False] * G.vertex_count
+    for v in validate_subset(G, removed):
+        seen[v] = True
     comps = []
     for root in range(G.vertex_count):
         if seen[root]:

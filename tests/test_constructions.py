@@ -170,6 +170,15 @@ def test_bilip_transfer_reports_lipschitz_violation():
         bilip_cut_transfer(k4, sub, [0, 1, 2, 3], 1, Fraction(1, 2))
 
 
+def test_bilip_transfer_rejects_f_outside_x():
+    k4 = build_family("complete", 4)
+    c8 = build_family("cycle", 8)
+    with pytest.raises(ValueError, match="not in host graph"):
+        bilip_cut_transfer(k4, c8, [0, 1, 2, 9], 4, Fraction(1, 2))
+    with pytest.raises(ValueError, match="not in host graph"):
+        bilip_cut_transfer(k4, c8, [0, 1, 2, -1], 4, Fraction(1, 2))
+
+
 def test_lamp_graph_edge_closed_form():
     # cursor edges |G|^(2r+1) (2k+2r), product edges (2r+1) |G|^(2r) m_A/B
     # where m_A is the edge count of the one-coordinate A-action

@@ -41,6 +41,14 @@ def test_invalid_s_rejected():
         cut(build_family("path", 3), "3/2")
 
 
+def test_cut_set_must_name_host_vertices():
+    c8 = build_family("cycle", 8)
+    with pytest.raises(ValueError, match="not in host graph"):
+        is_cut_set(c8, {0, 4, 100}, Fraction(1, 2))
+    with pytest.raises(ValueError, match="not in host graph"):
+        is_cut_set(c8, {0, 4, -3}, Fraction(1, 2))
+
+
 def test_budget_error_advises_heuristic():
     with pytest.raises(BudgetError, match="heuristic"):
         cut(build_family("grid", 4, 4), "1/4", budget=3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import networkx as nx
@@ -67,6 +68,11 @@ def test_cartesian_power_k2():
     cube = cartesian_power(build_family("complete", 2), 3)
     q3 = build_family("hypercube", 3)
     assert cube.edge_count == q3.edge_count == 12
+    # A labelled base pins the vertex numbering and the label tuples.
+    bar = cartesian_power(build_family("grid", 1, 2), 2)
+    assert bar.labels == (((0, 0), (0, 0)), ((0, 0), (0, 1)),
+                          ((0, 1), (0, 0)), ((0, 1), (0, 1)))
+    assert bar.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
 def test_cartesian_power_c3_by_enumeration():
@@ -91,6 +97,13 @@ def test_cartesian_power_counts(G, k):
     n = G.vertex_count
     assert gk.vertex_count == n ** k
     assert gk.edge_count == k * n ** (k - 1) * G.edge_count
+    tuples = list(itertools.product(range(n), repeat=k))
+    assert gk.labels == tuple(tuples)
+    index = {x: i for i, x in enumerate(tuples)}
+    expected = {
+        tuple(sorted((index[x], index[x[:c] + (v,) + x[c + 1:]])))
+        for x in tuples for c in range(k) for v in G.neighbors[x[c]]}
+    assert set(gk.edges) == expected
 
 
 def test_subdivide_examples():
@@ -150,8 +163,8 @@ def test_bfs_hamming_on_hypercube():
         assert dist[v] == bin(v).count("1")
 
 
-@given(random_graphs())
-def test_bfs_and_components_match_networkx(G):
+@given(random_graphs(), st.data())
+def test_bfs_and_components_match_networkx(G, data):
     H = to_nx(G)
     dist = bfs_distances(G, 0)
     lengths = nx.single_source_shortest_path_length(H, 0)
@@ -163,6 +176,10 @@ def test_bfs_and_components_match_networkx(G):
     ours = sorted(sorted(c) for c in connected_components(G))
     theirs = sorted(sorted(c) for c in nx.connected_components(H))
     assert ours == theirs
+    removed = data.draw(st.sets(st.integers(0, G.vertex_count - 1)))
+    rest = H.subgraph(set(H) - removed)
+    theirs = sorted(map(frozenset, nx.connected_components(rest)), key=min)
+    assert connected_components(G, removed) == theirs
 
 
 def test_connected_partition_validation():
