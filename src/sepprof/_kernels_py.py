@@ -11,20 +11,24 @@ integer: ``min_cut_exact`` takes the component-size cap, not a fraction, and
 The large searches run as numpy array passes over the subset lattice and
 the small ones as plain Python loops, because numpy's per-call cost loses on
 small inputs: a full Cheeger search at n = 3 takes 260 us as arrays and 4 us
-as a DFS, and the two meet between 9 and 10 vertices; a block of 16 cut
-masks costs twice the scalar checks, a block of 2048 a quarter of them.
+as a DFS, and the two meet between 9 and 10 vertices.
 
 - ``cheeger_exhaustive`` without a stop on 10..24 vertices splits the
   vertices into a low and a high half and evaluates every (low subset, high
   subset) pair in chunks of at most 4096 (``_cheeger_array``). Stopped
   searches and smaller graphs take the DFS (``_cheeger_dfs``).
-- ``min_cut_exact`` on at most 64 vertices checks its first 256 subsets one
-  at a time and the rest of the same enumeration in blocks of at most 2048
-  masks (``_components_ok_block``). Above 64 vertices it stays scalar.
+- ``min_cut_exact`` checks its first 256 subsets one at a time, and the
+  rest of the same enumeration in blocks of 2048 subsets growing to 16384,
+  each within one size. A block is built with numpy as columns of vertex
+  indices (``_LexRows``), and is checked bit-sliced (``_first_cut``): one
+  uint64 plane per vertex, bit i for the i-th subset of the block, so one
+  gather of the neighbours' planes grows a component in every subset at
+  once. Vertex indices have no width limit, so every vertex count takes
+  this path.
 """
 
 from itertools import chain, combinations, islice
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -39,10 +43,13 @@ _CHEEGER_ARRAY_MIN_N = 10
 _CHEEGER_ARRAY_MAX_N = 24
 _CHUNK = 1 << 12
 # The cut search checks this many subsets one at a time before switching to
-# blocks; most calls end within them. Blocks need masks that fit in uint64.
+# blocks; most calls end within them. The blocks grow from _CUT_LANES_MIN to
+# _CUT_LANES_MAX subsets (lanes), and the table of tail subsets they are
+# built from holds at most _CUT_TAIL_MAX.
 _CUT_SCALAR = 256
-_CUT_BLOCK = 2048
-_CUT_BLOCK_MAX_N = 64
+_CUT_LANES_MIN = 1 << 11
+_CUT_LANES_MAX = 1 << 14
+_CUT_TAIL_MAX = 1 << 12
 
 
 class _Stop(Exception):
@@ -242,41 +249,168 @@ def _components_ok(masks, full, cut_mask, cap):
     return True
 
 
-def _byte_tables(masks, n):
-    """Neighbour unions by byte: row j, entry b is the union of the masks of
-    the vertices 8j + i for the bits i of b."""
-    tables = np.zeros(((n + 7) // 8, 256), np.uint64)
-    for v in range(n):
-        j, b = v // 8, 1 << v % 8
-        tables[j, b:2 * b] = tables[j, :b] | masks[v]
-    return tables
+def _neighbour_index(masks, n):
+    """Row v lists v and its neighbours, padded with n, a vertex no lane
+    has."""
+    rows = []
+    for v, m in enumerate(masks):
+        row = [v]
+        while m:
+            low = m & -m
+            row.append(low.bit_length() - 1)
+            m ^= low
+        rows.append(row)
+    index = np.full((n, max(map(len, rows), default=1)), n, np.intp)
+    for v, row in enumerate(rows):
+        index[v, :len(row)] = row
+    return index
 
 
-def _components_ok_block(tables, full, cuts, cap):
-    """_components_ok for each of the uint64 masks in cuts: grow the
-    component of the lowest remaining vertex, for every mask at once, until
-    each mask has failed or has at most cap vertices left."""
-    shifts = np.arange(tables.shape[0], dtype=np.uint64) * np.uint64(8)
-    flat = tables.ravel()
-    offsets = np.arange(0, flat.size, 256, dtype=np.uint64)
-    ok = np.zeros(cuts.size, bool)
-    idx = np.arange(cuts.size)
-    rem = np.uint64(full) & ~cuts
-    while idx.size:
-        small = np.bitwise_count(rem) <= cap
-        ok[idx[small]] = True
-        idx, rem = idx[~small], rem[~small]
-        comp = rem & -rem
+def _join(prefixes, tail, counts, start, stop):
+    """Lanes start..stop-1 of the joined subsets, as columns of vertex
+    indices: each column of prefixes (increasing vertices) followed, in
+    turn, by every column of tail (all d-subsets of range(n), lexicographic)
+    above its last vertex. Those are the last counts[a] columns of tail for
+    a last vertex a, so the joined subsets are in lexicographic order."""
+    ends = np.cumsum(counts[prefixes[-1]])
+    lane = np.arange(start, stop)
+    p = np.searchsorted(ends, lane, side="right")
+    out = np.empty((prefixes.shape[0] + tail.shape[0], lane.size),
+                   prefixes.dtype)
+    np.take(prefixes, p, axis=1, out=out[:prefixes.shape[0]])
+    np.take(tail, lane + (tail.shape[1] - ends)[p], axis=1,
+            out=out[prefixes.shape[0]:])
+    return out
+
+
+def _tail_counts(n, d):
+    """counts[a]: the d-subsets of range(n) above vertex a."""
+    return np.array([comb(n - 1 - a, d) for a in range(n)], np.intp)
+
+
+def _extend_tail(tail, n, k):
+    """tail, the table of all d-subsets of range(n) as columns in
+    lexicographic order, extended one size at a time while d < k - 1 and
+    the next table holds at most _CUT_TAIL_MAX subsets. A (d+1)-subset is
+    its first vertex f joined to a d-subset above f."""
+    while (d := tail.shape[0]) < k - 1 and comb(n, d + 1) <= _CUT_TAIL_MAX:
+        tail = _join(np.arange(n - d, dtype=tail.dtype)[None], tail,
+                     _tail_counts(n, d), 0, comb(n, d + 1))
+    return tail
+
+
+class _LexRows:
+    """The k-subsets of range(n) in lexicographic order, from rank skip on,
+    handed out in blocks of columns of vertex indices. A subset is a prefix
+    of k - d vertices from itertools and a column of tail, the table of all
+    d-subsets, so only the prefixes are made one at a time in Python."""
+
+    def __init__(self, n, k, skip, tail):
+        d = tail.shape[0]
+        self.tail = tail
+        self.counts = _tail_counts(n, d)
+        # Subsets per prefix, on average: how many prefixes a block needs.
+        self.per_prefix = comb(n, k) / comb(n - d, k - d)
+        self.prefixes = combinations(range(n - d), k - d)
+        self.pending = np.empty((k - d, 0), tail.dtype)
+        self.skip = skip
+
+    def take(self, count):
+        """The next count subsets; the caller stays within the size."""
+        need = self.skip + count
+        ends = np.cumsum(self.counts[self.pending[-1]])
+        while not ends.size or ends[-1] < need:
+            have = int(ends[-1]) if ends.size else 0
+            more = np.fromiter(chain.from_iterable(islice(
+                self.prefixes, int((need - have) / self.per_prefix) + 1)),
+                self.pending.dtype).reshape(-1, self.pending.shape[0]).T
+            self.pending = np.concatenate([self.pending, more], axis=1)
+            ends = np.cumsum(self.counts[self.pending[-1]])
+        block = _join(self.pending, self.tail, self.counts, self.skip, need)
+        done = np.searchsorted(ends, need, side="right")
+        self.skip = need - (int(ends[done - 1]) if done else 0)
+        self.pending = self.pending[:, done:]
+        return block
+
+
+def _lane_planes(n, rows):
+    """The uint64 planes of the lanes in rows: bit i of plane v says that
+    vertex v remains in lane i, that is, is not in column i. No vertex
+    remains in the lanes that pad the last word."""
+    k, lanes = rows.shape
+    width = -(-lanes // 64) * 64
+    keep = np.ones((n, width), bool)
+    keep[:, lanes:] = False
+    flat = keep.reshape(-1)
+    lane = np.arange(lanes)
+    for col in rows:
+        flat[col * np.intp(width) + lane] = False
+    return np.packbits(keep, axis=1, bitorder="little").view(np.uint64)
+
+
+def _first_cut(nbrs, cap, rows):
+    """Index of the first column of rows (the vertices of one cut each)
+    that leaves no component of more than cap vertices, or -1.
+
+    Bit-sliced: lane i is column i, and bit i of plane v says vertex v
+    remains in lane i, one uint64 word per 64 lanes. Each round takes every
+    undecided lane's lowest remaining vertex and grows its component, in
+    every lane at once, by one gather of the planes of each vertex's closed
+    neighbourhood (nbrs) and an OR per step, until no lane grows. A lane
+    fails on a component above cap and passes once at most cap vertices
+    remain. The lanes that pad the last word cut every vertex, so they
+    pass, and are trimmed before the hit search.
+    """
+    n = nbrs.shape[0]
+    k, lanes = rows.shape
+    rem = _lane_planes(n, rows)
+    words = np.arange(rem.shape[1])
+    fail = np.zeros(rem.shape[1], np.uint64)
+    # Vertices left in each lane, while it is undecided.
+    left = np.full(rem.shape[1] * 64, n - k)
+    left[lanes:] = 0
+    count_type = np.min_scalar_type(n)
+    while True:
+        live = left > cap
+        if not live.any():
+            break
+        rem &= np.packbits(live, bitorder="little").view(np.uint64)
+        # Drop the words whose lanes are all decided.
+        busy = rem.any(axis=0)
+        if not busy.all():
+            rem, words = rem[:, busy], words[busy]
+            left = left.reshape(-1, 64)[busy].ravel()
+        comp = rem.copy()
+        comp[1:] &= ~np.bitwise_or.accumulate(rem[:-1], axis=0)
+        planes = np.zeros((n + 1, rem.shape[1]), np.uint64)
         while True:
-            grown = np.bitwise_or.reduce(
-                flat[((comp[:, None] >> shifts) & np.uint64(255)) + offsets],
-                axis=1) & rem | comp
+            planes[:n] = comp
+            grown = np.bitwise_or.reduce(np.take(planes, nbrs, axis=0), axis=1)
+            grown &= rem
             if np.array_equal(grown, comp):
                 break
             comp = grown
-        fits = np.bitwise_count(comp) <= cap
-        idx, rem = idx[fits], (rem ^ comp)[fits]
-    return ok
+        size = np.unpackbits(comp.view(np.uint8), axis=1,
+                             bitorder="little").sum(axis=0, dtype=count_type)
+        big = size > cap
+        fail[words] |= np.packbits(big, bitorder="little").view(np.uint64)
+        left = left - size
+        left[big] = 0
+        rem ^= comp
+    passed = np.flatnonzero(~np.unpackbits(
+        fail.view(np.uint8), bitorder="little")[:lanes].astype(bool))
+    return int(passed[0]) if passed.size else -1
+
+
+def _cut_block_ends():
+    """Where the cut search's blocks end on the schedule, in subsets
+    examined: after the scalar head, blocks of _CUT_LANES_MIN lanes that
+    double up to _CUT_LANES_MAX."""
+    end, lanes = _CUT_SCALAR, _CUT_LANES_MIN
+    while True:
+        end += lanes
+        yield end
+        lanes = min(2 * lanes, _CUT_LANES_MAX)
 
 
 def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
@@ -290,35 +424,44 @@ def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
     (-2, max(budget, 0) + 1).
     """
     full = (1 << n) - 1
+    sizes = range(max(min_k, 0), min(max_k, n) + 1)
     bits = [1 << v for v in range(n)]
     subsets = map(sum, chain.from_iterable(
-        combinations(bits, k)
-        for k in range(max(min_k, 0), min(max_k, n) + 1)))
-    scalar = _CUT_SCALAR if n <= _CUT_BLOCK_MAX_N else None
+        combinations(bits, k) for k in sizes))
     examined = 0
-    for mask in islice(subsets, scalar):
+    for mask in islice(subsets, _CUT_SCALAR):
         examined += 1
         if examined > budget:
             return (-2, examined)
         if _components_ok(masks, full, mask, cap):
             return (mask, examined)
-    if scalar is None:
+    if examined < _CUT_SCALAR:
         return (-1, examined)
-    tables = None
-    while True:
-        block = np.fromiter(
-            islice(subsets, max(0, min(_CUT_BLOCK, budget - examined))),
-            np.uint64)
-        if not block.size:
-            break
-        if tables is None:
-            tables = _byte_tables(masks, n)
-        hit = np.flatnonzero(_components_ok_block(tables, full, block, cap))
-        if hit.size:
-            return (int(block[hit[0]]), examined + int(hit[0]) + 1)
-        examined += block.size
-    if next(subsets, None) is not None:
-        return (-2, examined + 1)
+    # Blocks of lanes, each within one size: they end at the schedule's ends
+    # (_cut_block_ends), at the end of a size and at the budget.
+    nbrs = _neighbour_index(masks, n)
+    # Vertex indices in the smallest type that holds them.
+    tail = np.empty((0, 1), np.min_scalar_type(n))
+    schedule = _cut_block_ends()
+    end = next(schedule)
+    before = 0
+    for k in sizes:
+        after = before + comb(n, k)
+        if after > examined:
+            tail = _extend_tail(tail, n, k)
+            rows = _LexRows(n, k, examined - before, tail)
+        while examined < after:
+            if examined >= budget:
+                return (-2, examined + 1)
+            while end <= examined:
+                end = next(schedule)
+            block = rows.take(min(end, after, budget) - examined)
+            hit = _first_cut(nbrs, cap, block)
+            if hit >= 0:
+                return (sum(1 << int(v) for v in block[:, hit]),
+                        examined + hit + 1)
+            examined += block.shape[1]
+        before = after
     return (-1, examined)
 
 

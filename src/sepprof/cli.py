@@ -150,6 +150,7 @@ def _cmd_invariant(args) -> int:
         result = cut(G, s, args.mode)
         print(f"value {result.size}")
         print(f"certified {result.exact}")
+        print(f"examined {result.examined}")
         print("cut_set " + " ".join(map(str, sorted(result.cut_set))))
     elif args.which == "sep":
         table = separation_profile_exact(G, args.nmax)

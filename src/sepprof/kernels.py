@@ -8,10 +8,11 @@ minimiser in DFS preorder of the sorted vertex tuples from
 lexicographic order with the same ``examined`` from ``min_cut_exact``, and
 the same list from ``connected_subsets``. The fallback runs the large searches
 as numpy array passes: full Cheeger searches on 10..24 vertices, and cut
-searches on at most 64 vertices past their first 256 subsets, in blocks of
-2048 (see ``_kernels_py``). Backends take plain integers only: ``min_cut_exact``
-turns the fraction num/den into the component-size cap ``num * n // den``
-here, so no backend multiplies by an unbounded numerator or denominator.
+searches, on any number of vertices, past their first 256 subsets, in
+bit-sliced blocks of 2048 to 16384 subsets (see ``_kernels_py``). Backends
+take plain integers only: ``min_cut_exact`` turns the fraction num/den into
+the component-size cap ``num * n // den`` here, so no backend multiplies by
+an unbounded numerator or denominator.
 
 Two threshold forms answer "is the value at most t?" without the full
 search, and are exact:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -6,9 +9,12 @@ import pytest
 
 from sepprof import kernels
 from sepprof.cli import main
-from sepprof.cuts import is_cut_set
+from sepprof.cuts import DEFAULT_CUT_BUDGET, is_cut_set
 from sepprof.graphs import read_edgelist
 from sepprof.groups import klein_four, write_group_file
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run(argv, capsys):
@@ -142,9 +148,39 @@ def test_invariant_cut_fraction_edge_cases(tmp_path, capsys, monkeypatch,
     code, out, _ = run(["invariant", "cut", "--s", s, g_path], capsys)
     assert code == 0
     lines = out.splitlines()
-    cut_set = [int(v) for v in lines[2].split()[1:]]
+    cut_set = [int(v) for v in lines[3].split()[1:]]
     assert lines[0] == f"value {len(cut_set)}" and lines[1] == "certified True"
-    assert is_cut_set(read_edgelist(g_path), cut_set, Fraction(s))
+    G = read_edgelist(g_path)
+    assert is_cut_set(G, cut_set, Fraction(s))
+    # The examined count is the kernel's, fixed by its contract.
+    num, den = Fraction(s).as_integer_ratio()
+    _, examined = kernels.min_cut_exact(G.neighbor_masks, G.vertex_count,
+                                        num, den, G.vertex_count,
+                                        DEFAULT_CUT_BUDGET)
+    assert lines[2] == f"examined {examined}"
+    code, out, _ = run(["invariant", "cut", "--s", s, "--mode", "heuristic",
+                        g_path], capsys)
+    assert code == 0 and out.splitlines()[1:3] == ["certified False",
+                                                   "examined 0"]
+
+
+def test_python_m_sepprof_runs_the_cli(tmp_path):
+    """``python -m sepprof`` is ``python -m sepprof.cli``: the same output
+    and exit code, here for an exact cut."""
+    g_path = str(tmp_path / "c8.g")
+    assert main(["family", "cycle", "8", "--out", g_path]) == 0
+    path = [SRC] + [entry for entry in
+                    os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                    if entry]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    runs = [subprocess.run([sys.executable, "-m", module, "invariant", "cut",
+                            "--s", "1/2", g_path], capture_output=True,
+                           text=True, env=env, timeout=60)
+            for module in ("sepprof", "sepprof.cli")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.splitlines()[:3] == ["value 2", "certified True",
+                                               "examined 12"]
 
 
 def test_budget_exit_code(tmp_path, capsys):

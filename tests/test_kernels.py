@@ -1,6 +1,8 @@
 """Backend parity and brute-force oracles for the bitmask kernels."""
 
+import bisect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -493,9 +495,31 @@ def scalar_min_cut(masks, n, cap, max_k, budget, min_k=0):
     return (-1, examined)
 
 
-# Budgets around the switch from single subsets to blocks, and within the
-# first block.
-SWITCH_BUDGETS = (0, 255, 256, 257, 256 + 2047, 256 + 2048, 256 + 2049)
+def schedule_ends():
+    """The end of the kernel's scalar head and the ends of the blocks on its
+    schedule, in subsets examined, up to the end of the first block of the
+    largest size."""
+    ends = [_kernels_py._CUT_SCALAR]
+    for end in _kernels_py._cut_block_ends():
+        ends.append(end)
+        if end - ends[-2] == _kernels_py._CUT_LANES_MAX:
+            return ends
+
+
+def kernel_blocks(n, min_k, max_k, stop):
+    """The kernel's blocks up to stop subsets examined, as (start, end)
+    pairs: they end on the schedule, at the end of each size and at stop."""
+    sizes = range(max(min_k, 0), min(max_k, n) + 1)
+    size_ends = itertools.accumulate(math.comb(n, k) for k in sizes)
+    cuts = sorted({e for e in itertools.chain(schedule_ends(), size_ends)
+                   if _kernels_py._CUT_SCALAR < e < stop} | {stop})
+    return list(zip([_kernels_py._CUT_SCALAR] + cuts, cuts))
+
+
+# Budgets at, one before and one past the end of the scalar head and of each
+# block on the schedule while the blocks grow.
+SWITCH_BUDGETS = (0,) + tuple(end + d for end in schedule_ends()
+                              for d in (-1, 0, 1))
 
 
 def _budgeted(result, budget):
@@ -514,8 +538,9 @@ def test_min_cut_blocks_match_scalar_loop(case):
     max_k = max(min_k, 0) + extra
     full = scalar_min_cut(masks, n, cap, max_k, 10 ** 7, min_k)
     for budget in SWITCH_BUDGETS + (10 ** 7,):
-        assert scalar_min_cut(masks, n, cap, max_k, budget, min_k) \
-            == _budgeted(full, budget)
+        if budget < full[1]:
+            assert scalar_min_cut(masks, n, cap, max_k, budget, min_k) \
+                == _budgeted(full, budget)
         assert _kernels_py.min_cut_exact(masks, n, cap, max_k, budget,
                                          min_k) == _budgeted(full, budget)
 
@@ -534,12 +559,80 @@ def test_min_cut_blocks_past_the_first_block():
                 == _budgeted(ref, budget)
 
 
+def hub_graph(n, k):
+    """n - k independent vertices and k hubs joined to every other vertex.
+    With cap 1, removing the hubs leaves single vertices, and every other
+    set of at most k vertices leaves a hub joined to n - k - 1 >= 1 more:
+    the only cut is the last k-subset in lexicographic order."""
+    hubs = range(n - k, n)
+    return Graph(n, [(u, h) for h in hubs for u in range(h)])
+
+
+@pytest.mark.parametrize("n,k", [(16, 4), (17, 3), (19, 4), (20, 5)])
+def test_min_cut_last_lane_of_a_ragged_block(n, k):
+    """The only cut is the last real lane of a block whose lane count is
+    not a multiple of 64, so the lanes that pad its last word follow it;
+    they cut every vertex and must never be reported, neither when the cut
+    is in the block nor when the budget ends the block just before it."""
+    masks = hub_graph(n, k).neighbor_masks
+    last = sum(math.comb(n, j) for j in range(k + 1))
+    start, end = kernel_blocks(n, 0, k, last)[-1]
+    assert end == last and (end - start) % 64
+    hubs = sum(1 << h for h in range(n - k, n))
+    assert scalar_min_cut(masks, n, 1, k, 10 ** 7) == (hubs, last)
+    assert _kernels_py.min_cut_exact(masks, n, 1, k, 10 ** 7) == (hubs, last)
+    assert _kernels_py.min_cut_exact(masks, n, 1, n, 10 ** 7) == (hubs, last)
+    assert _kernels_py.min_cut_exact(masks, n, 1, k, last - 1) \
+        == (-2, last)
+    assert _kernels_py.min_cut_exact(masks, n, 1, k - 1, 10 ** 7) \
+        == (-1, last - math.comb(n, k))
+
+
+def test_min_cut_none_across_blocks_and_sizes():
+    """A search with no cut that runs through several blocks of two sizes,
+    the last one ending with the search, not on the schedule."""
+    n, k = 20, 5
+    masks = hub_graph(n, k).neighbor_masks
+    size_ends = list(itertools.accumulate(math.comb(n, j) for j in range(k)))
+    total = size_ends[-1]
+    blocks = kernel_blocks(n, 0, k - 1, total)
+    sizes = {bisect.bisect_right(size_ends, start) for start, _ in blocks}
+    assert len(blocks) >= 3 and len(sizes) == 2
+    assert scalar_min_cut(masks, n, 1, k - 1, 10 ** 7) == (-1, total)
+    for budget in SWITCH_BUDGETS + (total - 1, total, 10 ** 7):
+        assert _kernels_py.min_cut_exact(masks, n, 1, k - 1, budget) \
+            == _budgeted((-1, total), budget)
+
+
 @settings(max_examples=15)
 @given(wide_graphs(), st.integers(0, 3), st.integers(0, 2))
 def test_min_cut_blocks_wide_graphs(G, cap, min_k):
-    """Masks with bit 63 set go through the uint64 blocks."""
+    """Graphs on 63 and 64 vertices, so that the last vertex has bit 63."""
     masks, n = G.neighbor_masks, G.vertex_count
     full = scalar_min_cut(masks, n, cap, 2, 10 ** 7, min_k)
     for budget in SWITCH_BUDGETS + (10 ** 7,):
         assert _kernels_py.min_cut_exact(masks, n, cap, 2, budget, min_k) \
             == _budgeted(full, budget)
+
+
+# The first budgets of SWITCH_BUDGETS, to keep the scalar reference short.
+_WIDE_LIMIT = 6401
+
+
+@pytest.mark.parametrize("G", [
+    build_family("path", 70), build_family("cycle", 65),
+    build_family("grid", 9, 9)], ids=["path70", "cycle65", "grid9x9"])
+@pytest.mark.parametrize("frac", [(1, 2), (1, 3), (1, 4)])
+def test_min_cut_blocks_beyond_64_vertices(G, frac):
+    """Above 64 vertices the compiled kernel takes no graph, and the block
+    path serves them as it does smaller ones: lanes are vertex indices, not
+    64-bit masks."""
+    masks, n = G.neighbor_masks, G.vertex_count
+    cap = frac[0] * n // frac[1]
+    ref = scalar_min_cut(masks, n, cap, n, _WIDE_LIMIT)
+    for budget in (b for b in SWITCH_BUDGETS if b <= _WIDE_LIMIT):
+        assert _kernels_py.min_cut_exact(masks, n, cap, n, budget) \
+            == _budgeted(ref, budget)
+    if ref[0] >= 0:
+        cut_set = [v for v in range(n) if ref[0] >> v & 1]
+        assert is_cut_set(G, cut_set, Fraction(*frac))
