@@ -73,49 +73,39 @@ def read_table_csv(path) -> list:
     return out
 
 
+def _lp_lengths(f: np.ndarray, u, v, p: float) -> np.ndarray:
+    """l^p lengths of the rows f[u] - f[v], rounded like the scalar pow."""
+    return np.float_power(np.sum(np.abs(f[u] - f[v]) ** p, axis=1), 1.0 / p)
+
+
 def compression_function(G: Graph, f, p: float) -> CompressionTable:
     """Compression table of an embedding: rho(t) = min distance in l^p among
     vertex pairs at graph distance >= t.
 
-    Pairs at infinite distance are skipped (with a warning flag via the
-    table's coverage). A map with Lipschitz constant above 1 is rescaled and
-    the constant recorded.
+    Pairs at infinite distance are skipped, so the table stops at the
+    largest finite distance. A map with Lipschitz constant above 1 is
+    rescaled and the constant recorded.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     n = G.vertex_count
-    if f.shape[0] != n:
-        raise ValueError("embedding must cover every vertex")
-    dist = distance_matrix(G)
-    lip = 0.0
-    for u, v in G.edges:
-        d = float(np.sum(np.abs(f[u] - f[v]) ** p) ** (1.0 / p))
-        lip = max(lip, d)
-    scale = 1.0
-    rescaled = False
-    if lip > 1.0:
-        scale = 1.0 / lip
-        rescaled = True
-    finite = [int(dist[u][v]) for u in range(n) for v in range(u + 1, n)
-              if dist[u][v] != math.inf]
-    max_t = max(finite, default=0)
-    mins = [math.inf] * (max_t + 1)
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = dist[u][v]
-            if d == math.inf:
-                continue
-            emb = scale * float(np.sum(np.abs(f[u] - f[v]) ** p) ** (1.0 / p))
-            t = int(d)
-            if emb < mins[t]:
-                mins[t] = emb
+    if f.shape[0] != n or not np.isfinite(f).all():
+        raise ValueError("embedding must give every vertex a finite point")
+    edges = np.array(G.edges, dtype=int).reshape(-1, 2)
+    lip = float(_lp_lengths(f, edges[:, 0], edges[:, 1], p).max(initial=0.0))
+    rescaled = lip > 1.0
+    scale = 1.0 / lip if rescaled else 1.0
+    u, v = np.triu_indices(n, 1)
+    d = distance_matrix(G)[u, v]
+    finite = np.isfinite(d)
+    t = d[finite].astype(int)
+    emb = scale * _lp_lengths(f, u[finite], v[finite], p)
+    mins = np.full(int(t.max(initial=0)) + 1, math.inf)
+    np.minimum.at(mins, t, emb)
     # rho(t) = min over pairs at distance >= t: suffix minimum.
-    values = [0.0] * (max_t + 1)
-    running = math.inf
-    for t in range(max_t, 0, -1):
-        running = min(running, mins[t])
-        values[t] = 0.0 if running == math.inf else running
+    values = np.minimum.accumulate(mins[::-1])[::-1]
+    values[0] = 0.0
     return CompressionTable(values=tuple(values), p=p,
                             lipschitz=lip, rescaled=rescaled)
 
@@ -133,17 +123,14 @@ class SphereTable:
 
     @classmethod
     def from_graph(cls, G: Graph) -> "SphereTable":
+        if G.vertex_count == 0:
+            raise ValueError("sphere table needs at least one vertex")
         dist = distance_matrix(G)
-        diam = int(max(d for row in dist for d in row if d != math.inf))
-        sigma = [0] * (diam + 1)
-        for x in range(G.vertex_count):
-            counts = [0] * (diam + 1)
-            for y in range(G.vertex_count):
-                if dist[x][y] != math.inf:
-                    counts[int(dist[x][y])] += 1
-            for r in range(diam + 1):
-                sigma[r] = max(sigma[r], counts[r])
-        return cls(sigma=tuple(sigma))
+        finite = np.isfinite(dist)
+        diam = int(dist[finite].max())
+        return cls(sigma=np.max(
+            [np.bincount(row[ok].astype(int), minlength=diam + 1)
+             for row, ok in zip(dist, finite)], axis=0))
 
     @property
     def degree_bound(self) -> int:

@@ -243,9 +243,9 @@ class WeightedMetricGraph:
         if n and nu.min() <= 0:
             raise ValueError("nu must be positive on every vertex")
         self.nu = nu
-        if dist is None:
-            dist = distance_matrix(graph)
-        elif len(dist) != n or any(len(row) != n for row in dist):
+        dist = (distance_matrix(graph) if dist is None
+                else np.asarray(dist, dtype=float))
+        if dist.shape != (n, n):
             raise ValueError("dist must be an n by n matrix")
         self.dist = dist
 
@@ -253,7 +253,7 @@ class WeightedMetricGraph:
         """Closed balls at integer-rounded radius, as one (n, B) index
         matrix: row x lists the ball of x in vertex order, padded with its
         first member (``optimize.index_matrix``)."""
-        within = np.asarray(self.dist) <= math.floor(radius)
+        within = self.dist <= math.floor(radius)
         return optimize.index_matrix([np.flatnonzero(row) for row in within])
 
 

@@ -19,7 +19,8 @@ from .cuts import cut
 from .errors import BudgetError, ExactSearchInfeasible
 from .graphs import build_family, cartesian_power, read_edgelist, write_edgelist
 from .groups import read_group_file
-from .profiles import poincare_profile, separation_profile_exact
+from .profiles import (DEFAULT_SUBGRAPH_BUDGET, poincare_profile,
+                       separation_profile_exact)
 from .spectral import lambda2, lambda_infinity_upper
 from .verify import (SUITES, VerifyContext, hard_failures, report_metadata,
                      rows_to_csv, rows_to_json, run_suites, unexpected_passes)
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=tuple(SUITES) + ("all",))
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--tol", type=float, default=0.05)
-    ver.add_argument("--budget", type=int, default=300_000)
+    ver.add_argument("--budget", type=int, default=DEFAULT_SUBGRAPH_BUDGET)
     ver.add_argument("--format", choices=("csv", "json"), default="csv")
     ver.add_argument("--out", default=None)
     ver.add_argument("--timings", action="store_true",

@@ -7,6 +7,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cuts import CutResult, cut, is_cut_set
 from .graphs import (Graph, ConnectedPartition, connected_components,
                      distance_matrix, induced_subgraph, is_connected,
@@ -108,18 +110,24 @@ def maximal_b_separated(G: Graph, b: int) -> frozenset:
     dist = distance_matrix(G)
     chosen: list[int] = []
     for v in range(G.vertex_count):
-        if all(dist[v][y] >= b for y in chosen):
+        if (dist[v, chosen] >= b).all():
             chosen.append(v)
     return frozenset(chosen)
 
 
-def _check_separated(dist, S, b) -> None:
-    S = sorted(S)
-    for i, u in enumerate(S):
-        for v in S[i + 1:]:
-            if dist[u][v] < b:
-                raise ValueError(
-                    f"set is not {b}-separated: d({u},{v}) = {dist[u][v]}")
+def _close_pairs(dist, S: list, bound) -> list:
+    """Row-major index pairs i < j with dist[S[i], S[j]] < bound."""
+    i, j = np.nonzero(np.triu(dist[np.ix_(S, S)] < bound, 1))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _check_separated(dist, S: list, b) -> None:
+    """Raise ValueError on the first pair of sorted S closer than b."""
+    close = _close_pairs(dist, S, b)
+    if close:
+        u, v = (S[i] for i in close[0])
+        raise ValueError(
+            f"set is not {b}-separated: d({u},{v}) = {int(dist[u, v])}")
 
 
 def b_rescaling(G: Graph, S, b: int) -> Graph:
@@ -127,12 +135,7 @@ def b_rescaling(G: Graph, S, b: int) -> Graph:
     S = sorted(validate_subset(G, S))
     dist = distance_matrix(G)
     _check_separated(dist, S, b)
-    edges = [
-        (i, j)
-        for i, u in enumerate(S) for j, v in enumerate(S)
-        if i < j and dist[u][v] < 2 * b
-    ]
-    return Graph(len(S), edges, labels=S)
+    return Graph(len(S), _close_pairs(dist, S, 2 * b), labels=S)
 
 
 @dataclass
@@ -153,36 +156,35 @@ def scale_b_partition(G: Graph, S, b: int, nu=None) -> DiscretizationResult:
     radius rho with B(center, rho) inside the block and the smallest outer
     radius covering it; maximality of S forces outer <= 2b, but the inner
     radius can fall below b when two centers sit at distance exactly b, so
-    the b-inclusion is reported per block rather than asserted.
+    the b-inclusion is reported per block rather than asserted. The host
+    must be connected; nu, one weight per vertex (default 1), gives the
+    block measures nu_Y.
     """
     centers = sorted(validate_subset(G, S))
     if not centers:
         raise ValueError("empty center set")
+    if not is_connected(G):
+        raise ValueError("host graph must be connected")
+    n = G.vertex_count
+    nu = np.ones(n) if nu is None else np.asarray(nu, dtype=float)
+    if nu.shape != (n,):
+        raise ValueError("nu must have one entry per vertex")
     dist = distance_matrix(G)
     _check_separated(dist, centers, b)
-    n = G.vertex_count
-    if nu is None:
-        nu = [1.0] * n
-    block_of = []
-    for v in range(n):
-        best = min(range(len(centers)), key=lambda i: (dist[centers[i]][v], i))
-        block_of.append(best)
-    blocks = tuple(
-        frozenset(v for v in range(n) if block_of[v] == i)
-        for i in range(len(centers)))
+    rows = dist[centers]
+    block_of = rows.argmin(axis=0)
+    mine = block_of == np.arange(len(centers))[:, None]
+    blocks = tuple(frozenset(np.flatnonzero(m).tolist()) for m in mine)
     nu_Y = tuple(float(sum(nu[v] for v in block)) for block in blocks)
-    inner, outer, ok = [], [], []
-    for i, y in enumerate(centers):
-        outside = [dist[y][v] for v in range(n) if v not in blocks[i]]
-        rho_in = (min(outside) - 1) if outside else max(dist[y][v] for v in range(n))
-        rho_out = max(dist[y][v] for v in blocks[i])
-        inner.append(int(rho_in))
-        outer.append(int(rho_out))
-        ok.append(rho_in >= b)
+    # A lone center's block is everything: its inner radius is rows.max().
+    inner = rows.min(axis=1, where=~mine, initial=rows.max() + 1) - 1
+    outer = rows.max(axis=1, where=mine, initial=0)
     return DiscretizationResult(
-        centers=tuple(centers), block_of=tuple(block_of), blocks=blocks,
-        nu_Y=nu_Y, inner_radius=tuple(inner), outer_radius=tuple(outer),
-        b_inclusion_ok=tuple(ok))
+        centers=tuple(centers), block_of=tuple(block_of.tolist()),
+        blocks=blocks, nu_Y=nu_Y,
+        inner_radius=tuple(inner.astype(int).tolist()),
+        outer_radius=tuple(outer.astype(int).tolist()),
+        b_inclusion_ok=tuple((inner >= b).tolist()))
 
 
 def write_partition_csv(partition: ConnectedPartition, path) -> None:
@@ -213,22 +215,19 @@ def read_partition_csv(host: Graph, path) -> ConnectedPartition:
     return ConnectedPartition(host, [blocks[b] for b in sorted(blocks)])
 
 
-def _bfs_parents(X: Graph, source: int):
-    """BFS tree with lowest-index parents (deterministic geodesics)."""
+def _bfs_parents(X: Graph, source: int) -> list:
+    """BFS tree from source as a parent list, the source its own parent.
+    Every vertex keeps the parent that discovered it first (deterministic
+    geodesics)."""
     parent = [-1] * X.vertex_count
-    dist = [-1] * X.vertex_count
-    dist[source] = 0
+    parent[source] = source
     queue = [source]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
+    for u in queue:
         for v in X.neighbors[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
+            if parent[v] == -1:
                 parent[v] = u
                 queue.append(v)
-    return parent, dist
+    return parent
 
 
 def bilip_cut_transfer(Gamma: Graph, X: Graph, f,
@@ -236,8 +235,9 @@ def bilip_cut_transfer(Gamma: Graph, X: Graph, f,
     """Transfer an s-cut of the image graph back through a Lipschitz map.
 
     f must map V(Gamma) into V(X) with d_X(f(x), f(y)) <= kappa on edges;
-    both are checked. The image graph consists of all image vertices plus the
-    interiors of canonical BFS geodesics chosen per edge. Its s-cut C' (exact
+    both are checked. The image graph consists of all image vertices plus,
+    per edge xy, the interior of the geodesic from f(x) to f(y) in the BFS
+    tree of f(x) that keeps first-discovered parents. Its s-cut C' (exact
     up to EXACT_IMAGE_LIMIT vertices, heuristic above) pulls back to
     C = {x : d_X(f(x), C') <= kappa}, returned with the level it actually
     achieves on Gamma, plus an audit report.
@@ -249,30 +249,29 @@ def bilip_cut_transfer(Gamma: Graph, X: Graph, f,
     if len(f) != Gamma.vertex_count:
         raise ValueError("f must map every vertex of Gamma")
     validate_subset(X, f)
+    dist_x = distance_matrix(X)
     trees = {}
     chosen: set[int] = set(f)
     for x, y in Gamma.edges:
         src, dst = f[x], f[y]
-        if src not in trees:
-            trees[src] = _bfs_parents(X, src)
-        parent, dist = trees[src]
-        if dist[dst] > kappa:
+        if dist_x[src, dst] > kappa:
             raise ValueError(
                 f"Lipschitz violation on edge ({x},{y}): "
-                f"d_X(f({x}),f({y})) = {dist[dst]} > {kappa}")
-        v = dst
-        while parent[v] != -1:
-            v = parent[v]
-            if v != src:
-                chosen.add(v)
+                f"d_X(f({x}),f({y})) = {int(dist_x[src, dst])} > {kappa}")
+        if src not in trees:
+            trees[src] = _bfs_parents(X, src)
+        v = trees[src][dst]
+        while v != src:
+            chosen.add(v)
+            v = trees[src][v]
     image = induced_subgraph(X, chosen)
     inner = cut(image, s, "exact" if image.vertex_count <= EXACT_IMAGE_LIMIT
                 else "heuristic")
     cut_orig = {image.original_vertices[v] for v in inner.cut_set}
-    dist_x = distance_matrix(X)
-    C = frozenset(
-        x for x in range(Gamma.vertex_count)
-        if any(dist_x[f[x]][c] <= kappa for c in cut_orig))
+    # near[x, c]: c lies in the radius-kappa ball about f(x) in X.
+    near = dist_x[f] <= kappa
+    C = frozenset(np.flatnonzero(near[:, list(cut_orig)].any(axis=1))
+                  .tolist())
     n = Gamma.vertex_count
     comps = connected_components(Gamma, C)
     achieved = Fraction(max(map(len, comps), default=0), n)
@@ -280,9 +279,7 @@ def bilip_cut_transfer(Gamma: Graph, X: Graph, f,
     if not is_cut_set(Gamma, C, level):
         raise AssertionError("transfer produced an invalid cut")
     # Audit constant: preimage counts over radius-kappa balls in X.
-    ball_preimage = max(
-        (sum(1 for x in range(n) if dist_x[f[x]][center] <= kappa)
-         for center in range(X.vertex_count)), default=0)
+    ball_preimage = int(near.sum(axis=0).max(initial=0))
     report = {
         "image_vertices": image.vertex_count,
         "inner_cut_size": inner.size,

@@ -12,6 +12,8 @@ import math
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 
 class Graph:
     """Immutable simple graph: no self-loops, no duplicate edges."""
@@ -274,8 +276,13 @@ def bfs_distances(G: Graph, source: int) -> list[float]:
     return dist
 
 
-def distance_matrix(G: Graph) -> list[list[float]]:
-    return [bfs_distances(G, v) for v in range(G.vertex_count)]
+def distance_matrix(G: Graph) -> np.ndarray:
+    """All shortest-path distances as one (n, n) float array: row v is
+    ``bfs_distances(G, v)``, and vertices in different components are at
+    distance inf."""
+    n = G.vertex_count
+    return np.array([bfs_distances(G, v) for v in range(n)],
+                    dtype=float).reshape(n, n)
 
 
 def write_edgelist(G: Graph, path) -> None:

@@ -33,10 +33,11 @@ from .cuts import cut, iterated_halving_cut
 from .diagonal import (DiagonalSpec, apply_generator, ball, cocycle_norms,
                        embed_lamp_graph, range_of, range_set)
 from .graphs import (Graph, bfs_distances, build_family, cartesian_power,
-                     connected_components, subdivide)
+                     connected_components, distance_matrix, subdivide)
 from .groups import cayley_graph, klein_four
 from .kernels import backend_name
-from .profiles import poincare_profile, separation_profile_exact
+from .profiles import (DEFAULT_SUBGRAPH_BUDGET, poincare_profile,
+                       separation_profile_exact)
 from .spectral import lambda2, lambda_infinity_upper
 
 # Frozen regression bracket for the subdivided-K4 ratio (first-run values
@@ -62,7 +63,7 @@ class CheckRow:
 class VerifyContext:
     seed: int = 7
     tol: float = 0.05
-    budget: int = 300_000
+    budget: int = DEFAULT_SUBGRAPH_BUDGET
 
 
 def _fmt(x) -> str:
@@ -443,9 +444,7 @@ def suite_rescaling(ctx: VerifyContext):
         Z, a = spaces[tag], 3
         west, mid = h[tag, 1.0, a], h[tag, 1.0, 1.5]
         numin = float(Z.nu.min())
-        numax = max(sum(Z.nu[y] for y in range(Z.graph.vertex_count)
-                        if Z.dist[x][y] <= 2 * a)
-                    for x in range(Z.graph.vertex_count))
+        numax = float(np.max((Z.dist <= 2 * a) @ Z.nu))
         rows.append(_row(
             f"rescale:scales-lower:{tag}", "scale-comparison",
             numin / numax * west.value <= mid.value * (1 + ctx.tol),
@@ -480,10 +479,9 @@ def _discretization_space(host: Graph, disc) -> WeightedMetricGraph:
     """The discretization as a metric measure space: the centers carry the
     block measures and the host-restricted metric."""
     centers = disc.centers
-    host_dist = [bfs_distances(host, c) for c in centers]
     k = len(centers)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    dist = [[host_dist[i][centers[j]] for j in range(k)] for i in range(k)]
+    dist = distance_matrix(host)[np.ix_(centers, centers)]
     return WeightedMetricGraph(Graph(k, edges, labels=centers),
                                nu=disc.nu_Y, dist=dist)
 

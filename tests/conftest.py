@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import random
 import shlex
 import shutil
 import subprocess
@@ -7,6 +8,8 @@ import sysconfig
 
 import hypothesis
 import pytest
+
+from sepprof.graphs import Graph
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, max_examples=40, deadline=None)
@@ -35,3 +38,23 @@ def compiled_kernels(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def seeded_graphs():
+    """Sixty seeded random graphs on 2-12 vertices. The even-numbered ones
+    are connected (a random spanning tree plus extra edges); the odd-numbered
+    ones take each vertex pair with probability 0.2 and are mostly
+    disconnected."""
+    rng = random.Random(19)
+    graphs = []
+    for i in range(60):
+        n = rng.randint(2, 12)
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        if i % 2 == 0:
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [e for e in pairs if rng.random() < 0.15]
+        else:
+            edges = [e for e in pairs if rng.random() < 0.2]
+        graphs.append(Graph(n, edges))
+    return graphs

@@ -9,7 +9,7 @@ from sepprof.bounds import (CompressionTable, MonotoneTable, ScaleFunction,
                             SphereTable, check_condition, compression_function,
                             poincare_upper_bound, rearrange, rearrange_steps,
                             rho_delta)
-from sepprof.graphs import Graph, build_family
+from sepprof.graphs import Graph, bfs_distances, build_family, is_connected
 
 
 def test_compression_identity_on_path():
@@ -44,11 +44,91 @@ def test_compression_skips_infinite_distances():
     assert table.max_t == 1
 
 
+def test_compression_rejects_partial_or_non_finite_embedding():
+    g = build_family("path", 4)
+    for f in ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0, 3.0],
+              [0.0, math.inf, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="every vertex a finite point"):
+            compression_function(g, f, 1)
+
+
 def test_compression_table_monotone_enforced():
     with pytest.raises(ValueError):
         CompressionTable(values=(0.0, 2.0, 1.0), p=1)
     with pytest.raises(ValueError):
         CompressionTable(values=(1.0, 2.0), p=1)
+
+
+def pair_loop_compression(G, f, p):
+    """compression_function as a loop over vertex pairs."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 1:
+        f = f[:, None]
+    n = G.vertex_count
+    dist = [bfs_distances(G, v) for v in range(n)]
+    lip = 0.0
+    for u, v in G.edges:
+        lip = max(lip, float(np.sum(np.abs(f[u] - f[v]) ** p) ** (1.0 / p)))
+    scale = 1.0 / lip if lip > 1.0 else 1.0
+    finite = [int(dist[u][v]) for u in range(n) for v in range(u + 1, n)
+              if dist[u][v] != math.inf]
+    max_t = max(finite, default=0)
+    mins = [math.inf] * (max_t + 1)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if dist[u][v] != math.inf:
+                emb = scale * float(
+                    np.sum(np.abs(f[u] - f[v]) ** p) ** (1.0 / p))
+                mins[int(dist[u][v])] = min(mins[int(dist[u][v])], emb)
+    values = [0.0] * (max_t + 1)
+    running = math.inf
+    for t in range(max_t, 0, -1):
+        running = min(running, mins[t])
+        values[t] = 0.0 if running == math.inf else running
+    return CompressionTable(values=tuple(values), p=p, lipschitz=lip,
+                            rescaled=lip > 1.0)
+
+
+def pair_loop_sigma(G):
+    """SphereTable.from_graph's sphere counts as a loop over vertex pairs."""
+    n = G.vertex_count
+    dist = [bfs_distances(G, v) for v in range(n)]
+    diam = int(max(d for row in dist for d in row if d != math.inf))
+    sigma = [0] * (diam + 1)
+    for x in range(n):
+        counts = [0] * (diam + 1)
+        for y in range(n):
+            if dist[x][y] != math.inf:
+                counts[int(dist[x][y])] += 1
+        sigma = [max(a, b) for a, b in zip(sigma, counts)]
+    return tuple(sigma)
+
+
+def test_compression_function_matches_pair_loop(seeded_graphs):
+    rng = np.random.default_rng(19)
+    assert not all(map(is_connected, seeded_graphs))
+    for G in seeded_graphs:
+        for p in (1, 2, 3):
+            for dim in (1, 3):
+                # spread 3 forces the rescaling, spread 0.3 mostly not
+                for spread in (0.3, 3.0):
+                    f = spread * rng.standard_normal((G.vertex_count, dim))
+                    table = compression_function(G, f, p)
+                    assert repr(table) == repr(pair_loop_compression(G, f, p))
+                    assert type(table.lipschitz) is float
+                    assert type(table.rescaled) is bool
+
+
+def test_sphere_table_matches_pair_loop(seeded_graphs):
+    for G in seeded_graphs:
+        sigma = SphereTable.from_graph(G).sigma
+        assert sigma == pair_loop_sigma(G)
+        assert all(type(s) is int for s in sigma)
+
+
+def test_sphere_table_rejects_empty_graph():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        SphereTable.from_graph(Graph(0, []))
 
 
 def test_sphere_table_from_graph():

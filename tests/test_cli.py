@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_invariant_hp_with_witness(tmp_path, capsys):
     code, out, _ = run(["invariant", "hp", "--p", "2", "--grad", "modified",
                         g_path, "--witness-out", wit], capsys)
     assert code == 0 and "value 2" in out and "certified exact" in out
-    lines = open(wit).read().splitlines()
+    lines = Path(wit).read_text().splitlines()
     assert lines[0] == "vertex,value0" and len(lines) == 5
 
 
@@ -195,14 +196,14 @@ def test_verify_csv_and_json(tmp_path, capsys):
     code, _, err = run(["verify", "conditions", "--seed", "7", "--out",
                         out_path], capsys)
     assert code == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0].startswith("# ") and "seed=7" in lines[0]
     assert lines[1] == "check_id,anchor,status,lhs,rhs,tol,ms"
     json_path = str(tmp_path / "report.json")
     code, _, _ = run(["verify", "conditions", "--format", "json", "--out",
                       json_path], capsys)
     assert code == 0
-    payload = json.loads(open(json_path).read())
+    payload = json.loads(Path(json_path).read_text())
     assert payload["meta"]["seed"] == 7
     assert all(r["status"] == "pass" for r in payload["rows"])
 
@@ -213,7 +214,7 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
         code, _, _ = run(["verify", "cocycles", "--seed", "7", "--out", p],
                          capsys)
         assert code == 0
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def test_invariant_oversize_exact_is_validation_error(tmp_path, capsys):
@@ -240,7 +241,7 @@ def test_verify_timings_flag_fills_ms(tmp_path, capsys):
     code, _, _ = run(["verify", "conditions", "--timings", "--out", out_path],
                      capsys)
     assert code == 0
-    lines = open(out_path).read().splitlines()[2:]
+    lines = Path(out_path).read_text().splitlines()[2:]
     assert all(not line.endswith(",") for line in lines)
 
 

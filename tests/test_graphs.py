@@ -2,14 +2,16 @@ import itertools
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sepprof.graphs import (ConnectedPartition, Graph, bfs_distances, boundary,
                             build_family, cartesian_power,
-                            connected_components, induced_subgraph,
-                            read_edgelist, subdivide, write_edgelist)
+                            connected_components, distance_matrix,
+                            induced_subgraph, read_edgelist, subdivide,
+                            write_edgelist)
 
 
 def to_nx(G):
@@ -180,6 +182,17 @@ def test_bfs_and_components_match_networkx(G, data):
     rest = H.subgraph(set(H) - removed)
     theirs = sorted(map(frozenset, nx.connected_components(rest)), key=min)
     assert connected_components(G, removed) == theirs
+
+
+def test_distance_matrix_is_one_float_array():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    dist = distance_matrix(g)
+    assert isinstance(dist, np.ndarray)
+    assert dist.shape == (5, 5) and dist.dtype == np.float64
+    assert dist.tolist() == [bfs_distances(g, v) for v in range(5)]
+    assert dist[0, 2] == 2.0 and dist[3, 4] == 1.0
+    assert np.isinf(dist[:3, 3:]).all() and np.isinf(dist[3:, :3]).all()
+    assert distance_matrix(Graph(0, [])).shape == (0, 0)
 
 
 def test_connected_partition_validation():
