@@ -19,7 +19,8 @@ import numpy as np
 
 from . import kernels, optimize
 from .errors import ExactSearchInfeasible
-from .graphs import Graph, distance_matrix, validate_subset
+from .graphs import (Graph, distance_matrix, validate_measure,
+                     validate_subset)
 from .spectral import fiedler_vector, lambda2
 
 EXACT_LIMIT = 22
@@ -235,14 +236,7 @@ class WeightedMetricGraph:
     def __init__(self, graph: Graph, nu=None, dist=None):
         self.graph = graph
         n = graph.vertex_count
-        if nu is None:
-            nu = np.ones(n)
-        nu = np.asarray(nu, dtype=float)
-        if nu.shape != (n,):
-            raise ValueError("nu must have one entry per vertex")
-        if n and nu.min() <= 0:
-            raise ValueError("nu must be positive on every vertex")
-        self.nu = nu
+        self.nu = validate_measure(nu, n)
         dist = (distance_matrix(graph) if dist is None
                 else np.asarray(dist, dtype=float))
         if dist.shape != (n, n):

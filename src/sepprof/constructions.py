@@ -12,7 +12,7 @@ import numpy as np
 from .cuts import CutResult, cut, is_cut_set
 from .graphs import (Graph, ConnectedPartition, connected_components,
                      distance_matrix, induced_subgraph, is_connected,
-                     validate_subset)
+                     validate_measure, validate_subset)
 from .groups import FiniteGroup
 
 # Largest image graph that bilip_cut_transfer cuts exactly.
@@ -166,9 +166,7 @@ def scale_b_partition(G: Graph, S, b: int, nu=None) -> DiscretizationResult:
     if not is_connected(G):
         raise ValueError("host graph must be connected")
     n = G.vertex_count
-    nu = np.ones(n) if nu is None else np.asarray(nu, dtype=float)
-    if nu.shape != (n,):
-        raise ValueError("nu must have one entry per vertex")
+    nu = validate_measure(nu, n)
     dist = distance_matrix(G)
     _check_separated(dist, centers, b)
     rows = dist[centers]

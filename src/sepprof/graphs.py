@@ -104,6 +104,18 @@ def validate_subset(G: Graph, A: Iterable[int]) -> frozenset:
     return A
 
 
+def validate_measure(nu, n: int) -> np.ndarray:
+    """nu as a float array of one weight per vertex of an n-vertex graph,
+    all 1 when nu is None. Raise ValueError unless every weight is a finite
+    number > 0 (NaN included)."""
+    nu = np.ones(n) if nu is None else np.asarray(nu, dtype=float)
+    if nu.shape != (n,):
+        raise ValueError("nu must have one entry per vertex")
+    if not np.all((0 < nu) & (nu < np.inf)):
+        raise ValueError("nu must be finite and positive on every vertex")
+    return nu
+
+
 def build_family(kind: str, *params: int) -> Graph:
     """Construct one of the named graph families.
 

@@ -28,9 +28,21 @@ whose lower end is at most lo and upper end at most up changes no row: it
 raises neither maximum, and as it does not strictly raise up it is not a
 witness either. The evaluator is handed lo and up and may answer None for
 such a subgraph after deciding only that, with a threshold form of its
-kernel (see ``kernels``). The half-cut is one cut search over the sizes
-int(up)..m: a cut of exactly int(up) vertices means it cannot raise a row,
-and a larger first cut is the half-cut itself.
+kernel (see ``kernels``).
+
+A key's half-cut is the least size of a set C whose removal leaves
+components of at most m // 2 vertices each; a key with such a set of at most
+t = int(up) vertices cannot raise a row. Before the keys of one size are
+visited, one array pass over them, in chunks of at most ``_KEY_CHUNK`` keys,
+takes each key's least boundary cut (``_boundary_cuts``): over the prefix
+sets P = {0..j-1} and the suffix sets P = {m-j..m-1}, 1 <= j <= m // 2, the
+outer boundary C = N(P) \\ P wherever the rest, m - j - |C| vertices, is at
+most m // 2. Removing C leaves no edge between P and the rest, so every
+component lies in P or in the rest, and C is such a set. A key whose least
+boundary cut is at most t is therefore answered None with no kernel call.
+Every other key gets one cut search over the sizes t..m: a cut of exactly t
+vertices means it cannot raise a row, and a larger first cut is the half-cut
+itself. Keys wider than 63 bits skip the pass and are all searched.
 
 Both bracket ends are nondecreasing in the majored constant h: at p = 2
 the lower end comes from lambda2 and not from h, and the upper end is
@@ -208,15 +220,22 @@ def separation_profile_exact(G: Graph, n_max: int,
     _validate_n_max(n_max)
 
     def half_cuts(keys):
+        m = len(keys[0])
+        # One array pre-pass over the keys: their least boundary cuts.
+        cuts = [math.inf] * len(keys)
+        for start in range(0, len(keys), _KEY_CHUNK) if m <= 63 else ():
+            stack = np.array(keys[start:start + _KEY_CHUNK], dtype=np.int64)
+            cuts[start:start + _KEY_CHUNK] = _boundary_cuts(stack).tolist()
+
         def half_cut(i, lo, up):
             # lo == up: every half-cut value is its own lower and upper end.
-            # The search from t vertices finds a cut of t exactly when the
-            # half-cut is at most t; otherwise its first cut is the half-cut.
-            key = keys[i]
-            m, t = len(key), int(up)
-            if t >= m:
+            # A boundary cut of at most t, or a search from t vertices that
+            # finds a cut of t, means the half-cut is at most t; otherwise
+            # the search's first cut is the half-cut.
+            t = int(up)
+            if t >= m or cuts[i] <= t:
                 return None
-            mask, _ = kernels.min_cut_exact(key, m, 1, 2, m,
+            mask, _ = kernels.min_cut_exact(keys[i], m, 1, 2, m,
                                             DEFAULT_CUT_BUDGET, min_k=t)
             size = float(mask.bit_count())
             return None if size == t else (size, size)
@@ -245,30 +264,52 @@ def _hp_bracket(key, p: float, h_maj: float, gap=None):
     return majored_lp_lower(h_maj, p), upper
 
 
+def _prefix_suffix_sets(masks: np.ndarray):
+    """For a stack (k, m) of neighbour masks, yield (j, A, reach, rest) for
+    the prefix set A = {0..j-1} and then the suffix set A = {m-j..m-1} of
+    each j = 1..m // 2: A as a mask, and per row the OR of the neighbour
+    masks of A's members (reach) and of the other members (rest). Two OR
+    accumulations, forward and reversed, give them all."""
+    m = masks.shape[1]
+    prefix = np.bitwise_or.accumulate(masks, axis=1)
+    suffix = np.bitwise_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
+    for j in range(1, m // 2 + 1):
+        low, high = (1 << j) - 1, ((1 << j) - 1) << (m - j)
+        yield j, low, prefix[:, j - 1], suffix[:, j]
+        yield j, high, suffix[:, m - j], prefix[:, m - j - 1]
+
+
 def _majored_bounds(masks: np.ndarray) -> np.ndarray:
     """For each row of a stack (k, m), m >= 2, of neighbour masks, the least
     majored ratio over the prefix sets {0..j-1} and the suffix sets
     {m-j..m-1}, 1 <= j <= m/2: an upper bound on the majored constant that is
     itself the ratio of a set the Cheeger kernel searches.
 
-    OR accumulations, forward and reversed, give the neighbourhood of every
-    prefix and suffix; a set's count is its outer boundary plus its members
-    adjacent to the rest. The ratios count/j are compared as the integers
-    count * (L / j), L = lcm(1..m//2), and returned as floats."""
-    k, m = masks.shape
-    prefix = np.bitwise_or.accumulate(masks, axis=1)
-    suffix = np.bitwise_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
-    scale = math.lcm(*range(1, m // 2 + 1))
-    best = np.full(k, np.iinfo(np.int64).max)
-    for j in range(1, m // 2 + 1):
-        low, high = (1 << j) - 1, ((1 << j) - 1) << (m - j)
-        for count in (
-                np.bitwise_count(prefix[:, j - 1] & ~low)
-                + np.bitwise_count(suffix[:, j] & low),
-                np.bitwise_count(suffix[:, m - j] & ~high)
-                + np.bitwise_count(prefix[:, m - j - 1] & high)):
-            np.minimum(best, count * np.int64(scale // j), out=best)
+    A set's count is its outer boundary plus its members adjacent to the
+    rest. The ratios count/j are compared as the integers count * (L / j),
+    L = lcm(1..m//2), and returned as floats."""
+    scale = math.lcm(*range(1, masks.shape[1] // 2 + 1))
+    best = np.full(len(masks), np.iinfo(np.int64).max)
+    for j, A, reach, rest in _prefix_suffix_sets(masks):
+        count = np.bitwise_count(reach & ~A) + np.bitwise_count(rest & A)
+        np.minimum(best, count * np.int64(scale // j), out=best)
     return best / scale
+
+
+def _boundary_cuts(masks: np.ndarray) -> np.ndarray:
+    """For each row of a stack (k, m) of neighbour masks, the least size of
+    the outer boundary C = N(A) \\ A of a prefix or suffix set A of
+    j <= m // 2 members whose rest, m - j - |C| members, is at most m // 2;
+    inf where there is none. Removing such a C leaves components of at most
+    m // 2 members each (module docstring)."""
+    m = masks.shape[1]
+    best = np.full(len(masks), np.inf)
+    for j, A, reach, _ in _prefix_suffix_sets(masks):
+        cut = np.bitwise_count(reach & ~A)
+        # The rest, m - j - |C| members, is at most m // 2.
+        np.minimum(best, np.where(cut >= (m + 1) // 2 - j, cut, np.inf),
+                   out=best)
+    return best
 
 
 @lru_cache(maxsize=EXACT_LIMIT)

@@ -252,6 +252,12 @@ def test_weighted_metric_graph_validation():
         WeightedMetricGraph(g, dist=[[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3.0, 0.0])
+def test_weighted_metric_graph_rejects_non_finite_or_non_positive_nu(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        WeightedMetricGraph(build_family("path", 5), nu=[1, bad, 1, 1, 1])
+
+
 def test_custom_metric_is_honored():
     from sepprof.cheeger import scale_ratio
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -156,6 +157,14 @@ def test_scale_b_partition_rejects_disconnected_host():
 def test_scale_b_partition_rejects_nu_of_wrong_length():
     with pytest.raises(ValueError, match="one entry per vertex"):
         scale_b_partition(build_family("path", 4), {0}, 2, nu=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("nu", [
+    [1, -3, 1, 1, math.nan], [1, 1, 1, 1, math.nan], [1, 1, math.inf, 1, 1],
+    [0, 1, 1, 1, 1]])
+def test_scale_b_partition_rejects_non_finite_or_non_positive_nu(nu):
+    with pytest.raises(ValueError, match="finite and positive"):
+        scale_b_partition(build_family("path", 5), {0, 4}, 2, nu=nu)
 
 
 # The pair loops below compute what the constructions compute, from the

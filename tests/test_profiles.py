@@ -352,8 +352,9 @@ def test_large_exponent_equals_reference_loop(monkeypatch):
 
 def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     """No key is searched twice in the same form, every key searched is a
-    real key, the half-cut makes one cut search per distinct key, and on
-    grid 6x6 the pruned profiles run few full searches."""
+    real key, the half-cut searches exactly the keys its boundary cuts do
+    not answer, and on grid 6x6 the pruned profiles run few full
+    searches."""
     G = build_family("grid", 6, 6)
     keys = [key for _, key in _reference_subgraphs(G, 6)]
     distinct = set(keys)
@@ -369,16 +370,122 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
         assert {key for _, key in calls} <= distinct
         forms[name] = Counter(form for form, _ in calls)
         searched[name] = Counter(key for _, key in calls)
-    # The half-cut searches each key once (166 keys, 2 of them find a cut
-    # above the running row). The pre-pass skips most keys without a search:
-    # at p = 1, 28 searches end at their stop and 3 run out, at p = 3, 30
-    # and 8, and at p = 2, 6 keys are searched and none of them stops.
-    assert searched["sep"] == Counter(distinct)
+    # The half-cut searches, once each, exactly the keys whose boundary cut
+    # exceeds the running row at their visit: 4 of the 166 keys, 2 of which
+    # find a cut above the running row. The Poincare pre-pass skips most
+    # keys without a search: at p = 1, 28 searches end at their stop and 3
+    # run out, at p = 3, 30 and 8, and at p = 2, 6 keys are searched and
+    # none of them stops.
+    assert searched["sep"] == Counter(_searched_half_cuts(G, 6))
     assert forms["sep"]["full"] * 10 < len(distinct)
     assert forms["p1"]["full"] * 5 < len(distinct)
     assert forms["p3"]["full"] * 5 < len(distinct)
     assert set(forms["p2"]) == {"full"}
     assert forms["p2"]["full"] * 10 < len(distinct)
+
+
+def _reference_boundary_cut(key):
+    """The least outer boundary of a prefix or suffix set of j <= m // 2
+    members that leaves at most m // 2 others, as a loop over the sets; inf
+    when there is none."""
+    m = len(key)
+    best = math.inf
+    for j in range(1, m // 2 + 1):
+        for members in (range(j), range(m - j, m)):
+            A = reach = 0
+            for v in members:
+                A |= 1 << v
+                reach |= key[v]
+            cut = (reach & ~A).bit_count()
+            if m - j - cut <= m // 2:
+                best = min(best, cut)
+    return best
+
+
+def _searched_half_cuts(G, n_max):
+    """The keys the half-cut should search, in visiting order: each distinct
+    key whose size and reference boundary cut both exceed t, the running row
+    at its visit, replayed from full cut searches."""
+    run, seen, searched = 0, set(), []
+    for _, key in _reference_subgraphs(G, n_max):
+        if key in seen:
+            continue
+        seen.add(key)
+        m = len(key)
+        if run < m and _reference_boundary_cut(key) > run:
+            searched.append(key)
+        mask, _ = kernels.min_cut_exact(key, m, 1, 2, m, DEFAULT_CUT_BUDGET)
+        run = max(run, mask.bit_count())
+    return searched
+
+
+def _assert_boundary_cuts_equal_reference(G, n_max):
+    """Each key's boundary cut is the reference loop's, and a finite one c
+    is a half-cut: the cut search from c vertices finds a cut of c."""
+    for m, _, keys in _subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET):
+        got = profiles._boundary_cuts(np.array(keys, dtype=np.int64))
+        for key, cut in zip(keys, got.tolist()):
+            assert cut == _reference_boundary_cut(key)
+            if cut < math.inf:
+                mask, _ = kernels.min_cut_exact(key, m, 1, 2, m,
+                                                DEFAULT_CUT_BUDGET,
+                                                min_k=int(cut))
+                assert mask.bit_count() == cut
+
+
+@pytest.mark.parametrize("make,n_max", [
+    (lambda: build_family("hypercube", 4), 8),
+    (lambda: build_family("grid", 4, 4), 16),
+])
+def test_boundary_cuts_equal_reference_loop(make, n_max):
+    _assert_boundary_cuts_equal_reference(make(), n_max)
+
+
+@given(connected_graphs())
+def test_boundary_cuts_equal_reference_loop_random(G):
+    _assert_boundary_cuts_equal_reference(G, G.vertex_count)
+
+
+def _no_boundary_cuts(masks):
+    return np.full(len(masks), np.inf)
+
+
+def test_pinned_rows_do_not_depend_on_the_boundary_cuts(monkeypatch):
+    monkeypatch.setattr(profiles, "_boundary_cuts", _no_boundary_cuts)
+    assert _pinned_rows_digest() == PINNED_ROWS_SHA256
+
+
+@given(connected_graphs())
+def test_rows_do_not_depend_on_the_boundary_cuts_random(G):
+    n = G.vertex_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profiles, "_boundary_cuts", _no_boundary_cuts)
+        assert separation_profile_exact(G, n).rows == _oracle_separation(G, n)
+
+
+@pytest.mark.parametrize("make,n_max,most", [
+    (lambda: build_family("grid", 4, 4), 16, 150),
+    (lambda: build_family("hypercube", 4), 8, 50),
+])
+def test_boundary_cuts_leave_few_cut_searches(monkeypatch, make, n_max,
+                                              most):
+    """The boundary cuts answer all but a few of the thousands of keys
+    (grid 4x4 at n 16: 8,625 searches without them, Q4 at n 8: 7,405)."""
+    G = make()
+    calls = _kernel_calls(monkeypatch,
+                          lambda: separation_profile_exact(G, n_max))
+    assert len(calls) <= most
+
+
+def test_sep_keys_wider_than_63_bits_are_searched(monkeypatch):
+    """A path's keys of 3 to 63 members have a boundary cut of 1 vertex, the
+    running row; keys of 64 members and more skip the pre-pass and are
+    searched."""
+    G = build_family("path", 66)
+    calls = _kernel_calls(monkeypatch,
+                          lambda: separation_profile_exact(G, 66))
+    assert sorted(len(key) for _, key in calls) == [1, 64, 65, 66]
+    assert separation_profile_exact(G, 66).rows[-1].lower == 1.0
 
 
 def _pinned_rows_digest():
