@@ -377,6 +377,47 @@ def characteristic_witness(nu: np.ndarray) -> Optional[np.ndarray]:
     return f
 
 
+def cheeger_lps(G: Graph, ps, gradient: str = "sup_scale",
+                scale_a: float = 1.0, target_dim: int = 1,
+                restarts: int = 8, seed: int = 0) -> list:
+    """``cheeger_lp(G, p, ...)`` for each p of ps, in order, with the bits
+    it gives alone, from one optimizer stack for all of them."""
+    ps = list(ps)
+    for p in ps:
+        validate_exponent(p)
+    _validate_scale(scale_a)
+    if target_dim < 1:
+        raise ValueError("target_dim must be >= 1")
+    if G.vertex_count <= 1:
+        return [CheegerWitness(0.0, "function", exact=True,
+                               certified_lower=0.0) for _ in ps]
+    if gradient == "modified" and scale_a != 1:
+        raise ValueError("modified gradient is defined at scale 1 only")
+    if gradient not in ("sup_scale", "modified"):
+        raise ValueError(f"unknown gradient {gradient!r}")
+    # (modified, p = 2, dimension 1) is exact: sqrt(2 lambda2).
+    exact = gradient == "modified" and target_dim == 1
+    found = iter(_lp_estimates(
+        G, [(scale_a, p) for p in ps if not (exact and p == 2)], gradient,
+        target_dim, restarts, seed))
+    out = []
+    for p in ps:
+        if exact and p == 2:
+            lam = lambda2(G)
+            value = math.sqrt(2.0 * lam.lambda2)
+            out.append(CheegerWitness(
+                value=value, kind="function",
+                function_witness=lam.witness_vector, exact=True,
+                certified_lower=value))
+            continue
+        est = next(found)
+        lower = certified_lp_lower(G, p, gradient) if scale_a == 1 else None
+        if lower is not None:
+            est.certified_lower = min(lower, est.value)
+        out.append(est)
+    return out
+
+
 def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
                scale_a: float = 1.0, target_dim: int = 1,
                restarts: int = 8, seed: int = 0) -> CheegerWitness:
@@ -386,95 +427,98 @@ def cheeger_lp(G: Graph, p: float, gradient: str = "sup_scale",
     closed ball of radius ``scale_a``; gradient="modified": the p-sum over
     neighbours. For (modified, p=2, scale 1, dim 1) the exact value
     sqrt(2*lambda2) is returned. certified_lower comes from the exhaustive
-    sandwich chain when available (scale 1 only).
+    sandwich chain when available (scale 1 only). The one-exponent call of
+    ``cheeger_lps``: to estimate several exponents of one host, ask for them
+    together.
     """
-    validate_exponent(p)
-    _validate_scale(scale_a)
-    if target_dim < 1:
-        raise ValueError("target_dim must be >= 1")
-    n = G.vertex_count
-    if n <= 1:
-        return CheegerWitness(0.0, "function", exact=True, certified_lower=0.0)
-    if gradient == "modified" and scale_a != 1:
-        raise ValueError("modified gradient is defined at scale 1 only")
-    if gradient == "modified" and p == 2 and target_dim == 1:
-        lam = lambda2(G)
-        value = math.sqrt(2.0 * lam.lambda2)
-        return CheegerWitness(
-            value=value, kind="function",
-            function_witness=lam.witness_vector, exact=True,
-            certified_lower=value)
-    if gradient == "sup_scale":
-        est = _scale_estimates(WeightedMetricGraph(G), [scale_a], p,
-                               target_dim, restarts, seed)[0]
-    elif gradient == "modified":
-        nu = np.ones(n)
-        nbrs = optimize.NeighborIndex(G.neighbors)
-        _, best_f = optimize.first_least(*optimize.minimize_quotient(
-            *optimize.modified_gradient_objective(nbrs, nu, p), nu, p,
-            _starts(G, target_dim, restarts, seed, nu)))
-        est = CheegerWitness(value=_modified_ratio(nbrs, nu, best_f, p),
-                             kind="function", function_witness=best_f)
+    return cheeger_lps(G, [p], gradient, scale_a, target_dim, restarts,
+                       seed)[0]
+
+
+def _lp_estimates(G: Graph, problems, gradient: str, target_dim: int,
+                  restarts: int, seed: int, Z=None) -> list:
+    """The estimates of G's L^p quotients for each (scale, p) of problems,
+    in order, on at least two vertices: per problem the best function found
+    from the seeded starts, rechecked with ``scale_ratio`` or
+    ``_modified_ratio``. The sup gradient takes the measure and metric of
+    Z, by default ``WeightedMetricGraph(G)``; the neighbour-sum gradient has
+    scale 1 and the counting measure.
+
+    Problems with equal exponents and equal ball matrices share one block
+    of starts, and one optimizer stack steps every block, each row with its
+    block's exponent and matrix. The blocks of one exponent are contiguous,
+    so the rows come in runs of equal p. The matrices are padded to the
+    widest by the ``optimize.index_matrix`` rule, which changes no extreme,
+    so each problem gets the bits it would get alone."""
+    if not problems:
+        return []
+    sup = gradient == "sup_scale"
+    if sup:
+        Z = WeightedMetricGraph(G) if Z is None else Z
+        nu = Z.nu
     else:
-        raise ValueError(f"unknown gradient {gradient!r}")
-    lower = certified_lp_lower(G, p, gradient) if scale_a == 1 else None
-    if lower is not None:
-        est.certified_lower = min(lower, est.value)
-    return est
-
-
-def _scale_estimates(Z: WeightedMetricGraph, scales, p: float,
-                     target_dim: int, restarts: int, seed: int) -> list:
-    """The sup-gradient estimates at each scale, in order, on at least two
-    vertices: per scale the best function found from the seeded starts,
-    rechecked with ``scale_ratio``.
-
-    Scales with equal ball matrices share one block of starts, and one
-    optimizer stack steps every block, each row with its block's matrix.
-    The matrices are padded to the widest by the ``optimize.index_matrix``
-    rule, which changes no extreme, so each scale gets the bits it would
-    get alone."""
-    blocks, block_of = {}, []
-    for a in scales:
-        balls = Z.balls(a)
-        block_of.append(blocks.setdefault((balls.shape, balls.tobytes()),
-                                          (len(blocks), balls))[0])
-    K, n = len(blocks), Z.graph.vertex_count
-    balls = optimize.index_matrix(
-        [row for _, matrix in blocks.values() for row in matrix])
-    starts = _starts(Z.graph, target_dim, restarts, seed, Z.nu)
-    S = len(starts)
-    if K > 1:  # one matrix per row; a lone matrix is shared by every row
+        nu, nbrs = np.ones(G.vertex_count), optimize.NeighborIndex(G.neighbors)
+    groups, keys = {}, []  # p -> {matrix key: matrix}, in order of first use
+    for a, p in problems:
+        balls = Z.balls(a) if sup else None
+        key = (balls.shape, balls.tobytes()) if sup else None
+        groups.setdefault(p, {}).setdefault(key, balls)
+        keys.append((p, key))
+    blocks = [(p, key, balls) for p, matrices in groups.items()
+              for key, balls in matrices.items()]
+    block_of = {(p, key): k for k, (p, key, _) in enumerate(blocks)}
+    starts = _starts(G, target_dim, restarts, seed, nu)
+    S, K = len(starts), len(blocks)
+    # One exponent for the whole stack keeps the scalar code path.
+    p = (problems[0][1] if len(groups) == 1
+         else np.repeat([float(q) for q, _, _ in blocks], S))
+    if not sup:
+        objective = optimize.modified_gradient_objective(nbrs, nu, p)
+    elif len({key for _, key, _ in blocks}) == 1:
+        objective = optimize.sup_gradient_objective(blocks[0][2], nu, p)
+    else:  # one matrix per row
+        n = G.vertex_count
+        balls = optimize.index_matrix(
+            [row for _, _, matrix in blocks for row in matrix])
         balls = np.repeat(balls.reshape(K, n, -1), S, axis=0)
-    best_val, best_F = optimize.minimize_quotient(
-        *optimize.sup_gradient_objective(balls, Z.nu, p), Z.nu, p,
-        starts * K)
+        objective = optimize.sup_gradient_objective(balls, nu, p)
+    best_val, best_F = optimize.minimize_quotient(*objective, nu, p,
+                                                  starts * K)
     winners = [optimize.first_least(best_val[k * S:(k + 1) * S],
                                     best_F[k * S:(k + 1) * S])[1]
                for k in range(K)]
-    # Scales of one block get copies, so that no two witnesses share memory.
-    return [CheegerWitness(value=scale_ratio(Z, winners[k], p, a),
-                           kind="function", function_witness=winners[k].copy())
-            for a, k in zip(scales, block_of)]
+    out = []
+    for (a, q), key in zip(problems, keys):
+        # Problems of one block get copies, so that no two witnesses share
+        # memory.
+        f = winners[block_of[key]].copy()
+        value = (scale_ratio(Z, f, q, a) if sup
+                 else _modified_ratio(nbrs, nu, f, q))
+        out.append(CheegerWitness(value=value, kind="function",
+                                  function_witness=f))
+    return out
 
 
-def scale_poincare_constants(Z: WeightedMetricGraph, scales, p: float,
+def scale_poincare_constants(Z: WeightedMetricGraph, scales, p,
                              restarts: int = 8, seed: int = 0) -> list:
     """Upper bounds on the L^p Poincare constant of Z at each scale a of
-    ``scales``, in order: one witness per scale, with the bits that
+    ``scales``, in order, p one exponent for all or a list of one per scale:
+    one witness per scale, with the bits that
     ``scale_poincare_constant(Z, a, p, restarts, seed)`` gives, from one
-    optimizer stack for all of them (scales with the same balls share their
-    starts)."""
-    validate_exponent(p)
+    optimizer stack for all of them (scales with the same balls and
+    exponent share their starts)."""
     scales = list(scales)
-    for a in scales:
+    ps = list(p) if np.ndim(p) else [p] * len(scales)
+    if len(ps) != len(scales):
+        raise ValueError("give one exponent, or one per scale")
+    for a, q in zip(scales, ps):
+        validate_exponent(q)
         _validate_scale(a)
-    if not scales:
-        return []
     if Z.graph.vertex_count <= 1:
         return [CheegerWitness(0.0, "function", exact=True,
                                certified_lower=0.0) for _ in scales]
-    return _scale_estimates(Z, scales, p, 1, restarts, seed)
+    return _lp_estimates(Z.graph, list(zip(scales, ps)), "sup_scale", 1,
+                         restarts, seed, Z)
 
 
 def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
@@ -484,7 +528,7 @@ def scale_poincare_constant(Z: WeightedMetricGraph, a: float, p: float,
     Gradient is the sup over the closed a-ball; means and norms are taken
     against the vertex measure. Value 0 by convention on measure-zero Z.
     The one-scale call of ``scale_poincare_constants``: to estimate several
-    scales of one space and exponent, ask for them together.
+    scales or exponents of one space, ask for them together.
     """
     return scale_poincare_constants(Z, [a], p, restarts, seed)[0]
 

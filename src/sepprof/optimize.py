@@ -47,7 +47,16 @@ matrix per row. So only operations that give every row those bits are used:
 elementwise ones, reductions along the last axis of a C-ordered array
 (``np.take`` keeps C order where fancy indexing may not), ``nu @ F``, and
 per-row dot products as a stacked matmul (``rowdot``; a 2-norm is the root of
-one). Neither ``einsum`` nor ``norm(axis=...)`` gives them. Both callables of
+one). Neither ``einsum`` nor ``norm(axis=...)`` gives them. A stack may also
+mix exponents: the projection and both objectives take p as one number or as
+one p per row, and callers lay the rows out in runs of equal p. Every ``**``
+is then taken once per run with that run's scalar exponent (``row_power``):
+``x ** e`` with an array e skips the scalar fast paths that square or take
+the root, and on an AVX-512 host with numpy 2.4 it differed from
+``x ** 2.0`` and ``x ** 0.5`` in about 10,500 of 200,000 entries, so
+p = 3 and p = 1.5 would lose their bits at ``p - 1``. ``np.float_power`` and
+products give the same bits with a per-row array broadcast, so they take
+one. Both callables of
 a pair share one pass per stack (the per-ball extremes, the neighbour
 differences) through a one-slot memo keyed on the identity of the last stack
 (``memo_last``). This relies on the contract of ``minimize_quotient``: the
@@ -82,25 +91,51 @@ def rowdot(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ v[..., None])[:, 0, 0]
 
 
-def sphere_projection(nu: np.ndarray, p: float):
+def exponent_runs(p, rows: int) -> list:
+    """(start, stop, exponent) for each run of rows with equal exponents: p
+    is one exponent for all ``rows`` rows or an array of one per row."""
+    if np.ndim(p) == 0:
+        return [(0, rows, p)]
+    cut = (np.flatnonzero(p[1:] != p[:-1]) + 1).tolist()
+    return [(s, t, float(p[s])) for s, t in zip([0] + cut, cut + [len(p)])]
+
+
+def per_row(p, ndim: int):
+    """p, or the array of one p per row shaped to broadcast over the rows
+    of an ndim-dimensional stack."""
+    return p if np.ndim(p) == 0 else np.reshape(p, (-1,) + (1,) * (ndim - 1))
+
+
+def row_power(X: np.ndarray, p, less: float = 0.0) -> np.ndarray:
+    """X ** (p - less), with p one exponent or one per row of X: one ``**``
+    per run of equal exponents (``exponent_runs``), with its scalar."""
+    if np.ndim(p) == 0:
+        return X ** (p - less)
+    out = np.empty(X.shape)
+    for s, t, e in exponent_runs(p, len(X)):
+        out[s:t] = X[s:t] ** (e - less)
+    return out
+
+
+def sphere_projection(nu: np.ndarray, p):
     """The projection of a stack of (n, d) functions onto the nu-weighted
     mean-zero unit p-sphere, as ``minimize_quotient`` takes it: F maps to
-    (its rows that survive, projected; a mask of those rows). A row whose
-    centered norm is below 1e-12 or not finite is constant, or became so
-    when the norm overflowed, and does not survive."""
+    (F projected, a mask of the rows that survive), p one exponent or one per
+    row. A row whose centered norm is below 1e-12 or not finite is constant,
+    or became so when the norm overflowed; it does not survive and its
+    projected row is meaningless."""
     total = nu.sum()
 
     def project(F):
         F = F - ((nu @ F) / total)[:, None, :]
-        row = np.sum(np.abs(F) ** p, axis=2)
+        row = np.sum(row_power(np.abs(F), p), axis=2)
         norm = np.float_power(rowdot(row, nu), 1.0 / p)
-        ok = (norm >= 1e-12) & (norm < np.inf)
-        return F[ok] / norm[ok][:, None, None], ok
+        return F / norm[:, None, None], (norm >= 1e-12) & (norm < np.inf)
 
     return project
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
                       project=None, min_grad=1e-15):
     """Minimize numerator^p over the weighted mean-zero unit p-sphere from
@@ -110,20 +145,22 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
     every stack. numer_pow maps a stack to the p-th powers of the
     numerator, one per row; numer_subgrad to a stack of subgradients. Row r
     may stand for a problem of its own, so one call can serve several
-    problems, each a block of rows. Returns (best_val, best_F), shapes (R,)
-    and (R, n, d): each start's least objective^p and the first iterate
-    reaching it. ``first_least`` picks a winner from them, or from a block
-    of them; callers recompute the reported quotient from the witness.
+    problems, each a block of rows; p is one exponent or one per row.
+    Returns (best_val, best_F), shapes (R,) and (R, n, d): each start's
+    least objective^p and the first iterate reaching it. ``first_least``
+    picks a winner from them, or from a block of them; callers recompute
+    the reported quotient from the witness.
 
     ``project`` replaces the projection onto the sphere of nu and p (see
-    ``sphere_projection``). A start whose projection fails, at the start or
-    later, is frozen: it stops moving and never improves again; one that
-    fails at the start has best value +inf. A subgradient with norm at most
-    ``min_grad`` leaves its iterate in place. Raises ValueError when no
-    start survives the first projection. Overflow, and the NaN it may cause,
-    raise no numpy warning: such an objective is never best, such a row
-    fails projection, and a finite subgradient whose norm overflows is
-    rescaled.
+    ``sphere_projection``): it maps a whole stack to (its projection, a mask
+    of the rows that survive), each surviving row with its bits alone. A
+    start whose projection fails, at the start or later, is frozen: it stops
+    moving and never improves again; one that fails at the start stays at 0
+    with best value +inf. A subgradient with norm at most ``min_grad``
+    leaves its iterate in place. Raises ValueError when no start survives
+    the first projection. Overflow, and the NaN it may cause, raise no numpy
+    warning: such an objective is never best, such a row fails projection,
+    and a finite subgradient whose norm overflows is rescaled.
 
     Every numer_subgrad(F) follows numer_pow(F) on the same stack, and no
     stack is changed in place once either callable has seen it, so the pair
@@ -132,11 +169,11 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
     if project is None:
         project = sphere_projection(nu, p)
     F = np.array([np.asarray(f0, dtype=float) for f0 in starts])
+    rows = (-1,) + (1,) * (F.ndim - 1)  # a mask over the rows of a stack
     alive = np.zeros(len(F), dtype=bool)
     if len(F):
         projected, alive = project(F)
-        F = np.zeros_like(F)  # where a start that fails stays
-        F[alive] = projected
+        F = np.where(alive.reshape(rows), projected, 0.0)
     if not alive.any():
         raise ValueError("no start survived projection onto the unit sphere")
     best_val, best_F = np.where(alive, numer_pow(F), np.inf), F.copy()
@@ -153,21 +190,21 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
             norm, G = np.sqrt(rowdot(flat, flat)), flat.reshape(G.shape)
         moving = alive & (norm > min_grad)
         if moving.any():
-            scale = norm[moving].reshape((-1,) + (1,) * (F.ndim - 1))
-            stepped, ok = project(F[moving] - G[moving] / (scale * np.sqrt(t)))
-            if moving.all() and ok.all():
+            # Rows that do not move are stepped and projected too, and their
+            # results dropped: every row's step is its own.
+            stepped, ok = project(F - G / (norm.reshape(rows) * np.sqrt(t)))
+            ok &= moving
+            if ok.all():
                 F = stepped
             else:
-                rows = np.flatnonzero(moving)
-                F = F.copy()
-                F[rows[ok]] = stepped
-                alive[rows[~ok]] = False
+                F = np.where(ok.reshape(rows), stepped, F)
+                alive &= ok | ~moving
                 if not alive.any():
                     break
         val = numer_pow(F)
         better = alive & (val < best_val)
-        best_val[better] = val[better]
-        best_F[better] = F[better]
+        np.copyto(best_val, val, where=better)
+        np.copyto(best_F, F, where=better.reshape(rows))
     return best_val, best_F
 
 
@@ -272,20 +309,22 @@ def ordered_sum(terms: np.ndarray):
     return np.zeros(terms.shape[:-1])
 
 
-def _widest_pairs(F: np.ndarray, balls: np.ndarray, p: float):
+def _widest_pairs(F: np.ndarray, balls: np.ndarray, p):
     """For a stack F of shape (R, n, d) with d > 1 and balls (m, B), shared
-    by every row, or (R, m, B), one matrix per row, with B > 1: per row r
-    and ball x the largest ||F[r, y] - F[r, y']||_p^p over pairs of members,
-    and the columns (i, j) of its first occurrence in row-major order over
-    all B * B pairs, flattened to length R * m.
+    by every row, or (R, m, B), one matrix per row, with B > 1, and p one
+    exponent or one per row: per row r and ball x the largest
+    ||F[r, y] - F[r, y']||_p^p over pairs of members, and the columns (i, j)
+    of its first occurrence in row-major order over all B * B pairs,
+    flattened to length R * m.
 
     Only the pairs i < j are searched: the value of (i, j) is that of
     (j, i) and the diagonal is 0, so a positive maximum first occurs above
     the diagonal, and a row whose pairs are all 0 has its first maximum at
     (0, 0). The coordinate terms are added left to right, as ``np.sum`` adds
     fewer than 8 of them. (row, ball) pairs are taken in chunks of at most
-    PAIR_CHUNK difference entries, or one. The pair table is built once per
-    matrix, not per row: (row, ball) k reads its row k % len(left)."""
+    PAIR_CHUNK difference entries, or one, within a run of equal exponents.
+    The pair table is built once per matrix, not per row: (row, ball) k reads
+    its row k % len(left)."""
     R, n, d = F.shape
     m, B = balls.shape[-2:]
     iu, ju = np.triu_indices(B, 1)
@@ -294,18 +333,19 @@ def _widest_pairs(F: np.ndarray, balls: np.ndarray, p: float):
     flat = F.reshape(R * n, d)
     top, at = np.empty(R * m), np.empty(R * m, dtype=np.intp)
     step = max(1, PAIR_CHUNK // (len(iu) * d))
-    for s in range(0, R * m, step):
-        k = np.arange(s, min(s + step, R * m))
-        x, base = k % len(left), (k // m * n)[:, None]
-        D = np.take(flat, left[x] + base, axis=0)
-        D -= np.take(flat, right[x] + base, axis=0)
-        np.abs(D, out=D)
-        D **= p
-        S = D[..., 0] + D[..., 1]
-        for c in range(2, d):
-            S += D[..., c]
-        at[k] = S.argmax(axis=1)
-        top[k] = S[np.arange(len(k)), at[k]]
+    for first, stop, e in exponent_runs(p, R):
+        for s in range(first * m, stop * m, step):
+            k = np.arange(s, min(s + step, stop * m))
+            x, base = k % len(left), (k // m * n)[:, None]
+            D = np.take(flat, left[x] + base, axis=0)
+            D -= np.take(flat, right[x] + base, axis=0)
+            np.abs(D, out=D)
+            D **= e
+            S = D[..., 0] + D[..., 1]
+            for c in range(2, d):
+                S += D[..., c]
+            at[k] = S.argmax(axis=1)
+            top[k] = S[np.arange(len(k)), at[k]]
     positive = top > 0
     return top, np.where(positive, iu[at], 0), np.where(positive, ju[at], 0)
 
@@ -314,33 +354,43 @@ def _widest_pairs(F: np.ndarray, balls: np.ndarray, p: float):
 # Gradients
 
 
-def _ball_extremes(F: np.ndarray, balls: np.ndarray, p: float):
-    """For a stack F of shape (R, n, d) and balls (m, B), shared by every
-    row, or (R, m, B), one matrix per row: per row r and ball x the width
-    u = max over pairs y, y' of the ball of ||F[r, y] - F[r, y']||_p, as an
-    (R, m) array, and the rows (hi, lo) of F.reshape(R * n, d) at its first
-    extremal pair, each of length R * m: for d = 1 the first argmax and the
-    first argmin, for d > 1 the first pair in row-major order."""
-    R, n, d = F.shape
+def _stack_index(balls: np.ndarray, R: int, n: int):
+    """The balls of a stack of R rows as rows of F.reshape(R * n, d): an
+    (R * m, B) index matrix, and the arange over its rows."""
     m, B = balls.shape[-2:]
     index = (balls + (np.arange(R) * n)[:, None, None]).reshape(R * m, B)
-    pick = np.arange(R * m)
+    return index, np.arange(R * m)
+
+
+def _ball_extremes(F: np.ndarray, balls: np.ndarray, p, stack_index):
+    """For a stack F of shape (R, n, d), balls (m, B), shared by every row,
+    or (R, m, B), one matrix per row, and p one exponent or one per row: per
+    row r and ball x the width u = max over pairs y, y' of the ball of
+    ||F[r, y] - F[r, y']||_p, as an (R, m) array, and the rows (hi, lo) of
+    F.reshape(R * n, d) at its first extremal pair, each of length R * m:
+    for d = 1 the first argmax and the first argmin, for d > 1 the first
+    pair in row-major order. ``stack_index`` is ``_stack_index(balls, R,
+    n)``."""
+    R, n, d = F.shape
+    m, B = balls.shape[-2:]
+    index, pick = stack_index
     if d == 1:
         V = np.take(F.reshape(R * n), index)
         i, j = V.argmax(axis=1), V.argmin(axis=1)
-        u = V[pick, i] - V[pick, j]
+        u = (V[pick, i] - V[pick, j]).reshape(R, m)
     elif B == 1:
-        u, i = np.zeros(R * m), np.zeros(R * m, dtype=np.intp)
+        u, i = np.zeros((R, m)), np.zeros(R * m, dtype=np.intp)
         j = i
     else:
         top, i, j = _widest_pairs(F, balls, p)
-        u = np.float_power(top, 1.0 / p)
-    return u.reshape(R, m), index[pick, i], index[pick, j]
+        u = np.float_power(top.reshape(R, m), 1.0 / per_row(p, 2))
+    return u, index[pick, i], index[pick, j]
 
 
 def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
     """u_x = max over pairs y,y' in the ball of x of ||f(y)-f(y')||_p."""
-    return _ball_extremes(f[None], balls, p)[0][0]
+    return _ball_extremes(f[None], balls, p,
+                          _stack_index(balls, 1, len(f)))[0][0]
 
 
 def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
@@ -348,44 +398,54 @@ def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
     return sup_gradient_objective(balls, nu, p)[1](f[None])[0]
 
 
-def sup_gradient_objective(balls: np.ndarray, nu, p: float):
+def sup_gradient_objective(balls: np.ndarray, nu, p):
     """(numer_pow, numer_subgrad) of the sup gradient for minimize_quotient:
     a stack F maps to sum_x nu_x u_x^p per row, and to a subgradient of it.
     balls is one (n, B) matrix for every row of a stack, or an (R, n, B)
-    stack of them, row r's for F[r]. The two share one ball pass per stack
-    (``memo_last``)."""
+    stack of them, row r's for F[r]; p is one exponent or one per row. The
+    two share one ball pass per stack (``memo_last``), and every pass of a
+    stack height shares one ``_stack_index``."""
     weight = nu[:, None]
-    extremes = memo_last(lambda F: _ball_extremes(F, balls, p))
+    indexes = {}
+
+    @memo_last
+    def extremes(F):
+        R, n = F.shape[:2]
+        if R not in indexes:
+            indexes[R] = _stack_index(balls, R, n)
+        return _ball_extremes(F, balls, p, indexes[R])
 
     def numer_pow(F):
-        return rowdot(extremes(F)[0] ** p, nu)
+        return rowdot(row_power(extremes(F)[0], p), nu)
 
     def numer_subgrad(F):
         _, hi, lo = extremes(F)
         flat = F.reshape(-1, F.shape[2])
-        delta = flat[hi] - flat[lo]
-        grad = p * np.sign(delta) * np.abs(delta) ** (p - 1)
-        v = (weight * grad.reshape(F.shape)).reshape(flat.shape)
+        delta = (flat[hi] - flat[lo]).reshape(F.shape)
+        grad = (per_row(p, 3) * np.sign(delta)
+                * row_power(np.abs(delta), p, 1.0))
+        v = (weight * grad).reshape(flat.shape)
         return scatter_pairs(len(flat), hi, lo, v).reshape(F.shape)
 
     return numer_pow, numer_subgrad
 
 
-def modified_gradient_objective(neighbors: NeighborIndex, nu, p: float):
+def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
     """(numer_pow, numer_subgrad) of the neighbour-sum gradient for
     minimize_quotient: a stack F maps to sum_x nu_x sum_{y~x}
-    ||F(x)-F(y)||_p^p per row, and to a subgradient of it. The two share the
-    differences F(x) - F(y) over the edge list per stack (``memo_last``)."""
+    ||F(x)-F(y)||_p^p per row, and to a subgradient of it, p one exponent or
+    one per row. The two share the differences F(x) - F(y) over the edge
+    list per stack (``memo_last``)."""
     x, y = neighbors.src, neighbors.dst
     present = neighbors.degree > 0
-    weight = (nu[x] * p)[:, None]
+    weight = (nu[x] * per_row(p, 2))[..., None]
 
     @memo_last
     def differences(F):
         return F[:, x] - F[:, y]
 
     def numer_pow(F):
-        powers = np.abs(differences(F)) ** p
+        powers = row_power(np.abs(differences(F)), p)
         rows = np.zeros(F.shape[:2])
         for xs, at in neighbors.groups:
             # np.take, unlike powers[:, at], gives C order, so each sum runs
@@ -396,7 +456,7 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p: float):
 
     def numer_subgrad(F):
         delta = differences(F)
-        grad = weight * np.sign(delta) * np.abs(delta) ** (p - 1)
+        grad = weight * np.sign(delta) * row_power(np.abs(delta), p, 1.0)
         return scatter_rows(F.shape[1], x, y, grad)
 
     return numer_pow, numer_subgrad

@@ -38,8 +38,15 @@ takes each key's least boundary cut (``_boundary_cuts``): over the prefix
 sets P = {0..j-1} and the suffix sets P = {m-j..m-1}, 1 <= j <= m // 2, the
 outer boundary C = N(P) \\ P wherever the rest, m - j - |C| vertices, is at
 most m // 2. Removing C leaves no edge between P and the rest, so every
-component lies in P or in the rest, and C is such a set. A key whose least
-boundary cut is at most t is therefore answered None with no kernel call.
+component lies in P or in the rest, and C is such a set. The pass also
+takes e - m + 2, e the key's edge count: a connected key has cycle rank
+c = e - m + 1, and at most c + 1 vertices form such a set. Removing a
+vertex that lies on a cycle lowers the cycle rank by at least 1 (two of its
+neighbours stay connected, so it splits its component into at most
+deg - 1 parts), so at most c removals leave a forest. At most one tree of
+that forest has more than m // 2 vertices, and removing its centroid leaves
+parts of at most half its size. A key whose least such bound is at most t
+is therefore answered None with no kernel call.
 Every other key gets one cut search over the sizes t..m: a cut of exactly t
 vertices means it cannot raise a row, and a larger first cut is the half-cut
 itself. Keys wider than 63 bits skip the pass and are all searched.
@@ -297,13 +304,15 @@ def _majored_bounds(masks: np.ndarray) -> np.ndarray:
 
 
 def _boundary_cuts(masks: np.ndarray) -> np.ndarray:
-    """For each row of a stack (k, m) of neighbour masks, the least size of
-    the outer boundary C = N(A) \\ A of a prefix or suffix set A of
-    j <= m // 2 members whose rest, m - j - |C| members, is at most m // 2;
-    inf where there is none. Removing such a C leaves components of at most
-    m // 2 members each (module docstring)."""
+    """For each row of a stack (k, m) of neighbour masks of connected keys,
+    the least of e - m + 2, e the row's edge count, and the size of the
+    outer boundary C = N(A) \\ A of each prefix or suffix set A of
+    j <= m // 2 members whose rest, m - j - |C| members, is at most m // 2.
+    Removing that many vertices, suitably chosen, leaves components of at
+    most m // 2 members each (module docstring)."""
     m = masks.shape[1]
-    best = np.full(len(masks), np.inf)
+    edges = np.bitwise_count(masks).sum(axis=1, dtype=np.int64) // 2
+    best = (edges - m + 2).astype(float)  # the cycle rank plus 1
     for j, A, reach, _ in _prefix_suffix_sets(masks):
         cut = np.bitwise_count(reach & ~A)
         # The rest, m - j - |C| members, is at most m // 2.

@@ -130,12 +130,11 @@ def lambda_infinity_objective(nbrs: NeighborIndex):
 
 def unit_sphere(F: np.ndarray):
     """Projection of a stack of functions (R, n) onto the mean-zero unit
-    2-sphere for ``minimize_quotient``: (the rows with norm above 1e-12,
-    projected; a mask of those rows)."""
+    2-sphere for ``minimize_quotient``: (the stack projected; a mask of the
+    rows with norm above 1e-12, the only rows it keeps)."""
     F = F - F.mean(axis=1)[:, None]
     norm = np.sqrt(rowdot(F, F))
-    ok = norm > 1e-12
-    return F[ok] / norm[ok][:, None], ok
+    return F / norm[:, None], norm > 1e-12
 
 
 def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):

@@ -714,9 +714,10 @@ def test_scale_batch_gives_each_scale_its_bits_alone(case):
         alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2,
                                                  seed=seed) for a in scales]
     else:
-        batched = cheeger._scale_estimates(Z, scales, p, d, 2, seed)
-        alone = [cheeger._scale_estimates(Z, [a], p, d, 2, seed)[0]
-                 for a in scales]
+        batched = cheeger._lp_estimates(Z.graph, [(a, p) for a in scales],
+                                        "sup_scale", d, 2, seed, Z)
+        alone = [cheeger._lp_estimates(Z.graph, [(a, p)], "sup_scale", d, 2,
+                                       seed, Z)[0] for a in scales]
     assert len(batched) == len(scales)
     for w, w_alone in zip(batched, alone):
         same_witness(w, w_alone)
@@ -739,6 +740,141 @@ def test_scale_batch_keeps_bits_when_starts_stop(monkeypatch):
     scales = [2, 1, 0.5, 1]
     for w, a in zip(cheeger.scale_poincare_constants(Z, scales, 1), scales):
         same_witness(w, cheeger.scale_poincare_constant(Z, a, 1))
+
+
+# ---------------------------------------------------------------------------
+# Stacks that mix exponents
+
+# p - 1 is 2 at p = 3 and 0.5 at p = 1.5, where ``x ** scalar`` takes
+# numpy's square and square-root fast paths; 1.5 comes back in a later run.
+MIXED_PS = [1, 1.5, 2, 2.5, 3, 1.5]
+
+
+def exponent_objective(gradient, nu, p, radius):
+    if gradient == "sup":
+        return optimize.sup_gradient_objective(METRICS["grid"].balls(radius),
+                                               nu, p)
+    return optimize.modified_gradient_objective(
+        optimize.NeighborIndex(GRAPHS["grid"].neighbors), nu, p)
+
+
+@pytest.mark.parametrize("gradient,radius", [("sup", 1), ("sup", 3),
+                                             ("modified", 1)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mixed_exponent_stack_gives_each_row_its_bits(gradient, radius, d):
+    """The objective, subgradient and projection of a stack with one p per
+    row, in runs of equal p, give each row the bits of a stack of that row
+    alone with its scalar p."""
+    rng = np.random.default_rng(d)
+    nu = rng.uniform(0.5, 2.0, 20)
+    ps = np.repeat(np.array(MIXED_PS, dtype=float), 2)
+    F = (rng.standard_normal((len(ps), 20, d))
+         * 10.0 ** rng.integers(-3, 4, (len(ps), 1, 1)))
+    mixed = exponent_objective(gradient, nu, ps, radius)
+    values, subgrads = mixed[0](F), mixed[1](F)
+    projected, ok = optimize.sphere_projection(nu, ps)(F)
+    for r, p in enumerate(ps.tolist()):
+        alone = exponent_objective(gradient, nu, p, radius)
+        row = F[r:r + 1]
+        same_bits(float(values[r]), float(alone[0](row)[0]))
+        same_bits(subgrads[r], alone[1](row)[0])
+        projected_alone, ok_alone = optimize.sphere_projection(nu, p)(row)
+        same_bits(projected[r], projected_alone[0])
+        assert ok[r] == ok_alone[0]
+
+
+@pytest.mark.parametrize("gradient,scale", [("sup_scale", 1),
+                                            ("sup_scale", 2),
+                                            ("modified", 1)])
+@pytest.mark.parametrize("d", [1, 3])
+def test_cheeger_lps_equal_cheeger_lp(gradient, scale, d):
+    G = GRAPHS["irregular"]
+    together = cheeger.cheeger_lps(G, MIXED_PS, gradient, scale, d,
+                                   restarts=2, seed=3)
+    assert len(together) == len(MIXED_PS)
+    for p, w in zip(MIXED_PS, together):
+        alone = cheeger.cheeger_lp(G, p, gradient, scale, d, restarts=2,
+                                   seed=3)
+        same_witness(w, alone)
+        assert (w.exact, w.certified_lower) == (alone.exact,
+                                                alone.certified_lower)
+
+
+@st.composite
+def mixed_scale_batches(draw):
+    """``scale_batches`` with one p per scale: the (scale, p) problems share
+    balls across exponents and exponents across balls."""
+    Z, scales, _, d, seed = draw(scale_batches())
+    ps = draw(st.lists(st.sampled_from([1, 1.5, 2, 2.5, 3]),
+                       min_size=len(scales), max_size=len(scales)))
+    return Z, scales, ps, d, seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_scale_batches())
+def test_mixed_exponent_scale_batch_gives_each_problem_its_bits_alone(case):
+    Z, scales, ps, d, seed = case
+    if d == 1:
+        batched = cheeger.scale_poincare_constants(Z, scales, ps, restarts=2,
+                                                   seed=seed)
+        alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2,
+                                                 seed=seed)
+                 for a, p in zip(scales, ps)]
+    else:
+        batched = cheeger._lp_estimates(Z.graph, list(zip(scales, ps)),
+                                        "sup_scale", d, 2, seed, Z)
+        alone = [cheeger._lp_estimates(Z.graph, [(a, p)], "sup_scale", d, 2,
+                                       seed, Z)[0]
+                 for a, p in zip(scales, ps)]
+    assert len(batched) == len(scales)
+    for w, w_alone in zip(batched, alone):
+        same_witness(w, w_alone)
+
+
+def test_scale_poincare_constants_takes_one_exponent_per_scale():
+    Z = METRICS["path"]
+    with pytest.raises(ValueError, match="one per scale"):
+        cheeger.scale_poincare_constants(Z, [1, 2], [1, 2, 3])
+    with pytest.raises(ValueError, match="p must be"):
+        cheeger.scale_poincare_constants(Z, [1, 2], [1, 0.5])
+
+
+def test_mixed_exponent_blocks_keep_their_bits_when_starts_stop(monkeypatch):
+    """The 4-cycle starts of ``test_scale_batch_keeps_bits_when_starts_stop``
+    in a stack of four exponents: the constant start fails projection in
+    every block and stays frozen, some others stop mid-run, and each block
+    still gets the bits it gets alone."""
+    G = build_family("cycle", 4)
+    Z = WeightedMetricGraph(G)
+    rng = np.random.default_rng(4)
+    starts = [np.ones((4, 1))]
+    starts += [np.round(rng.standard_normal((4, 1))) for _ in range(4)]
+    starts += [rng.standard_normal((4, 1)) for _ in range(4)]
+    monkeypatch.setattr(cheeger, "_starts", lambda *args: starts)
+    scales, ps = [2, 1, 0.5, 1, 1], [1, 1, 3, 1.5, 2.5]
+    for w, a, p in zip(cheeger.scale_poincare_constants(Z, scales, ps),
+                       scales, ps):
+        same_witness(w, cheeger.scale_poincare_constant(Z, a, p))
+
+
+def test_mixed_exponent_blocks_keep_their_bits_when_norms_overflow():
+    """At p = 700 on grid 3x3 the subgradients of cheeger_lp's starts have
+    squared norms that overflow, and are rescaled; the p = 2 block of the
+    same stack, and each p = 700 block, keep the bits they get alone."""
+    G = build_family("grid", 3, 3)
+    Z, nu = WeightedMetricGraph(G), np.ones(9)
+    starts = np.array(_starts(G, 1, 8, 0, nu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected, _ = optimize.sphere_projection(nu, 700.0)(starts)
+        flat = optimize.sup_gradient_objective(Z.balls(1), nu, 700.0)[1](
+            projected).reshape(len(starts), -1)
+        assert np.isinf(optimize.rowdot(flat, flat)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scales, ps = [1, 1, 2], [2, 700, 700]
+        for w, a, p in zip(cheeger.scale_poincare_constants(Z, scales, ps),
+                           scales, ps):
+            same_witness(w, cheeger.scale_poincare_constant(Z, a, p))
 
 
 def test_batched_blocks_keep_their_bits_when_a_start_collapses():

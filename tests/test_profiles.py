@@ -13,7 +13,7 @@ from sepprof.cheeger import certified_lp_lower, majored_lp_lower
 from sepprof.constructions import coarsen
 from sepprof.errors import BudgetError, ExactSearchInfeasible
 from sepprof.graphs import (Graph, build_family, cartesian_power,
-                            induced_subgraph)
+                            induced_subgraph, subdivide)
 from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
                               ProfileRow, _hp_bracket, _subgraphs,
                               poincare_lower_bounds, poincare_profile,
@@ -384,12 +384,18 @@ def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
     assert forms["p2"]["full"] * 10 < len(distinct)
 
 
+def _cycle_rank_bound(key):
+    """e - m + 2 of a connected key with m members and e edges: its cycle
+    rank plus 1."""
+    return sum(mask.bit_count() for mask in key) // 2 - len(key) + 2
+
+
 def _reference_boundary_cut(key):
-    """The least outer boundary of a prefix or suffix set of j <= m // 2
-    members that leaves at most m // 2 others, as a loop over the sets; inf
-    when there is none."""
+    """The least of the cycle-rank bound and the outer boundary of each
+    prefix or suffix set of j <= m // 2 members that leaves at most m // 2
+    others, as a loop over the sets."""
     m = len(key)
-    best = math.inf
+    best = _cycle_rank_bound(key)
     for j in range(1, m // 2 + 1):
         for members in (range(j), range(m - j, m)):
             A = reach = 0
@@ -446,6 +452,28 @@ def test_boundary_cuts_equal_reference_loop_random(G):
     _assert_boundary_cuts_equal_reference(G, G.vertex_count)
 
 
+def _assert_cycle_rank_bounds_are_half_cuts(G):
+    """Every key's cycle-rank bound c that does not exceed its size is met:
+    the cut search from c vertices finds a cut of exactly c."""
+    for m, _, keys in _subgraphs(G, G.vertex_count, DEFAULT_SUBGRAPH_BUDGET):
+        for key in keys:
+            c = _cycle_rank_bound(key)
+            if c <= m:
+                mask, _ = kernels.min_cut_exact(key, m, 1, 2, m,
+                                                DEFAULT_CUT_BUDGET, min_k=c)
+                assert mask.bit_count() == c
+
+
+def test_cycle_rank_bounds_are_half_cuts_on_subdivided_q3():
+    _assert_cycle_rank_bounds_are_half_cuts(
+        subdivide(build_family("hypercube", 3), 1))
+
+
+@given(connected_graphs())
+def test_cycle_rank_bounds_are_half_cuts_random(G):
+    _assert_cycle_rank_bounds_are_half_cuts(G)
+
+
 def _no_boundary_cuts(masks):
     return np.full(len(masks), np.inf)
 
@@ -464,13 +492,17 @@ def test_rows_do_not_depend_on_the_boundary_cuts_random(G):
 
 
 @pytest.mark.parametrize("make,n_max,most", [
-    (lambda: build_family("grid", 4, 4), 16, 150),
-    (lambda: build_family("hypercube", 4), 8, 50),
+    (lambda: build_family("grid", 4, 4), 16, 80),
+    (lambda: build_family("hypercube", 4), 8, 10),
+    (lambda: subdivide(build_family("hypercube", 3), 1), 20, 500),
 ])
 def test_boundary_cuts_leave_few_cut_searches(monkeypatch, make, n_max,
                                               most):
-    """The boundary cuts answer all but a few of the thousands of keys
-    (grid 4x4 at n 16: 8,625 searches without them, Q4 at n 8: 7,405)."""
+    """The boundary cuts and cycle-rank bounds answer all but a few of the
+    thousands of keys (grid 4x4 at n 16: 8,625 searches without them, 77
+    with them; Q4 at n 8: 7,405 and 6). On subdivided Q3 the prefix and
+    suffix cuts alone leave 22,850 searches, and the cycle-rank bound
+    brings them to 347."""
     G = make()
     calls = _kernel_calls(monkeypatch,
                           lambda: separation_profile_exact(G, n_max))
