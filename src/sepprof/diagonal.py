@@ -230,6 +230,12 @@ def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int,
         f"element not reachable within cursor window {window}")
 
 
+def _box_configs(spec: DiagonalSpec, r: int, max_elements: int) -> set:
+    """The lamp configurations the BFS confined to the cursor box [0, r]
+    reaches."""
+    return {w.lamps for w, _ in _bfs(spec, 0, r, math.inf, max_elements)}
+
+
 def range_set(spec: DiagonalSpec, r: int,
               max_elements: int = 500_000) -> frozenset:
     """U_r: all elements of range <= r (union of diameter-r cursor boxes).
@@ -238,7 +244,7 @@ def range_set(spec: DiagonalSpec, r: int,
     and tau moves the cursor freely within a box, so the [0, r] box is
     every cursor in [0, r] with every lamp configuration its BFS reaches.
     """
-    configs = {w.lamps for w, _ in _bfs(spec, 0, r, math.inf, max_elements)}
+    configs = _box_configs(spec, r, max_elements)
 
     def members():
         for lamps in configs:
@@ -249,6 +255,22 @@ def range_set(spec: DiagonalSpec, r: int,
                     yield DiagonalElement(c, shifted)
 
     return frozenset(members())
+
+
+def in_range_set(spec: DiagonalSpec, r: int,
+                 max_elements: int = 500_000):
+    """Membership in U_r (``range_set``) without building it: z, with
+    cursor c, is in the box [lo, lo + r] exactly when lo is in
+    [max(-r, c - r), min(0, c)] and t^-lo z has one of the [0, r] box's
+    lamp configurations."""
+    configs = _box_configs(spec, r, max_elements)
+
+    def contains(z: DiagonalElement) -> bool:
+        c = z.cursor
+        return any(_shift_lamps(z.lamps, -lo) in configs
+                   for lo in range(max(-r, c - r), min(0, c) + 1))
+
+    return contains
 
 
 def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],

@@ -7,6 +7,21 @@ half-cut or an L^p constant (balls shrink, so gradients shrink pointwise),
 and disconnected subgraphs contribute 0, so the sup is attained on
 connected induced ones.
 
+The connected subsets are enumerated size by size as numpy arrays
+(``_connected_subsets``), in the order of ``kernels.connected_subsets``
+restricted to each size. That enumeration is a depth-first search whose
+state is (subset, candidates, excluded): a state's children take its
+candidates in increasing order, each child adding its earlier siblings to
+its excluded set and the new vertex's neighbours at or above the root to its
+candidates, and a subset is output when its state is entered, so the order
+is pre-order. A level here is all the states of one size, built from the
+previous level parent by parent, each parent's children in that same order.
+In pre-order, two subsets of one size are ordered as their ancestors are
+at the first size where those differ: two children of one parent, ordered
+by that parent's candidates. A level orders them the same way, since it
+keeps its parents' order and lists each parent's children in candidate
+order; so each level is the pre-order restricted to its size.
+
 ``_subgraphs`` relabels each subgraph in sorted vertex order, so translated
 copies of one shape (in a grid, say) give the same key: the tuple of
 relabelled neighbour masks. It computes the keys of one size as numpy passes
@@ -46,7 +61,9 @@ neighbours stay connected, so it splits its component into at most
 deg - 1 parts), so at most c removals leave a forest. At most one tree of
 that forest has more than m // 2 vertices, and removing its centroid leaves
 parts of at most half its size. A key whose least such bound is at most t
-is therefore answered None with no kernel call.
+is therefore answered None with no kernel call. The driver visits only the
+keys whose bound exceeds t at the start of the size: within a size t only
+grows, so a key whose bound is at most t then is at most t at its visit.
 Every other key gets one cut search over the sizes t..m: a cut of exactly t
 vertices means it cannot raise a row, and a larger first cut is the half-cut
 itself. Keys wider than 63 bits skip the pass and are all searched.
@@ -89,7 +106,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice
 from typing import Optional
 
 import numpy as np
@@ -97,7 +113,7 @@ import numpy as np
 from . import kernels
 from .cheeger import (EXACT_LIMIT, _mask_to_set, certified_lp_lower,
                       majored_lp_lower, validate_exponent)
-from .errors import ExactSearchInfeasible
+from .errors import BudgetError, ExactSearchInfeasible
 from .graphs import Graph, induced_subgraph
 from .spectral import lambda2_stack
 # Not called here; kept as a module attribute, since the benchmark tracer
@@ -108,6 +124,9 @@ from .spectral import lambda2  # noqa: F401
 DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
 _KEY_CHUNK = 1024
+# A level is worked through in chunks of at most this many host-vertex bits:
+# 2,048 subsets or parents on at most 16 vertices, 910 on grid 6x6.
+_CHUNK_BITS = 1 << 15
 # The largest p at which the float bracket is monotone in h (module docstring).
 _PRUNE_MAX_P = 1e9
 
@@ -146,72 +165,199 @@ def _validate_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of one chunk on a host of n vertices (``_CHUNK_BITS``)."""
+    return max(1, _CHUNK_BITS // max(n, 16))
+
+
+def _words(masks, W: int) -> np.ndarray:
+    """The vertex masks as rows of W uint64 words, lowest word first."""
+    data = b"".join(mask.to_bytes(8 * W, "little") for mask in masks)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(-1, W)
+
+
+def _vertex_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """One uint8 per host vertex 0..n-1 for each row of words."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+
+
+def _subset_int(words: np.ndarray) -> int:
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """The indices, increasing, of the first occurrence of each distinct row
+    of keys: for uint rows, the head of each run of equal rows in a stable
+    argsort of the rows as one void value each; for rows of Python ints, a
+    dict from each row to its first index."""
+    if keys.dtype == object:
+        first: dict[tuple, int] = {}
+        for i, key in enumerate(map(tuple, keys.tolist())):
+            first.setdefault(key, i)
+        return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    rows = np.ascontiguousarray(keys)
+    order = np.argsort(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                       kind="stable")
+    ranked = rows[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[head])
+
+
+def _connected_subsets(G: Graph, n_max: int, budget: int):
+    """Yield (m, subsets) for each size m = 1..n_max of a connected induced
+    subgraph, in increasing m: the subsets of m vertices, in
+    ``kernels.connected_subsets`` order restricted to that size, as a (k, W)
+    array of uint64 words, W = ceil(n / 64), lowest word first.
+
+    A level is the (subset, candidates, excluded) states of one size, each
+    with its root, its least vertex: the states the enumeration's depth-first
+    search holds (module docstring). Raises BudgetError, before a level is
+    built, when the subsets of it and of the smaller sizes number more than
+    budget, as the kernels do."""
+    n = G.vertex_count
+    W = (n + 63) // 64 or 1
+    unit = _words((1 << v for v in range(n)), W)
+    below = _words(((1 << v) - 1 for v in range(n)), W)
+    nbr = _words(G.neighbor_masks, W)
+    # Level 1: each vertex alone, its candidates the neighbours above it.
+    level = unit, nbr & ~below & ~unit, np.zeros_like(unit), np.arange(n)
+    total, size = 0, n
+    for m in range(1, min(n_max, n) + 1):
+        if not size:
+            return
+        total += size
+        if total > budget:
+            raise BudgetError(f"connected-subgraph enumeration exceeded "
+                              f"budget of {budget}")
+        if m > 1:
+            level = _next_level(level, size, unit, below, nbr)
+        yield m, level[0]
+        size = int(np.bitwise_count(level[1]).sum())
+
+
+def _next_level(level, size: int, unit, below, nbr):
+    """The next level: the size children of the states of level, by parent
+    and, within a parent, by increasing added vertex v. Each child adds v
+    to its subset, its parent's candidates below v (its earlier siblings)
+    to its excluded set, and v's neighbours at or above the root to its
+    candidates. The parents are taken in chunks of ``_chunk_rows(n)``, each
+    writing its children into the next rows."""
+    subsets, cands, excluded, roots = level
+    new = [np.empty((size, subsets.shape[1]), dtype=np.uint64)
+           for _ in range(3)] + [np.empty(size, dtype=np.intp)]
+    end = 0
+    step = _chunk_rows(len(unit))
+    for start in range(0, len(subsets), step):
+        chunk = _vertex_bits(cands[start:start + step], len(unit))
+        parent, v = np.nonzero(chunk)
+        parent += start
+        child, cand, exc, root = (array[end:end + len(v)] for array in new)
+        end += len(v)
+        np.bitwise_or(subsets[parent], unit[v], out=child)
+        np.take(roots, parent, out=root, mode="clip")
+        np.take(cands, parent, axis=0, out=cand, mode="clip")
+        np.bitwise_and(cand, below[v], out=exc)
+        exc |= excluded[parent]
+        cand |= nbr[v] & ~below[root]
+        cand &= ~(child | exc)
+    return new
+
+
 def _subgraphs(G: Graph, n_max: int, budget: int):
     """Yield (m, subsets, keys) for each size m = 1..n_max of a connected
     induced subgraph, in increasing m: the distinct keys of that size in
-    order of first appearance in ``kernels.connected_subsets`` order, and the
-    first subset mask of each. A key lists, per member in increasing order,
+    order of first appearance in ``kernels.connected_subsets`` order, as a
+    (k, m) array, and the first subset of each, as a (k, W) array of words
+    (``_connected_subsets``). A key lists, per member in increasing order,
     its neighbours as a mask over member positions; member u of the subset S
-    is at position popcount(S & ((1 << u) - 1)).
-
-    The keys of one size are computed as array passes over chunks of at most
-    ``_KEY_CHUNK`` subsets: each subset unpacked to one bit per host vertex,
-    the positions as the running count of those bits, and a key row as the
-    OR over each member's neighbours v of bit_v << position_v. One dict per
-    size maps each key to its first subset across the chunks."""
+    is at position popcount(S & ((1 << u) - 1)). Keys of at most 32 members
+    are uint32, of at most 64 uint64, and wider ones Python ints in an
+    object array."""
     n = G.vertex_count
-    subsets = kernels.connected_subsets(G.neighbor_masks, n, n_max, budget)
-    subsets.sort(key=int.bit_count)
-    # Neighbour lists padded with n, the index of an all-zero column.
+    # Neighbour lists padded with n, the index of an all-zero row.
     width = max([1] + [len(row) for row in G.neighbors])
-    nbrs = np.full((n, width), n, dtype=np.intp)
+    nbrs = np.full((width, n), n, dtype=np.intp)
     for u, row in enumerate(G.neighbors):
-        nbrs[u, :len(row)] = row
-    nbytes = (n + 7) // 8
-    for m, group in groupby(subsets, key=int.bit_count):
-        kind = np.uint32 if m <= 32 else np.uint64 if m <= 64 else object
-        first: dict[tuple, int] = {}
-        while chunk := list(islice(group, _KEY_CHUNK)):
-            packed = np.frombuffer(
-                b"".join(S.to_bytes(nbytes, "little") for S in chunk),
-                dtype=np.uint8).reshape(len(chunk), nbytes)
-            # Column n stays 0: the zero column the padded lists point at.
-            bits = np.unpackbits(packed, axis=1, count=n + 1,
-                                 bitorder="little")
-            pos = np.cumsum(bits, axis=1, dtype=np.uint8 if m < 256 else None)
-            pos -= bits
-            # The members of each subset in increasing order, m per row.
-            members = np.nonzero(bits)[1].reshape(len(chunk), m)
-            row = np.arange(len(chunk))[:, None]
-            rows = np.zeros((len(chunk), m), dtype=kind)
-            for d in range(width):
-                v = nbrs[members, d]
-                rows |= np.left_shift(bits[row, v], pos[row, v], dtype=kind)
-            for S, key in zip(chunk, map(tuple, rows.tolist())):
-                first.setdefault(key, S)
-        yield m, list(first.values()), list(first)
+        nbrs[:len(row), u] = row
+    for m, subsets in _connected_subsets(G, n_max, budget):
+        yield (m,) + _level_keys(subsets, m, nbrs)
+
+
+def _level_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray):
+    """(firsts, keys) of the subsets of m vertices: their distinct keys in
+    order of first appearance, and the first subset of each
+    (``_subgraphs``). Each chunk's first rows of each key are kept, and the
+    kept rows of several chunks are reduced the same way whenever they have
+    doubled, and at the end."""
+    kind = np.uint32 if m <= 32 else np.uint64 if m <= 64 else object
+    kept, at, reduced = [], [], 0
+    step = _chunk_rows(nbrs.shape[1])
+    for start in range(0, len(subsets), step):
+        keys = _chunk_keys(subsets[start:start + step], m, nbrs, kind)
+        first = _first_rows(keys)
+        kept.append(keys[first])
+        at.append(first + start)
+        if len(at) > 1 and sum(map(len, at)) > 2 * reduced:
+            kept, at = _reduce(kept, at)
+            reduced = len(at[0])
+    if len(at) > 1:
+        kept, at = _reduce(kept, at)
+    return subsets[at[0]], kept[0]
+
+
+def _reduce(kept, at):
+    """The first occurrence of each distinct key of the kept chunks, with
+    its index, each as a list of one array."""
+    keys, at = np.concatenate(kept), np.concatenate(at)
+    first = _first_rows(keys)
+    return [keys[first]], [at[first]]
+
+
+def _chunk_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray, kind):
+    """The (c, m) keys of a chunk of c subsets of m vertices: each subset
+    unpacked to one bit per host vertex, the positions as the running count
+    of those bits, each vertex's column bit_v << position_v, each vertex's
+    entry as the OR of its neighbours' columns, and the members' entries
+    selected by the bits. The passes run on (n, c) arrays, so each
+    neighbour gather copies whole rows."""
+    width, n = nbrs.shape
+    bits = _vertex_bits(subsets, n)
+    pos = np.cumsum(bits.T, axis=0, dtype=np.uint8 if m < 256 else None)
+    pos -= bits.T
+    # Row n stays 0: the zero row the padded lists point at.
+    column = np.zeros((n + 1, len(bits)), dtype=kind)
+    np.left_shift(bits.T, pos, out=column[:n], dtype=kind)
+    entries = np.take(column, nbrs[0], axis=0)
+    scratch = np.empty_like(entries)
+    for d in range(1, width):
+        entries |= np.take(column, nbrs[d], axis=0, out=scratch, mode="clip")
+    return entries.T[bits.view(bool)].reshape(len(bits), m)
 
 
 def _sup_rows(G: Graph, n_max: int, budget: int, evaluator,
               exact: bool) -> list[ProfileRow]:
     """Rows n = 1..n_max of the sup over connected induced subgraphs with at
-    most n vertices of their (lower, upper) floats. evaluator(keys) is called
-    once per size with that size's distinct keys and returns evaluate(i, lo,
-    up): the floats of keys[i], or None when neither exceeds the running row
-    values lo and up. Each distinct key is evaluated once, with its first
-    subset as the witness candidate."""
+    most n vertices of their (lower, upper) floats. evaluator(keys, lo, up)
+    is called once per size with that size's (k, m) array of distinct keys
+    and the running row values lo and up at its start, and returns (visit,
+    evaluate): the indices, increasing, of the keys that may raise a row,
+    and evaluate(i, lo, up), the floats of keys[i] or None when neither
+    exceeds the running row values lo and up. Each visited key is evaluated
+    once, with its first subset as the witness candidate."""
     rows: list[ProfileRow] = []
     lo, up, witness = 0.0, 0.0, None
     for m, subsets, keys in _subgraphs(G, n_max, budget):
-        evaluate = evaluator(keys)
-        for i, subset in enumerate(subsets):
+        visit, evaluate = evaluator(keys, lo, up)
+        for i in visit:
             value = evaluate(i, lo, up)
             if value is None:
                 continue
             if value[0] > lo:
                 lo = value[0]
             if value[1] > up:
-                up, witness = value[1], _mask_to_set(subset)
+                up, witness = value[1], _mask_to_set(_subset_int(subsets[i]))
         rows.append(ProfileRow(n=m, lower=lo, upper=up, exact=exact,
                                witness=witness))
     # Connected subgraphs of every size up to the largest exist, so only the
@@ -226,13 +372,19 @@ def separation_profile_exact(G: Graph, n_max: int,
     """Exact sep(n) = max half-cut over connected induced subgraphs, n <= n_max."""
     _validate_n_max(n_max)
 
-    def half_cuts(keys):
-        m = len(keys[0])
-        # One array pre-pass over the keys: their least boundary cuts.
+    def half_cuts(keys, lo, up):
+        m = keys.shape[1]
+        # One array pre-pass over the keys: their least boundary cuts. The
+        # row t = int(up) only grows within a size, so a key whose cut is
+        # at most t now is never visited (module docstring).
         cuts = [math.inf] * len(keys)
-        for start in range(0, len(keys), _KEY_CHUNK) if m <= 63 else ():
-            stack = np.array(keys[start:start + _KEY_CHUNK], dtype=np.int64)
-            cuts[start:start + _KEY_CHUNK] = _boundary_cuts(stack).tolist()
+        visit = range(len(keys)) if int(up) < m else ()
+        if m <= 63 and visit:
+            cuts = np.concatenate([
+                _boundary_cuts(keys[start:start + _KEY_CHUNK].astype(np.int64))
+                for start in range(0, len(keys), _KEY_CHUNK)])
+            visit = np.flatnonzero(cuts > int(up)).tolist()
+            cuts = cuts.tolist()
 
         def half_cut(i, lo, up):
             # lo == up: every half-cut value is its own lower and upper end.
@@ -242,12 +394,12 @@ def separation_profile_exact(G: Graph, n_max: int,
             t = int(up)
             if t >= m or cuts[i] <= t:
                 return None
-            mask, _ = kernels.min_cut_exact(keys[i], m, 1, 2, m,
+            mask, _ = kernels.min_cut_exact(keys[i].tolist(), m, 1, 2, m,
                                             DEFAULT_CUT_BUDGET, min_k=t)
             size = float(mask.bit_count())
             return None if size == t else (size, size)
 
-        return half_cut
+        return visit, half_cut
 
     return ProfileTable(_sup_rows(G, min(n_max, G.vertex_count), budget,
                                   half_cuts, True))
@@ -351,17 +503,17 @@ def poincare_profile(G: Graph, n_max: int, p: float,
             f"exact profile search infeasible for n_max {n_max} > "
             f"{EXACT_LIMIT}; use a smaller n_max or poincare_lower_bounds")
 
-    def scaled_brackets(keys):
-        m = len(keys[0])
+    def scaled_brackets(keys, run_lo, run_up):
+        m = keys.shape[1]
         if m < 2:
-            return lambda i, run_lo, run_up: (0.0, 0.0)
+            return range(len(keys)), lambda i, run_lo, run_up: (0.0, 0.0)
         # One array pre-pass over the keys: their majored bounds, and at
         # p = 2 their lambda2 and maximum degree. Above _PRUNE_MAX_P nothing
         # is pruned.
         prune = p <= _PRUNE_MAX_P
         bounds, gaps = [], []
         for start in range(0, len(keys), _KEY_CHUNK) if prune else ():
-            masks = np.array(keys[start:start + _KEY_CHUNK], dtype=np.int64)
+            masks = keys[start:start + _KEY_CHUNK].astype(np.int64)
             bounds += _majored_bounds(masks).tolist()
             if p == 2:
                 gaps += zip(lambda2_stack(masks).tolist(),
@@ -380,13 +532,13 @@ def poincare_profile(G: Graph, n_max: int, p: float,
                     return None
                 stop = _largest_within(m, within)
             num, size, _ = kernels.cheeger_exhaustive(
-                key, m, kernels.MODE_MAJORED, stop=stop)
+                key.tolist(), m, kernels.MODE_MAJORED, stop=stop)
             if stop and num * stop[1] <= stop[0] * size:
                 return None  # stopped at a set within the rows
             lo, up = _hp_bracket(key, p, num / size, gap)
             return m * lo, m * up
 
-        return scaled_bracket
+        return range(len(keys)), scaled_bracket
 
     return ProfileTable(_sup_rows(G, n_max, budget, scaled_brackets, False),
                         p)

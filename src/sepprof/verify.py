@@ -31,7 +31,7 @@ from .constructions import (LampGraphSpec, b_rescaling, coarsen,
                             scale_b_partition)
 from .cuts import cut, iterated_halving_cut
 from .diagonal import (DiagonalSpec, apply_generator, ball, cocycle_norms,
-                       embed_lamp_graph, range_of, range_set)
+                       embed_lamp_graph, in_range_set, range_of)
 from .graphs import (Graph, bfs_distances, build_family, cartesian_power,
                      connected_components, distance_matrix, subdivide)
 from .groups import cayley_graph, klein_four
@@ -564,8 +564,8 @@ def suite_cocycles(ctx: VerifyContext):
     rows.append(_row(
         "cocycle:range-tau5", "range-function",
         range_of(spec, tau5, 8) == 5, range_of(spec, tau5, 8), 5))
-    u4 = range_set(spec, 4)
-    far = [z for z in result.elements if z not in u4]
+    in_u4 = in_range_set(spec, 4)
+    far = [z for z in result.elements if not in_u4(z)]
     rows.append(_row(
         "cocycle:far-element-count", "range-cocycle-lower",
         len(far) >= 20 and tau5 in far, len(far), 20))

@@ -9,6 +9,7 @@ import sysconfig
 import hypothesis
 import pytest
 
+from sepprof import kernels
 from sepprof.graphs import Graph
 
 hypothesis.settings.register_profile(
@@ -38,6 +39,19 @@ def compiled_kernels(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def backends(compiled_kernels):
+    """Kernel backends under test. "compiled" routes to the build from
+    source for the using module's tests when a C compiler exists."""
+    saved = kernels._compiled
+    if compiled_kernels is not None:
+        kernels._compiled = compiled_kernels
+    try:
+        yield kernels.available_backends()
+    finally:
+        kernels._compiled = saved
 
 
 @pytest.fixture(scope="session")

@@ -184,6 +184,38 @@ def test_python_m_sepprof_runs_the_cli(tmp_path):
                                                "examined 12"]
 
 
+def test_entry_asks_for_one_blas_thread_unless_set(monkeypatch):
+    """The console script's entry sets each unset BLAS thread variable to 1
+    before it runs the CLI, and keeps a value the user set."""
+    import sepprof.__main__ as entry
+    import sepprof.cli
+
+    seen = {}
+    monkeypatch.setattr(os, "environ", {"OPENBLAS_NUM_THREADS": "4"})
+    monkeypatch.setattr(sepprof.cli, "main",
+                        lambda argv: seen.update(os.environ) or 0)
+    assert entry.main(["family", "path", "3"]) == 0
+    assert seen == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def test_importing_the_library_sets_no_blas_variable():
+    """Only the entry sets the BLAS thread count; importing the package and
+    its CLI module leaves the environment as it was."""
+    path = [SRC] + [entry for entry in
+                    os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                    if entry]
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    code = ("import os, sepprof, sepprof.__main__, sepprof.cli; "
+            "print(sorted(k for k in os.environ "
+            "if k.endswith('_NUM_THREADS')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0 and result.stdout.strip() == "[]"
+
+
 def test_budget_exit_code(tmp_path, capsys):
     g_path = str(tmp_path / "grid.g")
     run(["family", "grid", "4", "4", "--out", g_path], capsys)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sepprof.diagonal import (DiagonalSpec, apply_generator, ball,
-                              cocycle_norms, embed_lamp_graph, inverse,
-                              multiply, range_of, range_set,
+                              cocycle_norms, embed_lamp_graph, in_range_set,
+                              inverse, multiply, range_of, range_set,
                               read_diagonal_spec)
 from sepprof.errors import BudgetError
 from sepprof.groups import klein_four, write_group_file
@@ -222,6 +222,21 @@ def test_ball_matches_oracle_on_two_levels(radius):
 def test_range_set_matches_union_of_boxes(make_spec, r):
     spec = make_spec()
     assert range_set(spec, r) == oracle_range_set(spec, r)
+
+
+@pytest.mark.parametrize("make_spec", [single_level, two_level])
+@pytest.mark.parametrize("r", [0, 1, 2, 4])
+def test_in_range_set_is_membership_in_range_set(make_spec, r):
+    """in_range_set answers z in range_set(spec, r) for every member of
+    U_r and for every element of a ball of radius 6 (single level) or 4
+    (two levels)."""
+    spec = make_spec()
+    members = range_set(spec, r)
+    contains = in_range_set(spec, r)
+    assert all(contains(z) for z in members)
+    radius = 6 if make_spec is single_level else 4
+    elements = ball(spec, radius).elements
+    assert [contains(z) for z in elements] == [z in members for z in elements]
 
 
 @pytest.mark.parametrize("make_spec", [single_level, two_level])

@@ -18,19 +18,6 @@ from sepprof.graphs import Graph, build_family, connected_components, induced_su
 BACKENDS = ("compiled", "python")
 
 
-@pytest.fixture(scope="module")
-def backends(compiled_kernels):
-    """Kernel backends under test. "compiled" routes to the build from
-    source for this module's tests when a C compiler exists."""
-    saved = kernels._compiled
-    if compiled_kernels is not None:
-        kernels._compiled = compiled_kernels
-    try:
-        yield kernels.available_backends()
-    finally:
-        kernels._compiled = saved
-
-
 def require(backend, backends):
     if backend not in backends:
         pytest.skip(f"{backend} backend unavailable")

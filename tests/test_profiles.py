@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -169,6 +170,14 @@ def _reference_subgraphs(G, n_max):
                                 key=len)]
 
 
+def _subgraph_lists(G, n_max, budget=DEFAULT_SUBGRAPH_BUDGET):
+    """_subgraphs' output with its arrays as lists: the first subsets as
+    masks and the keys as tuples."""
+    return [(m, [profiles._subset_int(words) for words in subsets],
+             [tuple(key) for key in keys.tolist()])
+            for m, subsets, keys in _subgraphs(G, n_max, budget)]
+
+
 # Reference loops: the per-subgraph evaluation without the per-call memo.
 def _oracle_separation(G, n_max):
     n_max = min(n_max, G.vertex_count)
@@ -268,7 +277,7 @@ def _assert_keys_equal_reference(G, n_max):
     sizes = {}
     for subset, key in reference:
         sizes.setdefault(len(key), {}).setdefault(key, subset)
-    got = list(_subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET))
+    got = _subgraph_lists(G, n_max)
     assert got == [(m, list(firsts.values()), list(firsts))
                    for m, firsts in sizes.items()]
     for m, _, keys in got:
@@ -290,6 +299,69 @@ def test_subgraph_keys_equal_reference_relabelling(make, n_max):
 @given(connected_graphs())
 def test_subgraph_keys_equal_reference_relabelling_random(G):
     _assert_keys_equal_reference(G, G.vertex_count)
+
+
+def _assert_enumeration_equals_kernels(G, n_max, backends):
+    """The subsets _connected_subsets yields, size by size, are the kernels'
+    enumeration stably sorted by size, on every backend that takes the host
+    (the compiled one takes at most 64 vertices). A budget equal to their
+    number passes, and one less raises BudgetError, as in the kernels."""
+    n = G.vertex_count
+    got = [profiles._subset_int(words)
+           for _, subsets in profiles._connected_subsets(G, n_max, 10 ** 7)
+           for words in subsets]
+    for backend in backends:
+        if backend == "compiled" and n > 64:
+            continue
+        want = kernels.connected_subsets(G.neighbor_masks, n, n_max, 10 ** 7,
+                                         backend=backend)
+        assert got == sorted(want, key=int.bit_count)
+        with pytest.raises(BudgetError):
+            kernels.connected_subsets(G.neighbor_masks, n, n_max,
+                                      len(got) - 1, backend=backend)
+    assert sum(len(subsets) for _, subsets in
+               profiles._connected_subsets(G, n_max, len(got))) == len(got)
+    with pytest.raises(BudgetError):
+        list(profiles._connected_subsets(G, n_max, len(got) - 1))
+
+
+@pytest.mark.parametrize("make,n_max", [
+    (lambda: build_family("grid", 6, 6), 8),
+    (lambda: build_family("hypercube", 4), 16),
+    # Above 64 vertices a subset spans two words.
+    (lambda: build_family("cycle", 70), 4),
+    (lambda: build_family("path", 66), 66),
+    (lambda: subdivide(build_family("hypercube", 3), 1), 20),
+])
+def test_enumeration_equals_kernels(backends, make, n_max):
+    _assert_enumeration_equals_kernels(make(), n_max, backends)
+
+
+@given(connected_graphs())
+def test_enumeration_equals_kernels_random(backends, G):
+    _assert_enumeration_equals_kernels(G, G.vertex_count, backends)
+
+
+def _key_pass_peak(G, n_max):
+    """The tracemalloc peak, in bytes, of one whole key pass."""
+    tracemalloc.start()
+    try:
+        for _ in _subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make,n_max,most", [
+    (lambda: build_family("grid", 6, 6), 8, 2 << 20),
+    (lambda: subdivide(build_family("hypercube", 3), 1), 20, 5 << 19),
+])
+def test_key_pass_memory_is_chunked(make, n_max, most):
+    """The key pass works through each level in chunks, so its peak stays
+    far below what whole-level temporaries take (about 2.0 and 4.8 MiB
+    for the former one-list-per-call pass on these hosts)."""
+    assert _key_pass_peak(make(), n_max) < most
 
 
 @given(connected_graphs(), st.sampled_from([1, 1.5, 2, 3, 700]))
@@ -428,7 +500,7 @@ def _searched_half_cuts(G, n_max):
 def _assert_boundary_cuts_equal_reference(G, n_max):
     """Each key's boundary cut is the reference loop's, and a finite one c
     is a half-cut: the cut search from c vertices finds a cut of c."""
-    for m, _, keys in _subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET):
+    for m, _, keys in _subgraph_lists(G, n_max):
         got = profiles._boundary_cuts(np.array(keys, dtype=np.int64))
         for key, cut in zip(keys, got.tolist()):
             assert cut == _reference_boundary_cut(key)
@@ -455,7 +527,7 @@ def test_boundary_cuts_equal_reference_loop_random(G):
 def _assert_cycle_rank_bounds_are_half_cuts(G):
     """Every key's cycle-rank bound c that does not exceed its size is met:
     the cut search from c vertices finds a cut of exactly c."""
-    for m, _, keys in _subgraphs(G, G.vertex_count, DEFAULT_SUBGRAPH_BUDGET):
+    for m, _, keys in _subgraph_lists(G, G.vertex_count):
         for key in keys:
             c = _cycle_rank_bound(key)
             if c <= m:
@@ -603,7 +675,7 @@ def test_ratios_are_every_majored_ratio():
              for b in range(1, m // 2 + 1)})
     assert len(profiles._ratios(22)) == 159
     G = build_family("hypercube", 4)
-    for m, _, keys in _subgraphs(G, 8, DEFAULT_SUBGRAPH_BUDGET):
+    for m, _, keys in _subgraph_lists(G, 8):
         if m < 2:
             continue
         ratios = {Fraction(a, b) for a, b in profiles._ratios(m)}
@@ -669,7 +741,7 @@ def test_majored_bounds_equal_reference_loop():
     """Each bound is the least prefix or suffix ratio, bit for bit, and not
     below the key's majored constant."""
     G = build_family("hypercube", 4)
-    for m, _, keys in _subgraphs(G, 8, DEFAULT_SUBGRAPH_BUDGET):
+    for m, _, keys in _subgraph_lists(G, 8):
         if m < 2:
             continue
         got = profiles._majored_bounds(np.array(keys, dtype=np.int64))

@@ -74,6 +74,7 @@ def test_lambda2_stack_is_lambda2_bit_for_bit(make, n_max):
     for m, _, keys in _subgraphs(make(), n_max, DEFAULT_SUBGRAPH_BUDGET):
         if m < 2:
             continue
+        keys = [tuple(key) for key in keys.tolist()]
         got = lambda2_stack(np.array(keys, dtype=np.int64))
         want = [lambda2(Graph(m, [(u, v) for u in range(m)
                                   for v in range(u + 1, m)
