@@ -257,13 +257,12 @@ def range_set(spec: DiagonalSpec, r: int,
     return frozenset(members())
 
 
-def in_range_set(spec: DiagonalSpec, r: int,
-                 max_elements: int = 500_000):
+def in_range_set(spec: DiagonalSpec, r: int):
     """Membership in U_r (``range_set``) without building it: z, with
     cursor c, is in the box [lo, lo + r] exactly when lo is in
     [max(-r, c - r), min(0, c)] and t^-lo z has one of the [0, r] box's
     lamp configurations."""
-    configs = _box_configs(spec, r, max_elements)
+    configs = _box_configs(spec, r, 500_000)
 
     def contains(z: DiagonalElement) -> bool:
         c = z.cursor

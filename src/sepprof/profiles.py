@@ -48,7 +48,7 @@ kernel (see ``kernels``).
 A key's half-cut is the least size of a set C whose removal leaves
 components of at most m // 2 vertices each; a key with such a set of at most
 t = int(up) vertices cannot raise a row. Before the keys of one size are
-visited, one array pass over them, in chunks of at most ``_KEY_CHUNK`` keys,
+visited, one array pass over them, in chunks of ``_chunk_rows(m)`` keys,
 takes each key's least boundary cut (``_boundary_cuts``): over the prefix
 sets P = {0..j-1} and the suffix sets P = {m-j..m-1}, 1 <= j <= m // 2, the
 outer boundary C = N(P) \\ P wherever the rest, m - j - |C| vertices, is at
@@ -74,11 +74,11 @@ min(sqrt(2) h2mod, 2 sqrt(h)); at every other p they are
 majored_lp_lower(h, p) and h (p = 1) or 2 h^(1/p). So a bracket taken at
 any ratio of a set the Cheeger kernel searches bounds the key's own, and
 if it is within both rows the key changes none. Before the keys of one
-size are visited, one array pass over them, in chunks of at most
-``_KEY_CHUNK`` keys, takes such a ratio per key, the least over its prefix
-and suffix sets (``_majored_bounds``), and at p = 2 each key's lambda2 from
-one stacked ``eigh`` (``spectral.lambda2_stack``). A key whose bracket at
-that bound is within the rows is skipped with no kernel call.
+size are visited, one array pass over them, in chunks of ``_chunk_rows(m)``
+keys, takes such a ratio per key, the least over its prefix and suffix sets
+(``_majored_bounds``), and at p = 2 each key's lambda2 from one stacked
+``eigh`` (``spectral.lambda2_stack``). A key whose bracket at that bound is
+within the rows is skipped with no kernel call.
 
 Every other key gets one Cheeger search with a stop: the largest ratio a/b
 a set of the key can have (``_ratios``) whose bracket is within both rows,
@@ -123,9 +123,10 @@ from .spectral import lambda2  # noqa: F401
 
 DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
-_KEY_CHUNK = 1024
 # A level is worked through in chunks of at most this many host-vertex bits:
-# 2,048 subsets or parents on at most 16 vertices, 910 on grid 6x6.
+# 2,048 subsets or parents on at most 16 vertices, 910 on grid 6x6; and a
+# size's keys in chunks of at most this many members, 2,048 keys of at most
+# 16 members.
 _CHUNK_BITS = 1 << 15
 # The largest p at which the float bracket is monotone in h (module docstring).
 _PRUNE_MAX_P = 1e9
@@ -166,7 +167,8 @@ def _validate_n_max(n_max: int) -> None:
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows of one chunk on a host of n vertices (``_CHUNK_BITS``)."""
+    """Rows of one chunk of subsets of a host of n vertices, or of keys of
+    n members (``_CHUNK_BITS``)."""
     return max(1, _CHUNK_BITS // max(n, 16))
 
 
@@ -197,25 +199,28 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
             first.setdefault(key, i)
         return np.fromiter(first.values(), dtype=np.intp, count=len(first))
     rows = np.ascontiguousarray(keys)
-    order = np.argsort(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
-                       kind="stable")
+    rows = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    order = np.argsort(rows, kind="stable")
     ranked = rows[order]
     head = np.ones(len(order), dtype=bool)
-    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    head[1:] = ranked[1:] != ranked[:-1]
     return np.sort(order[head])
 
 
-def _connected_subsets(G: Graph, n_max: int, budget: int):
-    """Yield (m, subsets) for each size m = 1..n_max of a connected induced
-    subgraph, in increasing m: the subsets of m vertices, in
-    ``kernels.connected_subsets`` order restricted to that size, as a (k, W)
-    array of uint64 words, W = ceil(n / 64), lowest word first.
+def _connected_subsets(G: Graph, n_max: int, budget: int) -> list:
+    """The subsets of each size m = 1..n_max of a connected induced
+    subgraph, in increasing m, up to the last size that has any: the subsets
+    of m vertices, in ``kernels.connected_subsets`` order restricted to that
+    size, as a (k, W) array of uint64 words, W = ceil(n / 64), lowest word
+    first.
 
     A level is the (subset, candidates, excluded) states of one size, each
     with its root, its least vertex: the states the enumeration's depth-first
-    search holds (module docstring). Raises BudgetError, before a level is
+    search holds (module docstring). Every level is built before any is
+    returned, keeping only its subsets, so that BudgetError is raised, as the
+    kernels raise it, before any subset is evaluated: before a level is
     built, when the subsets of it and of the smaller sizes number more than
-    budget, as the kernels do."""
+    budget."""
     n = G.vertex_count
     W = (n + 63) // 64 or 1
     unit = _words((1 << v for v in range(n)), W)
@@ -223,18 +228,19 @@ def _connected_subsets(G: Graph, n_max: int, budget: int):
     nbr = _words(G.neighbor_masks, W)
     # Level 1: each vertex alone, its candidates the neighbours above it.
     level = unit, nbr & ~below & ~unit, np.zeros_like(unit), np.arange(n)
-    total, size = 0, n
+    levels, total, size = [], 0, n
     for m in range(1, min(n_max, n) + 1):
         if not size:
-            return
+            break
         total += size
         if total > budget:
             raise BudgetError(f"connected-subgraph enumeration exceeded "
                               f"budget of {budget}")
         if m > 1:
             level = _next_level(level, size, unit, below, nbr)
-        yield m, level[0]
+        levels.append(level[0])
         size = int(np.bitwise_count(level[1]).sum())
+    return levels
 
 
 def _next_level(level, size: int, unit, below, nbr):
@@ -281,8 +287,13 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     nbrs = np.full((width, n), n, dtype=np.intp)
     for u, row in enumerate(G.neighbors):
         nbrs[:len(row), u] = row
-    for m, subsets in _connected_subsets(G, n_max, budget):
-        yield (m,) + _level_keys(subsets, m, nbrs)
+    levels = _connected_subsets(G, n_max, budget)
+    for m in range(1, len(levels) + 1):
+        # Freed once its keys are taken, so that the key passes of the
+        # larger sizes hold only the subsets still to come.
+        firsts, keys = _level_keys(levels[m - 1], m, nbrs)
+        levels[m - 1] = None
+        yield m, firsts, keys
 
 
 def _level_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray):
@@ -309,10 +320,13 @@ def _level_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray):
 
 def _reduce(kept, at):
     """The first occurrence of each distinct key of the kept chunks, with
-    its index, each as a list of one array."""
-    keys, at = np.concatenate(kept), np.concatenate(at)
+    its index, each as a list of one array. Empties both lists, so that the
+    chunks are freed before the sort."""
+    keys, at_all = np.concatenate(kept), np.concatenate(at)
+    kept.clear()
+    at.clear()
     first = _first_rows(keys)
-    return [keys[first]], [at[first]]
+    return [keys[first]], [at_all[first]]
 
 
 def _chunk_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray, kind):
@@ -380,9 +394,10 @@ def separation_profile_exact(G: Graph, n_max: int,
         cuts = [math.inf] * len(keys)
         visit = range(len(keys)) if int(up) < m else ()
         if m <= 63 and visit:
+            step = _chunk_rows(m)
             cuts = np.concatenate([
-                _boundary_cuts(keys[start:start + _KEY_CHUNK].astype(np.int64))
-                for start in range(0, len(keys), _KEY_CHUNK)])
+                _boundary_cuts(keys[start:start + step].astype(np.int64))
+                for start in range(0, len(keys), step)])
             visit = np.flatnonzero(cuts > int(up)).tolist()
             cuts = cuts.tolist()
 
@@ -511,9 +526,9 @@ def poincare_profile(G: Graph, n_max: int, p: float,
         # p = 2 their lambda2 and maximum degree. Above _PRUNE_MAX_P nothing
         # is pruned.
         prune = p <= _PRUNE_MAX_P
-        bounds, gaps = [], []
-        for start in range(0, len(keys), _KEY_CHUNK) if prune else ():
-            masks = keys[start:start + _KEY_CHUNK].astype(np.int64)
+        bounds, gaps, step = [], [], _chunk_rows(m)
+        for start in range(0, len(keys), step) if prune else ():
+            masks = keys[start:start + step].astype(np.int64)
             bounds += _majored_bounds(masks).tolist()
             if p == 2:
                 gaps += zip(lambda2_stack(masks).tolist(),

@@ -302,13 +302,14 @@ def test_subgraph_keys_equal_reference_relabelling_random(G):
 
 
 def _assert_enumeration_equals_kernels(G, n_max, backends):
-    """The subsets _connected_subsets yields, size by size, are the kernels'
-    enumeration stably sorted by size, on every backend that takes the host
-    (the compiled one takes at most 64 vertices). A budget equal to their
-    number passes, and one less raises BudgetError, as in the kernels."""
+    """The subsets _connected_subsets returns, size by size, are the
+    kernels' enumeration stably sorted by size, on every backend that takes
+    the host (the compiled one takes at most 64 vertices). A budget equal to
+    their number passes, and one less raises BudgetError, as in the
+    kernels."""
     n = G.vertex_count
     got = [profiles._subset_int(words)
-           for _, subsets in profiles._connected_subsets(G, n_max, 10 ** 7)
+           for subsets in profiles._connected_subsets(G, n_max, 10 ** 7)
            for words in subsets]
     for backend in backends:
         if backend == "compiled" and n > 64:
@@ -319,10 +320,10 @@ def _assert_enumeration_equals_kernels(G, n_max, backends):
         with pytest.raises(BudgetError):
             kernels.connected_subsets(G.neighbor_masks, n, n_max,
                                       len(got) - 1, backend=backend)
-    assert sum(len(subsets) for _, subsets in
+    assert sum(len(subsets) for subsets in
                profiles._connected_subsets(G, n_max, len(got))) == len(got)
     with pytest.raises(BudgetError):
-        list(profiles._connected_subsets(G, n_max, len(got) - 1))
+        profiles._connected_subsets(G, n_max, len(got) - 1)
 
 
 @pytest.mark.parametrize("make,n_max", [
@@ -340,6 +341,25 @@ def test_enumeration_equals_kernels(backends, make, n_max):
 @given(connected_graphs())
 def test_enumeration_equals_kernels_random(backends, G):
     _assert_enumeration_equals_kernels(G, G.vertex_count, backends)
+
+
+def test_budget_error_comes_before_any_evaluation():
+    """A budget one short of the enumeration raises BudgetError before the
+    evaluator sees the keys of any size, as the kernels' enumeration, which
+    is counted whole before it returns, did."""
+    G, n_max = build_family("grid", 6, 6), 8
+    count = sum(map(len, profiles._connected_subsets(G, n_max, 10 ** 7)))
+    seen = []
+
+    def evaluator(keys, lo, up):
+        seen.append(keys.shape[1])
+        return (), None
+
+    with pytest.raises(BudgetError):
+        profiles._sup_rows(G, n_max, count - 1, evaluator, True)
+    assert seen == []
+    profiles._sup_rows(G, n_max, count, evaluator, True)
+    assert seen == list(range(1, n_max + 1))
 
 
 def _key_pass_peak(G, n_max):
