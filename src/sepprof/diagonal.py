@@ -18,6 +18,9 @@ from .errors import BudgetError
 from .graphs import Graph
 from .groups import FiniteGroup, read_group_file
 
+# The most elements any one BFS here may reach before it raises BudgetError.
+MAX_ELEMENTS = 500_000
+
 
 class DiagonalElement(NamedTuple):
     cursor: int
@@ -158,10 +161,10 @@ class BallResult(NamedTuple):
     graph: Graph
 
 
-def _bfs(spec: DiagonalSpec, lo: int, hi: int, radius: float,
-         max_elements: int):
+def _bfs(spec: DiagonalSpec, lo: int, hi: int, radius: float):
     """Yield (element, word length) in BFS order from the identity, over
-    words of length <= radius whose cursor stays in [lo, hi]."""
+    words of length <= radius whose cursor stays in [lo, hi]. Raises
+    BudgetError past ``MAX_ELEMENTS`` elements."""
     gens = spec.generators()
     start = spec.identity()
     seen = {start}
@@ -179,9 +182,9 @@ def _bfs(spec: DiagonalSpec, lo: int, hi: int, radius: float,
                 seen.add(w)
                 nxt.append(w)
                 yield w, d
-                if len(seen) > max_elements:
+                if len(seen) > MAX_ELEMENTS:
                     raise BudgetError(
-                        f"BFS exceeded {max_elements} elements at word "
+                        f"BFS exceeded {MAX_ELEMENTS} elements at word "
                         f"length {d}")
         frontier = nxt
 
@@ -191,12 +194,11 @@ def _shift_lamps(lamps: tuple, by: int) -> tuple:
     return tuple(tuple((pos + by, e) for pos, e in level) for level in lamps)
 
 
-def ball(spec: DiagonalSpec, radius: int,
-         max_elements: int = 200_000) -> BallResult:
+def ball(spec: DiagonalSpec, radius: int) -> BallResult:
     """BFS ball around the identity and the induced Cayley graph."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dist = dict(_bfs(spec, -radius, radius, radius, max_elements))
+    dist = dict(_bfs(spec, -radius, radius, radius))
     index = {z: i for i, z in enumerate(dist)}
     gens = spec.generators()
     edges = []
@@ -210,8 +212,7 @@ def ball(spec: DiagonalSpec, radius: int,
     return BallResult(tuple(index), dist, graph)
 
 
-def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int,
-             max_elements: int = 500_000) -> int:
+def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int) -> int:
     """Minimal cursor-interval diameter over all words representing z.
 
     z is reached with the cursor confined to [lo, lo + d] exactly when
@@ -224,27 +225,26 @@ def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int,
         targets = {DiagonalElement(z.cursor - lo, _shift_lamps(z.lamps, -lo))
                    for lo in range(hi_req - d, lo_req + 1)}
         if not targets.isdisjoint(
-                w for w, _ in _bfs(spec, 0, d, math.inf, max_elements)):
+                w for w, _ in _bfs(spec, 0, d, math.inf)):
             return d
     raise BudgetError(
         f"element not reachable within cursor window {window}")
 
 
-def _box_configs(spec: DiagonalSpec, r: int, max_elements: int) -> set:
+def _box_configs(spec: DiagonalSpec, r: int) -> set:
     """The lamp configurations the BFS confined to the cursor box [0, r]
     reaches."""
-    return {w.lamps for w, _ in _bfs(spec, 0, r, math.inf, max_elements)}
+    return {w.lamps for w, _ in _bfs(spec, 0, r, math.inf)}
 
 
-def range_set(spec: DiagonalSpec, r: int,
-              max_elements: int = 500_000) -> frozenset:
+def range_set(spec: DiagonalSpec, r: int) -> frozenset:
     """U_r: all elements of range <= r (union of diameter-r cursor boxes).
 
     The box [lo, lo + r] is the left translate by t^lo of the box [0, r],
     and tau moves the cursor freely within a box, so the [0, r] box is
     every cursor in [0, r] with every lamp configuration its BFS reaches.
     """
-    configs = _box_configs(spec, r, max_elements)
+    configs = _box_configs(spec, r)
 
     def members():
         for lamps in configs:
@@ -262,7 +262,7 @@ def in_range_set(spec: DiagonalSpec, r: int):
     cursor c, is in the box [lo, lo + r] exactly when lo is in
     [max(-r, c - r), min(0, c)] and t^-lo z has one of the [0, r] box's
     lamp configurations."""
-    configs = _box_configs(spec, r, 500_000)
+    configs = _box_configs(spec, r)
 
     def contains(z: DiagonalElement) -> bool:
         c = z.cursor
@@ -272,8 +272,8 @@ def in_range_set(spec: DiagonalSpec, r: int):
     return contains
 
 
-def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
-                  max_elements: int = 500_000) -> list[float]:
+def cocycle_norms(spec: DiagonalSpec, j: int,
+                  zs: Sequence[DiagonalElement]) -> list[float]:
     """Norms of the j-th range-detecting cocycle at each element of zs.
 
     phi_r is the tent function on U_r (r = 2^j); the cocycle value at z is
@@ -295,7 +295,7 @@ def cocycle_norms(spec: DiagonalSpec, j: int, zs: Sequence[DiagonalElement],
     if j < 0:
         raise ValueError("j must be >= 0")
     r = 2 ** j
-    phi = {u: 1.0 - abs(u.cursor) / r for u in range_set(spec, r, max_elements)
+    phi = {u: 1.0 - abs(u.cursor) / r for u in range_set(spec, r)
            if abs(u.cursor) < r}
     norm_sq = sum(value * value for value in phi.values())
 

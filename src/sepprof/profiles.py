@@ -123,10 +123,11 @@ from .spectral import lambda2  # noqa: F401
 
 DEFAULT_SUBGRAPH_BUDGET = 300_000
 DEFAULT_CUT_BUDGET = 2_000_000
-# A level is worked through in chunks of at most this many host-vertex bits:
-# 2,048 subsets or parents on at most 16 vertices, 910 on grid 6x6; and a
-# size's keys in chunks of at most this many members, 2,048 keys of at most
-# 16 members.
+# A level is built, and its keys computed, in chunks of at most this many
+# host-vertex bits: 2,048 subsets or parents on at most 16 vertices, 910 on
+# grid 6x6; the distinct keys of a size go through the evaluators' array
+# pre-passes in chunks of at most this many members, 2,048 keys of at most 16
+# members.
 _CHUNK_BITS = 1 << 15
 # The largest p at which the float bracket is monotone in h (module docstring).
 _PRUNE_MAX_P = 1e9
@@ -191,8 +192,9 @@ def _subset_int(words: np.ndarray) -> int:
 def _first_rows(keys: np.ndarray) -> np.ndarray:
     """The indices, increasing, of the first occurrence of each distinct row
     of keys: for uint rows, the head of each run of equal rows in a stable
-    argsort of the rows as one void value each; for rows of Python ints, a
-    dict from each row to its first index."""
+    argsort of the rows as one void value each, which keeps equal rows in
+    index order; for rows of Python ints, a dict from each row to its first
+    index."""
     if keys.dtype == object:
         first: dict[tuple, int] = {}
         for i, key in enumerate(map(tuple, keys.tolist())):
@@ -278,9 +280,11 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     (k, m) array, and the first subset of each, as a (k, W) array of words
     (``_connected_subsets``). A key lists, per member in increasing order,
     its neighbours as a mask over member positions; member u of the subset S
-    is at position popcount(S & ((1 << u) - 1)). Keys of at most 32 members
-    are uint32, of at most 64 uint64, and wider ones Python ints in an
-    object array."""
+    is at position popcount(S & ((1 << u) - 1)). The keys of a size are
+    built chunk by chunk (``_chunk_keys``) in the narrowest unsigned type
+    that holds m bits, uint8 up to uint64, and above 64 members as Python
+    ints in an object array; one ``_first_rows`` call over all of them
+    picks the first occurrences."""
     n = G.vertex_count
     # Neighbour lists padded with n, the index of an all-zero row.
     width = max([1] + [len(row) for row in G.neighbors])
@@ -288,45 +292,18 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     for u, row in enumerate(G.neighbors):
         nbrs[:len(row), u] = row
     levels = _connected_subsets(G, n_max, budget)
+    step = _chunk_rows(n)
     for m in range(1, len(levels) + 1):
         # Freed once its keys are taken, so that the key passes of the
         # larger sizes hold only the subsets still to come.
-        firsts, keys = _level_keys(levels[m - 1], m, nbrs)
-        levels[m - 1] = None
-        yield m, firsts, keys
-
-
-def _level_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray):
-    """(firsts, keys) of the subsets of m vertices: their distinct keys in
-    order of first appearance, and the first subset of each
-    (``_subgraphs``). Each chunk's first rows of each key are kept, and the
-    kept rows of several chunks are reduced the same way whenever they have
-    doubled, and at the end."""
-    kind = np.uint32 if m <= 32 else np.uint64 if m <= 64 else object
-    kept, at, reduced = [], [], 0
-    step = _chunk_rows(nbrs.shape[1])
-    for start in range(0, len(subsets), step):
-        keys = _chunk_keys(subsets[start:start + step], m, nbrs, kind)
+        subsets, levels[m - 1] = levels[m - 1], None
+        kind = np.min_scalar_type((1 << m) - 1)
+        keys = np.concatenate([
+            _chunk_keys(subsets[start:start + step], m, nbrs, kind)
+            for start in range(0, len(subsets), step)])
         first = _first_rows(keys)
-        kept.append(keys[first])
-        at.append(first + start)
-        if len(at) > 1 and sum(map(len, at)) > 2 * reduced:
-            kept, at = _reduce(kept, at)
-            reduced = len(at[0])
-    if len(at) > 1:
-        kept, at = _reduce(kept, at)
-    return subsets[at[0]], kept[0]
-
-
-def _reduce(kept, at):
-    """The first occurrence of each distinct key of the kept chunks, with
-    its index, each as a list of one array. Empties both lists, so that the
-    chunks are freed before the sort."""
-    keys, at_all = np.concatenate(kept), np.concatenate(at)
-    kept.clear()
-    at.clear()
-    first = _first_rows(keys)
-    return [keys[first]], [at_all[first]]
+        subsets, keys = subsets[first], keys[first]
+        yield m, subsets, keys
 
 
 def _chunk_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray, kind):
@@ -374,6 +351,8 @@ def _sup_rows(G: Graph, n_max: int, budget: int, evaluator,
                 up, witness = value[1], _mask_to_set(_subset_int(subsets[i]))
         rows.append(ProfileRow(n=m, lower=lo, upper=up, exact=exact,
                                witness=witness))
+        # Freed before the keys of the next size are built.
+        del subsets, keys, visit, evaluate
     # Connected subgraphs of every size up to the largest exist, so only the
     # sizes above the largest component can be missing.
     rows += [ProfileRow(n=n, lower=lo, upper=up, exact=exact, witness=witness)
@@ -460,14 +439,15 @@ def _majored_bounds(masks: np.ndarray) -> np.ndarray:
     itself the ratio of a set the Cheeger kernel searches.
 
     A set's count is its outer boundary plus its members adjacent to the
-    rest. The ratios count/j are compared as the integers count * (L / j),
-    L = lcm(1..m//2), and returned as floats."""
-    scale = math.lcm(*range(1, masks.shape[1] // 2 + 1))
-    best = np.full(len(masks), np.iinfo(np.int64).max)
+    rest. The ratios count/j are compared as floats: division is correctly
+    rounded, so equal ratios give equal floats and a smaller ratio never
+    gives a larger float, and the least float is the float of the least
+    ratio."""
+    best = np.full(len(masks), np.inf)
     for j, A, reach, rest in _prefix_suffix_sets(masks):
         count = np.bitwise_count(reach & ~A) + np.bitwise_count(rest & A)
-        np.minimum(best, count * np.int64(scale // j), out=best)
-    return best / scale
+        np.minimum(best, count / j, out=best)
+    return best
 
 
 def _boundary_cuts(masks: np.ndarray) -> np.ndarray:

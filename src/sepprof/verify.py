@@ -550,7 +550,7 @@ def suite_lamp_embedding(ctx: VerifyContext):
 def suite_cocycles(ctx: VerifyContext):
     rows = []
     spec = DiagonalSpec([(klein_four(), 0)])
-    result = ball(spec, 6, max_elements=500_000)
+    result = ball(spec, 6)
     rows.append(_row(
         "cocycle:ball-growth", "cayley-ball",
         len(result.elements) == 710, len(result.elements), 710))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sepprof import diagonal
 from sepprof.diagonal import (DiagonalSpec, apply_generator, ball,
                               cocycle_norms, embed_lamp_graph, in_range_set,
                               inverse, multiply, range_of, range_set,
@@ -113,9 +114,10 @@ def test_ball_growth_matches_wreath_oracle(radius):
     assert len(result.elements) == wreath_oracle_ball(radius)
 
 
-def test_ball_budget_guard():
+def test_ball_budget_guard(monkeypatch):
+    monkeypatch.setattr(diagonal, "MAX_ELEMENTS", 10)
     with pytest.raises(BudgetError):
-        ball(single_level(), 6, max_elements=10)
+        ball(single_level(), 6)
 
 
 def test_ball_word_lengths_subadditive():
@@ -247,15 +249,17 @@ def test_range_of_matches_box_search(make_spec):
         assert range_of(spec, z, 6) == oracle_range_of(spec, z, 6, cache)
 
 
-def test_range_searches_keep_their_budget():
+def test_range_searches_keep_their_budget(monkeypatch):
     spec = two_level()
+    monkeypatch.setattr(diagonal, "MAX_ELEMENTS", 100)
     with pytest.raises(BudgetError, match="exceeded"):
-        range_set(spec, 3, max_elements=100)
+        range_set(spec, 3)
     z = spec.identity()
     for _ in range(5):
         z = apply_generator(spec, z, ("tau", 1))
+    monkeypatch.setattr(diagonal, "MAX_ELEMENTS", 10)
     with pytest.raises(BudgetError, match="exceeded"):
-        range_of(spec, z, 8, max_elements=10)
+        range_of(spec, z, 8)
 
 
 def test_range_set_is_exact():

@@ -301,6 +301,33 @@ def test_subgraph_keys_equal_reference_relabelling_random(G):
     _assert_keys_equal_reference(G, G.vertex_count)
 
 
+@pytest.mark.parametrize("make,n_max", [
+    (lambda: build_family("grid", 4, 4), 8),
+    (lambda: build_family("hypercube", 4), 8),
+    (lambda: build_family("path", 66), 66),
+])
+def test_subgraph_keys_equal_reference_in_small_chunks(monkeypatch, make,
+                                                       n_max):
+    """With three subsets per chunk, a key's first occurrence and its
+    repeats fall in different chunks; the one sort over a size's keys still
+    gives the first subset of each."""
+    G = make()
+    monkeypatch.setattr(profiles, "_CHUNK_BITS", 3 * max(G.vertex_count, 16))
+    assert profiles._chunk_rows(G.vertex_count) == 3
+    _assert_keys_equal_reference(G, n_max)
+
+
+def test_keys_take_the_narrowest_type():
+    """Keys of m members are uint8 up to 8 members, uint16 up to 16, uint32
+    up to 32, uint64 up to 64, and Python ints above."""
+    sizes = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
+    for m, _, keys in _subgraphs(build_family("path", 66), 66,
+                                 DEFAULT_SUBGRAPH_BUDGET):
+        want = next((kind for most, kind in sizes.items() if m <= most),
+                    object)
+        assert keys.dtype == want, m
+
+
 def _assert_enumeration_equals_kernels(G, n_max, backends):
     """The subsets _connected_subsets returns, size by size, are the
     kernels' enumeration stably sorted by size, on every backend that takes
@@ -378,9 +405,11 @@ def _key_pass_peak(G, n_max):
     (lambda: subdivide(build_family("hypercube", 3), 1), 20, 5 << 19),
 ])
 def test_key_pass_memory_is_chunked(make, n_max, most):
-    """The key pass works through each level in chunks, so its peak stays
-    far below what whole-level temporaries take (about 2.0 and 4.8 MiB
-    for the former one-list-per-call pass on these hosts)."""
+    """The key pass builds each level's keys in chunks, holding one chunk's
+    per-host-vertex temporaries and the level's keys in their narrowest
+    type, so its peak stays far below what whole-level temporaries take
+    (about 2.0 and 4.8 MiB for the former one-list-per-call pass on these
+    hosts)."""
     assert _key_pass_peak(make(), n_max) < most
 
 
@@ -662,6 +691,29 @@ PINNED_EXPONENT_ROWS_SHA256 = \
 
 def test_pinned_exponent_rows_digest():
     assert _pinned_exponent_rows_digest() == PINNED_EXPONENT_ROWS_SHA256
+
+
+def _toy_rows_digest():
+    """SHA-256 of the rows, values and witnesses, of the separation profile
+    at n = |V| of the paper's toy example, each edge of a small host
+    subdivided kappa times."""
+    hosts = [(build_family("complete", 4), kappa) for kappa in (1, 2, 3)] + \
+        [(build_family("cycle", 6), kappa) for kappa in (1, 2, 3)] + \
+        [(build_family("hypercube", 3), 1), (build_family("grid", 3, 3), 1)]
+    tables = []
+    for host, kappa in hosts:
+        G = subdivide(host, kappa)
+        tables.append(separation_profile_exact(G, G.vertex_count))
+    return _rows_digest(tables)
+
+
+# Taken while the key pass still deduplicated each chunk and merged them.
+PINNED_TOY_ROWS_SHA256 = \
+    "45c8570d7235b5d5f9cc5717ef443984f5dc1959e597f49eb74cdb2fd1ca7cb5"
+
+
+def test_pinned_toy_rows_digest():
+    assert _toy_rows_digest() == PINNED_TOY_ROWS_SHA256
 
 
 _MONOTONE_EXPONENTS = (1, 1.5, 3, 700, 1e9)
