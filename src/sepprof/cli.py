@@ -17,7 +17,8 @@ from .cheeger import cheeger_combinatorial, cheeger_lp
 from .constructions import LampGraphSpec, distorted_lamp_graph
 from .cuts import cut
 from .errors import BudgetError, ExactSearchInfeasible
-from .graphs import build_family, cartesian_power, read_edgelist, write_edgelist
+from .graphs import (build_family, cartesian_power, read_edgelist,
+                     subdivide, write_edgelist)
 from .groups import read_group_file
 from .profiles import (DEFAULT_SUBGRAPH_BUDGET, poincare_profile,
                        separation_profile_exact)
@@ -35,11 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="write a graph family as an edge list")
-    fam.add_argument("kind", choices=FAMILY_KINDS + ("power", "lamp"))
+    fam.add_argument("kind",
+                     choices=FAMILY_KINDS + ("power", "subdivide", "lamp"))
     fam.add_argument("params", nargs="*", help="size parameters, or base kind "
-                     "and sizes for power, or a group file for lamp")
+                     "and sizes for power and subdivide, or a group file for "
+                     "lamp")
     fam.add_argument("--k", type=int, default=1,
-                     help="power exponent / lamp cursor half-width")
+                     help="power exponent / internal vertices per subdivided "
+                     "edge / lamp cursor half-width")
     fam.add_argument("--r", type=int, default=0, help="lamp coordinate radius")
     fam.add_argument("--out", required=True)
 
@@ -72,13 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_family(args) -> int:
-    if args.kind == "power":
+    if args.kind in ("power", "subdivide"):
+        if not args.params:
+            raise ValueError(f"{args.kind} takes a base family and its sizes")
         base_kind, *sizes = args.params
-        if base_kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown base family {base_kind!r}")
         base = build_family(base_kind, *[int(x) for x in sizes])
-        graph = cartesian_power(base, args.k)
+        build = cartesian_power if args.kind == "power" else subdivide
+        graph = build(base, args.k)
     elif args.kind == "lamp":
+        if len(args.params) != 1:
+            raise ValueError(f"lamp takes 1 group file, got "
+                             f"{len(args.params)}")
         (group_path,) = args.params
         group = read_group_file(group_path)
         graph = distorted_lamp_graph(LampGraphSpec(group, args.k, args.r))

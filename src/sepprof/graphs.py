@@ -116,12 +116,23 @@ def validate_measure(nu, n: int) -> np.ndarray:
     return nu
 
 
+# The number of size parameters of each family ``build_family`` builds.
+_FAMILY_SIZES = {"path": 1, "cycle": 1, "complete": 1, "hypercube": 1,
+                "grid": 2}
+
+
 def build_family(kind: str, *params: int) -> Graph:
     """Construct one of the named graph families.
 
     kind: path, cycle, complete, hypercube, or grid. ``params`` are the size
     parameters (two for grid, one otherwise), all required to be >= 1.
     """
+    if kind not in _FAMILY_SIZES:
+        raise ValueError(f"unknown family kind {kind!r}")
+    count = _FAMILY_SIZES[kind]
+    if len(params) != count:
+        raise ValueError(f"{kind} takes {count} size parameter"
+                         f"{'s' if count > 1 else ''}, got {len(params)}")
     if any(p < 1 for p in params):
         raise ValueError("size parameters must be >= 1")
     if kind == "path":
@@ -154,7 +165,6 @@ def build_family(kind: str, *params: int) -> Graph:
                     edges.append((vid(r, c), vid(r + 1, c)))
         labels = [(r, c) for r in range(rows) for c in range(cols)]
         return Graph(rows * cols, edges, labels=labels)
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def cartesian_power(G: Graph, k: int) -> Graph:

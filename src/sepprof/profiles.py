@@ -36,73 +36,65 @@ size. A later subgraph with a key already evaluated can do neither: the
 first one raised lo and up to at least its values, or they were already
 there, and rows only grow.
 
-The driver prunes exactly. It visits the keys by increasing size, in order
-of first appearance within a size, so while it is at size m the running row
-values lo and up are max(row(m - 1), best of size m so far). A subgraph
-whose lower end is at most lo and upper end at most up changes no row: it
-raises neither maximum, and as it does not strictly raise up it is not a
-witness either. The evaluator is handed lo and up and may answer None for
-such a subgraph after deciding only that, with a threshold form of its
-kernel (see ``kernels``).
+The driver prunes exactly, and in one place. It visits the keys by
+increasing size, in order of first appearance within a size, so while it is
+at size m the running row values lo and up are max(row(m - 1), best of size
+m so far). A subgraph whose lower end is at most lo and upper end at most up
+changes no row: it raises neither maximum, and as it does not strictly raise
+up it is not a witness either. So, per size, an evaluator returns one array
+pre-pass over the keys, in chunks of ``_chunk_rows(m)`` keys: a bound on
+each key's lower end and one on its upper end. The driver visits only the
+keys whose bounds exceed the running rows at the start of the size, and
+rechecks each one when it reaches it, since lo and up grow within a size.
+A visited key is evaluated with lo and up; the evaluator may answer None
+when a threshold form of its kernel (see ``kernels``) shows that it cannot
+raise them.
 
 A key's half-cut is the least size of a set C whose removal leaves
-components of at most m // 2 vertices each; a key with such a set of at most
-t = int(up) vertices cannot raise a row. Before the keys of one size are
-visited, one array pass over them, in chunks of ``_chunk_rows(m)`` keys,
-takes each key's least boundary cut (``_boundary_cuts``): over the prefix
-sets P = {0..j-1} and the suffix sets P = {m-j..m-1}, 1 <= j <= m // 2, the
-outer boundary C = N(P) \\ P wherever the rest, m - j - |C| vertices, is at
-most m // 2. Removing C leaves no edge between P and the rest, so every
-component lies in P or in the rest, and C is such a set. The pass also
-takes e - m + 2, e the key's edge count: a connected key has cycle rank
-c = e - m + 1, and at most c + 1 vertices form such a set. Removing a
-vertex that lies on a cycle lowers the cycle rank by at least 1 (two of its
-neighbours stay connected, so it splits its component into at most
-deg - 1 parts), so at most c removals leave a forest. At most one tree of
-that forest has more than m // 2 vertices, and removing its centroid leaves
-parts of at most half its size. A key whose least such bound is at most t
-is therefore answered None with no kernel call. The driver visits only the
-keys whose bound exceeds t at the start of the size: within a size t only
-grows, so a key whose bound is at most t then is at most t at its visit.
-Every other key gets one cut search over the sizes t..m: a cut of exactly t
-vertices means it cannot raise a row, and a larger first cut is the half-cut
-itself. Keys wider than 63 bits skip the pass and are all searched.
+components of at most m // 2 vertices each; removing every member is such a
+set, so m bounds it. The separation pre-pass bounds it further below 64
+members by each key's least boundary cut (``_boundary_cuts``): over the
+prefix sets P = {0..j-1} and the suffix sets P = {m-j..m-1}, 1 <= j <= m // 2,
+the outer boundary C = N(P) \\ P wherever the rest, m - j - |C| vertices, is
+at most m // 2. Removing C leaves no edge between P and the rest, so every
+component lies in P or in the rest, and C is such a set. The pass also takes
+e - m + 2, e the key's edge count: a connected key has cycle rank
+c = e - m + 1, and at most c + 1 vertices form such a set. Removing a vertex
+that lies on a cycle lowers the cycle rank by at least 1 (two of its
+neighbours stay connected, so it splits its component into at most deg - 1
+parts), so at most c removals leave a forest. At most one tree of that
+forest has more than m // 2 vertices, and removing its centroid leaves parts
+of at most half its size. Both ends of a half-cut are the half-cut, and the
+rows are integers, so a visited key's bound exceeds t = int(up), and t < m.
+It gets one cut search over the sizes t..m: a cut of exactly t vertices
+means it cannot raise a row, and a larger first cut is the half-cut itself.
 
 Both bracket ends are nondecreasing in the majored constant h: at p = 2
 the lower end comes from lambda2 and not from h, and the upper end is
 min(sqrt(2) h2mod, 2 sqrt(h)); at every other p they are
-majored_lp_lower(h, p) and h (p = 1) or 2 h^(1/p). So a bracket taken at
-any ratio of a set the Cheeger kernel searches bounds the key's own, and
-if it is within both rows the key changes none. Before the keys of one
-size are visited, one array pass over them, in chunks of ``_chunk_rows(m)``
-keys, takes such a ratio per key, the least over its prefix and suffix sets
+majored_lp_lower(h, p) and h (p = 1) or 2 h^(1/p). The Poincare evaluator
+reads them from one table per size and exponent (``_bracket_table``): m
+times each end at each float of ``_ratios(m)``, made nondecreasing by
+running maxima, then +inf for "no bound". At p = 2 the table holds 0 and
+2 m sqrt(h), and each use takes the max with the key's own m lower end and
+the min with its m sqrt(2) h2mod cap, both exact. A running maximum bounds
+the floats of the bracket at its ratio and at every smaller one, however
+``pow`` rounds; so the entry at the ratio of any set the Cheeger kernel
+searches bounds the key's bracket, the entry at its least ratio. The
+pre-pass takes the entry at each key's least prefix or suffix ratio
 (``_majored_bounds``), and at p = 2 each key's lambda2 from one stacked
-``eigh`` (``spectral.lambda2_stack``). A key whose bracket at that bound is
-within the rows is skipped with no kernel call.
-
-Every other key gets one Cheeger search with a stop: the largest ratio a/b
-a set of the key can have (``_ratios``) whose bracket is within both rows,
-found by bisection (``_largest_within``), the same test as the skip. The
-kernel ends at the first set whose ratio is at most a/b; the key's minimum
-is at most that ratio, so its bracket is within the rows and the search is
-final. A search that does not stop runs in full and returns the key's own
-minimum. At p = 2 the lambda2 end depends on no ratio: when it exceeds lo,
-no ratio is within, and the search has no stop.
-
-The float bracket is monotone over these ratios as well, so the skips and
-the stops are exact in floats. At p = 2, sqrt and min are monotone and
-correctly rounded. At every other p, products are correctly rounded, and
-two distinct majored ratios at most m <= 22, with denominators at most 11,
-differ by a factor of at least 1 + 1/2662, so their p-th roots differ by a
-relative 3.7e-4 / p, far more than the sub-ulp error of ``pow`` for p up
-to ``_PRUNE_MAX_P``; a smaller ratio never gets a larger float upper end.
-Above that p nothing is pruned and nothing stops.
+``eigh`` (``spectral.lambda2_stack``). A visited key gets one Cheeger
+search whose stop is the ratio of the last entry within both rows (the
+entries within are a prefix, ``_entries_within``; at p = 2 none is within
+when the key's own lower end exceeds lo). A search that ends at its stop
+leaves the key within the rows; one that runs in full returns the key's
+least ratio, whose entry is its bracket. So the pruning and the stops are
+exact at every p.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,8 +121,6 @@ DEFAULT_CUT_BUDGET = 2_000_000
 # pre-passes in chunks of at most this many members, 2,048 keys of at most 16
 # members.
 _CHUNK_BITS = 1 << 15
-# The largest p at which the float bracket is monotone in h (module docstring).
-_PRUNE_MAX_P = 1e9
 
 
 @dataclass
@@ -193,8 +183,9 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     """The indices, increasing, of the first occurrence of each distinct row
     of keys: for uint rows, the head of each run of equal rows in a stable
     argsort of the rows as one void value each, which keeps equal rows in
-    index order; for rows of Python ints, a dict from each row to its first
-    index."""
+    index order, each row compared with the one before it in sorted order,
+    chunk by chunk; for rows of Python ints, a dict from each row to its
+    first index."""
     if keys.dtype == object:
         first: dict[tuple, int] = {}
         for i, key in enumerate(map(tuple, keys.tolist())):
@@ -203,9 +194,11 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(keys)
     rows = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
     order = np.argsort(rows, kind="stable")
-    ranked = rows[order]
     head = np.ones(len(order), dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
+    step = _chunk_rows(keys.shape[1])
+    for start in range(1, len(order), step):
+        ranked = rows[order[start - 1:start + step]]
+        head[start:start + step] = ranked[1:] != ranked[:-1]
     return np.sort(order[head])
 
 
@@ -283,8 +276,9 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     is at position popcount(S & ((1 << u) - 1)). The keys of a size are
     built chunk by chunk (``_chunk_keys``) in the narrowest unsigned type
     that holds m bits, uint8 up to uint64, and above 64 members as Python
-    ints in an object array; one ``_first_rows`` call over all of them
-    picks the first occurrences."""
+    ints in an object array, into one array for the size; one
+    ``_first_rows`` call over it picks the first occurrences, which are
+    moved to the front of that array."""
     n = G.vertex_count
     # Neighbour lists padded with n, the index of an all-zero row.
     width = max([1] + [len(row) for row in G.neighbors])
@@ -298,12 +292,21 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
         # larger sizes hold only the subsets still to come.
         subsets, levels[m - 1] = levels[m - 1], None
         kind = np.min_scalar_type((1 << m) - 1)
-        keys = np.concatenate([
-            _chunk_keys(subsets[start:start + step], m, nbrs, kind)
-            for start in range(0, len(subsets), step)])
+        keys = np.empty((len(subsets), m), dtype=kind)
+        for start in range(0, len(subsets), step):
+            keys[start:start + step] = _chunk_keys(
+                subsets[start:start + step], m, nbrs, kind)
         first = _first_rows(keys)
-        subsets, keys = subsets[first], keys[first]
+        # Each chunk of first occurrences moves down in place: first is
+        # increasing, so first[j] >= j and no later chunk reads those rows.
+        for start in range(0, len(first), step):
+            at = first[start:start + step]
+            keys[start:start + len(at)] = keys[at]
+        subsets, keys = subsets[first], keys[:len(first)]
         yield m, subsets, keys
+        # Dropped before the next size's keys are built, as the driver
+        # drops its own.
+        del subsets, keys
 
 
 def _chunk_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray, kind):
@@ -330,18 +333,22 @@ def _chunk_keys(subsets: np.ndarray, m: int, nbrs: np.ndarray, kind):
 def _sup_rows(G: Graph, n_max: int, budget: int, evaluator,
               exact: bool) -> list[ProfileRow]:
     """Rows n = 1..n_max of the sup over connected induced subgraphs with at
-    most n vertices of their (lower, upper) floats. evaluator(keys, lo, up)
-    is called once per size with that size's (k, m) array of distinct keys
-    and the running row values lo and up at its start, and returns (visit,
-    evaluate): the indices, increasing, of the keys that may raise a row,
-    and evaluate(i, lo, up), the floats of keys[i] or None when neither
-    exceeds the running row values lo and up. Each visited key is evaluated
-    once, with its first subset as the witness candidate."""
+    most n vertices of their (lower, upper) floats. evaluator(keys) is
+    called once per size with that size's (k, m) array of distinct keys and
+    returns (lower, upper, evaluate): two float arrays of k bounds on each
+    key's lower and upper value, and evaluate(i, lo, up), the floats of
+    keys[i], or None when neither exceeds the running row values lo and up.
+    Only a key whose bounds exceed the running rows is evaluated (module
+    docstring), once, with its first subset as the witness candidate."""
     rows: list[ProfileRow] = []
     lo, up, witness = 0.0, 0.0, None
     for m, subsets, keys in _subgraphs(G, n_max, budget):
-        visit, evaluate = evaluator(keys, lo, up)
-        for i in visit:
+        lower, upper, evaluate = evaluator(keys)
+        visit = np.flatnonzero((lower > lo) | (upper > up))
+        for i, low, high in zip(visit.tolist(), lower[visit].tolist(),
+                                upper[visit].tolist()):
+            if low <= lo and high <= up:
+                continue
             value = evaluate(i, lo, up)
             if value is None:
                 continue
@@ -352,7 +359,7 @@ def _sup_rows(G: Graph, n_max: int, budget: int, evaluator,
         rows.append(ProfileRow(n=m, lower=lo, upper=up, exact=exact,
                                witness=witness))
         # Freed before the keys of the next size are built.
-        del subsets, keys, visit, evaluate
+        del subsets, keys, lower, upper, evaluate
     # Connected subgraphs of every size up to the largest exist, so only the
     # sizes above the largest component can be missing.
     rows += [ProfileRow(n=n, lower=lo, upper=up, exact=exact, witness=witness)
@@ -365,56 +372,29 @@ def separation_profile_exact(G: Graph, n_max: int,
     """Exact sep(n) = max half-cut over connected induced subgraphs, n <= n_max."""
     _validate_n_max(n_max)
 
-    def half_cuts(keys, lo, up):
+    def half_cuts(keys):
         m = keys.shape[1]
-        # One array pre-pass over the keys: their least boundary cuts. The
-        # row t = int(up) only grows within a size, so a key whose cut is
-        # at most t now is never visited (module docstring).
-        cuts = [math.inf] * len(keys)
-        visit = range(len(keys)) if int(up) < m else ()
-        if m <= 63 and visit:
-            step = _chunk_rows(m)
-            cuts = np.concatenate([
-                _boundary_cuts(keys[start:start + step].astype(np.int64))
-                for start in range(0, len(keys), step)])
-            visit = np.flatnonzero(cuts > int(up)).tolist()
-            cuts = cuts.tolist()
+        # One array pre-pass over the keys: m, or below 64 members their
+        # least boundary cut or cycle-rank bound (module docstring).
+        cuts = np.full(len(keys), float(m))
+        step = _chunk_rows(m)
+        for start in range(0, len(keys), step) if m <= 63 else ():
+            chunk = cuts[start:start + step]
+            np.minimum(chunk, _boundary_cuts(
+                keys[start:start + step].astype(np.int64)), out=chunk)
 
         def half_cut(i, lo, up):
-            # lo == up: every half-cut value is its own lower and upper end.
-            # A boundary cut of at most t, or a search from t vertices that
-            # finds a cut of t, means the half-cut is at most t; otherwise
-            # the search's first cut is the half-cut.
-            t = int(up)
-            if t >= m or cuts[i] <= t:
-                return None
+            # A search from t = int(up) < m vertices that finds a cut of t
+            # raises no row; otherwise its first cut is the half-cut.
             mask, _ = kernels.min_cut_exact(keys[i].tolist(), m, 1, 2, m,
-                                            DEFAULT_CUT_BUDGET, min_k=t)
+                                            DEFAULT_CUT_BUDGET, min_k=int(up))
             size = float(mask.bit_count())
-            return None if size == t else (size, size)
+            return size, size
 
-        return visit, half_cut
+        return cuts, cuts, half_cut
 
     return ProfileTable(_sup_rows(G, min(n_max, G.vertex_count), budget,
                                   half_cuts, True))
-
-
-def _hp_bracket(key, p: float, h_maj: float, gap=None):
-    """Certified [lower, upper] for the sup-gradient L^p constant of the
-    subgraph with neighbour masks key, from the float h_maj of its majored
-    constant and, for p = 2, gap: the subgraph's lambda2 and maximum
-    degree."""
-    m = len(key)
-    if m == 2:
-        return 2.0, 2.0  # two connected vertices form K2; h_p(K2) = 2
-    if p == 2:
-        lam, deg = gap
-        h2mod = math.sqrt(2.0 * lam)
-        lower = h2mod / math.sqrt(deg) if deg else 0.0
-        upper = min(math.sqrt(2.0) * h2mod, 2.0 * math.sqrt(h_maj))
-        return lower, upper
-    upper = h_maj if p == 1 else 2.0 * h_maj ** (1.0 / p)
-    return majored_lp_lower(h_maj, p), upper
 
 
 def _prefix_suffix_sets(masks: np.ndarray):
@@ -477,13 +457,36 @@ def _ratios(m: int) -> tuple[tuple[int, int], ...]:
         {Fraction(a, b) for b in range(1, m // 2 + 1) for a in range(m + 1)}))
 
 
-def _largest_within(m: int, within) -> Optional[tuple[int, int]]:
-    """The largest of ``_ratios(m)`` whose float passes within, or None when
-    none does. within holds on a prefix of them (module docstring), so a
-    bisection asks it at most 8 times, m <= 22."""
-    ratios = _ratios(m)
-    i = bisect_left(ratios, True, key=lambda r: not within(r[0] / r[1]))
-    return ratios[i - 1] if i else None
+@lru_cache(maxsize=4 * EXACT_LIMIT)
+def _bracket_table(m: int, p: float):
+    """(h, lower, upper) for keys of m >= 2 members at exponent p: the
+    floats of ``_ratios(m)``, increasing, and m times the lower and upper
+    bracket ends at each, each end made nondecreasing by a running maximum,
+    then a +inf entry in all three for "no bound". At p = 2 the lower end is
+    0 and the upper end 2 m sqrt(h), for the key's own lambda2 ends to be
+    combined with (module docstring). Read-only, since it is shared."""
+    h = np.array([a / b for a, b in _ratios(m)])
+    if m == 2:
+        lower = upper = np.full(len(h), 2.0)  # K2, whose h_p is 2
+    elif p == 2:
+        lower, upper = np.zeros(len(h)), 2.0 * np.sqrt(h)
+    else:
+        lower = majored_lp_lower(h, p)
+        upper = h if p == 1 else 2.0 * np.float_power(h, 1.0 / p)
+    table = [np.append(end, np.inf) for end in (
+        h, np.maximum.accumulate(m * lower), np.maximum.accumulate(m * upper))]
+    for column in table:
+        column.flags.writeable = False
+    return tuple(table)
+
+
+def _entries_within(table, lo: float, up: float) -> int:
+    """How many entries of a ``_bracket_table`` have their lower end at most
+    lo and their upper end at most up: both ends are nondecreasing, so they
+    are a prefix of the table."""
+    _, lower, upper = table
+    return int(min(np.searchsorted(lower, lo, "right"),
+                   np.searchsorted(upper, up, "right")))
 
 
 def poincare_profile(G: Graph, n_max: int, p: float,
@@ -498,42 +501,39 @@ def poincare_profile(G: Graph, n_max: int, p: float,
             f"exact profile search infeasible for n_max {n_max} > "
             f"{EXACT_LIMIT}; use a smaller n_max or poincare_lower_bounds")
 
-    def scaled_brackets(keys, run_lo, run_up):
-        m = keys.shape[1]
+    def scaled_brackets(keys):
+        m, k = keys.shape[1], len(keys)
         if m < 2:
-            return range(len(keys)), lambda i, run_lo, run_up: (0.0, 0.0)
-        # One array pre-pass over the keys: their majored bounds, and at
-        # p = 2 their lambda2 and maximum degree. Above _PRUNE_MAX_P nothing
-        # is pruned.
-        prune = p <= _PRUNE_MAX_P
-        bounds, gaps, step = [], [], _chunk_rows(m)
-        for start in range(0, len(keys), step) if prune else ():
+            return np.zeros(k), np.zeros(k), None
+        table = h, lower, upper = _bracket_table(m, p)
+        # One array pre-pass over the keys: the entry at each key's majored
+        # bound, and at p = 2 each key's own lower end and upper cap.
+        at = np.empty(k, dtype=np.intp)
+        own_lo, cap = np.zeros(k), np.full(k, np.inf)
+        step = _chunk_rows(m)
+        for start in range(0, k, step):
             masks = keys[start:start + step].astype(np.int64)
-            bounds += _majored_bounds(masks).tolist()
-            if p == 2:
-                gaps += zip(lambda2_stack(masks).tolist(),
-                            np.bitwise_count(masks).max(axis=1).tolist())
+            at[start:start + step] = np.searchsorted(h, _majored_bounds(masks))
+            if p == 2 and m > 2:
+                h2mod = np.sqrt(2.0 * lambda2_stack(masks))
+                degree = np.bitwise_count(masks).max(axis=1).astype(float)
+                own_lo[start:start + step] = m * (h2mod / np.sqrt(degree))
+                cap[start:start + step] = m * (math.sqrt(2.0) * h2mod)
 
         def scaled_bracket(i, run_lo, run_up):
-            key, gap = keys[i], gaps[i] if gaps else None
-
-            def within(h):
-                lo, up = _hp_bracket(key, p, h, gap)
-                return m * lo <= run_lo and m * up <= run_up
-
-            stop = None
-            if prune:
-                if within(bounds[i]):
-                    return None
-                stop = _largest_within(m, within)
+            within = _entries_within(table, run_lo, run_up) \
+                if own_lo[i] <= run_lo else 0
+            stop = _ratios(m)[within - 1] if within else None
             num, size, _ = kernels.cheeger_exhaustive(
-                key.tolist(), m, kernels.MODE_MAJORED, stop=stop)
+                keys[i].tolist(), m, kernels.MODE_MAJORED, stop=stop)
             if stop and num * stop[1] <= stop[0] * size:
                 return None  # stopped at a set within the rows
-            lo, up = _hp_bracket(key, p, num / size, gap)
-            return m * lo, m * up
+            j = np.searchsorted(h, num / size)
+            return (max(float(lower[j]), float(own_lo[i])),
+                    min(float(upper[j]), float(cap[i])))
 
-        return range(len(keys)), scaled_bracket
+        return (np.maximum(lower[at], own_lo), np.minimum(upper[at], cap),
+                scaled_bracket)
 
     return ProfileTable(_sup_rows(G, n_max, budget, scaled_brackets, False),
                         p)

@@ -11,7 +11,8 @@ import pytest
 from sepprof import kernels
 from sepprof.cli import main
 from sepprof.cuts import DEFAULT_CUT_BUDGET, is_cut_set
-from sepprof.graphs import read_edgelist
+from sepprof.graphs import (build_family, read_edgelist, subdivide,
+                            write_edgelist)
 from sepprof.groups import klein_four, write_group_file
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -47,6 +48,43 @@ def test_family_power_and_lamp(tmp_path, capsys):
     code, out, _ = run(["family", "lamp", grp, "--k", "2", "--r", "0",
                         "--out", lamp], capsys)
     assert code == 0 and "20 vertices" in out
+
+
+def test_family_subdivide(tmp_path, capsys):
+    """family subdivide writes the paper's Gamma = subdivide(Lambda, kappa)
+    edge for edge, and kappa = 0 writes the base graph."""
+    path = tmp_path / "q3sub.g"
+    code, out, _ = run(["family", "subdivide", "hypercube", "3", "--k", "2",
+                        "--out", str(path)], capsys)
+    assert code == 0 and "32 vertices, 36 edges" in out
+    want = tmp_path / "want.g"
+    write_edgelist(subdivide(build_family("hypercube", 3), 2), want)
+    assert path.read_text() == want.read_text()
+    code, _, _ = run(["family", "subdivide", "grid", "2", "3", "--k", "0",
+                      "--out", str(path)], capsys)
+    run(["family", "grid", "2", "3", "--out", str(want)], capsys)
+    assert code == 0 and path.read_text() == want.read_text()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["subdivide", "hypercube", "3", "--k", "-1"], "kappa must be >= 0"),
+    (["subdivide", "torus", "3"], "unknown family kind 'torus'"),
+    (["subdivide"], "subdivide takes a base family and its sizes"),
+    (["power"], "power takes a base family and its sizes"),
+    (["subdivide", "grid", "3"], "grid takes 2 size parameters, got 1"),
+    (["power", "cycle", "--k", "2"], "cycle takes 1 size parameter, got 0"),
+    (["grid", "3", "4", "5"], "grid takes 2 size parameters, got 3"),
+    (["path"], "path takes 1 size parameter, got 0"),
+    (["lamp"], "lamp takes 1 group file, got 0"),
+])
+def test_family_rejects_bad_parameters(tmp_path, capsys, argv, message):
+    """A negative kappa, an unknown base family or a wrong number of size
+    parameters exits 2 with one error line that names what was expected."""
+    code, out, err = run(["family", *argv, "--out", str(tmp_path / "x.g")],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x.g").exists()
 
 
 @pytest.mark.parametrize("text,message", [

@@ -16,7 +16,7 @@ from sepprof.errors import BudgetError, ExactSearchInfeasible
 from sepprof.graphs import (Graph, build_family, cartesian_power,
                             induced_subgraph, subdivide)
 from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
-                              ProfileRow, _hp_bracket, _subgraphs,
+                              ProfileRow, _subgraphs,
                               poincare_lower_bounds, poincare_profile,
                               separation_profile_exact)
 from sepprof.spectral import lambda2
@@ -103,8 +103,9 @@ def test_witness_lower_rejects_oversize():
 
 @pytest.mark.parametrize("p", [1, 1.5, 3])
 def test_bracket_lower_is_the_certified_sandwich(p):
-    """The profile's lower end and certified_lp_lower are one sandwich:
-    equal bits on every induced subgraph with at least 3 vertices."""
+    """The profile's lower end, m times the bracket table's at the majored
+    constant, and certified_lp_lower are one sandwich: equal bits on every
+    induced subgraph with at least 3 vertices."""
     G = build_family("hypercube", 4)
     for verts in _subset_list(G, 6, DEFAULT_SUBGRAPH_BUDGET):
         m = len(verts)
@@ -116,7 +117,8 @@ def test_bracket_lower_is_the_certified_sandwich(p):
         factor = 1.0 if p == 1 else min(1 / 12, 4.0 ** -p / 2)
         expected = majored_lp_lower(h_maj, p)
         assert expected == pytest.approx(factor * h_maj / 2, rel=1e-15)
-        assert _hp_bracket(key, p, h_maj)[0] == expected
+        h, lower, _ = profiles._bracket_table(m, p)
+        assert lower[np.searchsorted(h, h_maj)] == m * expected
         sub = induced_subgraph(G, verts)
         assert certified_lp_lower(sub, p, "sup_scale") == expected
 
@@ -240,6 +242,24 @@ def _oracle_poincare(G, n_max, p):
         rows.append(ProfileRow(n=n, lower=run_lo, upper=run_up,
                                exact=False, witness=run_wit))
     return rows
+
+
+def _hp_bracket(key, p, h_maj, gap=None):
+    """Reference bracket, one key at a time in Python floats: certified
+    [lower, upper] for the sup-gradient L^p constant of the subgraph with neighbour masks key, from
+    the float h_maj of its majored constant and, for p = 2, gap: the
+    subgraph's lambda2 and maximum degree."""
+    m = len(key)
+    if m == 2:
+        return 2.0, 2.0  # two connected vertices form K2; h_p(K2) = 2
+    if p == 2:
+        lam, deg = gap
+        h2mod = math.sqrt(2.0 * lam)
+        lower = h2mod / math.sqrt(deg) if deg else 0.0
+        upper = min(math.sqrt(2.0) * h2mod, 2.0 * math.sqrt(h_maj))
+        return lower, upper
+    upper = h_maj if p == 1 else 2.0 * h_maj ** (1.0 / p)
+    return majored_lp_lower(h_maj, p), upper
 
 
 @st.composite
@@ -378,9 +398,9 @@ def test_budget_error_comes_before_any_evaluation():
     count = sum(map(len, profiles._connected_subsets(G, n_max, 10 ** 7)))
     seen = []
 
-    def evaluator(keys, lo, up):
+    def evaluator(keys):
         seen.append(keys.shape[1])
-        return (), None
+        return np.zeros(len(keys)), np.zeros(len(keys)), None
 
     with pytest.raises(BudgetError):
         profiles._sup_rows(G, n_max, count - 1, evaluator, True)
@@ -390,11 +410,12 @@ def test_budget_error_comes_before_any_evaluation():
 
 
 def _key_pass_peak(G, n_max):
-    """The tracemalloc peak, in bytes, of one whole key pass."""
+    """The tracemalloc peak, in bytes, of one whole key pass, each size's
+    arrays dropped before the next size, as the driver drops them."""
     tracemalloc.start()
     try:
-        for _ in _subgraphs(G, n_max, DEFAULT_SUBGRAPH_BUDGET):
-            pass
+        for _, subsets, keys in _subgraphs(G, n_max, 2_000_000):
+            del subsets, keys
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -403,17 +424,21 @@ def _key_pass_peak(G, n_max):
 @pytest.mark.parametrize("make,n_max,most", [
     (lambda: build_family("grid", 6, 6), 8, 2 << 20),
     (lambda: subdivide(build_family("hypercube", 3), 1), 20, 5 << 19),
+    # The toy example: 134,048 subsets of 25 members, 12.8 MiB of keys.
+    (lambda: subdivide(build_family("hypercube", 3), 2), 25, 3 << 23),
 ])
 def test_key_pass_memory_is_chunked(make, n_max, most):
     """The key pass builds each level's keys in chunks, holding one chunk's
     per-host-vertex temporaries and the level's keys in their narrowest
     type, so its peak stays far below what whole-level temporaries take
-    (about 2.0 and 4.8 MiB for the former one-list-per-call pass on these
-    hosts)."""
+    (about 2.0 and 4.8 MiB for the former one-list-per-call pass on the
+    first two hosts). It holds a size's keys once, with the sort and the
+    dedup done in chunks: on the toy example at n 25 two copies of the last
+    size's keys would take 25.6 MiB."""
     assert _key_pass_peak(make(), n_max) < most
 
 
-@given(connected_graphs(), st.sampled_from([1, 1.5, 2, 3, 700]))
+@given(connected_graphs(), st.sampled_from([1, 1.5, 2, 3, 700, 1e12]))
 def test_profiles_equal_reference_loops_random(G, p):
     n = G.vertex_count
     assert separation_profile_exact(G, n).rows == _oracle_separation(G, n)
@@ -450,25 +475,22 @@ def _kernel_calls(monkeypatch, profile):
 
 def test_large_exponent_equals_reference_loop(monkeypatch):
     """At p = 700 the lower factor 4^-p underflows to 0 and the upper end
-    2 h^(1/p) is close to 2 at every ratio; the pre-pass and the stop
-    compare those floats as they are. Far above that the float bracket is
-    no longer monotone in h: nothing is pruned and no search has a stop."""
+    2 h^(1/p) is close to 2 at every ratio; at p = 1e12 the upper ends of
+    neighbouring ratios differ by an ulp or two. The bracket tables are
+    running maxima, so the pre-pass and the stops stay exact there: the rows
+    are the reference loop's, and on Q4 at n 8 all but the few searches
+    that raise a row end at their stop."""
     G = build_family("grid", 3, 4)
     assert poincare_profile(G, 12, 700).rows == _oracle_poincare(G, 12, 700)
-    G = build_family("cycle", 8)
-    stops = []
-    cheeger = kernels.cheeger_exhaustive
-
-    def recorded(masks, n, mode, backend=None, *, stop=None):
-        stops.append(stop)
-        return cheeger(masks, n, mode, backend, stop=stop)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "cheeger_exhaustive", recorded)
-        rows = poincare_profile(G, 8, 1e12).rows
-    assert 1e12 > profiles._PRUNE_MAX_P
-    assert stops and set(stops) == {None}
-    assert rows == _oracle_poincare(G, 8, 1e12)
+    for G, n_max in ((build_family("cycle", 8), 8),
+                     (build_family("hypercube", 4), 8)):
+        rows = []
+        calls = _kernel_calls(
+            monkeypatch, lambda: rows.extend(poincare_profile(G, n_max,
+                                                              1e12).rows))
+        assert rows == _oracle_poincare(G, n_max, 1e12)
+    forms = Counter(form for form, _ in calls)
+    assert forms["full"] < 10 and forms["stop"] > 1000
 
 
 def test_one_kernel_call_per_distinct_mask_tuple(monkeypatch):
@@ -722,19 +744,46 @@ _MONOTONE_EXPONENTS = (1, 1.5, 3, 700, 1e9)
 _GAPS = ((2 - math.sqrt(3), 2), (1.0, 3), (2.0, 2), (2.0, 3), (4.0, 3))
 
 
+def _own_ends(m, gap):
+    """m times a key's own p = 2 lower end and upper cap, from its
+    (lambda2, maximum degree), as the Poincare evaluator takes them."""
+    if gap is None or m == 2:
+        return 0.0, math.inf
+    lam, deg = gap
+    h2mod = math.sqrt(2.0 * lam)
+    return m * (h2mod / math.sqrt(deg)), m * (math.sqrt(2.0) * h2mod)
+
+
 def test_bracket_is_monotone_over_the_ratios():
-    """Both float bracket ends are nondecreasing over _ratios(m), m <= 22,
-    at every exponent the pre-pass and the stop serve: the fact that makes
-    both of them exact."""
-    for m in range(3, 23):
+    """Each bracket table lists the floats of _ratios(m), increasing, with
+    nondecreasing ends and a final +inf entry, at every exponent: the fact
+    that makes the pre-pass and the stops exact."""
+    for m in range(2, 23):
         ratios = [a / b for a, b in profiles._ratios(m)]
         assert ratios == sorted(set(ratios))
-        for p, gap in [(p, None) for p in _MONOTONE_EXPONENTS] + \
-                [(2, gap) for gap in _GAPS]:
-            brackets = [_hp_bracket((0,) * m, p, h, gap) for h in ratios]
-            for end in (0, 1):
-                ends = [bracket[end] for bracket in brackets]
-                assert ends == sorted(ends), (m, p, gap, end)
+        for p in _MONOTONE_EXPONENTS + (2, 1e12, 1e300):
+            table = profiles._bracket_table(m, p)
+            assert table[0].tolist() == ratios + [math.inf]
+            for end in table[1:]:
+                assert end[-1] == math.inf
+                assert end.tolist() == sorted(end.tolist()), (m, p)
+                assert not end.flags.writeable
+
+
+@pytest.mark.parametrize("p,gap", [(p, None) for p in _MONOTONE_EXPONENTS]
+                         + [(2, gap) for gap in _GAPS])
+def test_bracket_table_equals_reference_bracket(p, gap):
+    """At the exponents the verify suites and tests use, each entry is m
+    times the reference bracket at its ratio, bit for bit: at p = 2 after
+    the max and min with the key's own ends. The running maxima change no
+    bit there."""
+    for m in range(2, 23):
+        h, lower, upper = profiles._bracket_table(m, p)
+        own_lo, cap = _own_ends(m, gap)
+        for j, (a, b) in enumerate(profiles._ratios(m)):
+            lo, up = _hp_bracket((0,) * m, p, a / b, gap)
+            assert max(lower[j].item(), own_lo) == m * lo, (m, a, b)
+            assert min(upper[j].item(), cap) == m * up, (m, a, b)
 
 
 def test_ratios_are_every_majored_ratio():
@@ -762,11 +811,15 @@ def test_ratios_are_every_majored_ratio():
 @pytest.mark.parametrize("p,gap", [(p, None) for p in _MONOTONE_EXPONENTS]
                          + [(2, gap) for gap in _GAPS])
 def test_largest_within_equals_linear_scan(p, gap):
-    """_largest_within gives the last ratio, in a linear scan, whose scaled
-    bracket is within the rows, or None when the first is not, and asks the
-    bracket at most 8 times."""
+    """The stop the Poincare evaluator takes, the ratio of the last table
+    entry within the rows (none at p = 2 when the key's own lower end is
+    above them), is the last one in a linear scan over the table, and the
+    last in a linear scan over the reference bracket wherever the evaluator
+    searches: where the bracket at some ratio is not within the rows."""
     for m in (2, 3, 7, 12, 22):
         ratios = profiles._ratios(m)
+        table = profiles._bracket_table(m, p)
+        own_lo, cap = _own_ends(m, gap)
         brackets = [_hp_bracket((0,) * m, p, a / b, gap) for a, b in ratios]
         # Rows at each scaled bracket end, just below and just above it.
         ends = sorted({m * x for bracket in brackets for x in bracket})
@@ -774,19 +827,16 @@ def test_largest_within_equals_linear_scan(p, gap):
                           for y in (x, math.nextafter(x, 0), x * 1.001)]
         for run_lo in levels[::7]:
             for run_up in levels[::3]:
-                calls = []
-
-                def within(h):
-                    calls.append(h)
-                    lo, up = _hp_bracket((0,) * m, p, h, gap)
-                    return m * lo <= run_lo and m * up <= run_up
-
-                want = None
-                for ratio, (lo, up) in zip(ratios, brackets):
-                    if m * lo <= run_lo and m * up <= run_up:
-                        want = ratio
-                assert profiles._largest_within(m, within) == want
-                assert len(calls) <= 8
+                within = profiles._entries_within(table, run_lo, run_up) \
+                    if own_lo <= run_lo else 0
+                got = ratios[within - 1] if within else None
+                scan = [ratio for ratio, lo, up in zip(ratios, *table[1:])
+                        if max(lo, own_lo) <= run_lo and up <= run_up]
+                assert got == (scan[-1] if scan else None)
+                former = [ratio for ratio, (lo, up) in zip(ratios, brackets)
+                          if m * lo <= run_lo and m * up <= run_up]
+                if len(former) < len(ratios):
+                    assert got == (former[-1] if former else None)
 
 
 def _reference_majored_bound(key):
@@ -826,9 +876,8 @@ def test_majored_bounds_equal_reference_loop():
 
 
 def test_rows_do_not_depend_on_the_majored_bounds(monkeypatch):
-    """With every pre-pass bound +inf no key is dropped at p != 2 (at p = 2
-    the lambda2 end of the bracket alone may still drop one), and the rows
-    are those of the reference loops."""
+    """With every pre-pass bound +inf, whose table entry is "no bound", no
+    key is dropped, and the rows are those of the reference loops."""
     monkeypatch.setattr(profiles, "_majored_bounds",
                         lambda masks: np.full(len(masks), np.inf))
     G = build_family("grid", 3, 4)
