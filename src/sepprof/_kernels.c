@@ -1,4 +1,5 @@
-/* Compiled bitmask kernels for graphs of at most 64 vertices.
+/* Compiled bitmask kernels for graphs of at most 64 vertices: the exhaustive
+ * Cheeger search and the exact cut search.
  *
  * Each function has the contract, the enumeration order and the tie rules of
  * its namesake in _kernels_py.py, so both backends return identical results;
@@ -224,73 +225,6 @@ static PyObject *min_cut_exact(PyObject *self, PyObject *args)
     return Py_BuildValue("(iL)", r == -1 ? -2 : -1, s.examined);
 }
 
-/* ---- connected_subsets ------------------------------------------------- */
-
-typedef struct {
-    const uint64_t *masks;
-    Py_ssize_t max_size;
-    long long budget;
-    PyObject *out;
-} Subsets;
-
-/* Wernicke's ESU extension step: record s_mask, then grow it by each
- * candidate, lowest bit first, excluding the candidates already consumed.
- * Returns 1 to go on, 0 once the budget is exceeded, -1 on a Python error. */
-static int subsets_rec(Subsets *e, uint64_t s_mask, Py_ssize_t size,
-                       uint64_t cand, uint64_t exc, uint64_t allowed)
-{
-    PyObject *item = PyLong_FromUnsignedLongLong(s_mask);
-    if (item == NULL || PyList_Append(e->out, item) < 0) {
-        Py_XDECREF(item);
-        return -1;
-    }
-    Py_DECREF(item);
-    if (PyList_GET_SIZE(e->out) > e->budget)
-        return 0;
-    if (size == e->max_size)
-        return 1;
-    while (cand) {
-        uint64_t low = cand & -cand;
-        cand ^= low;
-        uint64_t new_s = s_mask | low;
-        uint64_t new_cand = (cand | (e->masks[lowest(low)] & allowed))
-            & ~new_s & ~exc;
-        int r = subsets_rec(e, new_s, size + 1, new_cand, exc, allowed);
-        if (r != 1)
-            return r;
-        exc |= low;
-    }
-    return 1;
-}
-
-static PyObject *connected_subsets(PyObject *self, PyObject *args)
-{
-    PyObject *seq;
-    uint64_t masks[MAX_N];
-    int n;
-    Subsets e;
-    if (!PyArg_ParseTuple(args, "OinO&", &seq, &n, &e.max_size, to_budget,
-                          &e.budget)
-            || load_masks(seq, n, masks) < 0)
-        return NULL;
-    e.masks = masks;
-    e.out = PyList_New(0);
-    if (e.out == NULL || e.max_size < 1)
-        return e.out;
-    for (int root = 0; root < n; root++) {
-        uint64_t bit = (uint64_t)1 << root, allowed = ~(bit - 1);
-        int r = subsets_rec(&e, bit, 1, masks[root] & allowed & ~bit, 0,
-                            allowed);
-        if (r != 1) {
-            Py_DECREF(e.out);
-            if (r < 0)
-                return NULL;
-            Py_RETURN_NONE;
-        }
-    }
-    return e.out;
-}
-
 /* ---- module ------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
@@ -300,8 +234,6 @@ static PyMethodDef methods[] = {
     {"min_cut_exact", min_cut_exact, METH_VARARGS,
      "min_cut_exact(masks, n, cap, max_k, budget, min_k=0)"
      " -> (mask, examined)"},
-    {"connected_subsets", connected_subsets, METH_VARARGS,
-     "connected_subsets(masks, n, max_size, budget) -> list or None"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,4 +1,5 @@
-"""Pure-Python bitmask kernels.
+"""Pure-Python bitmask kernels: the exhaustive Cheeger search and the exact
+cut search.
 
 Same contracts and the same results as the compiled versions in
 ``_kernels.c``: the first minimiser in DFS preorder, the same cut and the
@@ -463,38 +464,3 @@ def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
             examined += block.shape[1]
         before = after
     return (-1, examined)
-
-
-def connected_subsets(masks, n, max_size, budget):
-    """All masks of connected induced subgraphs with 1..max_size vertices.
-
-    Each subset is produced once; the order is deterministic (roots in
-    increasing order, candidates consumed lowest-bit first). Returns None if
-    more than ``budget`` subsets would be produced.
-    """
-    out = []
-    if max_size < 1:
-        return out
-    for root in range(n):
-        allowed = ~((1 << root) - 1)  # vertices >= root
-        # A frame is the rest of one subset's loop over its candidates:
-        # (subset, size, candidates left, vertices excluded). Each new subset
-        # is entered at once, and the rest of its parent's loop, with the
-        # taken candidate excluded, is pushed, so the order is depth first.
-        # The first frame is the empty set with the root as its candidate.
-        stack = [(0, 0, 1 << root, 0)]
-        while stack:
-            s_mask, size, cand, exc = stack.pop()
-            while cand and size < max_size:
-                low = cand & -cand
-                cand ^= low
-                new_s = s_mask | low
-                out.append(new_s)
-                if len(out) > budget:
-                    return None
-                if cand:
-                    stack.append((s_mask, size, cand, exc | low))
-                v = low.bit_length() - 1
-                s_mask, size = new_s, size + 1
-                cand = (cand | (masks[v] & allowed)) & ~new_s & ~exc
-    return out

@@ -75,12 +75,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size(text: str) -> int:
+    """One family size parameter as an int."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"size parameters must be integers, got {text!r}") from None
+
+
 def _cmd_family(args) -> int:
     if args.kind in ("power", "subdivide"):
         if not args.params:
             raise ValueError(f"{args.kind} takes a base family and its sizes")
         base_kind, *sizes = args.params
-        base = build_family(base_kind, *[int(x) for x in sizes])
+        base = build_family(base_kind, *map(_size, sizes))
         build = cartesian_power if args.kind == "power" else subdivide
         graph = build(base, args.k)
     elif args.kind == "lamp":
@@ -91,7 +100,7 @@ def _cmd_family(args) -> int:
         group = read_group_file(group_path)
         graph = distorted_lamp_graph(LampGraphSpec(group, args.k, args.r))
     else:
-        graph = build_family(args.kind, *[int(x) for x in args.params])
+        graph = build_family(args.kind, *map(_size, args.params))
     write_edgelist(graph, args.out)
     print(f"wrote {graph.vertex_count} vertices, {graph.edge_count} edges "
           f"to {args.out}")

@@ -1,18 +1,18 @@
-"""Kernel backend selection.
+"""Kernel backend selection, and the connected-subset enumeration.
 
-The compiled extension (``_kernels.c``) handles graphs up to 64 vertices;
-anything larger (or SEPPROF_PURE_PY=1, or a missing extension) goes to the
-pure-Python fallback. Both backends return the same results: the first
-minimiser in DFS preorder of the sorted vertex tuples from
-``cheeger_exhaustive``, the first cut in increasing-cardinality,
-lexicographic order with the same ``examined`` from ``min_cut_exact``, and
-the same list from ``connected_subsets``. The fallback runs the large searches
-as numpy array passes: full Cheeger searches on 10..24 vertices, and cut
-searches, on any number of vertices, past their first 256 subsets, in
-bit-sliced blocks of 2048 to 16384 subsets (see ``_kernels_py``). Backends
-take plain integers only: ``min_cut_exact`` turns the fraction num/den into
-the component-size cap ``num * n // den`` here, so no backend multiplies by
-an unbounded numerator or denominator.
+Two kernels have two backends. The compiled extension (``_kernels.c``)
+handles graphs up to 64 vertices; anything larger (or SEPPROF_PURE_PY=1, or
+a missing extension) goes to the pure-Python fallback. Both backends return
+the same results: the first minimiser in DFS preorder of the sorted vertex
+tuples from ``cheeger_exhaustive``, and the first cut in
+increasing-cardinality, lexicographic order with the same ``examined`` from
+``min_cut_exact``. The fallback runs the large searches as numpy array
+passes: full Cheeger searches on 10..24 vertices, and cut searches, on any
+number of vertices, past their first 256 subsets, in bit-sliced blocks of
+2048 to 16384 subsets (see ``_kernels_py``). Backends take plain integers
+only: ``min_cut_exact`` turns the fraction num/den into the component-size
+cap ``num * n // den`` here, so no backend multiplies by an unbounded
+numerator or denominator.
 
 Two threshold forms answer "is the value at most t?" without the full
 search, and are exact:
@@ -28,6 +28,10 @@ search, and are exact:
   exactly when one of at most t does. With max_k = n the search therefore
   returns a cut of exactly t vertices when the full search's answer has at
   most t, and the full search's answer itself otherwise.
+
+``connected_subsets`` has one implementation, the numpy level pass the
+profiles run (``profiles._connected_subsets``): the subsets in increasing
+size, each size in the order of a depth-first search restricted to it.
 """
 
 import os
@@ -89,8 +93,21 @@ def min_cut_exact(masks, n, num, den, max_k, budget, backend=None, *,
 
 
 def connected_subsets(masks, n, max_size, budget, backend=None):
-    out = _impl(n, backend).connected_subsets(list(masks), n, max_size, budget)
-    if out is None:
-        raise BudgetError(
-            f"connected-subgraph enumeration exceeded budget of {budget}")
+    """The masks of the connected induced subgraphs with 1..max_size
+    vertices, as ints: by increasing size, and within a size in the order of
+    ``profiles._connected_subsets``. Raises BudgetError when they number
+    more than budget. backend is accepted and selects nothing, since there
+    is one implementation; callers that compare the backends' results, such
+    as perfbench's ``backend_mismatches``, pass it."""
+    # Imported here: profiles imports this module.
+    from .profiles import _connected_subsets
+
+    out = []
+    for level in _connected_subsets(masks, n, max_size, budget):
+        # One list of ints per word, or-ed in above the lower words.
+        ints = level[:, 0].tolist()
+        for j in range(1, level.shape[1]):
+            ints = [low | high << 64 * j
+                    for low, high in zip(ints, level[:, j].tolist())]
+        out += ints
     return out

@@ -8,19 +8,21 @@ and disconnected subgraphs contribute 0, so the sup is attained on
 connected induced ones.
 
 The connected subsets are enumerated size by size as numpy arrays
-(``_connected_subsets``), in the order of ``kernels.connected_subsets``
-restricted to each size. That enumeration is a depth-first search whose
-state is (subset, candidates, excluded): a state's children take its
-candidates in increasing order, each child adding its earlier siblings to
-its excluded set and the new vertex's neighbours at or above the root to its
-candidates, and a subset is output when its state is entered, so the order
-is pre-order. A level here is all the states of one size, built from the
-previous level parent by parent, each parent's children in that same order.
-In pre-order, two subsets of one size are ordered as their ancestors are
-at the first size where those differ: two children of one parent, ordered
-by that parent's candidates. A level orders them the same way, since it
-keeps its parents' order and lists each parent's children in candidate
-order; so each level is the pre-order restricted to its size.
+(``_connected_subsets``, which ``kernels.connected_subsets`` also returns),
+each size in the pre-order of a depth-first search restricted to that size.
+The search's state is (subset, candidates, excluded), and its roots are the
+vertices in increasing order, each alone with its neighbours above it as
+candidates: a state's children take its candidates in increasing order,
+each child adding its earlier siblings to its excluded set and the new
+vertex's neighbours at or above the root to its candidates, and a subset is
+output when its state is entered. A level here is all the states of one
+size, built from the previous level parent by parent, each parent's
+children in that same order. In pre-order, two subsets of one size are
+ordered as their ancestors are at the first size where those differ: two
+children of one parent, ordered by that parent's candidates. A level
+orders them the same way, since it keeps its parents' order and lists each
+parent's children in candidate order; so each level is the pre-order
+restricted to its size.
 
 ``_subgraphs`` relabels each subgraph in sorted vertex order, so translated
 copies of one shape (in a grid, say) give the same key: the tuple of
@@ -202,25 +204,24 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[head])
 
 
-def _connected_subsets(G: Graph, n_max: int, budget: int) -> list:
+def _connected_subsets(masks, n: int, n_max: int, budget: int) -> list:
     """The subsets of each size m = 1..n_max of a connected induced
-    subgraph, in increasing m, up to the last size that has any: the subsets
-    of m vertices, in ``kernels.connected_subsets`` order restricted to that
-    size, as a (k, W) array of uint64 words, W = ceil(n / 64), lowest word
-    first.
+    subgraph of the graph of n vertices with neighbour masks masks, in
+    increasing m, up to the last size that has any: the subsets of m
+    vertices, in the depth-first search's pre-order restricted to that size
+    (module docstring), as a (k, W) array of uint64 words, W = ceil(n / 64),
+    lowest word first.
 
     A level is the (subset, candidates, excluded) states of one size, each
     with its root, its least vertex: the states the enumeration's depth-first
     search holds (module docstring). Every level is built before any is
-    returned, keeping only its subsets, so that BudgetError is raised, as the
-    kernels raise it, before any subset is evaluated: before a level is
-    built, when the subsets of it and of the smaller sizes number more than
-    budget."""
-    n = G.vertex_count
+    returned, keeping only its subsets, so that BudgetError is raised before
+    any subset is evaluated: before a level is built, when the subsets of it
+    and of the smaller sizes number more than budget."""
     W = (n + 63) // 64 or 1
     unit = _words((1 << v for v in range(n)), W)
     below = _words(((1 << v) - 1 for v in range(n)), W)
-    nbr = _words(G.neighbor_masks, W)
+    nbr = _words(masks, W)
     # Level 1: each vertex alone, its candidates the neighbours above it.
     level = unit, nbr & ~below & ~unit, np.zeros_like(unit), np.arange(n)
     levels, total, size = [], 0, n
@@ -269,8 +270,8 @@ def _next_level(level, size: int, unit, below, nbr):
 def _subgraphs(G: Graph, n_max: int, budget: int):
     """Yield (m, subsets, keys) for each size m = 1..n_max of a connected
     induced subgraph, in increasing m: the distinct keys of that size in
-    order of first appearance in ``kernels.connected_subsets`` order, as a
-    (k, m) array, and the first subset of each, as a (k, W) array of words
+    order of first appearance in enumeration order, as a (k, m) array, and
+    the first subset of each, as a (k, W) array of words
     (``_connected_subsets``). A key lists, per member in increasing order,
     its neighbours as a mask over member positions; member u of the subset S
     is at position popcount(S & ((1 << u) - 1)). The keys of a size are
@@ -285,7 +286,7 @@ def _subgraphs(G: Graph, n_max: int, budget: int):
     nbrs = np.full((width, n), n, dtype=np.intp)
     for u, row in enumerate(G.neighbors):
         nbrs[:len(row), u] = row
-    levels = _connected_subsets(G, n_max, budget)
+    levels = _connected_subsets(G.neighbor_masks, n, n_max, budget)
     step = _chunk_rows(n)
     for m in range(1, len(levels) + 1):
         # Freed once its keys are taken, so that the key passes of the

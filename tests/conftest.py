@@ -24,14 +24,16 @@ KERNELS_C = (pathlib.Path(__file__).resolve().parents[1]
 def compiled_kernels(tmp_path_factory):
     """The C kernels compiled from source into a temp dir with the
     interpreter's C compiler, or None when there is no compiler. A compiler
-    that is present but fails is an error, not a skip."""
+    that is present but fails is an error, not a skip, and so is any
+    warning under -Wall, an unused static function left behind by a
+    deletion, say."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         return None
     out = tmp_path_factory.mktemp("kernels") / (
         "_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        [*cc, "-O2", "-shared", "-fPIC",
+        [*cc, "-O2", "-Wall", "-Werror", "-shared", "-fPIC",
          "-I" + sysconfig.get_paths()["include"], str(KERNELS_C),
          "-o", str(out)],
         check=True)

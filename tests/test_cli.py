@@ -76,10 +76,14 @@ def test_family_subdivide(tmp_path, capsys):
     (["grid", "3", "4", "5"], "grid takes 2 size parameters, got 3"),
     (["path"], "path takes 1 size parameter, got 0"),
     (["lamp"], "lamp takes 1 group file, got 0"),
+    (["grid", "3", "x"], "size parameters must be integers, got 'x'"),
+    (["subdivide", "cycle", "2.5"],
+     "size parameters must be integers, got '2.5'"),
 ])
 def test_family_rejects_bad_parameters(tmp_path, capsys, argv, message):
-    """A negative kappa, an unknown base family or a wrong number of size
-    parameters exits 2 with one error line that names what was expected."""
+    """A negative kappa, an unknown base family, a wrong number of size
+    parameters or one that is not an integer exits 2 with one error line
+    that names what was expected."""
     code, out, err = run(["family", *argv, "--out", str(tmp_path / "x.g")],
                          capsys)
     assert code == 2 and out == ""

@@ -15,6 +15,8 @@ from sepprof.cuts import is_cut_set
 from sepprof.errors import BudgetError
 from sepprof.graphs import Graph, build_family, connected_components, induced_subgraph
 
+from reference_subsets import dfs_connected_subsets
+
 BACKENDS = ("compiled", "python")
 
 
@@ -269,16 +271,17 @@ def test_backend_parity_and_oracle_min_cut(backends, G, frac):
 
 @given(small_graphs(), st.integers(1, 6))
 def test_backend_parity_and_oracle_subsets(backends, G, max_size):
-    lists = {
-        backend: kernels.connected_subsets(
+    """The enumeration is the reference DFS's stably sorted by size, and
+    its set is the brute-force one, whatever backend is named."""
+    want = sorted(dfs_connected_subsets(G.neighbor_masks, G.vertex_count,
+                                        max_size, 10 ** 7),
+                  key=int.bit_count)
+    for backend in backends:
+        assert kernels.connected_subsets(
             G.neighbor_masks, G.vertex_count, max_size, 10 ** 7,
-            backend=backend)
-        for backend in backends
-    }
-    values = list(lists.values())
-    assert all(v == values[0] for v in values)
-    assert set(values[0]) == brute_connected_subsets(G, max_size)
-    assert len(values[0]) == len(set(values[0]))
+            backend=backend) == want
+    assert set(want) == brute_connected_subsets(G, max_size)
+    assert len(want) == len(set(want))
 
 
 @given(small_graphs(), st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 9)]))
@@ -405,6 +408,9 @@ def test_connected_subsets_wide_graphs(backends, G, max_size):
              for backend in backends]
     assert all(out == lists[0] for out in lists)
     out = lists[0]
+    assert out == sorted(dfs_connected_subsets(
+        G.neighbor_masks, G.vertex_count, max_size, 10 ** 7),
+        key=int.bit_count)
     assert len(out) == len(set(out))
     assert any(mask >> 63 & 1 for mask in out) == (G.vertex_count == 64)
     for mask in out:

@@ -21,6 +21,8 @@ from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
                               separation_profile_exact)
 from sepprof.spectral import lambda2
 
+from reference_subsets import dfs_connected_subsets
+
 
 def test_sep_paths_are_one():
     table = separation_profile_exact(build_family("path", 12), 12)
@@ -133,11 +135,13 @@ def test_profile_csv(tmp_path):
     assert lines[1].startswith("1,1,1,1,")
 
 
-# Reference relabelling: each subset as a sorted vertex tuple, and its
-# neighbour masks relabelled through a dict over all pairs of members.
+# Reference relabelling: each subset, in the reference DFS's order, as a
+# sorted vertex tuple, and its neighbour masks relabelled through a dict over
+# all pairs of members.
 def _subset_list(G, n_max, budget):
-    subsets = kernels.connected_subsets(
+    subsets = dfs_connected_subsets(
         G.neighbor_masks, G.vertex_count, n_max, budget)
+    assert subsets is not None, "reference enumeration over its budget"
     out = []
     for mask in subsets:
         verts = []
@@ -348,29 +352,30 @@ def test_keys_take_the_narrowest_type():
         assert keys.dtype == want, m
 
 
-def _assert_enumeration_equals_kernels(G, n_max, backends):
+def _assert_enumeration_equals_reference(G, n_max, backends):
     """The subsets _connected_subsets returns, size by size, are the
-    kernels' enumeration stably sorted by size, on every backend that takes
-    the host (the compiled one takes at most 64 vertices). A budget equal to
-    their number passes, and one less raises BudgetError, as in the
-    kernels."""
-    n = G.vertex_count
+    reference DFS's stably sorted by size, and kernels.connected_subsets
+    returns them as ints whatever backend is named. A budget equal to their
+    number passes, and one less raises BudgetError, where the reference
+    gives up at the same budget."""
+    masks, n = G.neighbor_masks, G.vertex_count
     got = [profiles._subset_int(words)
-           for subsets in profiles._connected_subsets(G, n_max, 10 ** 7)
+           for subsets in profiles._connected_subsets(masks, n, n_max, 10 ** 7)
            for words in subsets]
+    want = dfs_connected_subsets(masks, n, n_max, 10 ** 7)
+    assert got == sorted(want, key=int.bit_count)
+    assert dfs_connected_subsets(masks, n, n_max, len(got) - 1) is None
     for backend in backends:
-        if backend == "compiled" and n > 64:
-            continue
-        want = kernels.connected_subsets(G.neighbor_masks, n, n_max, 10 ** 7,
-                                         backend=backend)
-        assert got == sorted(want, key=int.bit_count)
+        assert kernels.connected_subsets(masks, n, n_max, 10 ** 7,
+                                         backend=backend) == got
         with pytest.raises(BudgetError):
-            kernels.connected_subsets(G.neighbor_masks, n, n_max,
-                                      len(got) - 1, backend=backend)
+            kernels.connected_subsets(masks, n, n_max, len(got) - 1,
+                                      backend=backend)
     assert sum(len(subsets) for subsets in
-               profiles._connected_subsets(G, n_max, len(got))) == len(got)
+               profiles._connected_subsets(masks, n, n_max, len(got))) \
+        == len(got)
     with pytest.raises(BudgetError):
-        profiles._connected_subsets(G, n_max, len(got) - 1)
+        profiles._connected_subsets(masks, n, n_max, len(got) - 1)
 
 
 @pytest.mark.parametrize("make,n_max", [
@@ -382,20 +387,21 @@ def _assert_enumeration_equals_kernels(G, n_max, backends):
     (lambda: subdivide(build_family("hypercube", 3), 1), 20),
 ])
 def test_enumeration_equals_kernels(backends, make, n_max):
-    _assert_enumeration_equals_kernels(make(), n_max, backends)
+    _assert_enumeration_equals_reference(make(), n_max, backends)
 
 
 @given(connected_graphs())
 def test_enumeration_equals_kernels_random(backends, G):
-    _assert_enumeration_equals_kernels(G, G.vertex_count, backends)
+    _assert_enumeration_equals_reference(G, G.vertex_count, backends)
 
 
 def test_budget_error_comes_before_any_evaluation():
     """A budget one short of the enumeration raises BudgetError before the
-    evaluator sees the keys of any size, as the kernels' enumeration, which
-    is counted whole before it returns, did."""
+    evaluator sees the keys of any size: every level is counted before any
+    is returned."""
     G, n_max = build_family("grid", 6, 6), 8
-    count = sum(map(len, profiles._connected_subsets(G, n_max, 10 ** 7)))
+    count = sum(map(len, profiles._connected_subsets(
+        G.neighbor_masks, G.vertex_count, n_max, 10 ** 7)))
     seen = []
 
     def evaluator(keys):
