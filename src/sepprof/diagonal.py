@@ -6,6 +6,35 @@ A-generator writes its level-s image at cursor - k_s simultaneously on every
 level, a B-generator writes at cursor + k_s, and tau moves the cursor. The
 truncation to finitely many levels is itself a diagonal product, so every
 identity verified here is stated on the truncated group.
+
+The BFS, the range functions and the cocycle norms work on integer codes.
+An element whose cursor c stays in a window [lo, hi] is coded as one
+mixed-radix integer. Its low digit is the cursor offset c - lo, in base
+hi - lo + 1. Then come, level by level and position by position, the lamps
+at lo - k_s, ..., hi + k_s, the positions a generator can write to from
+such a cursor. Each lamp is one base-|G_s| digit, with the group relabelled
+so that its identity is digit 0. A generator reads and rewrites one digit
+per level through the group table, so a BFS frontier steps as one array per
+generator. ``DiagonalElement`` is the form at the API boundary.
+
+Width rule: the digits are packed, in that order, into uint64 words, each
+word taking the next digits while the product of their radices stays at
+most 2^64. Every word value fits, so a code of any width is exact; a window
+of at most 64 bits is one word, through the same code path. A digit is
+rewritten as word + (new - old) * place: uint64 arithmetic wraps modulo
+2^64 in between, and the result is an exact word value. Codes are compared,
+deduplicated and looked up row by row through one stable lexicographic
+sort.
+
+Budget rule: a BFS counts its elements one at a time in BFS order, the
+identity first and then each word length in (frontier index, generator
+index) order, first occurrence kept. It raises BudgetError at the first
+element that takes the count past ``MAX_ELEMENTS`` (the identity is never
+checked). A search for targets returns at a target that comes before that
+element, even in the middle of a word length. The generators are closed
+under inverses, so a generator image of a word-length-d element has word
+length d - 1, d or d + 1, and only those two levels need to be searched to
+tell whether an image is new.
 """
 
 from __future__ import annotations
@@ -14,9 +43,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import BudgetError
 from .graphs import Graph
-from .groups import FiniteGroup, read_group_file
+from .groups import FiniteGroup
 
 # The most elements any one BFS here may reach before it raises BudgetError.
 MAX_ELEMENTS = 500_000
@@ -152,6 +183,167 @@ def inverse(spec: DiagonalSpec, z: DiagonalElement) -> DiagonalElement:
 
 
 # ---------------------------------------------------------------------------
+# Integer codes
+
+
+_WORD = 1 << 64
+
+
+class _Level(NamedTuple):
+    base: int       # index of the level's first digit
+    offset: int     # lamp position of that digit
+    width: int
+    order: int
+    labels: tuple   # group element of each digit, identity first
+    digit: dict     # digit of each group element
+    table: np.ndarray  # product of digits, as digits
+
+
+class _Window:
+    """Integer codes of the elements whose cursor lies in [lo, hi].
+
+    The layout, its width rule and why no arithmetic on it overflows are in
+    the module docstring.
+    """
+
+    def __init__(self, spec: DiagonalSpec, lo: int, hi: int):
+        self.lo, self.span = lo, hi - lo + 1
+        radices = [self.span]
+        self.levels = []
+        for group, k in spec.levels:
+            labels = (group.identity,) + tuple(
+                x for x in group.elements() if x != group.identity)
+            digit = {x: d for d, x in enumerate(labels)}
+            table = np.array([[digit[group.mul(x, y)] for y in labels]
+                              for x in labels], dtype=np.uint64)
+            width = self.span + 2 * k
+            self.levels.append(_Level(len(radices), lo - k, width, group.order,
+                                      labels, digit, table))
+            radices += [group.order] * width
+        word_of, place_of, word, place = [], [], 0, 1
+        for radix in radices:
+            if place * radix > _WORD:
+                word, place = word + 1, 1
+            word_of.append(word)
+            place_of.append(place)
+            place *= radix
+        self.words = word + 1
+        self.word_of = np.array(word_of, dtype=np.intp)
+        self.place_of = np.array(place_of, dtype=np.uint64)
+        self.radix_of = np.array(radices, dtype=np.uint64)
+        # digit * key_place[digit], summed over the digits, is the code as
+        # one Python int, sum_w word_w << 64 w
+        self.key_place = [p << (64 * w) for w, p in zip(word_of, place_of)]
+
+    def identity(self) -> np.ndarray:
+        codes = np.zeros((1, self.words), dtype=np.uint64)
+        codes[0, 0] = -self.lo
+        return codes
+
+    def cursors(self, codes: np.ndarray) -> np.ndarray:
+        """Cursor offsets c - lo: the low digit of word 0."""
+        return (codes[:, 0] % np.uint64(self.span)).astype(np.intp)
+
+    def encode_within(self, elements) -> np.ndarray:
+        """Codes of those of ``elements`` that lie in the window; the others
+        are left out."""
+        keys = []
+        for z in elements:
+            key = self.lamp_key(z.lamps, 0)
+            if key is not None and 0 <= z.cursor - self.lo < self.span:
+                keys.append(key + z.cursor - self.lo)
+        return np.array([[key >> (64 * w) & (_WORD - 1)
+                          for w in range(self.words)] for key in keys],
+                        dtype=np.uint64).reshape(len(keys), self.words)
+
+    def decode(self, codes: np.ndarray) -> list:
+        digits = codes[:, self.word_of] // self.place_of % self.radix_of
+        per_level = []
+        for level in self.levels:
+            block = digits[:, level.base:level.base + level.width]
+            rows, cols = np.nonzero(block)
+            entries = [[] for _ in range(len(codes))]
+            for row, col, d in zip(rows.tolist(), cols.tolist(),
+                                   block[rows, cols].tolist()):
+                entries[row].append((level.offset + col, level.labels[d]))
+            per_level.append([tuple(e) for e in entries])
+        return [DiagonalElement(c, tuple(lamps[i] for lamps in per_level))
+                for i, c in enumerate(
+                    (digits[:, 0].astype(np.intp) + self.lo).tolist())]
+
+    def lamp_key(self, lamps: tuple, shift: int):
+        """The code as one Python int, cursor digit 0, of the lamps ``lamps``
+        translated by ``shift``; None if one falls outside the window."""
+        key = 0
+        for level, entries in zip(self.levels, lamps):
+            for pos, elem in entries:
+                index = pos + shift - level.offset
+                if not 0 <= index < level.width:
+                    return None
+                key += level.digit[elem] * self.key_place[level.base + index]
+        return key
+
+    def translate(self, codes: np.ndarray, z: DiagonalElement):
+        """Codes of the right translates u z of the rows u of ``codes``, and
+        whether each lies in the window (a row outside it holds no code)."""
+        cursor = self.cursors(codes)
+        after = cursor + z.cursor
+        inside = (after >= 0) & (after < self.span)
+        writes = []
+        for level, entries in zip(self.levels, z.lamps):
+            for pos, elem in entries:
+                # u z multiplies u's lamp at (u's cursor) + pos by elem
+                index = cursor + (self.lo + pos - level.offset)
+                inside &= (index >= 0) & (index < level.width)
+                writes.append((level, index, level.digit[elem]))
+        out = codes.copy()
+        out[:, 0] += np.uint64(z.cursor % _WORD)
+        rows = np.arange(len(codes))
+        for level, index, elem in writes:
+            digit = level.base + np.where(inside, index, 0)
+            word, place = self.word_of[digit], self.place_of[digit]
+            old = out[rows, word] // place % np.uint64(level.order)
+            out[rows, word] += (level.table[old, elem] - old) * place
+        return out, inside
+
+
+def _first_equal(codes: np.ndarray) -> np.ndarray:
+    """For each code (row), the index of the first row equal to it."""
+    order = np.lexsort(codes.T)
+    ordered = codes[order]
+    head = np.ones(len(codes), dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.empty(len(codes), dtype=np.intp)
+    # lexsort is stable, so each run of equal rows starts at its first row
+    first[order] = order[head][np.cumsum(head) - 1]
+    return first
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``codes``, first occurrences in order."""
+    return codes[_first_equal(codes) == np.arange(len(codes))]
+
+
+def _find(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index in ``table`` of each query row, -1 where it is absent."""
+    first = _first_equal(np.concatenate([table, queries]))[len(table):]
+    return np.where(first < len(table), first, -1)
+
+
+def _neighbours(win: _Window, gens: list, codes: np.ndarray):
+    """The generator images of ``codes`` in (row, generator) order, and
+    which of them keep the cursor in the window."""
+    images = [win.translate(codes, g) for g in gens]
+    return (np.stack([c for c, _ in images], axis=1).reshape(-1, win.words),
+            np.stack([inside for _, inside in images], axis=1).ravel())
+
+
+def _generator_elements(spec: DiagonalSpec) -> list:
+    return [apply_generator(spec, spec.identity(), gen)
+            for gen in spec.generators()]
+
+
+# ---------------------------------------------------------------------------
 # Word-metric machinery
 
 
@@ -161,32 +353,38 @@ class BallResult(NamedTuple):
     graph: Graph
 
 
-def _bfs(spec: DiagonalSpec, lo: int, hi: int, radius: float):
-    """Yield (element, word length) in BFS order from the identity, over
-    words of length <= radius whose cursor stays in [lo, hi]. Raises
-    BudgetError past ``MAX_ELEMENTS`` elements."""
-    gens = spec.generators()
-    start = spec.identity()
-    seen = {start}
-    yield start, 0
-    frontier = [start]
-    d = 0
-    while frontier and d < radius:
+def _bfs(win: _Window, gens: list, radius: float, targets=None):
+    """The BFS from the identity over words of length <= radius whose
+    cursor stays in the window: one code array per word length, in
+    first-seen order, or None as soon as it meets a row of ``targets``.
+    Raises BudgetError past ``MAX_ELEMENTS`` elements, counted in BFS order
+    (module docstring)."""
+    frontier = win.identity()
+    levels = [frontier]
+    if targets is not None and (_find(frontier, targets) >= 0).any():
+        return None
+    previous = frontier[:0]
+    count, d = 1, 0
+    while len(frontier) and d < radius:
         d += 1
-        nxt = []
-        for z in frontier:
-            for gen in gens:
-                w = apply_generator(spec, z, gen)
-                if not (lo <= w.cursor <= hi) or w in seen:
-                    continue
-                seen.add(w)
-                nxt.append(w)
-                yield w, d
-                if len(seen) > MAX_ELEMENTS:
-                    raise BudgetError(
-                        f"BFS exceeded {MAX_ELEMENTS} elements at word "
-                        f"length {d}")
-        frontier = nxt
+        images, inside = _neighbours(win, gens, frontier)
+        images = images[inside]
+        pool = np.concatenate([previous, frontier, images])
+        seen = len(pool) - len(images)
+        new = images[_first_equal(pool)[seen:] == np.arange(seen, len(pool))]
+        room = max(MAX_ELEMENTS - count, 0)
+        if targets is not None:
+            hits = _find(new, targets)
+            hits = hits[hits >= 0]
+            if len(hits) and hits.min() <= room:
+                return None
+        if len(new) > room:
+            raise BudgetError(
+                f"BFS exceeded {MAX_ELEMENTS} elements at word length {d}")
+        count += len(new)
+        levels.append(new)
+        previous, frontier = frontier, new
+    return levels
 
 
 def _shift_lamps(lamps: tuple, by: int) -> tuple:
@@ -198,18 +396,20 @@ def ball(spec: DiagonalSpec, radius: int) -> BallResult:
     """BFS ball around the identity and the induced Cayley graph."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dist = dict(_bfs(spec, -radius, radius, radius))
-    index = {z: i for i, z in enumerate(dist)}
-    gens = spec.generators()
-    edges = []
-    for z, i in index.items():
-        for gen in gens:
-            w = apply_generator(spec, z, gen)
-            j = index.get(w)
-            if j is not None and i < j:
-                edges.append((i, j))
-    graph = Graph(len(index), edges, labels=list(index))
-    return BallResult(tuple(index), dist, graph)
+    win = _Window(spec, -radius, radius)
+    gens = _generator_elements(spec)
+    levels = _bfs(win, gens, radius)
+    codes = np.concatenate(levels)
+    elements = tuple(win.decode(codes))
+    dist = dict(zip(elements, np.repeat(
+        np.arange(len(levels)), [len(level) for level in levels]).tolist()))
+    images, inside = _neighbours(win, gens, codes)
+    j = np.full(len(images), -1)
+    j[inside] = _find(codes, images[inside])
+    i = np.repeat(np.arange(len(codes)), len(gens))
+    edges = zip(i[j > i].tolist(), j[j > i].tolist())
+    graph = Graph(len(elements), edges, labels=elements)
+    return BallResult(elements, dist, graph)
 
 
 def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int) -> int:
@@ -220,21 +420,26 @@ def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int) -> int:
     looks for every such translate at once. Raises BudgetError if the
     window is exhausted without reaching z.
     """
+    gens = _generator_elements(spec)
     lo_req, hi_req = min(0, z.cursor), max(0, z.cursor)
     for d in range(hi_req - lo_req, window + 1):
-        targets = {DiagonalElement(z.cursor - lo, _shift_lamps(z.lamps, -lo))
-                   for lo in range(hi_req - d, lo_req + 1)}
-        if not targets.isdisjoint(
-                w for w, _ in _bfs(spec, 0, d, math.inf)):
+        win = _Window(spec, 0, d)
+        targets = win.encode_within(
+            DiagonalElement(z.cursor - lo, _shift_lamps(z.lamps, -lo))
+            for lo in range(hi_req - d, lo_req + 1))
+        if _bfs(win, gens, math.inf, targets) is None:
             return d
     raise BudgetError(
         f"element not reachable within cursor window {window}")
 
 
-def _box_configs(spec: DiagonalSpec, r: int) -> set:
-    """The lamp configurations the BFS confined to the cursor box [0, r]
-    reaches."""
-    return {w.lamps for w, _ in _bfs(spec, 0, r, math.inf)}
+def _box_configs(spec: DiagonalSpec, r: int):
+    """The window of the cursor box [0, r] and the distinct lamp
+    configurations its BFS reaches, as codes with cursor digit 0."""
+    win = _Window(spec, 0, r)
+    codes = np.concatenate(_bfs(win, _generator_elements(spec), math.inf))
+    codes[:, 0] -= codes[:, 0] % np.uint64(win.span)
+    return win, _distinct(codes)
 
 
 def range_set(spec: DiagonalSpec, r: int) -> frozenset:
@@ -244,7 +449,8 @@ def range_set(spec: DiagonalSpec, r: int) -> frozenset:
     and tau moves the cursor freely within a box, so the [0, r] box is
     every cursor in [0, r] with every lamp configuration its BFS reaches.
     """
-    configs = _box_configs(spec, r)
+    win, codes = _box_configs(spec, r)
+    configs = [z.lamps for z in win.decode(codes)]
 
     def members():
         for lamps in configs:
@@ -262,11 +468,15 @@ def in_range_set(spec: DiagonalSpec, r: int):
     cursor c, is in the box [lo, lo + r] exactly when lo is in
     [max(-r, c - r), min(0, c)] and t^-lo z has one of the [0, r] box's
     lamp configurations."""
-    configs = _box_configs(spec, r)
+    win, codes = _box_configs(spec, r)
+    size = 8 * win.words
+    data = codes.astype("<u8").tobytes()
+    configs = {int.from_bytes(data[i:i + size], "little")
+               for i in range(0, len(data), size)}
 
     def contains(z: DiagonalElement) -> bool:
         c = z.cursor
-        return any(_shift_lamps(z.lamps, -lo) in configs
+        return any(win.lamp_key(z.lamps, -lo) in configs
                    for lo in range(max(-r, c - r), min(0, c) + 1))
 
     return contains
@@ -283,8 +493,9 @@ def cocycle_norms(spec: DiagonalSpec, j: int,
     between phi_r and its translate by g is 2 (||phi_r||^2 - <phi_r,
     phi_r(. g)>), for g = z in the numerator and g = tau in the gradient;
     each inner product is one sum over the support of phi_r, the members of
-    U_r with |cursor| < r. U_r and the gradient are computed once for all of
-    zs.
+    U_r with |cursor| < r. The support is coded once in the window [-r, r];
+    for each g, all its translates u g are formed as codes at once and
+    looked up among the support's codes.
 
     The sums do not depend on the iteration order of the sets. Every tent
     value 1 - |cursor|/r is a multiple of 2^-j, so every product, partial
@@ -295,13 +506,17 @@ def cocycle_norms(spec: DiagonalSpec, j: int,
     if j < 0:
         raise ValueError("j must be >= 0")
     r = 2 ** j
-    phi = {u: 1.0 - abs(u.cursor) / r for u in range_set(spec, r)
-           if abs(u.cursor) < r}
-    norm_sq = sum(value * value for value in phi.values())
+    win = _Window(spec, -r, r)
+    support = win.encode_within(
+        u for u in range_set(spec, r) if abs(u.cursor) < r)
+    phi = 1.0 - np.abs(win.cursors(support) + win.lo) / r
+    norm_sq = float((phi * phi).sum())
 
     def distance_sq(g: DiagonalElement) -> float:
-        inner = sum(value * phi.get(multiply(spec, u, g), 0.0)
-                    for u, value in phi.items())
+        images, inside = win.translate(support, g)
+        at = np.full(len(support), -1)
+        at[inside] = _find(support, images[inside])
+        inner = float((phi * np.where(at >= 0, phi[at], 0.0)).sum())
         return 2.0 * (norm_sq - inner)
 
     grad_sq = distance_sq(apply_generator(spec, spec.identity(), ("tau", 1)))
@@ -384,25 +599,3 @@ def embed_lamp_graph(spec: DiagonalSpec, s: int, r: int) -> EmbeddingReport:
     return EmbeddingReport(vertex_map=vertex_map, injective=injective,
                            violations=tuple(violations), lamp_graph=lamp)
 
-
-# ---------------------------------------------------------------------------
-# Spec files
-
-
-def read_diagonal_spec(path) -> DiagonalSpec:
-    """Spec file: one "level <group file> <k_s>" line per level, in order."""
-    import os
-
-    base = os.path.dirname(os.path.abspath(path))
-    levels = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] != "level" or len(parts) != 3:
-                raise ValueError(f"bad spec line: {line!r}")
-            group = read_group_file(os.path.join(base, parts[1]))
-            levels.append((group, int(parts[2])))
-    return DiagonalSpec(levels)

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from sepprof import diagonal
-from sepprof.diagonal import (DiagonalSpec, apply_generator, ball,
-                              cocycle_norms, embed_lamp_graph, in_range_set,
-                              inverse, multiply, range_of, range_set,
-                              read_diagonal_spec)
+from sepprof.diagonal import (DiagonalElement, DiagonalSpec, apply_generator,
+                              ball, cocycle_norms, embed_lamp_graph,
+                              in_range_set, inverse, multiply, range_of,
+                              range_set)
 from sepprof.errors import BudgetError
-from sepprof.groups import klein_four, write_group_file
+from sepprof.groups import (cyclic_table, direct_product_table, klein_four,
+                            validate_group)
 
 
 def single_level():
@@ -19,6 +20,34 @@ def single_level():
 
 def two_level():
     return DiagonalSpec([(klein_four(), 0), (klein_four(), 3)])
+
+
+def three_level():
+    # the window of the radius-3 ball holds 85 bits: two code words
+    return DiagonalSpec([(klein_four(), 0), (klein_four(), 3),
+                         (klein_four(), 7)])
+
+
+def relabelled_identity():
+    """Z2 x Z2 relabelled by x -> (x + 3) % 4, so its identity is 3."""
+    k4 = klein_four()
+    label = [(x + 3) % 4 for x in range(4)]
+    table = [[0] * 4 for _ in range(4)]
+    for x in range(4):
+        for y in range(4):
+            table[label[x]][label[y]] = label[k4.mul(x, y)]
+    group = validate_group(table, A=[label[a] for a in k4.A],
+                           B=[label[b] for b in k4.B])
+    assert group.identity == 3
+    return DiagonalSpec([(group, 0), (group, 3)])
+
+
+def order_six():
+    """Z2 x Z3 on both levels: digits in base 6."""
+    group = validate_group(direct_product_table(cyclic_table(2),
+                                                cyclic_table(3)),
+                           A=(0, 3), B=(0, 1, 2))
+    return DiagonalSpec([(group, 0), (group, 2)])
 
 
 def test_spec_validates_k_sequence():
@@ -350,9 +379,171 @@ def test_embedding_rejects_large_r():
         embed_lamp_graph(two_level(), 1, 2)
 
 
-def test_spec_file_roundtrip(tmp_path):
-    write_group_file(klein_four(), tmp_path / "k4.grp")
-    (tmp_path / "delta.spec").write_text(
-        "# two levels\nlevel k4.grp 0\nlevel k4.grp 3\n")
-    spec = read_diagonal_spec(tmp_path / "delta.spec")
-    assert spec.level_count == 2 and spec.k(1) == 3
+
+def test_three_level_codes_take_two_words():
+    spec = three_level()
+    assert diagonal._Window(spec, -3, 3).words == 2
+    assert diagonal._Window(spec, 0, 3).words == 2
+    assert diagonal._Window(spec, 0, 2).words == 1
+
+
+@pytest.mark.parametrize("make_spec", [three_level, relabelled_identity,
+                                       order_six])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_coded_ball_matches_oracle(make_spec, radius):
+    spec = make_spec()
+    result = ball(spec, radius)
+    elements, lengths, edges = oracle_ball(spec, radius)
+    assert result.elements == elements
+    assert list(result.word_length.items()) == lengths
+    assert result.graph.edges == edges
+    assert result.graph.labels == elements
+
+
+@pytest.mark.parametrize("make_spec,r", [
+    (three_level, 0), (three_level, 1), (three_level, 2), (three_level, 3),
+    (relabelled_identity, 0), (relabelled_identity, 2),
+    (order_six, 0), (order_six, 1), (order_six, 2)])
+def test_coded_range_sets_match_oracle(make_spec, r):
+    spec = make_spec()
+    members = range_set(spec, r)
+    assert members == oracle_range_set(spec, r)
+    contains = in_range_set(spec, r)
+    assert all(contains(z) for z in members)
+    elements = ball(spec, 3).elements
+    assert [contains(z) for z in elements] == [z in members for z in elements]
+
+
+@pytest.mark.parametrize("make_spec", [three_level, relabelled_identity,
+                                       order_six])
+def test_coded_range_of_matches_box_search(make_spec):
+    spec = make_spec()
+    cache = {}
+    for z in ball(spec, 2).elements:
+        assert range_of(spec, z, 5) == oracle_range_of(spec, z, 5, cache)
+
+
+
+@pytest.mark.parametrize("make_spec", [three_level, relabelled_identity,
+                                       order_six])
+def test_coded_cocycle_norms_match_products(make_spec):
+    """cocycle_norms at j = 1 equals, bit for bit, the norms formed from
+    ``multiply`` on U_2 in exact arithmetic."""
+    spec = make_spec()
+    r = 2
+    members = range_set(spec, r)
+
+    def r_phi(z):
+        return r - abs(z.cursor) if z in members and abs(z.cursor) < r else 0
+
+    def distance_sq(g):
+        return 2 * sum(r_phi(u) * (r_phi(u) - r_phi(multiply(spec, u, g)))
+                       for u in members)
+
+    tau = apply_generator(spec, spec.identity(), ("tau", 1))
+    zs = ball(spec, 2).elements
+    expected = [math.sqrt(float(Fraction(distance_sq(z), distance_sq(tau))))
+                for z in zs]
+    assert [x.hex() for x in cocycle_norms(spec, 1, zs)] == \
+        [x.hex() for x in expected]
+
+def counted_bfs(spec, lo, hi, radius):
+    """Element-at-a-time confined BFS: yields (element, word length) and
+    raises BudgetError once more than ``diagonal.MAX_ELEMENTS`` elements
+    have been seen, checked after each new element is yielded."""
+    start = spec.identity()
+    seen = {start}
+    yield start, 0
+    frontier, d = [start], 0
+    while frontier and d < radius:
+        d += 1
+        nxt = []
+        for z in frontier:
+            for gen in spec.generators():
+                w = apply_generator(spec, z, gen)
+                if lo <= w.cursor <= hi and w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    yield w, d
+                    if len(seen) > diagonal.MAX_ELEMENTS:
+                        raise BudgetError("exceeded")
+        frontier = nxt
+
+
+def translates(z, d):
+    """The targets t^-lo z of the diameter-d boxes [lo, lo + d] around 0
+    and z's cursor."""
+    lo_req, hi_req = min(0, z.cursor), max(0, z.cursor)
+    return {DiagonalElement(z.cursor - lo, tuple(
+        tuple((pos - lo, e) for pos, e in level) for level in z.lamps))
+        for lo in range(hi_req - d, lo_req + 1)}
+
+
+def counted_range_of(spec, z, window):
+    """range_of over ``counted_bfs``, stopping at the first target met."""
+    for d in range(abs(z.cursor), window + 1):
+        if not translates(z, d).isdisjoint(
+                w for w, _ in counted_bfs(spec, 0, d, math.inf)):
+            return d
+    raise BudgetError("window")
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except BudgetError:
+        return "budget"
+
+
+@pytest.mark.parametrize("make_spec,radius", [
+    (single_level, 4), (three_level, 3), (order_six, 3)])
+def test_ball_budget_boundary(monkeypatch, make_spec, radius):
+    spec = make_spec()
+    size = len(ball(spec, radius).elements)
+    for budget in (0, 1, size - 1, size, size + 1):
+        monkeypatch.setattr(diagonal, "MAX_ELEMENTS", budget)
+        expected = outcome(lambda: len(list(
+            counted_bfs(spec, -radius, radius, radius))))
+        assert expected == ("budget" if budget < size else size)
+        assert outcome(lambda: len(ball(spec, radius).elements)) == expected
+
+
+@pytest.mark.parametrize("make_spec,r", [
+    (single_level, 3), (three_level, 3), (order_six, 2)])
+def test_range_set_budget_boundary(monkeypatch, make_spec, r):
+    spec = make_spec()
+    size = sum(1 for _ in counted_bfs(spec, 0, r, math.inf))
+    members = range_set(spec, r)
+    for budget in (size - 1, size):
+        monkeypatch.setattr(diagonal, "MAX_ELEMENTS", budget)
+        expected = outcome(lambda: sum(
+            1 for _ in counted_bfs(spec, 0, r, math.inf)))
+        assert expected == ("budget" if budget < size else size)
+        assert outcome(lambda: range_set(spec, r)) == (
+            "budget" if expected == "budget" else members)
+        contains = outcome(lambda: in_range_set(spec, r))
+        assert (contains == "budget") == (expected == "budget")
+
+
+def test_range_of_budget_boundary(monkeypatch):
+    """At budgets around the target's place in BFS order, range_of raises
+    or returns as the element-at-a-time search does, also when the target
+    comes before the element that passes the budget in its word length."""
+    spec = two_level()
+    within_level = 0
+    for z in ball(spec, 3).elements[1:]:
+        d = range_of(spec, z, 6)
+        order = list(counted_bfs(spec, 0, d, math.inf))
+        targets = translates(z, d)
+        p = next(i for i, (w, _) in enumerate(order) if w in targets)
+        if p + 1 < len(order) and order[p + 1][1] == order[p][1]:
+            within_level += 1
+        for budget in (p - 1, p, p + 1):
+            monkeypatch.setattr(diagonal, "MAX_ELEMENTS", budget)
+            expected = outcome(lambda: counted_range_of(spec, z, 6))
+            if d == abs(z.cursor):
+                # one search: elements 1..p - 1 pass the budget check
+                assert expected == (d if p <= max(budget, 1) else "budget")
+            assert outcome(lambda: range_of(spec, z, 6)) == expected
+        monkeypatch.undo()
+    assert within_level > 10
