@@ -4,20 +4,20 @@ The quotient objectives are scale-invariant, so iterates live on the
 weighted mean-zero unit p-sphere. Any feasible point certifies an upper
 bound; optimizer quality only affects tightness, never soundness.
 
-Index contract. The gradients work on whole arrays over index lists built once
-per estimate. ``index_matrix`` stacks n index lists into one (n, B) integer
+Index contract. The gradients work on whole arrays over index tables that no
+step rebuilds. ``index_matrix`` stacks n index lists into one (n, B) integer
 matrix and pads each row with its own first member; balls come in this form
-(``WeightedMetricGraph.balls``), neighbour lists as a ``NeighborIndex``, which
-adds the degrees, the edge list and the rows grouped by degree. A pad repeats
-a value that comes earlier in its row, and ``argmax``/``argmin`` return the
-first extremum, so a pad is never chosen and ties keep going to the first
+(``WeightedMetricGraph.balls``), neighbour lists as a ``NeighborIndex``. Per
+objective and stack shape, ``_stack_index`` lays the balls out as rows of the
+flattened stack and, for d > 1 only, lists each ball's pairs i < j. A pad
+repeats a value that comes earlier in its row, and ``argmax``/``argmin`` return
+the first extremum, so a pad is never chosen and ties keep going to the first
 member in ball order; for d > 1, to the first pair (i, j) of the ball in
-row-major order. So padding a matrix wider still, with each row's first
-member, moves none of these extremes: for d > 1 a pair (i, pad) has the value
-of the pair (0, i), which comes earlier. Vertices without neighbours add
-nothing to a subgradient; a ball of one vertex adds +-0.0 to two bins that
-start at +0.0, which leaves every sum as it is, since a sum from +0.0 is never
--0.0.
+row-major order. So padding a matrix wider still, with each row's first member,
+moves none of these extremes: for d > 1 a pair (i, pad) has the value of the
+pair (0, i), which comes earlier. Vertices without neighbours add nothing to a
+subgradient; a ball of one vertex adds +-0.0 to two bins that start at +0.0,
+which changes no sum: a sum from +0.0 is never -0.0.
 
 Bit-identity. These functions return the bits of the per-vertex loops they
 replaced, which tests/test_optimize.py keeps as oracles:
@@ -41,29 +41,27 @@ Batched restarts. ``minimize_quotient`` steps all its starts together as one
 stack: an (R, n, d) array, row r the iterate of start r from first step to
 last. The objective maps a stack to its R values and the subgradient to an
 (R, n, d) stack, each row with the bits it would have alone. Row r may have
-data of its own, so one stack can serve several problems: the scale-a
-estimates of one space and exponent give ``sup_gradient_objective`` one ball
-matrix per row. So only operations that give every row those bits are used:
-elementwise ones, reductions along the last axis of a C-ordered array
-(``np.take`` keeps C order where fancy indexing may not), ``nu @ F``, and
-per-row dot products as a stacked matmul (``rowdot``; a 2-norm is the root of
-one). Neither ``einsum`` nor ``norm(axis=...)`` gives them. A stack may also
-mix exponents: the projection and both objectives take p as one number or as
-one p per row, and callers lay the rows out in runs of equal p. Every ``**``
-is then taken once per run with that run's scalar exponent (``row_power``):
-``x ** e`` with an array e skips the scalar fast paths that square or take
-the root, and on an AVX-512 host with numpy 2.4 it differed from
-``x ** 2.0`` and ``x ** 0.5`` in about 10,500 of 200,000 entries, so
-p = 3 and p = 1.5 would lose their bits at ``p - 1``. ``np.float_power`` and
-products give the same bits with a per-row array broadcast, so they take
-one. Both callables of
-a pair share one pass per stack (the per-ball extremes, the neighbour
+data of its own, so one stack can serve several problems: the scale-a estimates
+of one space and exponent give ``sup_gradient_objective`` one ball matrix per
+row. So only operations that give every row those bits are used: elementwise
+ones, reductions along the last axis of a C-ordered array (``np.take`` keeps C
+order where fancy indexing may not), ``nu @ F``, and per-row dot products as a
+stacked matmul (``rowdot``; a 2-norm is the root of one). Neither ``einsum``
+nor ``norm(axis=...)`` gives them. A stack may also mix exponents: the
+projection and both objectives take p as one number or as one p per row, and
+callers lay the rows out in runs of equal p. Every ``**`` is then taken once
+per run with that run's scalar exponent, the runs found once per projection or
+objective (``_run_power``): ``x ** e`` with an array e skips the scalar fast
+paths that square or take the root, and on an AVX-512 host with numpy 2.4 it
+differed from ``x ** 2.0`` and ``x ** 0.5`` in about 10,500 of 200,000 entries,
+so p = 3 and p = 1.5 would lose their bits at ``p - 1``. ``np.float_power`` and
+products give the same bits with a per-row array broadcast. Both callables of a
+pair share one pass per stack (the per-ball extremes, the neighbour
 differences) through a one-slot memo keyed on the identity of the last stack
-(``memo_last``). This relies on the contract of ``minimize_quotient``: the
-subgradient is only asked for the stack the objective saw last, and no stack
-is changed in place. Called in another order or on other arrays the pair stays
-correct and only recomputes. The single-function forms (``sup_gradient_rows``,
-``sup_gradient_subgrad``, ``modified_gradient_pow``,
+(``memo_last``): in ``minimize_quotient`` the subgradient is only asked for the
+stack the objective saw last, and no stack is changed in place; called
+otherwise the pair only recomputes. The single-function forms
+(``sup_gradient_rows``, ``sup_gradient_subgrad``, ``modified_gradient_pow``,
 ``modified_gradient_subgrad``) run the batched code on a stack of one.
 """
 
@@ -92,10 +90,11 @@ def rowdot(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def exponent_runs(p, rows: int) -> list:
-    """(start, stop, exponent) for each run of rows with equal exponents: p
-    is one exponent for all ``rows`` rows or an array of one per row."""
+    """(start, stop, exponent) per run of rows with equal exponents: p is one
+    exponent for all ``rows`` rows or a sequence of one per row, as floats."""
     if np.ndim(p) == 0:
         return [(0, rows, p)]
+    p = np.asarray(p, dtype=float)
     cut = (np.flatnonzero(p[1:] != p[:-1]) + 1).tolist()
     return [(s, t, float(p[s])) for s, t in zip([0] + cut, cut + [len(p)])]
 
@@ -106,30 +105,36 @@ def per_row(p, ndim: int):
     return p if np.ndim(p) == 0 else np.reshape(p, (-1,) + (1,) * (ndim - 1))
 
 
+def _run_power(X: np.ndarray, runs, less: float = 0.0) -> np.ndarray:
+    """X ** (e - less) on the rows of each ``exponent_runs`` run (start,
+    stop, e); with one run, on all of X."""
+    if len(runs) == 1:
+        return X ** (runs[0][2] - less)
+    out = np.empty(X.shape)
+    for s, t, e in runs:
+        out[s:t] = X[s:t] ** (e - less)
+    return out
+
+
 def row_power(X: np.ndarray, p, less: float = 0.0) -> np.ndarray:
     """X ** (p - less), with p one exponent or one per row of X: one ``**``
     per run of equal exponents (``exponent_runs``), with its scalar."""
-    if np.ndim(p) == 0:
-        return X ** (p - less)
-    out = np.empty(X.shape)
-    for s, t, e in exponent_runs(p, len(X)):
-        out[s:t] = X[s:t] ** (e - less)
-    return out
+    return _run_power(X, exponent_runs(p, len(X)), less)
 
 
 def sphere_projection(nu: np.ndarray, p):
     """The projection of a stack of (n, d) functions onto the nu-weighted
     mean-zero unit p-sphere, as ``minimize_quotient`` takes it: F maps to
     (F projected, a mask of the rows that survive), p one exponent or one per
-    row. A row whose centered norm is below 1e-12 or not finite is constant,
-    or became so when the norm overflowed; it does not survive and its
-    projected row is meaningless."""
-    total = nu.sum()
+    row. A row whose centered norm is below 1e-12 or not finite (constant, or
+    so when the norm overflowed) does not survive; its projection is void."""
+    total, runs = nu.sum(), exponent_runs(p, np.size(p))
+    root = 1.0 / per_row(p, 1)
 
     def project(F):
         F = F - ((nu @ F) / total)[:, None, :]
-        row = np.sum(row_power(np.abs(F), p), axis=2)
-        norm = np.float_power(rowdot(row, nu), 1.0 / p)
+        row = np.sum(_run_power(np.abs(F), runs), axis=2)
+        norm = np.float_power(rowdot(row, nu), root)
         return F / norm[:, None, None], (norm >= 1e-12) & (norm < np.inf)
 
     return project
@@ -139,33 +144,26 @@ def sphere_projection(nu: np.ndarray, p):
 def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
                       project=None, min_grad=1e-15):
     """Minimize numerator^p over the weighted mean-zero unit p-sphere from
-    each start.
+    each start, all starts stepped together as one stack, start r as row r.
 
-    All starts step together as one stack of iterates, start r as row r of
-    every stack. numer_pow maps a stack to the p-th powers of the
-    numerator, one per row; numer_subgrad to a stack of subgradients. Row r
-    may stand for a problem of its own, so one call can serve several
-    problems, each a block of rows; p is one exponent or one per row.
-    Returns (best_val, best_F), shapes (R,) and (R, n, d): each start's
-    least objective^p and the first iterate reaching it. ``first_least``
-    picks a winner from them, or from a block of them; callers recompute
-    the reported quotient from the witness.
-
-    ``project`` replaces the projection onto the sphere of nu and p (see
-    ``sphere_projection``): it maps a whole stack to (its projection, a mask
-    of the rows that survive), each surviving row with its bits alone. A
-    start whose projection fails, at the start or later, is frozen: it stops
-    moving and never improves again; one that fails at the start stays at 0
-    with best value +inf. A subgradient with norm at most ``min_grad``
-    leaves its iterate in place. Raises ValueError when no start survives
-    the first projection. Overflow, and the NaN it may cause, raise no numpy
-    warning: such an objective is never best, such a row fails projection,
-    and a finite subgradient whose norm overflows is rescaled.
-
-    Every numer_subgrad(F) follows numer_pow(F) on the same stack, and no
-    stack is changed in place once either callable has seen it, so the pair
-    may share work through a memo keyed on the identity of F (``memo_last``).
-    """
+    numer_pow maps a stack to the p-th powers of the numerator, one per row;
+    numer_subgrad to a stack of subgradients. A row may stand for a problem of
+    its own, each problem a block of rows; p is one exponent or one per row.
+    Returns (best_val, best_F), shapes (R,) and (R, n, d): each start's least
+    objective^p and the first iterate reaching it, from which ``first_least``
+    picks a winner; callers recompute the reported quotient from the witness.
+    ``project`` replaces ``sphere_projection(nu, p)``: it maps a stack to (its
+    projection, a mask of the rows that survive), each surviving row with its
+    bits alone. A start whose projection fails, at the start or later, is
+    frozen: it never moves or improves again; one that fails at the start stays
+    at 0 with best value +inf. A subgradient with norm at most ``min_grad``
+    leaves its iterate in place. Raises ValueError when no start survives the
+    first projection. Overflow, and the NaN it may cause, raise no numpy
+    warning: such an objective is never best, such a row fails projection, and
+    a finite subgradient whose norm overflows is rescaled. Every
+    numer_subgrad(F) follows numer_pow(F) on the same stack, and no stack is
+    changed in place once either callable has seen it, so the pair may share
+    work through a memo keyed on the identity of F (``memo_last``)."""
     if project is None:
         project = sphere_projection(nu, p)
     F = np.array([np.asarray(f0, dtype=float) for f0 in starts])
@@ -235,14 +233,12 @@ def index_matrix(rows) -> np.ndarray:
 
 
 class NeighborIndex:
-    """Neighbour lists as index arrays for the neighbour-sum gradient.
-
+    """Neighbour lists as index arrays for the neighbour-sum gradient:
     ``matrix`` is their ``index_matrix`` and ``degree`` their lengths;
     ``src``/``dst`` list every pair (x, y) with y a neighbour of x, x
     ascending and y in list order; ``groups`` pairs the vertices of each
     positive degree k, ascending, with the (vertices, k) matrix of the
-    positions of their pairs in that list.
-    """
+    positions of their pairs in that list."""
 
     def __init__(self, neighbors):
         self.matrix = index_matrix(neighbors)
@@ -309,43 +305,42 @@ def ordered_sum(terms: np.ndarray):
     return np.zeros(terms.shape[:-1])
 
 
-def _widest_pairs(F: np.ndarray, balls: np.ndarray, p):
-    """For a stack F of shape (R, n, d) with d > 1 and balls (m, B), shared
-    by every row, or (R, m, B), one matrix per row, with B > 1, and p one
-    exponent or one per row: per row r and ball x the largest
+def _widest_pairs(F: np.ndarray, pairs):
+    """For a stack F of shape (R, n, d), d > 1, and ``pairs`` its tables
+    from ``_stack_index``: per row r and ball x the largest
     ||F[r, y] - F[r, y']||_p^p over pairs of members, and the columns (i, j)
-    of its first occurrence in row-major order over all B * B pairs,
-    flattened to length R * m.
-
-    Only the pairs i < j are searched: the value of (i, j) is that of
+    of its first occurrence in row-major order over all B * B pairs, each of
+    length R * m. Only the pairs i < j are searched: (i, j) has the value of
     (j, i) and the diagonal is 0, so a positive maximum first occurs above
-    the diagonal, and a row whose pairs are all 0 has its first maximum at
-    (0, 0). The coordinate terms are added left to right, as ``np.sum`` adds
-    fewer than 8 of them. (row, ball) pairs are taken in chunks of at most
-    PAIR_CHUNK difference entries, or one, within a run of equal exponents.
-    The pair table is built once per matrix, not per row: (row, ball) k reads
-    its row k % len(left)."""
+    it, and a row whose pairs are all 0 has its first maximum at (0, 0).
+    Coordinate terms are added left to right, as ``np.sum`` adds fewer than
+    8 of them. A chunk holds whole rows or balls of one row of one exponent
+    run, at most PAIR_CHUNK difference entries, or one ball."""
     R, n, d = F.shape
-    m, B = balls.shape[-2:]
-    iu, ju = np.triu_indices(B, 1)
-    left = balls[..., iu].reshape(-1, len(iu))
-    right = balls[..., ju].reshape(-1, len(iu))
-    flat = F.reshape(R * n, d)
-    top, at = np.empty(R * m), np.empty(R * m, dtype=np.intp)
-    step = max(1, PAIR_CHUNK // (len(iu) * d))
-    for first, stop, e in exponent_runs(p, R):
-        for s in range(first * m, stop * m, step):
-            k = np.arange(s, min(s + step, stop * m))
-            x, base = k % len(left), (k // m * n)[:, None]
-            D = np.take(flat, left[x] + base, axis=0)
-            D -= np.take(flat, right[x] + base, axis=0)
-            np.abs(D, out=D)
-            D **= e
-            S = D[..., 0] + D[..., 1]
-            for c in range(2, d):
-                S += D[..., c]
-            at[k] = S.argmax(axis=1)
-            top[k] = S[np.arange(len(k)), at[k]]
+    iu, ju, left, right, runs = pairs
+    m, P = left.shape[-2:]
+    top, at = np.empty((R, m)), np.empty((R, m), dtype=np.intp)
+    per = max(1, PAIR_CHUNK // (P * d))  # (row, ball) pairs per chunk
+    rows, width = max(1, per // m), min(per, m)
+    for first, stop, e in runs:
+        for r in range(first, stop, rows):
+            r1 = min(r + rows, stop)
+            for x in range(0, m, width):
+                xs = slice(x, x + width)
+                if left.ndim == 2:  # one ball matrix for every row
+                    D = np.take(F[r:r1], left[xs], axis=1)
+                    D -= np.take(F[r:r1], right[xs], axis=1)
+                else:
+                    D = np.take(F.reshape(R * n, d), left[r:r1, xs], axis=0)
+                    D -= np.take(F.reshape(R * n, d), right[r:r1, xs], axis=0)
+                np.abs(D, out=D)
+                D **= e
+                S = D[..., 0] + D[..., 1]
+                for c in range(2, d):
+                    S += D[..., c]
+                a = at[r:r1, xs] = S.argmax(axis=2)
+                top[r:r1, xs] = np.take_along_axis(S, a[..., None], 2)[..., 0]
+    top, at = top.ravel(), at.ravel()
     positive = top > 0
     return top, np.where(positive, iu[at], 0), np.where(positive, ju[at], 0)
 
@@ -354,43 +349,49 @@ def _widest_pairs(F: np.ndarray, balls: np.ndarray, p):
 # Gradients
 
 
-def _stack_index(balls: np.ndarray, R: int, n: int):
-    """The balls of a stack of R rows as rows of F.reshape(R * n, d): an
-    (R * m, B) index matrix, and the arange over its rows."""
+def _stack_index(balls: np.ndarray, shape, p):
+    """The tables of a stack of shape (R, n, d) for balls (m, B), shared by
+    every row, or (R, m, B), one matrix per row: the balls as rows of
+    F.reshape(R * n, d), an (R * m, B) matrix; the arange over its rows; for
+    d > 1 and B > 1 the pairs i < j, their members per ball (columns of one
+    row for shared balls, else rows of that matrix) and p's runs."""
+    R, n, d = shape
     m, B = balls.shape[-2:]
     index = (balls + (np.arange(R) * n)[:, None, None]).reshape(R * m, B)
-    return index, np.arange(R * m)
+    if d == 1 or B == 1:
+        return index, np.arange(R * m), None
+    iu, ju = np.triu_indices(B, 1)
+    members = balls if balls.ndim == 2 else index.reshape(R, m, B)
+    pairs = (iu, ju, members[..., iu], members[..., ju], exponent_runs(p, R))
+    return index, np.arange(R * m), pairs
 
 
-def _ball_extremes(F: np.ndarray, balls: np.ndarray, p, stack_index):
-    """For a stack F of shape (R, n, d), balls (m, B), shared by every row,
-    or (R, m, B), one matrix per row, and p one exponent or one per row: per
-    row r and ball x the width u = max over pairs y, y' of the ball of
-    ||F[r, y] - F[r, y']||_p, as an (R, m) array, and the rows (hi, lo) of
-    F.reshape(R * n, d) at its first extremal pair, each of length R * m:
-    for d = 1 the first argmax and the first argmin, for d > 1 the first
-    pair in row-major order. ``stack_index`` is ``_stack_index(balls, R,
-    n)``."""
+def _ball_extremes(F: np.ndarray, stack, root):
+    """For a stack F (R, n, d), ``stack`` its ``_stack_index`` and root
+    1 / ``per_row(p, 2)``: per row r and ball x the width u = max over pairs
+    y, y' of the ball of ||F[r, y] - F[r, y']||_p, an (R, m) array, and the
+    rows hi, lo of F.reshape(R * n, d) at its first extremal pair, R * m
+    each: for d = 1 the first argmax and argmin, for d > 1 the first pair."""
     R, n, d = F.shape
-    m, B = balls.shape[-2:]
-    index, pick = stack_index
+    index, pick, pairs = stack
+    m = len(index) // R
     if d == 1:
         V = np.take(F.reshape(R * n), index)
         i, j = V.argmax(axis=1), V.argmin(axis=1)
         u = (V[pick, i] - V[pick, j]).reshape(R, m)
-    elif B == 1:
+    elif pairs is None:  # every ball is one vertex
         u, i = np.zeros((R, m)), np.zeros(R * m, dtype=np.intp)
         j = i
     else:
-        top, i, j = _widest_pairs(F, balls, p)
-        u = np.float_power(top.reshape(R, m), 1.0 / per_row(p, 2))
+        top, i, j = _widest_pairs(F, pairs)
+        u = np.float_power(top.reshape(R, m), root)
     return u, index[pick, i], index[pick, j]
 
 
 def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
     """u_x = max over pairs y,y' in the ball of x of ||f(y)-f(y')||_p."""
-    return _ball_extremes(f[None], balls, p,
-                          _stack_index(balls, 1, len(f)))[0][0]
+    return _ball_extremes(f[None], _stack_index(balls, (1,) + f.shape, p),
+                          1.0 / p)[0][0]
 
 
 def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
@@ -400,30 +401,29 @@ def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
 
 def sup_gradient_objective(balls: np.ndarray, nu, p):
     """(numer_pow, numer_subgrad) of the sup gradient for minimize_quotient:
-    a stack F maps to sum_x nu_x u_x^p per row, and to a subgradient of it.
-    balls is one (n, B) matrix for every row of a stack, or an (R, n, B)
-    stack of them, row r's for F[r]; p is one exponent or one per row. The
-    two share one ball pass per stack (``memo_last``), and every pass of a
-    stack height shares one ``_stack_index``."""
-    weight = nu[:, None]
-    indexes = {}
+    F maps to sum_x nu_x u_x^p per row and to a subgradient of it. balls is
+    one (n, B) matrix for every row, or an (R, n, B) stack, row r's for F[r];
+    p is one exponent or one per row. The two share one ball pass per stack
+    (``memo_last``), whose widths are the d = 1 differences, and the stacks
+    of one shape one ``_stack_index``."""
+    weight, scale = nu[:, None], per_row(p, 3)
+    root, runs, stacks = 1.0 / per_row(p, 2), exponent_runs(p, np.size(p)), {}
 
     @memo_last
     def extremes(F):
-        R, n = F.shape[:2]
-        if R not in indexes:
-            indexes[R] = _stack_index(balls, R, n)
-        return _ball_extremes(F, balls, p, indexes[R])
+        if F.shape not in stacks:
+            stacks[F.shape] = _stack_index(balls, F.shape, p)
+        return _ball_extremes(F, stacks[F.shape], root)
 
     def numer_pow(F):
-        return rowdot(row_power(extremes(F)[0], p), nu)
+        return rowdot(_run_power(extremes(F)[0], runs), nu)
 
     def numer_subgrad(F):
-        _, hi, lo = extremes(F)
+        u, hi, lo = extremes(F)
         flat = F.reshape(-1, F.shape[2])
-        delta = (flat[hi] - flat[lo]).reshape(F.shape)
-        grad = (per_row(p, 3) * np.sign(delta)
-                * row_power(np.abs(delta), p, 1.0))
+        delta = u if F.shape[2] == 1 else flat[hi] - flat[lo]
+        delta = delta.reshape(F.shape)
+        grad = scale * np.sign(delta) * _run_power(np.abs(delta), runs, 1.0)
         v = (weight * grad).reshape(flat.shape)
         return scatter_pairs(len(flat), hi, lo, v).reshape(F.shape)
 
@@ -437,7 +437,7 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
     one per row. The two share the differences F(x) - F(y) over the edge
     list per stack (``memo_last``)."""
     x, y = neighbors.src, neighbors.dst
-    present = neighbors.degree > 0
+    present, runs = neighbors.degree > 0, exponent_runs(p, np.size(p))
     weight = (nu[x] * per_row(p, 2))[..., None]
 
     @memo_last
@@ -445,7 +445,7 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
         return F[:, x] - F[:, y]
 
     def numer_pow(F):
-        powers = row_power(np.abs(differences(F)), p)
+        powers = _run_power(np.abs(differences(F)), runs)
         rows = np.zeros(F.shape[:2])
         for xs, at in neighbors.groups:
             # np.take, unlike powers[:, at], gives C order, so each sum runs
@@ -456,7 +456,7 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
 
     def numer_subgrad(F):
         delta = differences(F)
-        grad = weight * np.sign(delta) * row_power(np.abs(delta), p, 1.0)
+        grad = weight * np.sign(delta) * _run_power(np.abs(delta), runs, 1.0)
         return scatter_rows(F.shape[1], x, y, grad)
 
     return numer_pow, numer_subgrad

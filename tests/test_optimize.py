@@ -8,6 +8,7 @@ report byte stays as it was.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,28 +324,60 @@ def test_sup_gradient_objective_matches_loops(case):
               sup_oracles(name, nu, p, radius), F)
 
 
-@settings(max_examples=150)
-@given(st.integers(2, 8), st.integers(1, 8), st.sampled_from([2, 3]),
-       st.sampled_from([1, 1.5, 2, 3]), st.integers(0, 2 ** 32 - 1))
-def test_widest_pairs_matches_full_search(B, m, d, p, seed):
-    """The search over pairs i < j against the one over all B * B pairs,
-    on balls with pads and on values with many ties, including rows where
-    every pair is at 0."""
-    rng = np.random.default_rng(seed)
-    R, n = int(rng.integers(1, 4)), B + 3
-    F = rng.standard_normal((R, n, d))
-    F = np.round(F) if rng.random() < 0.5 else F
-    F[:, 0] = F[:, 1] = F[:, 2]  # some balls below are all one value
+def random_balls(rng, m, B, n):
+    """An (m, B) ball matrix over n vertices: ball x has 1 to B distinct
+    members, padded with its first."""
     balls = np.empty((m, B), dtype=np.intp)
     for x in range(m):
         size = int(rng.integers(1, B + 1))
         members = rng.choice(n, size, replace=False)
         balls[x] = members[0]
         balls[x, :size] = members
-    balls[0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
-    top, i, j = optimize._widest_pairs(F, balls, p)
-    top_all, i_all, j_all = oracle_widest_pairs(
-        F[:, balls].reshape(R * m, B, d), p)
+    return balls
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 8), st.integers(1, 8), st.sampled_from([2, 3]),
+       st.sampled_from([1, 1.5, 2, 3]), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans(), st.integers(0, 3))
+def test_widest_pairs_matches_full_search(B, m, d, p, seed, own_balls, mixed,
+                                          chunk):
+    """The search over pairs i < j against the one over all B * B pairs,
+    on balls with pads and on values with many ties, including rows where
+    every pair is at 0; with one ball matrix for every row or one per row,
+    one p or one p per row in runs, and PAIR_CHUNK as is or cut down so
+    that chunks end inside a run of equal p or inside a row. No gather
+    holds more than PAIR_CHUNK entries unless one ball alone has more."""
+    rng = np.random.default_rng(seed)
+    R, n = int(rng.integers(1, 6)), B + 3
+    F = rng.standard_normal((R, n, d))
+    F = np.round(F) if rng.random() < 0.5 else F
+    F[:, 0] = F[:, 1] = F[:, 2]  # some balls below are all one value
+    balls = np.array([random_balls(rng, m, B, n)
+                      for _ in range(R if own_balls else 1)])
+    balls[:, 0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
+    balls = balls if own_balls else balls[0]
+    if mixed:  # runs of equal p, some of several rows
+        p = np.repeat(rng.choice([1, 1.5, 2, 3], R), rng.integers(1, 3, R))[:R]
+    pair_entries = B * (B - 1) // 2 * d
+    limit = [optimize.PAIR_CHUNK, pair_entries - 1, 2 * pair_entries,
+             (m + 1) * pair_entries][chunk]
+    gathered, real_take = [], np.take
+
+    def take(*args, **kwargs):
+        out = real_take(*args, **kwargs)
+        gathered.append(out.size)
+        return out
+
+    tables = optimize._stack_index(balls, F.shape, p)[2]
+    with mock.patch.object(optimize, "PAIR_CHUNK", limit), \
+            mock.patch.object(optimize.np, "take", take):
+        top, i, j = optimize._widest_pairs(F, tables)
+    assert max(gathered) <= max(limit, pair_entries)
+    rows = balls if own_balls else [balls] * R
+    ps = [p] * R if np.ndim(p) == 0 else p.tolist()
+    expected = [oracle_widest_pairs(F[r, rows[r]], ps[r]) for r in range(R)]
+    top_all, i_all, j_all = (np.concatenate(c) for c in zip(*expected))
     same_bits(top, top_all)
     same_bits(i, i_all.astype(np.intp))
     same_bits(j, j_all.astype(np.intp))
@@ -379,6 +412,48 @@ def test_sup_gradient_objective_recomputes_for_other_arrays(d):
         del temp
         G = rng.standard_normal((2, 15, d))
         check(G, [oracles[0](g) for g in G], numer_subgrad(G))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sup_gradient_objective_builds_tables_once_per_stack_height(d):
+    """One objective on stacks of two heights, called in the optimizer's
+    order (value, then subgradient) and out of it (a fresh array's
+    subgradient first): every call gives the bits of a fresh objective and
+    of the per-vertex loops. The objective builds one ``_stack_index`` per
+    height, with pair tables only for d > 1; for d = 1 the subgradient
+    reuses the widths of the ball pass."""
+    Z = METRICS["grid"]
+    rng = np.random.default_rng(d)
+    nu = rng.uniform(0.5, 2.0, 20)
+    balls = Z.balls(2)
+    tall, short = (rng.standard_normal((R, 20, d)) for R in (4, 1))
+
+    def alone(F):
+        numer_pow, numer_subgrad = optimize.sup_gradient_objective(balls, nu,
+                                                                   1.5)
+        return numer_pow(F), numer_subgrad(F)
+
+    stacks = [tall, short, tall, short]
+    expected = [alone(F) for F in stacks]
+    built, real = [], optimize._stack_index
+
+    def stack_index(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(optimize, "_stack_index", stack_index):
+        numer_pow, numer_subgrad = optimize.sup_gradient_objective(balls, nu,
+                                                                   1.5)
+        for F, (values, subgrads) in zip(stacks, expected):
+            same_bits(numer_pow(F), values)
+            same_bits(numer_subgrad(F), subgrads)
+            G = F.copy()
+            same_bits(numer_subgrad(G), subgrads)
+            same_bits(numer_pow(G), values)
+        same_rows((numer_pow, numer_subgrad),
+                  sup_oracles("grid", nu, 1.5, 2), tall)
+    assert len(built) == 2
+    assert all((pairs is None) == (d == 1) for _, _, pairs in built)
 
 
 def test_minimize_quotient_keeps_iterates_and_call_order():
@@ -781,6 +856,36 @@ def test_mixed_exponent_stack_gives_each_row_its_bits(gradient, radius, d):
         projected_alone, ok_alone = optimize.sphere_projection(nu, p)(row)
         same_bits(projected[r], projected_alone[0])
         assert ok[r] == ok_alone[0]
+
+
+@pytest.mark.parametrize("gradient,radius", [("sup", 1), ("sup", 3),
+                                             ("modified", 1)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_list_exponents_give_the_bits_of_an_array(gradient, radius, d):
+    """p as a list of one exponent per row, ints among them, gives the
+    objective, subgradient and projection the bits of the same p as a
+    float array."""
+    rng = np.random.default_rng(d)
+    nu = rng.uniform(0.5, 2.0, 20)
+    listed = [1, 1, 2, 2, 1.5, 3, 3]
+    array = np.array(listed, dtype=float)
+    F = rng.standard_normal((len(listed), 20, d))
+    for from_list, from_array in zip(
+            exponent_objective(gradient, nu, listed, radius),
+            exponent_objective(gradient, nu, array, radius)):
+        same_bits(from_list(F), from_array(F))
+    for from_list, from_array in zip(optimize.sphere_projection(nu, listed)(F),
+                                     optimize.sphere_projection(nu, array)(F)):
+        same_bits(from_list, from_array)
+
+
+def test_a_list_exponent_is_read_as_floats():
+    """A list != list comparison gives one bool, so a list p once made a
+    single run and took the first exponent for every row."""
+    assert optimize.exponent_runs([1.0, 1.0, 2.0, 2.0], 4) == [(0, 2, 1.0),
+                                                              (2, 4, 2.0)]
+    expected = np.repeat([3.0, 9.0], 6).reshape(4, 3)
+    same_bits(optimize.row_power(np.full((4, 3), 3.0), [1, 1, 2, 2]), expected)
 
 
 @pytest.mark.parametrize("gradient,scale", [("sup_scale", 1),
