@@ -145,13 +145,15 @@ class _FlipBoundary:
 
 
 def _anneal(G: Graph, mode: str, restarts: int, seed: int):
-    """Simulated-annealing upper bound; returns (num, size, mask)."""
+    """Simulated-annealing upper bound; returns (num, size, mask).
+
+    Each restart draws its 3000 vertex picks and 3000 acceptance uniforms
+    as one block, one uniform per step whether or not the step uses it."""
     n = G.vertex_count
     max_size = n // 2
     rng = np.random.default_rng(seed)
-
-    def ratio_key(num, size):
-        return num / size
+    # The same floats as multiplying by 0.998 once per step.
+    temps = np.cumprod(np.full(3000, 0.998)).tolist()
 
     # Fiedler sweep: prefixes of the sorted Fiedler vector seed the search.
     order = list(np.argsort(fiedler_vector(G)))
@@ -166,10 +168,9 @@ def _anneal(G: Graph, mode: str, restarts: int, seed: int):
     for _ in range(restarts):
         state = _FlipBoundary(G, mode, best[2])
         size = best[1]
-        temp = 1.0
-        for step in range(3000):
-            temp *= 0.998
-            v = int(rng.integers(n))
+        picks = rng.integers(n, size=3000).tolist()
+        draws = rng.random(3000).tolist()
+        for temp, v, u in zip(temps, picks, draws):
             if state.mask >> v & 1:
                 if size == 1:
                     continue
@@ -179,8 +180,8 @@ def _anneal(G: Graph, mode: str, restarts: int, seed: int):
                     continue
                 new_size = size + 1
             new_num = state.flipped_count(v)
-            delta = ratio_key(new_num, new_size) - ratio_key(state.count, size)
-            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
+            delta = new_num / new_size - state.count / size
+            if delta <= 0 or u < math.exp(-delta / max(temp, 1e-9)):
                 state.flip(v, new_num)
                 size = new_size
                 if state.count * best[1] < best[0] * size:

@@ -131,12 +131,14 @@ def _write_witness(path, witness) -> None:
 def _cmd_invariant(args) -> int:
     if args.restarts < 0:
         raise ValueError("--restarts must be >= 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     G = read_edgelist(args.graph)
     if args.which in ("h", "h_maj", "h_edge"):
         mode = {"h": "plain", "h_maj": "majored", "h_edge": "edge"}[args.which]
         w = cheeger_combinatorial(G, mode,
                                   allow_heuristic=args.mode == "heuristic",
-                                  seed=args.seed)
+                                  restarts=args.restarts, seed=args.seed)
         print(f"value {float(w.value):.12g}")
         print(f"value_exact {w.value_exact}")
         print(f"certified {w.exact}")
@@ -186,6 +188,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("--tol must be a finite number >= 0")
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ctx = VerifyContext(seed=args.seed, tol=args.tol, budget=args.budget)
     rows = run_suites(names, ctx, timings=args.timings)

@@ -116,12 +116,6 @@ def _run_power(X: np.ndarray, runs, less: float = 0.0) -> np.ndarray:
     return out
 
 
-def row_power(X: np.ndarray, p, less: float = 0.0) -> np.ndarray:
-    """X ** (p - less), with p one exponent or one per row of X: one ``**``
-    per run of equal exponents (``exponent_runs``), with its scalar."""
-    return _run_power(X, exponent_runs(p, len(X)), less)
-
-
 def sphere_projection(nu: np.ndarray, p):
     """The projection of a stack of (n, d) functions onto the nu-weighted
     mean-zero unit p-sphere, as ``minimize_quotient`` takes it: F maps to

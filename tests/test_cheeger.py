@@ -274,7 +274,9 @@ def test_custom_metric_is_honored():
 
 
 def oracle_anneal(G, mode, restarts, seed):
-    """The former annealer, which recounted the boundary at every step."""
+    """The annealer recounting the boundary at every step, with the draw
+    protocol of ``cheeger._anneal``: per restart, one block of 3000 vertex
+    picks, then one of 3000 acceptance uniforms."""
     n = G.vertex_count
     rng = np.random.default_rng(seed)
     order = list(np.argsort(fiedler_vector(G)))
@@ -288,10 +290,12 @@ def oracle_anneal(G, mode, restarts, seed):
     for _ in range(restarts):
         mask, size = best[2], best[1]
         cur = boundary_count(G, mask, mode)
+        picks = rng.integers(n, size=3000)
+        draws = rng.random(3000)
         temp = 1.0
-        for _ in range(3000):
+        for step in range(3000):
             temp *= 0.998
-            v = int(rng.integers(n))
+            v = int(picks[step])
             bit = 1 << v
             if mask & bit:
                 if size == 1:
@@ -303,7 +307,7 @@ def oracle_anneal(G, mode, restarts, seed):
                 new_mask, new_size = mask | bit, size + 1
             new_num = boundary_count(G, new_mask, mode)
             delta = new_num / new_size - cur / size
-            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
+            if delta <= 0 or draws[step] < math.exp(-delta / max(temp, 1e-9)):
                 mask, size, cur = new_mask, new_size, new_num
                 if cur * best[1] < best[0] * size:
                     best = (cur, size, mask)
@@ -337,3 +341,44 @@ def test_anneal_matches_recounting_annealer(mode):
     for G in (build_family("grid", 4, 5), cartesian_power(
             build_family("cycle", 4), 2)):
         assert cheeger._anneal(G, mode, 2, 7) == oracle_anneal(G, mode, 2, 7)
+
+
+def random_regular(n, degree, seed):
+    """A simple degree-regular graph on n vertices by the pairing model,
+    redrawn until no loop or double edge appears."""
+    rng = np.random.default_rng(seed)
+    while True:
+        stubs = rng.permutation(np.repeat(np.arange(n), degree)).reshape(-1, 2)
+        edges = {(int(min(a, b)), int(max(a, b))) for a, b in stubs}
+        if all(a != b for a, b in stubs) and len(edges) == len(stubs):
+            return Graph(n, sorted(edges))
+
+
+ANNEAL_GRAPHS = {
+    "C4^3": cartesian_power(build_family("cycle", 4), 3),
+    "K3^3": cartesian_power(build_family("complete", 3), 3),
+    "4-regular-30": random_regular(30, 4, 3),
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "majored", "edge"])
+@pytest.mark.parametrize("name", sorted(ANNEAL_GRAPHS))
+def test_anneal_witness_and_restarts(name, mode):
+    G = ANNEAL_GRAPHS[name]
+    n = G.vertex_count
+    assert n > cheeger.EXACT_LIMIT
+    values = []
+    for restarts in (0, 1, 2, 4):
+        w = cheeger_combinatorial(G, mode, allow_heuristic=True,
+                                  restarts=restarts, seed=11)
+        assert not w.exact
+        assert 1 <= len(w.set_witness) and 2 * len(w.set_witness) <= n
+        assert set_ratio(G, w.set_witness, mode) == w.value_exact
+        values.append(w.value_exact)
+    # restarts=0 is the Fiedler sweep: the best prefix of the sorted vector.
+    order = np.argsort(fiedler_vector(G)).tolist()
+    sweep = min(set_ratio(G, order[:k], mode) for k in range(1, n // 2 + 1))
+    assert values[0] == sweep
+    # Each restart starts from the best set so far, and restart r draws the
+    # same block at any larger count, so more restarts are never worse.
+    assert values == sorted(values, reverse=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sepprof import kernels
+from sepprof import cheeger, kernels
 from sepprof.cli import main
 from sepprof.cuts import DEFAULT_CUT_BUDGET, is_cut_set
 from sepprof.graphs import (build_family, read_edgelist, subdivide,
@@ -411,3 +411,41 @@ def test_verify_rejects_negative_budget(capsys, budget):
     code, out, err = run(["verify", "all", f"--budget={budget}"], capsys)
     assert code == 2 and out == ""
     assert err == "error: --budget must be >= 0\n"
+
+
+@pytest.mark.parametrize("restarts", [0, 3])
+@pytest.mark.parametrize("which", ["h", "h_maj", "h_edge"])
+def test_invariant_heuristic_passes_restarts_to_the_annealer(
+        tmp_path, capsys, monkeypatch, which, restarts):
+    seen = []
+    anneal = cheeger._anneal
+
+    def spy(G, mode, restarts, seed):
+        seen.append((restarts, seed))
+        return anneal(G, mode, restarts, seed)
+
+    monkeypatch.setattr(cheeger, "_anneal", spy)
+    g_path = str(tmp_path / "c4cube.g")
+    run(["family", "power", "cycle", "4", "--k", "3", "--out", g_path], capsys)
+    code, out, _ = run(["invariant", which, "--mode", "heuristic",
+                        "--restarts", str(restarts), "--seed", "5", g_path],
+                       capsys)
+    assert code == 0 and "certified False" in out
+    assert seen == [(restarts, 5)]
+
+
+@pytest.mark.parametrize("which", ["h", "hp", "lambda_inf"])
+def test_invariant_rejects_negative_seed(tmp_path, capsys, which):
+    g_path = str(tmp_path / "c6.g")
+    run(["family", "cycle", "6", "--out", g_path], capsys)
+    code, out, err = run(["invariant", which, "--mode", "heuristic",
+                          "--seed", "-3", g_path], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("suite", ["all", "cuts_profiles"])
+def test_verify_rejects_negative_seed(capsys, suite):
+    code, out, err = run(["verify", suite, "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be >= 0\n"

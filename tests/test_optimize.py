@@ -885,7 +885,10 @@ def test_a_list_exponent_is_read_as_floats():
     assert optimize.exponent_runs([1.0, 1.0, 2.0, 2.0], 4) == [(0, 2, 1.0),
                                                               (2, 4, 2.0)]
     expected = np.repeat([3.0, 9.0], 6).reshape(4, 3)
-    same_bits(optimize.row_power(np.full((4, 3), 3.0), [1, 1, 2, 2]), expected)
+    X = np.full((4, 3), 3.0)
+    same_bits(optimize._run_power(X, optimize.exponent_runs([1, 1, 2, 2],
+                                                            len(X))),
+              expected)
 
 
 @pytest.mark.parametrize("gradient,scale", [("sup_scale", 1),
