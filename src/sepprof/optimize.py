@@ -9,15 +9,27 @@ step rebuilds. ``index_matrix`` stacks n index lists into one (n, B) integer
 matrix and pads each row with its own first member; balls come in this form
 (``WeightedMetricGraph.balls``), neighbour lists as a ``NeighborIndex``. Per
 objective and stack shape, ``_stack_index`` lays the balls out as rows of the
-flattened stack and, for d > 1 only, lists each ball's pairs i < j. A pad
-repeats a value that comes earlier in its row, and ``argmax``/``argmin`` return
-the first extremum, so a pad is never chosen and ties keep going to the first
-member in ball order; for d > 1, to the first pair (i, j) of the ball in
-row-major order. So padding a matrix wider still, with each row's first member,
-moves none of these extremes: for d > 1 a pair (i, pad) has the value of the
-pair (0, i), which comes earlier. Vertices without neighbours add nothing to a
-subgradient; a ball of one vertex adds +-0.0 to two bins that start at +0.0,
-which changes no sum: a sum from +0.0 is never -0.0.
+flattened stack and, for d > 1 only, cuts the slots (ball, pair i < j) into
+chunks and lists, per chunk, its distinct unordered member pairs {y, y'}, the
+pads' (y, y) included, and each slot's index into them. Neighbouring balls
+share most of their pairs (grid 6x6 at a = 2: 2,808 slots, 412 distinct
+pairs, 22 of them pads'), so ``_widest_pairs`` takes each distinct pair's
+difference, power and coordinate sum once and gathers the sums into the
+slots. Each slot gets the bits it had from its own difference: |F(y) - F(y')|
+and |F(y') - F(y)| are the same float, the coordinates are still added in
+order, and the slots keep their order, so every first maximum stays where it
+was. A chunk holds whole
+rows, or balls of one row, of one run of equal p, and at most PAIR_CHUNK // d
+slots, or one ball, so no gather holds more than PAIR_CHUNK entries unless
+one ball alone has more. A pad repeats a value that comes earlier in its row,
+and ``argmax``/``argmin`` return the first extremum, so a pad is never chosen
+and ties keep going to the first member in ball order; for d > 1, to the
+first pair (i, j) of the ball in row-major order. So padding a matrix wider
+still, with each row's first member, moves none of these extremes: for d > 1
+a pair (i, pad) has the value of the pair (0, i), which comes earlier.
+Vertices without neighbours add nothing to a subgradient; a ball of one
+vertex adds +-0.0 to two bins that start at +0.0, which changes no sum: a sum
+from +0.0 is never -0.0.
 
 Bit-identity. These functions return the bits of the per-vertex loops they
 replaced, which tests/test_optimize.py keeps as oracles:
@@ -67,9 +79,12 @@ otherwise the pair only recomputes. The single-function forms
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Entries of the pair-difference array built at once.
+# Entries of the largest pair-difference gather of ``_widest_pairs``, unless
+# one ball alone has more.
 PAIR_CHUNK = 1 << 20
 
 
@@ -127,7 +142,7 @@ def sphere_projection(nu: np.ndarray, p):
 
     def project(F):
         F = F - ((nu @ F) / total)[:, None, :]
-        row = np.sum(_run_power(np.abs(F), runs), axis=2)
+        row = np.add.reduce(_run_power(np.abs(F), runs), axis=2)
         norm = np.float_power(rowdot(row, nu), root)
         return F / norm[:, None, None], (norm >= 1e-12) & (norm < np.inf)
 
@@ -184,7 +199,7 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
         if moving.any():
             # Rows that do not move are stepped and projected too, and their
             # results dropped: every row's step is its own.
-            stepped, ok = project(F - G / (norm.reshape(rows) * np.sqrt(t)))
+            stepped, ok = project(F - G / (norm.reshape(rows) * math.sqrt(t)))
             ok &= moving
             if ok.all():
                 F = stepped
@@ -299,6 +314,31 @@ def ordered_sum(terms: np.ndarray):
     return np.zeros(terms.shape[:-1])
 
 
+def _distinct_pairs(members: np.ndarray, iu, ju, n: int):
+    """For ``members`` (k, m, B), k rows of m balls over vertices below n,
+    and the columns i < j of ``iu``/``ju``: the distinct unordered pairs
+    {y, y'} of row t's slots (ball, (i, j)) as their rows t * n + y,
+    t * n + y' of the k stacked rows, y <= y', in increasing order of
+    (t, y, y'), and the (k, m, P) index of each slot's pair. Found with a
+    mask over the k * n * n ordered pairs, per row as large as the mask
+    ``WeightedMetricGraph.balls`` builds, rather than a sort: an argsort
+    puts about 0.3 MB of numpy's sort code into the resident memory of runs
+    that sort nothing else."""
+    left, right = members[..., iu], members[..., ju]
+    row = (np.arange(len(members)) * n)[:, None, None]
+    lo, hi = np.minimum(left, right) + row, np.maximum(left, right)
+    key = lo * n + hi
+    seen = np.zeros(len(members) * n * n, dtype=bool)
+    seen[key] = True
+    pairs = np.flatnonzero(seen)
+    rank = np.empty(len(seen), dtype=np.intp)
+    rank[pairs] = np.arange(len(pairs))
+    slot = rank[key]
+    ends = np.empty((2, len(pairs)), dtype=np.intp)
+    ends[0, slot], ends[1, slot] = lo, hi + row  # equal for a pair's slots
+    return ends[0], ends[1], slot
+
+
 def _widest_pairs(F: np.ndarray, pairs):
     """For a stack F of shape (R, n, d), d > 1, and ``pairs`` its tables
     from ``_stack_index``: per row r and ball x the largest
@@ -307,33 +347,27 @@ def _widest_pairs(F: np.ndarray, pairs):
     length R * m. Only the pairs i < j are searched: (i, j) has the value of
     (j, i) and the diagonal is 0, so a positive maximum first occurs above
     it, and a row whose pairs are all 0 has its first maximum at (0, 0).
-    Coordinate terms are added left to right, as ``np.sum`` adds fewer than
-    8 of them. A chunk holds whole rows or balls of one row of one exponent
-    run, at most PAIR_CHUNK difference entries, or one ball."""
+    Per chunk, each distinct pair's |difference| ** e is taken once and its
+    coordinate terms added left to right, as ``np.sum`` adds fewer than 8 of
+    them; the sums are then gathered into the (rows, balls, P) slots, whose
+    first maximum is read per ball at flat offsets."""
     R, n, d = F.shape
-    iu, ju, left, right, runs = pairs
-    m, P = left.shape[-2:]
+    iu, ju, m, chunks = pairs
     top, at = np.empty((R, m)), np.empty((R, m), dtype=np.intp)
-    per = max(1, PAIR_CHUNK // (P * d))  # (row, ball) pairs per chunk
-    rows, width = max(1, per // m), min(per, m)
-    for first, stop, e in runs:
-        for r in range(first, stop, rows):
-            r1 = min(r + rows, stop)
-            for x in range(0, m, width):
-                xs = slice(x, x + width)
-                if left.ndim == 2:  # one ball matrix for every row
-                    D = np.take(F[r:r1], left[xs], axis=1)
-                    D -= np.take(F[r:r1], right[xs], axis=1)
-                else:
-                    D = np.take(F.reshape(R * n, d), left[r:r1, xs], axis=0)
-                    D -= np.take(F.reshape(R * n, d), right[r:r1, xs], axis=0)
-                np.abs(D, out=D)
-                D **= e
-                S = D[..., 0] + D[..., 1]
-                for c in range(2, d):
-                    S += D[..., c]
-                a = at[r:r1, xs] = S.argmax(axis=2)
-                top[r:r1, xs] = np.take_along_axis(S, a[..., None], 2)[..., 0]
+    for r, r1, xs, e, lo, hi, slot, offsets in chunks:
+        # Shared balls are gathered in each row of the chunk, balls of their
+        # own from the chunk's rows stacked.
+        G = F[r:r1] if slot.ndim == 2 else F[r:r1].reshape(-1, d)
+        D = np.take(G, lo, axis=-2)
+        D -= np.take(G, hi, axis=-2)
+        np.abs(D, out=D)
+        D **= e
+        S = D[..., 0] + D[..., 1]
+        for c in range(2, d):
+            S += D[..., c]
+        W = np.take(S, slot, axis=-1)
+        a = at[r:r1, xs] = W.argmax(axis=2)
+        top[r:r1, xs] = np.take(W, offsets + a)
     top, at = top.ravel(), at.ravel()
     positive = top > 0
     return top, np.where(positive, iu[at], 0), np.where(positive, ju[at], 0)
@@ -346,18 +380,42 @@ def _widest_pairs(F: np.ndarray, pairs):
 def _stack_index(balls: np.ndarray, shape, p):
     """The tables of a stack of shape (R, n, d) for balls (m, B), shared by
     every row, or (R, m, B), one matrix per row: the balls as rows of
-    F.reshape(R * n, d), an (R * m, B) matrix; the arange over its rows; for
-    d > 1 and B > 1 the pairs i < j, their members per ball (columns of one
-    row for shared balls, else rows of that matrix) and p's runs."""
+    F.reshape(R * n, d), an (R * m, B) matrix; the flat offsets of its rows;
+    for d > 1 and B > 1 the pairs (iu, ju) i < j, m and the chunks of
+    ``_widest_pairs``. A chunk holds whole rows, or balls of one row, of one
+    exponent run, at most PAIR_CHUNK // d slots (ball, pair), or one ball:
+    rows r:r1, balls xs, the run's exponent, the ``_distinct_pairs`` of its
+    slots (for balls of their own, over the rows of F[r:r1] stacked; for a
+    shared matrix, over vertices and built once per range of balls) and the
+    flat offsets of its balls' first slots."""
     R, n, d = shape
     m, B = balls.shape[-2:]
     index = (balls + (np.arange(R) * n)[:, None, None]).reshape(R * m, B)
+    pick = np.arange(R * m) * B
     if d == 1 or B == 1:
-        return index, np.arange(R * m), None
+        return index, pick, None
     iu, ju = np.triu_indices(B, 1)
-    members = balls if balls.ndim == 2 else index.reshape(R, m, B)
-    pairs = (iu, ju, members[..., iu], members[..., ju], exponent_runs(p, R))
-    return index, np.arange(R * m), pairs
+    P = len(iu)
+    per = max(1, PAIR_CHUNK // (P * d))  # (row, ball) slots per chunk
+    rows, width = max(1, per // m), min(per, m)
+    shared, chunks = {}, []
+    for first, stop, e in exponent_runs(p, R):
+        for r in range(first, stop, rows):
+            r1 = min(r + rows, stop)
+            for x in range(0, m, width):
+                xs = slice(x, min(x + width, m))
+                if balls.ndim == 3:
+                    tables = _distinct_pairs(balls[r:r1, xs], iu, ju, n)
+                else:
+                    if x not in shared:
+                        lo, hi, slot = _distinct_pairs(balls[None, xs], iu,
+                                                       ju, n)
+                        shared[x] = lo, hi, slot[0]
+                    tables = shared[x]
+                count = (r1 - r) * (xs.stop - x)
+                offsets = (np.arange(count) * P).reshape(r1 - r, -1)
+                chunks.append((r, r1, xs, e) + tables + (offsets,))
+    return index, pick, (iu, ju, m, chunks)
 
 
 def _ball_extremes(F: np.ndarray, stack, root):
@@ -372,14 +430,14 @@ def _ball_extremes(F: np.ndarray, stack, root):
     if d == 1:
         V = np.take(F.reshape(R * n), index)
         i, j = V.argmax(axis=1), V.argmin(axis=1)
-        u = (V[pick, i] - V[pick, j]).reshape(R, m)
+        u = (np.take(V, pick + i) - np.take(V, pick + j)).reshape(R, m)
     elif pairs is None:  # every ball is one vertex
         u, i = np.zeros((R, m)), np.zeros(R * m, dtype=np.intp)
         j = i
     else:
         top, i, j = _widest_pairs(F, pairs)
         u = np.float_power(top.reshape(R, m), root)
-    return u, index[pick, i], index[pick, j]
+    return u, np.take(index, pick + i), np.take(index, pick + j)
 
 
 def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:

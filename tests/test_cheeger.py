@@ -197,6 +197,31 @@ def test_pinned_scale_digest():
     assert _pinned_scale_digest() == PINNED_SCALE_SHA256
 
 
+def _pinned_wide_ball_digest():
+    """SHA-256 of the value and witness bits of the vector-valued sup-scale
+    estimates of grid 6x6, whose balls at a = 2 share most of their pairs."""
+    digest = hashlib.sha256()
+    G = build_family("grid", 6, 6)
+    for seed in (3, 11):
+        for a in (1, 2):
+            for d in (2, 3):
+                for w in cheeger.cheeger_lps(G, (1, 1.5, 2, 3), scale_a=a,
+                                             target_dim=d, restarts=4,
+                                             seed=seed):
+                    digest.update(repr(w.value).encode())
+                    digest.update(w.function_witness.tobytes())
+    return digest.hexdigest()
+
+
+# Taken while every ball width summed each (ball, pair) slot's difference.
+PINNED_WIDE_BALL_SHA256 = \
+    "926c1c6563a7a1049d3bf354a07eb2c3b5dbf4cd688fb1be21901bc34d086698"
+
+
+def test_pinned_wide_ball_digest():
+    assert _pinned_wide_ball_digest() == PINNED_WIDE_BALL_SHA256
+
+
 @pytest.mark.parametrize("a", [0, -1, math.inf, math.nan])
 def test_scale_must_be_finite_and_positive(a):
     g = build_family("path", 4)

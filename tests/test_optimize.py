@@ -324,56 +324,86 @@ def test_sup_gradient_objective_matches_loops(case):
               sup_oracles(name, nu, p, radius), F)
 
 
-def random_balls(rng, m, B, n):
+def random_balls(rng, m, B, n, overlap=False):
     """An (m, B) ball matrix over n vertices: ball x has 1 to B distinct
-    members, padded with its first."""
+    members, padded with its first. With ``overlap``, every ball after the
+    first is the first with at most one member swapped, so that neighbouring
+    balls share most of their pairs."""
     balls = np.empty((m, B), dtype=np.intp)
+    base = rng.choice(n, B, replace=False)
     for x in range(m):
-        size = int(rng.integers(1, B + 1))
-        members = rng.choice(n, size, replace=False)
+        if overlap:  # the first ball's members, at most one swapped
+            members = base.copy()
+            if x and rng.random() < 0.5:
+                members[rng.integers(B)] = rng.choice(
+                    np.setdiff1d(np.arange(n), base))
+            size = B - int(rng.integers(0, 2))
+        else:
+            size = int(rng.integers(1, B + 1))
+            members = rng.choice(n, size, replace=False)
         balls[x] = members[0]
-        balls[x, :size] = members
+        balls[x, :size] = members[:size]
     return balls
+
+
+def pair_chunk_limits(B, m, d):
+    """PAIR_CHUNK as is, below one ball, two balls (below one row), one row
+    and one ball (whole rows) and two rows and one ball (a run of three rows
+    crosses a chunk border)."""
+    entries = B * (B - 1) // 2 * d
+    return [optimize.PAIR_CHUNK, entries - 1, 2 * entries, (m + 1) * entries,
+            (2 * m + 1) * entries]
+
+
+class TakeSpy:
+    """np.take with the size of every output, and the index arrays of
+    those gathering from (a view of) F, in call order."""
+
+    def __init__(self, F):
+        self.F, self.sizes, self.from_F = F, [], []
+        self.real = np.take
+
+    def __call__(self, a, indices, *args, **kwargs):
+        out = self.real(a, indices, *args, **kwargs)
+        self.sizes.append(out.size)
+        if np.shares_memory(a, self.F):
+            self.from_F.append((np.asarray(indices).ravel(), out.size))
+        return out
 
 
 @settings(max_examples=150)
 @given(st.integers(2, 8), st.integers(1, 8), st.sampled_from([2, 3]),
        st.sampled_from([1, 1.5, 2, 3]), st.integers(0, 2 ** 32 - 1),
-       st.booleans(), st.booleans(), st.integers(0, 3))
+       st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4))
 def test_widest_pairs_matches_full_search(B, m, d, p, seed, own_balls, mixed,
-                                          chunk):
-    """The search over pairs i < j against the one over all B * B pairs,
-    on balls with pads and on values with many ties, including rows where
-    every pair is at 0; with one ball matrix for every row or one per row,
-    one p or one p per row in runs, and PAIR_CHUNK as is or cut down so
-    that chunks end inside a run of equal p or inside a row. No gather
-    holds more than PAIR_CHUNK entries unless one ball alone has more."""
+                                          overlap, chunk):
+    """The search over each chunk's distinct pairs against the one over all
+    B * B pairs of each ball, on balls of unequal sizes with pads, balls
+    that share most of their pairs, and values with many ties, including
+    rows where every pair is at 0; with one ball matrix for every row or one
+    per row, one p or one p per row in runs, and PAIR_CHUNK as is or cut
+    below one ball, below one row, or so that runs cross chunk borders. No
+    gather holds more than PAIR_CHUNK entries unless one ball alone has
+    more."""
     rng = np.random.default_rng(seed)
     R, n = int(rng.integers(1, 6)), B + 3
     F = rng.standard_normal((R, n, d))
     F = np.round(F) if rng.random() < 0.5 else F
     F[:, 0] = F[:, 1] = F[:, 2]  # some balls below are all one value
-    balls = np.array([random_balls(rng, m, B, n)
+    balls = np.array([random_balls(rng, m, B, n, overlap)
                       for _ in range(R if own_balls else 1)])
-    balls[:, 0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
+    if not overlap:
+        balls[:, 0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
     balls = balls if own_balls else balls[0]
     if mixed:  # runs of equal p, some of several rows
-        p = np.repeat(rng.choice([1, 1.5, 2, 3], R), rng.integers(1, 3, R))[:R]
-    pair_entries = B * (B - 1) // 2 * d
-    limit = [optimize.PAIR_CHUNK, pair_entries - 1, 2 * pair_entries,
-             (m + 1) * pair_entries][chunk]
-    gathered, real_take = [], np.take
-
-    def take(*args, **kwargs):
-        out = real_take(*args, **kwargs)
-        gathered.append(out.size)
-        return out
-
-    tables = optimize._stack_index(balls, F.shape, p)[2]
-    with mock.patch.object(optimize, "PAIR_CHUNK", limit), \
-            mock.patch.object(optimize.np, "take", take):
+        p = np.repeat(rng.choice([1, 1.5, 2, 3], R), rng.integers(1, 4, R))[:R]
+    limit = pair_chunk_limits(B, m, d)[chunk]
+    spy = TakeSpy(F)
+    with mock.patch.object(optimize, "PAIR_CHUNK", limit):
+        tables = optimize._stack_index(balls, F.shape, p)[2]
+    with mock.patch.object(optimize.np, "take", spy):
         top, i, j = optimize._widest_pairs(F, tables)
-    assert max(gathered) <= max(limit, pair_entries)
+    assert max(spy.sizes) <= max(limit, B * (B - 1) // 2 * d)
     rows = balls if own_balls else [balls] * R
     ps = [p] * R if np.ndim(p) == 0 else p.tolist()
     expected = [oracle_widest_pairs(F[r, rows[r]], ps[r]) for r in range(R)]
@@ -381,6 +411,59 @@ def test_widest_pairs_matches_full_search(B, m, d, p, seed, own_balls, mixed,
     same_bits(top, top_all)
     same_bits(i, i_all.astype(np.intp))
     same_bits(j, j_all.astype(np.intp))
+
+
+@pytest.mark.parametrize("own_balls", [False, True])
+@pytest.mark.parametrize("chunk", range(5))
+def test_widest_pairs_differences_each_distinct_pair_once(own_balls, chunk):
+    """On grid balls of radius 2, where neighbouring balls share most of
+    their pairs, the difference gathers of each chunk, a (lo, hi) couple in
+    chunk order, hold that chunk's distinct unordered member pairs, pads'
+    (y, y) included, each once, times d and, for a shared ball matrix, the
+    chunk's rows. A chunk holds whole rows, or balls of one row, of one
+    exponent run, as many slots (ball, pair) as PAIR_CHUNK // d allows, or
+    one ball; no gather holds more than PAIR_CHUNK entries unless one ball
+    alone has more."""
+    R, d = 4, 2
+    n, balls = 20, METRICS["grid"].balls(2)
+    m, B = balls.shape
+    P = B * (B - 1) // 2
+    rng = np.random.default_rng(chunk)
+    F = rng.standard_normal((R, n, d))
+    p = [1.5, 3.0, 3.0, 3.0]
+    if own_balls:
+        balls = np.array([balls[rng.permutation(m)] for _ in range(R)])
+    limit = pair_chunk_limits(B, m, d)[chunk]
+    spy = TakeSpy(F)
+    with mock.patch.object(optimize, "PAIR_CHUNK", limit):
+        tables = optimize._stack_index(balls, F.shape, p)
+        with mock.patch.object(optimize.np, "take", spy):
+            optimize._widest_pairs(F, tables[2])
+    per = max(1, limit // (P * d))
+    rows, width = max(1, per // m), min(per, m)
+    expected = []
+    for first, stop in [(0, 1), (1, R)]:  # the runs of p
+        for r in range(first, stop, rows):
+            r1 = min(r + rows, stop)
+            for x in range(0, m, width):
+                if own_balls:  # as rows of F[r:r1] stacked
+                    chunk_balls = (balls[r:r1, x:x + width]
+                                   + (np.arange(r1 - r) * n)[:, None, None])
+                    times = d
+                else:
+                    chunk_balls, times = balls[x:x + width], (r1 - r) * d
+                pairs = {(min(y, z), max(y, z))
+                         for ball in chunk_balls.reshape(-1, B).tolist()
+                         for k, y in enumerate(ball) for z in ball[k + 1:]}
+                expected.append((pairs, times))
+    assert len(spy.from_F) == 2 * len(expected)
+    for (pairs, times), (lo, lo_size), (hi, hi_size) in zip(
+            expected, spy.from_F[0::2], spy.from_F[1::2]):
+        assert lo_size == hi_size == len(pairs) * times
+        got = sorted(zip(np.minimum(lo, hi).tolist(),
+                         np.maximum(lo, hi).tolist()))
+        assert got == sorted(pairs)
+    assert max(spy.sizes) <= max(limit, P * d)
 
 
 @pytest.mark.parametrize("d", [1, 2])
