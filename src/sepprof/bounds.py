@@ -50,29 +50,6 @@ class CompressionTable:
         return self.values[idx]
 
 
-def write_table_csv(values, path, header: str = "t,value") -> None:
-    """Two-column CSV used for compression and sphere tables."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, v in enumerate(values):
-            fh.write(f"{t},{v:.12g}\n" if isinstance(v, float) else f"{t},{v}\n")
-
-
-def read_table_csv(path) -> list:
-    with open(path) as fh:
-        fh.readline()
-        out = []
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            t, v = line.split(",")
-            if int(t) != i:
-                raise ValueError("table rows must be consecutive from 0")
-            out.append(float(v))
-    return out
-
-
 def _lp_lengths(f: np.ndarray, u, v, p: float) -> np.ndarray:
     """l^p lengths of the rows f[u] - f[v], rounded like the scalar pow."""
     return np.float_power(np.sum(np.abs(f[u] - f[v]) ** p, axis=1), 1.0 / p)

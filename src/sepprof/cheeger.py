@@ -152,8 +152,6 @@ def _anneal(G: Graph, mode: str, restarts: int, seed: int):
     n = G.vertex_count
     max_size = n // 2
     rng = np.random.default_rng(seed)
-    # The same floats as multiplying by 0.998 once per step.
-    temps = np.cumprod(np.full(3000, 0.998)).tolist()
 
     # Fiedler sweep: prefixes of the sorted Fiedler vector seed the search.
     order = list(np.argsort(fiedler_vector(G)))
@@ -170,7 +168,9 @@ def _anneal(G: Graph, mode: str, restarts: int, seed: int):
         size = best[1]
         picks = rng.integers(n, size=3000).tolist()
         draws = rng.random(3000).tolist()
-        for temp, v, u in zip(temps, picks, draws):
+        temp = 1.0
+        for v, u in zip(picks, draws):
+            temp *= 0.998
             if state.mask >> v & 1:
                 if size == 1:
                     continue

@@ -185,34 +185,6 @@ def scale_b_partition(G: Graph, S, b: int, nu=None) -> DiscretizationResult:
         b_inclusion_ok=tuple((inner >= b).tolist()))
 
 
-def write_partition_csv(partition: ConnectedPartition, path) -> None:
-    """Partitions serialize as one "vertex,block" line per vertex."""
-    with open(path, "w") as fh:
-        fh.write("vertex,block\n")
-        for v, b in enumerate(partition.block_of):
-            fh.write(f"{v},{b}\n")
-
-
-def read_partition_csv(host: Graph, path) -> ConnectedPartition:
-    block_of = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "vertex,block":
-            raise ValueError("partition CSV must start with 'vertex,block'")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            v, b = line.split(",")
-            block_of[int(v)] = int(b)
-    blocks: dict[int, list] = {}
-    for v in range(host.vertex_count):
-        if v not in block_of:
-            raise ValueError(f"partition CSV missing vertex {v}")
-        blocks.setdefault(block_of[v], []).append(v)
-    return ConnectedPartition(host, [blocks[b] for b in sorted(blocks)])
-
-
 def _bfs_parents(X: Graph, source: int) -> list:
     """BFS tree from source as a parent list, the source its own parent.
     Every vertex keeps the parent that discovered it first (deterministic

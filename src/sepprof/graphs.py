@@ -212,30 +212,6 @@ def subdivide(G: Graph, kappa: int) -> Graph:
     return Graph(nxt, edges, labels=labels)
 
 
-def boundary(G: Graph, A: Iterable[int], mode: str = "external"):
-    """Boundary of a vertex set in one of four senses.
-
-    external: vertices outside A adjacent to A; internal: vertices of A
-    adjacent to the complement; majored: union of both; edge: the set of
-    crossing edges (as (u, v) pairs with u < v).
-    """
-    A = validate_subset(G, A)
-    if mode == "edge":
-        return frozenset(
-            (min(u, v), max(u, v))
-            for u in A for v in G.neighbors[u] if v not in A
-        )
-    ext = frozenset(v for u in A for v in G.neighbors[u] if v not in A)
-    if mode == "external":
-        return ext
-    internal = frozenset(u for u in A if any(v not in A for v in G.neighbors[u]))
-    if mode == "internal":
-        return internal
-    if mode == "majored":
-        return ext | internal
-    raise ValueError(f"unknown boundary mode {mode!r}")
-
-
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
     """Induced subgraph on S; vertex i of the result is sorted(S)[i].
 

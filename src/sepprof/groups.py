@@ -48,11 +48,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def proj_elements(self, x: int) -> tuple[int, int]:
-        """(A-part, B-part) of x, as elements of A and B."""
-        ia, ib = self.proj[x]
-        return self.A[ia], self.B[ib]
-
     def proj_abstract(self, x: int) -> tuple[int, int]:
         """(A-part, B-part) of x as positions in the A and B lists."""
         return self.proj[x]
@@ -196,25 +191,6 @@ def klein_four() -> FiniteGroup:
     """Z2 x Z2 with A the first factor and B the second."""
     table = direct_product_table(cyclic_table(2), cyclic_table(2))
     return validate_group(table, A=(0, 2), B=(0, 1))
-
-
-def direct_product_group(nA: int, nB: int) -> FiniteGroup:
-    """Z_nA x Z_nB with the factors as designated subgroups."""
-    table = direct_product_table(cyclic_table(nA), cyclic_table(nB))
-    A = tuple(i * nB for i in range(nA))
-    B = tuple(range(nB))
-    return validate_group(table, A=A, B=B)
-
-
-def symmetric_group_3_table():
-    """S3 as permutations of {0,1,2} in lexicographic order."""
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(3))] for q in perms]
-        for p in perms
-    ]
-    return table, perms
 
 
 def write_group_file(group: FiniteGroup, path) -> None:

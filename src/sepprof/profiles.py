@@ -105,10 +105,10 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .cheeger import (EXACT_LIMIT, _mask_to_set, certified_lp_lower,
-                      majored_lp_lower, validate_exponent)
+from .cheeger import (EXACT_LIMIT, _mask_to_set, majored_lp_lower,
+                      validate_exponent)
 from .errors import BudgetError, ExactSearchInfeasible
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .spectral import lambda2_stack
 # Not called here; kept as a module attribute, since the benchmark tracer
 # rebinds lambda2 in every module that imported it and its test checks this
@@ -144,14 +144,6 @@ class ProfileTable:
             if row.n == n:
                 return row
         raise KeyError(n)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("n,lower,upper,exact,witness\n")
-            for r in self.rows:
-                upper = "" if r.upper is None else f"{r.upper:.12g}"
-                wit = "" if r.witness is None else " ".join(map(str, sorted(r.witness)))
-                fh.write(f"{r.n},{r.lower:.12g},{upper},{int(r.exact)},{wit}\n")
 
 
 def _validate_n_max(n_max: int) -> None:
@@ -500,7 +492,7 @@ def poincare_profile(G: Graph, n_max: int, p: float,
     if n_max > EXACT_LIMIT:
         raise ExactSearchInfeasible(
             f"exact profile search infeasible for n_max {n_max} > "
-            f"{EXACT_LIMIT}; use a smaller n_max or poincare_lower_bounds")
+            f"{EXACT_LIMIT}; use a smaller n_max")
 
     def scaled_brackets(keys):
         m, k = keys.shape[1], len(keys)
@@ -539,21 +531,3 @@ def poincare_profile(G: Graph, n_max: int, p: float,
     return ProfileTable(_sup_rows(G, n_max, budget, scaled_brackets, False),
                         p)
 
-
-def poincare_lower_bounds(G: Graph, subgraphs, p: float) -> ProfileTable:
-    """Certified lower bounds |V(H)| * h_p(H) for a supplied family of vertex
-    sets, one row per set (upper None), sorted by size then by decreasing
-    bound."""
-    validate_exponent(p)
-    rows = []
-    for verts in subgraphs:
-        sub = induced_subgraph(G, verts)
-        if sub.vertex_count > EXACT_LIMIT:
-            raise ExactSearchInfeasible(
-                "witness subgraph too large for the certified chain")
-        lower = certified_lp_lower(sub, p, "sup_scale")
-        val = 0.0 if lower is None else sub.vertex_count * lower
-        rows.append(ProfileRow(n=sub.vertex_count, lower=val, upper=None,
-                               exact=False, witness=frozenset(verts)))
-    rows.sort(key=lambda r: (r.n, -r.lower))
-    return ProfileTable(rows=rows, p=p)

@@ -257,14 +257,6 @@ def test_compression_rho1_below_lipschitz():
     assert raw.values[1] <= raw.lipschitz + 1e-12
 
 
-def test_table_csv_roundtrip(tmp_path):
-    from sepprof.bounds import read_table_csv, write_table_csv
-
-    path = tmp_path / "rho.csv"
-    write_table_csv((0.0, 1.0, 2.5), path)
-    assert read_table_csv(path) == [0.0, 1.0, 2.5]
-
-
 def test_conditions_examples():
     dom = [10 ** (0.01 * i) for i in range(-200, 1301)]
     grid = [10 ** (0.5 * i) for i in range(2, 13)]

@@ -368,6 +368,27 @@ def test_anneal_matches_recounting_annealer(mode):
         assert cheeger._anneal(G, mode, 2, 7) == oracle_anneal(G, mode, 2, 7)
 
 
+def _pinned_anneal_digest():
+    """SHA-256 of the (count, size, mask) results of the annealer on C4^3
+    and K3^3, two restarts, in each mode at seeds 0..39."""
+    digest = hashlib.sha256()
+    for G in (cartesian_power(build_family("cycle", 4), 3),
+              cartesian_power(build_family("complete", 3), 3)):
+        for mode in ("plain", "majored", "edge"):
+            for seed in range(40):
+                digest.update(repr(cheeger._anneal(G, mode, 2, seed)).encode())
+    return digest.hexdigest()
+
+
+# Taken while the temperatures were one np.cumprod list built per call.
+PINNED_ANNEAL_SHA256 = \
+    "7f67504b2078fb5efef8c754b1c5304c75136b603b7e853f767c6e00aabc5b11"
+
+
+def test_pinned_anneal_digest():
+    assert _pinned_anneal_digest() == PINNED_ANNEAL_SHA256
+
+
 def random_regular(n, degree, seed):
     """A simple degree-regular graph on n vertices by the pairing model,
     redrawn until no loop or double edge appears."""

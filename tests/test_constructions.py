@@ -388,16 +388,3 @@ def test_lamp_graph_edge_closed_form():
         per_coord = order * 1 // 2  # |A \ {e}| = 1, involutive
         product_edges = 2 * width * order ** (width - 1) * per_coord
         assert g.edge_count == cursor_edges + product_edges
-
-
-def test_partition_csv_roundtrip(tmp_path):
-    from sepprof.constructions import read_partition_csv, write_partition_csv
-    from sepprof.graphs import ConnectedPartition
-
-    g = build_family("grid", 4, 4)
-    part = ConnectedPartition(
-        g, [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]])
-    path = tmp_path / "part.csv"
-    write_partition_csv(part, path)
-    back = read_partition_csv(g, path)
-    assert back.block_of == part.block_of

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepprof.graphs import (ConnectedPartition, Graph, bfs_distances, boundary,
+from sepprof.cheeger import boundary_count
+from sepprof.graphs import (ConnectedPartition, Graph, bfs_distances,
                             build_family, cartesian_power,
                             connected_components, distance_matrix,
                             induced_subgraph, read_edgelist, subdivide,
@@ -126,27 +127,25 @@ def test_subdivide_scales_distances():
 
 def test_boundary_modes_on_c8():
     c8 = build_family("cycle", 8)
-    arc = {0, 1, 2, 3}
-    assert boundary(c8, arc, "external") == {4, 7}
-    assert boundary(c8, arc, "internal") == {0, 3}
-    assert boundary(c8, arc, "majored") == {0, 3, 4, 7}
-    assert boundary(c8, arc, "edge") == {(3, 4), (0, 7)}
-    assert boundary(c8, range(8), "external") == frozenset()
+    arc = 0b1111  # {0, 1, 2, 3}: outside neighbours 4 and 7, edges 3-4, 7-0
+    assert boundary_count(c8, arc, "plain") == 2
+    assert boundary_count(c8, arc, "majored") == 4
+    assert boundary_count(c8, arc, "edge") == 2
+    for mode in ("plain", "majored", "edge"):
+        assert boundary_count(c8, 0xFF, mode) == 0
 
 
-@given(random_graphs())
-def test_boundary_mode_relations(G):
-    import random
-
-    rng = random.Random(0)
-    A = {v for v in range(G.vertex_count) if rng.random() < 0.4}
-    if not A:
-        A = {0}
-    ext = boundary(G, A, "external")
-    internal = boundary(G, A, "internal")
-    assert ext.isdisjoint(A)
-    assert internal <= frozenset(A)
-    assert boundary(G, A, "majored") == ext | internal
+@given(random_graphs(), st.integers(0, 1 << 12))
+def test_boundary_mode_relations(G, bits):
+    mask = bits & ((1 << G.vertex_count) - 1)
+    A = {v for v in range(G.vertex_count) if mask >> v & 1}
+    outside = {w for u in A for w in G.neighbors[u] if w not in A}
+    leaving = {u for u in A if any(w not in A for w in G.neighbors[u])}
+    crossing = [(u, v) for u, v in G.edges if (u in A) != (v in A)]
+    plain = boundary_count(G, mask, "plain")
+    assert plain == len(outside)
+    assert boundary_count(G, mask, "majored") == plain + len(leaving)
+    assert boundary_count(G, mask, "edge") == len(crossing)
 
 
 def test_induced_subgraph_and_components():

@@ -1,19 +1,40 @@
+import itertools
+
 import pytest
 
 from sepprof.groups import (FiniteGroup, GroupValidationError, cayley_graph,
-                            cyclic_table, direct_product_group,
-                            direct_product_table, klein_four, read_group_file,
-                            symmetric_group_3_table, validate_group,
-                            write_group_file)
+                            cyclic_table, direct_product_table, klein_four,
+                            read_group_file, validate_group, write_group_file)
+
+
+def z2_z3():
+    """Z2 x Z3 with the factors as A and B; (x, y) is element 3x + y."""
+    table = direct_product_table(cyclic_table(2), cyclic_table(3))
+    return validate_group(table, A=(0, 3), B=(0, 1, 2))
+
+
+def s3_table():
+    """S3 as the permutations of {0,1,2} in lexicographic order; entry
+    [p][q] is the composite p(q(i))."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms]
+             for p in perms]
+    return table, perms
+
+
+def assert_splits(g):
+    """Every element is the product of its A-part and its B-part."""
+    for x in g.elements():
+        ia, ib = g.proj_abstract(x)
+        assert g.mul(g.A[ia], g.B[ib]) == x
 
 
 def test_klein_four_projection_splits():
     g = klein_four()
     assert g.order == 4 and g.identity == 0
     # abelian with A, B the factors: proj is the identity splitting
-    for x in g.elements():
-        a, b = g.proj_elements(x)
-        assert g.mul(a, b) == x
+    assert_splits(g)
 
 
 def test_constructor_requires_validation():
@@ -22,7 +43,7 @@ def test_constructor_requires_validation():
 
 
 def test_s3_quotient_failure():
-    table, perms = symmetric_group_3_table()
+    table, perms = s3_table()
     e = perms.index((0, 1, 2))
     a = perms.index((1, 0, 2))      # the transposition (01)
     b = perms.index((1, 2, 0))      # a 3-cycle
@@ -32,7 +53,7 @@ def test_s3_quotient_failure():
 
 
 def test_not_generating():
-    table, perms = symmetric_group_3_table()
+    table, perms = s3_table()
     e = perms.index((0, 1, 2))
     a = perms.index((1, 0, 2))
     with pytest.raises(GroupValidationError, match="not generating"):
@@ -52,12 +73,10 @@ def test_subgroup_closure_checked():
 
 
 def test_direct_product_group_z2_z3():
-    g = direct_product_group(2, 3)
+    g = z2_z3()
     assert g.order == 6
     assert len(g.A) == 2 and len(g.B) == 3
-    for x in g.elements():
-        a, b = g.proj_elements(x)
-        assert g.mul(a, b) == x
+    assert_splits(g)
 
 
 def test_projection_is_decomposition_invariant():
@@ -79,7 +98,7 @@ def test_cayley_graph_of_klein_four_is_c4():
 
 
 def test_group_file_roundtrip(tmp_path):
-    g = direct_product_group(2, 3)
+    g = z2_z3()
     path = tmp_path / "g.grp"
     write_group_file(g, path)
     h = read_group_file(path)

@@ -13,11 +13,9 @@ from sepprof import kernels, profiles
 from sepprof.cheeger import certified_lp_lower, majored_lp_lower
 from sepprof.constructions import coarsen
 from sepprof.errors import BudgetError, ExactSearchInfeasible
-from sepprof.graphs import (Graph, build_family, cartesian_power,
-                            induced_subgraph, subdivide)
+from sepprof.graphs import Graph, build_family, induced_subgraph, subdivide
 from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
-                              ProfileRow, _subgraphs,
-                              poincare_lower_bounds, poincare_profile,
+                              ProfileRow, _subgraphs, poincare_profile,
                               separation_profile_exact)
 from sepprof.spectral import lambda2
 
@@ -80,29 +78,6 @@ def test_poincare_lower_beats_comparison_constant():
             assert table.value(n).lower >= c * sep.value(n).lower
 
 
-def test_witness_lower_mode():
-    g = build_family("cycle", 12)
-    table = poincare_lower_bounds(g, [range(6), range(12)], 1)
-    assert len(table.rows) == 2
-    assert all(r.upper is None for r in table.rows)
-    assert table.rows[0].n == 6 and table.rows[1].n == 12
-    assert table.rows[1].lower > 0
-
-
-def test_witness_lower_never_exceeds_exact_upper():
-    g = build_family("cycle", 10)
-    exact = poincare_profile(g, 10, 1)
-    lower = poincare_lower_bounds(g, [range(n) for n in range(2, 11)], 1)
-    for row in lower.rows:
-        assert row.lower <= exact.value(row.n).upper + 1e-9
-
-
-def test_witness_lower_rejects_oversize():
-    g = cartesian_power(build_family("cycle", 4), 3)
-    with pytest.raises(ExactSearchInfeasible):
-        poincare_lower_bounds(g, [range(30)], 1)
-
-
 @pytest.mark.parametrize("p", [1, 1.5, 3])
 def test_bracket_lower_is_the_certified_sandwich(p):
     """The profile's lower end, m times the bracket table's at the majored
@@ -125,19 +100,6 @@ def test_bracket_lower_is_the_certified_sandwich(p):
         assert certified_lp_lower(sub, p, "sup_scale") == expected
 
 
-def test_profile_csv(tmp_path):
-    table = separation_profile_exact(build_family("cycle", 8), 8)
-    path = tmp_path / "sep.csv"
-    table.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,lower,upper,exact,witness"
-    assert len(lines) == 9
-    assert lines[1].startswith("1,1,1,1,")
-
-
-# Reference relabelling: each subset, in the reference DFS's order, as a
-# sorted vertex tuple, and its neighbour masks relabelled through a dict over
-# all pairs of members.
 def _subset_list(G, n_max, budget):
     subsets = dfs_connected_subsets(
         G.neighbor_masks, G.vertex_count, n_max, budget)
@@ -896,7 +858,9 @@ def test_rows_do_not_depend_on_the_majored_bounds(monkeypatch):
 
 
 def test_exact_profile_budget():
-    with pytest.raises(ExactSearchInfeasible, match="n_max 30 > 22"):
+    with pytest.raises(ExactSearchInfeasible, match="n_max 30 > 22") as err:
         poincare_profile(build_family("path", 30), 30, 1)
+    # The message suggests only what exists: a smaller n_max.
+    assert "poincare_lower_bounds" not in str(err.value)
     # n_max is clamped to the host first, so a small host is fine
     assert len(poincare_profile(build_family("path", 5), 30, 1).rows) == 5
