@@ -19,13 +19,15 @@ as a DFS, and the two meet between 9 and 10 vertices.
   subset) pair in chunks of at most 4096 (``_cheeger_array``). Stopped
   searches and smaller graphs take the DFS (``_cheeger_dfs``).
 - ``min_cut_exact`` checks its first 256 subsets one at a time, and the
-  rest of the same enumeration in blocks of 2048 subsets growing to 16384,
-  each within one size. A block is built with numpy as columns of vertex
-  indices (``_LexRows``), and is checked bit-sliced (``_first_cut``): one
-  uint64 plane per vertex, bit i for the i-th subset of the block, so one
-  gather of the neighbours' planes grows a component in every subset at
-  once. Vertex indices have no width limit, so every vertex count takes
-  this path.
+  rest of the same enumeration in blocks, each within one size: the first
+  takes 2048 subsets and each next one twice as many as the last, up to
+  16384, but a block ends early at the end of a size and at the budget.
+  Where a block ends moves neither the first cut nor ``examined``. A block
+  is built with numpy as columns of vertex indices (``_LexRows``), and is
+  checked bit-sliced (``_first_cut``): one uint64 plane per vertex, bit i
+  for the i-th subset of the block, so one gather of the neighbours' planes
+  grows a component in every subset at once. Vertex indices have no width
+  limit, so every vertex count takes this path.
 """
 
 from itertools import chain, combinations, islice
@@ -403,17 +405,6 @@ def _first_cut(nbrs, cap, rows):
     return int(passed[0]) if passed.size else -1
 
 
-def _cut_block_ends():
-    """Where the cut search's blocks end on the schedule, in subsets
-    examined: after the scalar head, blocks of _CUT_LANES_MIN lanes that
-    double up to _CUT_LANES_MAX."""
-    end, lanes = _CUT_SCALAR, _CUT_LANES_MIN
-    while True:
-        end += lanes
-        yield end
-        lanes = min(2 * lanes, _CUT_LANES_MAX)
-
-
 def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
     """Smallest S of min_k..max_k vertices with all components of G-S of at
     most cap vertices.
@@ -438,13 +429,13 @@ def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
             return (mask, examined)
     if examined < _CUT_SCALAR:
         return (-1, examined)
-    # Blocks of lanes, each within one size: they end at the schedule's ends
-    # (_cut_block_ends), at the end of a size and at the budget.
+    # Blocks of lanes, each within one size: lanes doubles after every block
+    # up to _CUT_LANES_MAX, and a block ends early at the end of a size and
+    # at the budget.
     nbrs = _neighbour_index(masks, n)
     # Vertex indices in the smallest type that holds them.
     tail = np.empty((0, 1), np.min_scalar_type(n))
-    schedule = _cut_block_ends()
-    end = next(schedule)
+    lanes = _CUT_LANES_MIN
     before = 0
     for k in sizes:
         after = before + comb(n, k)
@@ -454,13 +445,12 @@ def min_cut_exact(masks, n, cap, max_k, budget, min_k=0):
         while examined < after:
             if examined >= budget:
                 return (-2, examined + 1)
-            while end <= examined:
-                end = next(schedule)
-            block = rows.take(min(end, after, budget) - examined)
+            block = rows.take(min(lanes, after - examined, budget - examined))
             hit = _first_cut(nbrs, cap, block)
             if hit >= 0:
                 return (sum(1 << int(v) for v in block[:, hit]),
                         examined + hit + 1)
             examined += block.shape[1]
+            lanes = min(2 * lanes, _CUT_LANES_MAX)
         before = after
     return (-1, examined)

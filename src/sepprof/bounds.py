@@ -8,6 +8,7 @@ lamp sequences, and the growth conditions on inverse compression functions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -289,17 +290,9 @@ class MonotoneTable:
         """Monotone bisection on the samples, linear between them."""
         if not self.covers_value(y):
             raise ValueError(f"value {y} outside sampled range")
-        lo, hi = 0, len(self.ys) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.ys[mid] <= y:
-                lo = mid
-            else:
-                hi = mid
-        y0, y1 = self.ys[lo], self.ys[hi]
-        x0, x1 = self.xs[lo], self.xs[hi]
-        if y1 == y0:
-            return x0
+        lo = min(bisect.bisect_right(self.ys, y), len(self.ys) - 1) - 1
+        y0, y1 = self.ys[lo], self.ys[lo + 1]
+        x0, x1 = self.xs[lo], self.xs[lo + 1]
         return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
 
 

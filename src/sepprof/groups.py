@@ -78,17 +78,14 @@ def _inverse_table(table, e) -> tuple:
 
 
 def _closure(table, seed) -> frozenset:
+    """The subgroup seed generates: in a finite group, the set of all
+    products of its elements, found by right-multiplying by seed."""
     seen = set(seed)
-    frontier = list(seed)
+    frontier = set(seed)
     while frontier:
-        nxt = []
-        for x in frontier:
-            for y in seen | set(nxt):
-                for z in (table[x][y], table[y][x]):
-                    if z not in seen and z not in nxt:
-                        nxt.append(z)
-        seen.update(nxt)
-        frontier = nxt
+        products = {table[x][s] for x in frontier for s in seed}
+        frontier = products - seen
+        seen |= frontier
     return frozenset(seen)
 
 
@@ -119,6 +116,11 @@ def validate_group(table: Sequence[Sequence[int]], A: Sequence[int],
     for row in rows:
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise GroupValidationError("table is not square over 0..n-1")
+    for name, sub in (("A", A), ("B", B)):
+        for x in sub:
+            if not 0 <= x < n:
+                raise GroupValidationError(
+                    f"{name} has element {x} outside 0..{n - 1}")
     T = np.array(rows, dtype=np.int64)
     # (xy)z == x(yz) for all triples, vectorized.
     left = T[T, :]
@@ -221,6 +223,8 @@ def read_group_file(path) -> FiniteGroup:
             if len(fields) != 2:
                 raise ValueError(f"order line needs one number: {line!r}")
             order = int(fields[1])
+            if order < 1:
+                raise ValueError(f"order must be at least 1, got {order}")
             i += 1
         elif line == "table":
             if order is None:

@@ -23,9 +23,9 @@ from .bounds import (CompressionTable, MonotoneTable, ScaleFunction,
                      SphereTable, check_condition, compression_function,
                      poincare_upper_bound, rearrange, rearrange_steps,
                      rho_delta)
-from .cheeger import (WeightedMetricGraph, cheeger_combinatorial,
-                      cheeger_lp, cheeger_lps, p_variance,
-                      scale_poincare_constants, scale_ratio)
+from .cheeger import (EXACT_LIMIT, WeightedMetricGraph,
+                      cheeger_combinatorial, cheeger_lp, cheeger_lps,
+                      p_variance, scale_poincare_constants, scale_ratio)
 from .constructions import (LampGraphSpec, b_rescaling, coarsen,
                             distorted_lamp_graph, maximal_b_separated,
                             scale_b_partition)
@@ -209,7 +209,7 @@ def suite_cartesian_powers(ctx: VerifyContext):
         a_edge = float(Fraction(he) ** 2) / (4 * deg)
         for k in (1, 2, 3):
             Gk = cartesian_power(G, k)
-            if Gk.vertex_count <= 22:
+            if Gk.vertex_count <= EXACT_LIMIT:
                 w = cheeger_combinatorial(Gk)
                 h_lo = h_up = float(w.value_exact)
                 he_lo = float(cheeger_combinatorial(Gk, "edge").value_exact)

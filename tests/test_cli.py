@@ -25,6 +25,17 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def run_process(argv, module="sepprof.cli"):
+    """Run the CLI as ``python -m module`` with src on the path; a run that
+    hangs fails on the timeout instead of stalling the suite."""
+    path = [SRC] + [entry for entry in
+                    os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                    if entry]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_family_and_invariants(tmp_path, capsys):
     g_path = str(tmp_path / "c8.g")
     code, out, _ = run(["family", "cycle", "8", "--out", g_path], capsys)
@@ -94,16 +105,25 @@ def test_family_rejects_bad_parameters(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("text,message", [
     ("order 4\ntable\n0 1 2 3\n1 0 3 2\n", "table has 2 rows, order 4"),
     ("order\ntable\n0\nA 0\nB 0\n", "order line needs one number"),
+    ("order -1\ntable\nA 0\nB 0\n", "order must be at least 1, got -1"),
+    ("order 2\ntable\n0 1\n1 0\nA 0 5\nB 0 1\n",
+     "A has element 5 outside 0..1"),
+    ("order 2\ntable\n0 1\n1 0\nA 0 1\nB 0 -1\n",
+     "B has element -1 outside 0..1"),
 ])
-def test_family_lamp_malformed_group_file(tmp_path, capsys, text, message):
-    """A table shorter than its order, or an order line without a number,
-    is a validation error with exit code 2, not a traceback."""
+def test_family_lamp_malformed_group_file(tmp_path, text, message):
+    """A table shorter than its order, an order line without a number or
+    below 1, or a subgroup element outside the table is a validation error
+    with exit code 2 and one error line, not a traceback or a hang (an
+    order of -1 once read the table forever), so the CLI runs in a process
+    with a timeout."""
     grp = tmp_path / "bad.grp"
     grp.write_text(text)
-    code, out, err = run(["family", "lamp", str(grp), "--out",
-                          str(tmp_path / "lamp.g")], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    lamp = tmp_path / "lamp.g"
+    res = run_process(["family", "lamp", str(grp), "--out", str(lamp)])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert message in res.stderr and not lamp.exists()
 
 
 def test_invariant_hp_with_witness(tmp_path, capsys):
@@ -212,13 +232,7 @@ def test_python_m_sepprof_runs_the_cli(tmp_path):
     and exit code, here for an exact cut."""
     g_path = str(tmp_path / "c8.g")
     assert main(["family", "cycle", "8", "--out", g_path]) == 0
-    path = [SRC] + [entry for entry in
-                    os.environ.get("PYTHONPATH", "").split(os.pathsep)
-                    if entry]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    runs = [subprocess.run([sys.executable, "-m", module, "invariant", "cut",
-                            "--s", "1/2", g_path], capture_output=True,
-                           text=True, env=env, timeout=60)
+    runs = [run_process(["invariant", "cut", "--s", "1/2", g_path], module)
             for module in ("sepprof", "sepprof.cli")]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout

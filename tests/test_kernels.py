@@ -489,28 +489,36 @@ def scalar_min_cut(masks, n, cap, max_k, budget, min_k=0):
 
 
 def schedule_ends():
-    """The end of the kernel's scalar head and the ends of the blocks on its
-    schedule, in subsets examined, up to the end of the first block of the
-    largest size."""
-    ends = [_kernels_py._CUT_SCALAR]
-    for end in _kernels_py._cut_block_ends():
-        ends.append(end)
-        if end - ends[-2] == _kernels_py._CUT_LANES_MAX:
+    """The end of the kernel's scalar head and the ends of its blocks in a
+    search that no size end or budget cuts short, in subsets examined, up to
+    the end of the first block of _CUT_LANES_MAX lanes."""
+    ends, lanes = [_kernels_py._CUT_SCALAR], _kernels_py._CUT_LANES_MIN
+    while True:
+        ends.append(ends[-1] + lanes)
+        if lanes == _kernels_py._CUT_LANES_MAX:
             return ends
+        lanes *= 2
 
 
 def kernel_blocks(n, min_k, max_k, stop):
     """The kernel's blocks up to stop subsets examined, as (start, end)
-    pairs: they end on the schedule, at the end of each size and at stop."""
+    pairs: after the scalar head, lanes doubles from _CUT_LANES_MIN up to
+    _CUT_LANES_MAX after every block, and a block takes lanes subsets but
+    ends early at the end of a size and at stop."""
     sizes = range(max(min_k, 0), min(max_k, n) + 1)
-    size_ends = itertools.accumulate(math.comb(n, k) for k in sizes)
-    cuts = sorted({e for e in itertools.chain(schedule_ends(), size_ends)
-                   if _kernels_py._CUT_SCALAR < e < stop} | {stop})
-    return list(zip([_kernels_py._CUT_SCALAR] + cuts, cuts))
+    blocks, start = [], _kernels_py._CUT_SCALAR
+    lanes = _kernels_py._CUT_LANES_MIN
+    for size_end in itertools.accumulate(math.comb(n, k) for k in sizes):
+        while start < min(size_end, stop):
+            end = min(start + lanes, size_end, stop)
+            blocks.append((start, end))
+            start = end
+            lanes = min(2 * lanes, _kernels_py._CUT_LANES_MAX)
+    return blocks
 
 
 # Budgets at, one before and one past the end of the scalar head and of each
-# block on the schedule while the blocks grow.
+# block while the blocks grow, in a search that no size end cuts short.
 SWITCH_BUDGETS = (0,) + tuple(end + d for end in schedule_ends()
                               for d in (-1, 0, 1))
 
@@ -539,17 +547,46 @@ def test_min_cut_blocks_match_scalar_loop(case):
 
 
 def test_min_cut_blocks_past_the_first_block():
-    """A cut found in the second block and an exhausted search that spans
-    several blocks, with the exact examined counts."""
+    """A cut found past the first block and an exhausted search that spans
+    several blocks, with the exact examined counts, also at budgets on and
+    around each block end."""
     grid = build_family("grid", 4, 5).neighbor_masks
     found = scalar_min_cut(grid, 20, 5, 20, 10 ** 7)
     assert found[1] > 256 + 2048 and found[0] >= 0
     none = scalar_min_cut(grid, 20, 0, 4, 10 ** 7)
     assert none == (-1, 1 + 20 + 190 + 1140 + 4845)
     for ref, cap, max_k in ((found, 5, 20), (none, 0, 4)):
-        for budget in SWITCH_BUDGETS + (ref[1] - 1, ref[1], ref[1] + 1):
+        ends = tuple(end + d for _, end in kernel_blocks(20, 0, max_k, ref[1])
+                     for d in (-1, 0, 1))
+        for budget in SWITCH_BUDGETS + ends:
             assert _kernels_py.min_cut_exact(grid, 20, cap, max_k, budget) \
                 == _budgeted(ref, budget)
+
+
+@pytest.mark.parametrize("budget", [10 ** 7, 10000])
+def test_min_cut_block_widths(monkeypatch, budget):
+    """The blocks the search hands to _first_cut: after the end of a size
+    the next block keeps doubling, so on grid 4x5 at cap 5 the block after
+    the end of size 3 takes 4096 subsets. The last block holds the first
+    cut, or ends at the budget."""
+    grid = build_family("grid", 4, 5).neighbor_masks
+    widths = []
+    first_cut = _kernels_py._first_cut
+
+    def recorded(nbrs, cap, rows):
+        widths.append(rows.shape[1])
+        return first_cut(nbrs, cap, rows)
+
+    monkeypatch.setattr(_kernels_py, "_first_cut", recorded)
+    mask, examined = _kernels_py.min_cut_exact(grid, 20, 5, 20, budget)
+    blocks = kernel_blocks(20, 0, 20, budget)[:len(widths)]
+    assert widths == [end - start for start, end in blocks]
+    assert widths[:3] == [1351 - 256, 4096, 6196 - 5447]
+    start, end = blocks[-1]
+    if mask >= 0:
+        assert start < examined <= end
+    else:
+        assert (mask, examined, end) == (-2, budget + 1, budget)
 
 
 def hub_graph(n, k):
