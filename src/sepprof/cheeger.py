@@ -318,19 +318,25 @@ def majored_lp_lower(h_maj: float, p: float) -> float:
     return lower
 
 
-def certified_lp_lower(G: Graph, p: float, gradient: str) -> Optional[float]:
-    """Certified lower bound for h_p from the exhaustive majored constant
-    (``majored_lp_lower``); the neighbour-sum gradient costs a further
+def certified_lp_lowers(G: Graph, ps, gradient: str) -> list:
+    """Certified lower bounds for h_p, one per p of ps, from the exhaustive
+    majored constant (``majored_lp_lower``), searched for once and only if
+    some p needs it; the neighbour-sum gradient costs a further
     2^-((p-1)/p). None above ``EXACT_LIMIT`` vertices and below the
     sandwich's size."""
     n = G.vertex_count
-    if n > EXACT_LIMIT or n < 2 or (p > 1 and n < 3):
-        return None
-    maj = cheeger_combinatorial(G, "majored")
-    lower = majored_lp_lower(float(maj.value_exact), p)
-    if gradient == "modified":
-        lower *= 2.0 ** (-(p - 1) / p)
-    return lower
+    h_maj, out = None, []
+    for p in ps:
+        if n > EXACT_LIMIT or n < 2 or (p > 1 and n < 3):
+            out.append(None)
+            continue
+        if h_maj is None:
+            h_maj = float(cheeger_combinatorial(G, "majored").value_exact)
+        lower = majored_lp_lower(h_maj, p)
+        if gradient == "modified":
+            lower *= 2.0 ** (-(p - 1) / p)
+        out.append(lower)
+    return out
 
 
 def _starts(G: Graph, dim: int, restarts: int, seed: int,
@@ -398,9 +404,11 @@ def cheeger_lps(G: Graph, ps, gradient: str = "sup_scale",
         raise ValueError(f"unknown gradient {gradient!r}")
     # (modified, p = 2, dimension 1) is exact: sqrt(2 lambda2).
     exact = gradient == "modified" and target_dim == 1
-    found = iter(_lp_estimates(
-        G, [(scale_a, p) for p in ps if not (exact and p == 2)], gradient,
-        target_dim, restarts, seed))
+    estimated = [p for p in ps if not (exact and p == 2)]
+    found = zip(_lp_estimates(G, [(scale_a, p) for p in estimated], gradient,
+                              target_dim, restarts, seed),
+                certified_lp_lowers(G, estimated, gradient) if scale_a == 1
+                else [None] * len(estimated))
     out = []
     for p in ps:
         if exact and p == 2:
@@ -411,8 +419,7 @@ def cheeger_lps(G: Graph, ps, gradient: str = "sup_scale",
                 function_witness=lam.witness_vector, exact=True,
                 certified_lower=value))
             continue
-        est = next(found)
-        lower = certified_lp_lower(G, p, gradient) if scale_a == 1 else None
+        est, lower = next(found)
         if lower is not None:
             est.certified_lower = min(lower, est.value)
         out.append(est)

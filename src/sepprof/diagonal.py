@@ -162,26 +162,6 @@ def apply_generator(spec: DiagonalSpec, z: DiagonalElement, gen) -> DiagonalElem
     return DiagonalElement(z.cursor, tuple(lamps))
 
 
-def multiply(spec: DiagonalSpec, z1: DiagonalElement,
-             z2: DiagonalElement) -> DiagonalElement:
-    """Product rule (f, i)(g, j) = (h, i + j) with h_x = f_x g_{x-i}."""
-    lamps = []
-    for s, (group, _) in enumerate(spec.levels):
-        entries = dict(z1.lamps[s])
-        for pos, elem in z2.lamps[s]:
-            _lamp_mul(entries, pos + z1.cursor, elem, group)
-        lamps.append(tuple(sorted(entries.items())))
-    return DiagonalElement(z1.cursor + z2.cursor, tuple(lamps))
-
-
-def inverse(spec: DiagonalSpec, z: DiagonalElement) -> DiagonalElement:
-    lamps = []
-    for s, (group, _) in enumerate(spec.levels):
-        lamps.append(tuple(sorted(
-            (pos - z.cursor, group.inv(elem)) for pos, elem in z.lamps[s])))
-    return DiagonalElement(-z.cursor, tuple(lamps))
-
-
 # ---------------------------------------------------------------------------
 # Integer codes
 

@@ -9,20 +9,23 @@ step rebuilds. ``index_matrix`` stacks n index lists into one (n, B) integer
 matrix and pads each row with its own first member; balls come in this form
 (``WeightedMetricGraph.balls``), neighbour lists as a ``NeighborIndex``. Per
 objective and stack shape, ``_stack_index`` lays the balls out as rows of the
-flattened stack and, for d > 1 only, cuts the slots (ball, pair i < j) into
-chunks and lists, per chunk, its distinct unordered member pairs {y, y'}, the
-pads' (y, y) included, and each slot's index into them. Neighbouring balls
-share most of their pairs (grid 6x6 at a = 2: 2,808 slots, 412 distinct
-pairs, 22 of them pads'), so ``_widest_pairs`` takes each distinct pair's
-difference, power and coordinate sum once and gathers the sums into the
-slots. Each slot gets the bits it had from its own difference: |F(y) - F(y')|
-and |F(y') - F(y)| are the same float, the coordinates are still added in
-order, and the slots keep their order, so every first maximum stays where it
-was. A chunk holds whole
-rows, or balls of one row, of one run of equal p, and at most PAIR_CHUNK // d
-slots, or one ball, so no gather holds more than PAIR_CHUNK entries unless
-one ball alone has more. A pad repeats a value that comes earlier in its row,
-and ``argmax``/``argmin`` return the first extremum, so a pad is never chosen
+flattened stack and, for d > 1 only, cuts the balls into ranges and lists,
+per range, the distinct unordered member pairs {y, y'} of its slots (ball,
+pair i < j), the pads' (y, y) included, and each slot's index into them. At
+d > 1 every row shares one (n, B) ball matrix, so these tables are built
+once per range of balls and serve every row; one matrix per row is for
+d = 1, whose widths need no pairs, and raises ValueError at d > 1.
+Neighbouring balls share most of their pairs (grid 6x6 at a = 2: 2,808
+slots, 412 distinct pairs, 22 of them pads'), so ``_widest_pairs`` takes
+each distinct pair's difference, power and coordinate sum once per row and
+gathers the sums into the slots. Each slot gets the bits it had from its own
+difference: |F(y) - F(y')| and |F(y') - F(y)| are the same float, the
+coordinates are still added in order, and the slots keep their order, so
+every first maximum stays where it was. A chunk holds whole rows, or balls
+of one row, of one run of equal p, and at most PAIR_CHUNK // d slots, or one
+ball, so no gather holds more than PAIR_CHUNK entries unless one ball alone
+has more. A pad repeats a value that comes earlier in its row, and
+``argmax``/``argmin`` return the first extremum, so a pad is never chosen
 and ties keep going to the first member in ball order; for d > 1, to the
 first pair (i, j) of the ball in row-major order. So padding a matrix wider
 still, with each row's first member, moves none of these extremes: for d > 1
@@ -54,7 +57,7 @@ stack: an (R, n, d) array, row r the iterate of start r from first step to
 last. The objective maps a stack to its R values and the subgradient to an
 (R, n, d) stack, each row with the bits it would have alone. Row r may have
 data of its own, so one stack can serve several problems: the scale-a estimates
-of one space and exponent give ``sup_gradient_objective`` one ball matrix per
+of one space at d = 1 give ``sup_gradient_objective`` one ball matrix per
 row. So only operations that give every row those bits are used: elementwise
 ones, reductions along the last axis of a C-ordered array (``np.take`` keeps C
 order where fancy indexing may not), ``nu @ F``, and per-row dot products as a
@@ -315,28 +318,21 @@ def ordered_sum(terms: np.ndarray):
 
 
 def _distinct_pairs(members: np.ndarray, iu, ju, n: int):
-    """For ``members`` (k, m, B), k rows of m balls over vertices below n,
-    and the columns i < j of ``iu``/``ju``: the distinct unordered pairs
-    {y, y'} of row t's slots (ball, (i, j)) as their rows t * n + y,
-    t * n + y' of the k stacked rows, y <= y', in increasing order of
-    (t, y, y'), and the (k, m, P) index of each slot's pair. Found with a
-    mask over the k * n * n ordered pairs, per row as large as the mask
-    ``WeightedMetricGraph.balls`` builds, rather than a sort: an argsort
-    puts about 0.3 MB of numpy's sort code into the resident memory of runs
-    that sort nothing else."""
-    left, right = members[..., iu], members[..., ju]
-    row = (np.arange(len(members)) * n)[:, None, None]
-    lo, hi = np.minimum(left, right) + row, np.maximum(left, right)
-    key = lo * n + hi
-    seen = np.zeros(len(members) * n * n, dtype=bool)
+    """For ``members`` (m, B), m balls over vertices below n, and the columns
+    i < j of ``iu``/``ju``: the distinct unordered pairs {y, y'} of the slots
+    (ball, (i, j)) as their vertices y <= y', in increasing order of (y, y'),
+    and the (m, P) index of each slot's pair. Found with a mask over the
+    n * n ordered pairs, as large as the mask ``WeightedMetricGraph.balls``
+    builds, rather than a sort: an argsort puts about 0.3 MB of numpy's sort
+    code into the resident memory of runs that sort nothing else."""
+    left, right = members[:, iu], members[:, ju]
+    key = np.minimum(left, right) * n + np.maximum(left, right)
+    seen = np.zeros(n * n, dtype=bool)
     seen[key] = True
     pairs = np.flatnonzero(seen)
     rank = np.empty(len(seen), dtype=np.intp)
     rank[pairs] = np.arange(len(pairs))
-    slot = rank[key]
-    ends = np.empty((2, len(pairs)), dtype=np.intp)
-    ends[0, slot], ends[1, slot] = lo, hi + row  # equal for a pair's slots
-    return ends[0], ends[1], slot
+    return pairs // n, pairs % n, rank[key]
 
 
 def _widest_pairs(F: np.ndarray, pairs):
@@ -347,19 +343,16 @@ def _widest_pairs(F: np.ndarray, pairs):
     length R * m. Only the pairs i < j are searched: (i, j) has the value of
     (j, i) and the diagonal is 0, so a positive maximum first occurs above
     it, and a row whose pairs are all 0 has its first maximum at (0, 0).
-    Per chunk, each distinct pair's |difference| ** e is taken once and its
-    coordinate terms added left to right, as ``np.sum`` adds fewer than 8 of
-    them; the sums are then gathered into the (rows, balls, P) slots, whose
-    first maximum is read per ball at flat offsets."""
+    Per chunk and row, each distinct pair's |difference| ** e is taken once
+    and its coordinate terms added left to right, as ``np.sum`` adds fewer
+    than 8 of them; the sums are then gathered into the (rows, balls, P)
+    slots, whose first maximum is read per ball at flat offsets."""
     R, n, d = F.shape
     iu, ju, m, chunks = pairs
     top, at = np.empty((R, m)), np.empty((R, m), dtype=np.intp)
     for r, r1, xs, e, lo, hi, slot, offsets in chunks:
-        # Shared balls are gathered in each row of the chunk, balls of their
-        # own from the chunk's rows stacked.
-        G = F[r:r1] if slot.ndim == 2 else F[r:r1].reshape(-1, d)
-        D = np.take(G, lo, axis=-2)
-        D -= np.take(G, hi, axis=-2)
+        D = np.take(F[r:r1], lo, axis=1)
+        D -= np.take(F[r:r1], hi, axis=1)
         np.abs(D, out=D)
         D **= e
         S = D[..., 0] + D[..., 1]
@@ -379,17 +372,19 @@ def _widest_pairs(F: np.ndarray, pairs):
 
 def _stack_index(balls: np.ndarray, shape, p):
     """The tables of a stack of shape (R, n, d) for balls (m, B), shared by
-    every row, or (R, m, B), one matrix per row: the balls as rows of
-    F.reshape(R * n, d), an (R * m, B) matrix; the flat offsets of its rows;
-    for d > 1 and B > 1 the pairs (iu, ju) i < j, m and the chunks of
-    ``_widest_pairs``. A chunk holds whole rows, or balls of one row, of one
-    exponent run, at most PAIR_CHUNK // d slots (ball, pair), or one ball:
-    rows r:r1, balls xs, the run's exponent, the ``_distinct_pairs`` of its
-    slots (for balls of their own, over the rows of F[r:r1] stacked; for a
-    shared matrix, over vertices and built once per range of balls) and the
-    flat offsets of its balls' first slots."""
+    every row, or, for d = 1 only, (R, m, B), one matrix per row: the balls
+    as rows of F.reshape(R * n, d), an (R * m, B) matrix; the flat offsets
+    of its rows; for d > 1 and B > 1 the pairs (iu, ju) i < j, m and the
+    chunks of ``_widest_pairs``. A chunk holds whole rows, or balls of one
+    row, of one exponent run, at most PAIR_CHUNK // d slots (ball, pair), or
+    one ball: rows r:r1, balls xs, the run's exponent, the
+    ``_distinct_pairs`` of its balls, built once per range of balls, and the
+    flat offsets of its balls' first slots. Raises ValueError for one matrix
+    per row and d > 1."""
     R, n, d = shape
     m, B = balls.shape[-2:]
+    if d > 1 and balls.ndim == 3:
+        raise ValueError("one ball matrix per row needs d = 1")
     index = (balls + (np.arange(R) * n)[:, None, None]).reshape(R * m, B)
     pick = np.arange(R * m) * B
     if d == 1 or B == 1:
@@ -398,23 +393,16 @@ def _stack_index(balls: np.ndarray, shape, p):
     P = len(iu)
     per = max(1, PAIR_CHUNK // (P * d))  # (row, ball) slots per chunk
     rows, width = max(1, per // m), min(per, m)
-    shared, chunks = {}, []
+    ranges = [slice(x, x + width) for x in range(0, m, width)]
+    tables = [_distinct_pairs(balls[xs], iu, ju, n) for xs in ranges]
+    chunks = []
     for first, stop, e in exponent_runs(p, R):
         for r in range(first, stop, rows):
             r1 = min(r + rows, stop)
-            for x in range(0, m, width):
-                xs = slice(x, min(x + width, m))
-                if balls.ndim == 3:
-                    tables = _distinct_pairs(balls[r:r1, xs], iu, ju, n)
-                else:
-                    if x not in shared:
-                        lo, hi, slot = _distinct_pairs(balls[None, xs], iu,
-                                                       ju, n)
-                        shared[x] = lo, hi, slot[0]
-                    tables = shared[x]
-                count = (r1 - r) * (xs.stop - x)
+            for xs, pairs in zip(ranges, tables):
+                count = (r1 - r) * len(pairs[2])
                 offsets = (np.arange(count) * P).reshape(r1 - r, -1)
-                chunks.append((r, r1, xs, e) + tables + (offsets,))
+                chunks.append((r, r1, xs, e) + pairs + (offsets,))
     return index, pick, (iu, ju, m, chunks)
 
 
@@ -454,7 +442,8 @@ def sup_gradient_subgrad(f: np.ndarray, balls: np.ndarray, nu,
 def sup_gradient_objective(balls: np.ndarray, nu, p):
     """(numer_pow, numer_subgrad) of the sup gradient for minimize_quotient:
     F maps to sum_x nu_x u_x^p per row and to a subgradient of it. balls is
-    one (n, B) matrix for every row, or an (R, n, B) stack, row r's for F[r];
+    one (n, B) matrix for every row or, for stacks with d = 1 only, an
+    (R, n, B) stack, row r's for F[r]: a stack with d > 1 raises ValueError.
     p is one exponent or one per row. The two share one ball pass per stack
     (``memo_last``), whose widths are the d = 1 differences, and the stacks
     of one shape one ``_stack_index``."""

@@ -96,6 +96,31 @@ def test_lp_witness_reproducibility_and_lower():
         assert w.certified_lower <= w.value + 1e-12
 
 
+def test_one_majored_search_per_cheeger_lps_call(monkeypatch):
+    """The certified lower ends of every exponent of one ``cheeger_lps``
+    call come from one majored search, with the bits of one call per
+    exponent; the exact (modified, p = 2) value needs no search."""
+    g = build_family("grid", 3, 4)
+    ps = [1, 1.5, 2, 3]
+    alone = {grad: [cheeger_lp(g, p, gradient=grad, restarts=2)
+                    for p in ps] for grad in ("sup_scale", "modified")}
+    searches = []
+
+    def counted(G, mode="plain", *args, **kwargs):
+        searches.append(mode)
+        return cheeger_combinatorial(G, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cheeger, "cheeger_combinatorial", counted)
+    for grad, expected in alone.items():
+        together = cheeger.cheeger_lps(g, ps, gradient=grad, restarts=2)
+        for w, w_alone in zip(together, expected):
+            assert w.certified_lower == w_alone.certified_lower
+            assert w.value == w_alone.value
+    assert searches == ["majored", "majored"]
+    cheeger_lp(g, 2, gradient="modified")
+    assert len(searches) == 2
+
+
 def test_lp_chain_inequality():
     # certified_lower(h_p)^p <= 2^p * (upper estimate of h_1)
     g = build_family("cycle", 8)

@@ -25,7 +25,7 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def run_process(argv, module="sepprof.cli"):
+def run_process(argv, module="sepprof"):
     """Run the CLI as ``python -m module`` with src on the path; a run that
     hangs fails on the timeout instead of stalling the suite."""
     path = [SRC] + [entry for entry in

@@ -7,11 +7,33 @@ import pytest
 from sepprof import diagonal
 from sepprof.diagonal import (DiagonalElement, DiagonalSpec, apply_generator,
                               ball, cocycle_norms, embed_lamp_graph,
-                              in_range_set, inverse, multiply, range_of,
-                              range_set)
+                              in_range_set, range_of, range_set)
 from sepprof.errors import BudgetError
 from sepprof.groups import (cyclic_table, direct_product_table, klein_four,
                             validate_group)
+
+
+def multiply(spec, z1, z2):
+    """Oracle for the product rule (f, i)(g, j) = (h, i + j) with
+    h_x = f_x g_{x-i}, identity lamps dropped."""
+    lamps = []
+    for s, (group, _) in enumerate(spec.levels):
+        entries = dict(z1.lamps[s])
+        for pos, elem in z2.lamps[s]:
+            at = pos + z1.cursor
+            entries[at] = group.mul(entries.get(at, group.identity), elem)
+        lamps.append(tuple(sorted((pos, elem) for pos, elem in entries.items()
+                                  if elem != group.identity)))
+    return DiagonalElement(z1.cursor + z2.cursor, tuple(lamps))
+
+
+def inverse(spec, z):
+    """Oracle for the inverse (f, i)^-1 = (h, -i) with h_x = f_{x+i}^-1."""
+    lamps = []
+    for s, (group, _) in enumerate(spec.levels):
+        lamps.append(tuple(sorted(
+            (pos - z.cursor, group.inv(elem)) for pos, elem in z.lamps[s])))
+    return DiagonalElement(-z.cursor, tuple(lamps))
 
 
 def single_level():

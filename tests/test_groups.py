@@ -1,6 +1,10 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepprof.groups import (FiniteGroup, GroupValidationError, cayley_graph,
                             cyclic_table, direct_product_table, klein_four,
@@ -39,7 +43,8 @@ def test_klein_four_projection_splits():
 
 def test_constructor_requires_validation():
     with pytest.raises(TypeError):
-        FiniteGroup(cyclic_table(3), A=(0,), B=(0,))
+        FiniteGroup(cyclic_table(3), (0,), (0,), 0, (0, 2, 1),
+                    ((0, 0),) * 3)
 
 
 def test_s3_quotient_failure():
@@ -64,6 +69,75 @@ def test_non_associative_rejected():
     table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises(GroupValidationError):
         validate_group(table, A=(0,), B=(0,))
+
+
+def drawn_table(rng):
+    """A small group table relabelled at random, then often broken: one or
+    two entries redrawn, two rows swapped (a Latin square, rarely a group)
+    or every entry drawn; A and B random lists of elements, usually with the
+    identity."""
+    c = cyclic_table
+    bases = [c(1), c(2), c(3), c(4), c(6), s3_table()[0],
+             direct_product_table(c(2), c(2)),
+             direct_product_table(c(2), c(4))]
+    base = bases[rng.integers(len(bases))]
+    n = len(base)
+    label = rng.permutation(n)
+    table = np.empty((n, n), dtype=int)
+    table[np.ix_(label, label)] = label[np.array(base)]
+    kind = rng.integers(5)
+    if kind in (1, 2):
+        table[rng.integers(n, size=kind), rng.integers(n, size=kind)] = (
+            rng.integers(n, size=kind))
+    elif kind == 3:
+        rows = rng.permutation(n)[:2]
+        table[rows] = table[rows[::-1]]
+    elif kind == 4:
+        table = rng.integers(n, size=(n, n))
+
+    def subset():
+        members = rng.permutation(n)[:rng.integers(n + 1)].tolist()
+        if rng.random() < 0.7 and label[0] not in members:
+            members.insert(0, int(label[0]))
+        return members
+
+    return table.tolist(), subset(), subset()
+
+
+def associative_over_all_triples(table) -> bool:
+    """(xy)z == x(yz) for every triple, as two (n, n, n) arrays."""
+    T = np.array(table)
+    return np.array_equal(T[T, :], np.take(T, T, axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_associativity_matches_the_check_over_all_triples(seed):
+    """The check on generators (when the products of A u B fill the table)
+    or on every element rejects a drawn table as non-associative exactly
+    when the check over all triples does."""
+    table, A, B = drawn_table(np.random.default_rng(seed))
+    try:
+        validate_group(table, A, B)
+        rejected = False
+    except GroupValidationError as exc:
+        rejected = str(exc) == "table is non-associative"
+    assert rejected == (not associative_over_all_triples(table))
+
+
+def test_validation_memory_is_quadratic_in_the_order():
+    """Z16 x Z16 validates in a few (n, n) arrays: the check over all
+    triples held two (n, n, n) arrays, 273 MiB at order 256."""
+    table = direct_product_table(cyclic_table(16), cyclic_table(16))
+    tracemalloc.start()
+    try:
+        g = validate_group(table, A=tuple(range(0, 256, 16)),
+                           B=tuple(range(16)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 256 and g.identity == 0
+    assert peak < 16 * 2 ** 20
 
 
 def test_subgroup_closure_checked():

@@ -374,27 +374,24 @@ class TakeSpy:
 @settings(max_examples=150)
 @given(st.integers(2, 8), st.integers(1, 8), st.sampled_from([2, 3]),
        st.sampled_from([1, 1.5, 2, 3]), st.integers(0, 2 ** 32 - 1),
-       st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4))
-def test_widest_pairs_matches_full_search(B, m, d, p, seed, own_balls, mixed,
-                                          overlap, chunk):
+       st.booleans(), st.booleans(), st.integers(0, 4))
+def test_widest_pairs_matches_full_search(B, m, d, p, seed, mixed, overlap,
+                                          chunk):
     """The search over each chunk's distinct pairs against the one over all
     B * B pairs of each ball, on balls of unequal sizes with pads, balls
     that share most of their pairs, and values with many ties, including
-    rows where every pair is at 0; with one ball matrix for every row or one
-    per row, one p or one p per row in runs, and PAIR_CHUNK as is or cut
-    below one ball, below one row, or so that runs cross chunk borders. No
-    gather holds more than PAIR_CHUNK entries unless one ball alone has
-    more."""
+    rows where every pair is at 0; with one ball matrix for every row, one p
+    or one p per row in runs, and PAIR_CHUNK as is or cut below one ball,
+    below one row, or so that runs cross chunk borders. No gather holds more
+    than PAIR_CHUNK entries unless one ball alone has more."""
     rng = np.random.default_rng(seed)
     R, n = int(rng.integers(1, 6)), B + 3
     F = rng.standard_normal((R, n, d))
     F = np.round(F) if rng.random() < 0.5 else F
     F[:, 0] = F[:, 1] = F[:, 2]  # some balls below are all one value
-    balls = np.array([random_balls(rng, m, B, n, overlap)
-                      for _ in range(R if own_balls else 1)])
+    balls = random_balls(rng, m, B, n, overlap)
     if not overlap:
-        balls[:, 0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
-    balls = balls if own_balls else balls[0]
+        balls[0] = [0, 1, 2][:B] + [0] * max(0, B - 3)
     if mixed:  # runs of equal p, some of several rows
         p = np.repeat(rng.choice([1, 1.5, 2, 3], R), rng.integers(1, 4, R))[:R]
     limit = pair_chunk_limits(B, m, d)[chunk]
@@ -404,9 +401,8 @@ def test_widest_pairs_matches_full_search(B, m, d, p, seed, own_balls, mixed,
     with mock.patch.object(optimize.np, "take", spy):
         top, i, j = optimize._widest_pairs(F, tables)
     assert max(spy.sizes) <= max(limit, B * (B - 1) // 2 * d)
-    rows = balls if own_balls else [balls] * R
     ps = [p] * R if np.ndim(p) == 0 else p.tolist()
-    expected = [oracle_widest_pairs(F[r, rows[r]], ps[r]) for r in range(R)]
+    expected = [oracle_widest_pairs(F[r, balls], ps[r]) for r in range(R)]
     top_all, i_all, j_all = (np.concatenate(c) for c in zip(*expected))
     same_bits(top, top_all)
     same_bits(i, i_all.astype(np.intp))
@@ -419,11 +415,11 @@ def test_widest_pairs_differences_each_distinct_pair_once(own_balls, chunk):
     """On grid balls of radius 2, where neighbouring balls share most of
     their pairs, the difference gathers of each chunk, a (lo, hi) couple in
     chunk order, hold that chunk's distinct unordered member pairs, pads'
-    (y, y) included, each once, times d and, for a shared ball matrix, the
-    chunk's rows. A chunk holds whole rows, or balls of one row, of one
-    exponent run, as many slots (ball, pair) as PAIR_CHUNK // d allows, or
-    one ball; no gather holds more than PAIR_CHUNK entries unless one ball
-    alone has more."""
+    (y, y) included, each once, times d and the chunk's rows. A chunk holds
+    whole rows, or balls of one row, of one exponent run, as many slots
+    (ball, pair) as PAIR_CHUNK // d allows, or one ball; no gather holds
+    more than PAIR_CHUNK entries unless one ball alone has more. One ball
+    matrix per row has no pair tables at d > 1: it raises ValueError."""
     R, d = 4, 2
     n, balls = 20, METRICS["grid"].balls(2)
     m, B = balls.shape
@@ -433,6 +429,9 @@ def test_widest_pairs_differences_each_distinct_pair_once(own_balls, chunk):
     p = [1.5, 3.0, 3.0, 3.0]
     if own_balls:
         balls = np.array([balls[rng.permutation(m)] for _ in range(R)])
+        with pytest.raises(ValueError, match="needs d = 1"):
+            optimize._stack_index(balls, F.shape, p)
+        return
     limit = pair_chunk_limits(B, m, d)[chunk]
     spy = TakeSpy(F)
     with mock.patch.object(optimize, "PAIR_CHUNK", limit):
@@ -446,16 +445,10 @@ def test_widest_pairs_differences_each_distinct_pair_once(own_balls, chunk):
         for r in range(first, stop, rows):
             r1 = min(r + rows, stop)
             for x in range(0, m, width):
-                if own_balls:  # as rows of F[r:r1] stacked
-                    chunk_balls = (balls[r:r1, x:x + width]
-                                   + (np.arange(r1 - r) * n)[:, None, None])
-                    times = d
-                else:
-                    chunk_balls, times = balls[x:x + width], (r1 - r) * d
                 pairs = {(min(y, z), max(y, z))
-                         for ball in chunk_balls.reshape(-1, B).tolist()
+                         for ball in balls[x:x + width].tolist()
                          for k, y in enumerate(ball) for z in ball[k + 1:]}
-                expected.append((pairs, times))
+                expected.append((pairs, (r1 - r) * d))
     assert len(spy.from_F) == 2 * len(expected)
     for (pairs, times), (lo, lo_size), (hi, hi_size) in zip(
             expected, spy.from_F[0::2], spy.from_F[1::2]):
@@ -841,9 +834,9 @@ def test_sup_gradient_in_row_chunks(monkeypatch, radius):
 
 @st.composite
 def scale_batches(draw):
-    """A host, a measure, p, a target dimension and 1 to 5 scales, with
-    repeats, scales below 1 (every ball a singleton) and scales at or above
-    the diameter (every ball a component)."""
+    """A host, a measure, p and 1 to 5 scales, with repeats, scales below 1
+    (every ball a singleton) and scales at or above the diameter (every ball
+    a component)."""
     name = draw(st.sampled_from(sorted(GRAPHS)))
     n = GRAPHS[name].vertex_count
     diameter = max(x for row in METRICS[name].dist for x in row
@@ -854,7 +847,7 @@ def scale_batches(draw):
     nu = rng.uniform(0.5, 2.0, n) if draw(st.booleans()) else None
     p = draw(st.sampled_from([1, 1.5, 2, 3]))
     return (WeightedMetricGraph(GRAPHS[name], nu), scales, p,
-            draw(st.sampled_from([1, 2])), draw(st.integers(0, 3)))
+            draw(st.integers(0, 3)))
 
 
 def same_witness(w, alone):
@@ -865,17 +858,11 @@ def same_witness(w, alone):
 @settings(max_examples=20, deadline=None)
 @given(scale_batches())
 def test_scale_batch_gives_each_scale_its_bits_alone(case):
-    Z, scales, p, d, seed = case
-    if d == 1:
-        batched = cheeger.scale_poincare_constants(Z, scales, p, restarts=2,
-                                                   seed=seed)
-        alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2,
-                                                 seed=seed) for a in scales]
-    else:
-        batched = cheeger._lp_estimates(Z.graph, [(a, p) for a in scales],
-                                        "sup_scale", d, 2, seed, Z)
-        alone = [cheeger._lp_estimates(Z.graph, [(a, p)], "sup_scale", d, 2,
-                                       seed, Z)[0] for a in scales]
+    Z, scales, p, seed = case
+    batched = cheeger.scale_poincare_constants(Z, scales, p, restarts=2,
+                                               seed=seed)
+    alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2, seed=seed)
+             for a in scales]
     assert len(batched) == len(scales)
     for w, w_alone in zip(batched, alone):
         same_witness(w, w_alone)
@@ -898,6 +885,38 @@ def test_scale_batch_keeps_bits_when_starts_stop(monkeypatch):
     scales = [2, 1, 0.5, 1]
     for w, a in zip(cheeger.scale_poincare_constants(Z, scales, 1), scales):
         same_witness(w, cheeger.scale_poincare_constant(Z, a, 1))
+
+
+def test_one_ball_matrix_per_row_needs_d_1():
+    """A stack of one ball matrix per row has widths for d = 1 only: at
+    d > 1 the objective, and a batch of scales with unequal balls, raise
+    ValueError. The same matrices at d = 1, and a batch that shares one
+    matrix at d > 1, give each row or problem its bits alone."""
+    Z = METRICS["grid"]
+    rng = np.random.default_rng(5)
+    nu = rng.uniform(0.5, 2.0, 20)
+    balls = optimize.index_matrix([row for a in (1, 2) for row in Z.balls(a)])
+    balls = np.repeat(balls.reshape(2, 20, -1), 2, axis=0)
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(balls, nu, 1.5)
+    for numer in numer_pow, numer_subgrad:
+        with pytest.raises(ValueError, match="needs d = 1"):
+            numer(rng.standard_normal((4, 20, 2)))
+    F = rng.standard_normal((4, 20, 1))
+    values, subgrads = numer_pow(F), numer_subgrad(F)
+    for r, a in enumerate([1, 1, 2, 2]):
+        oracles = sup_oracles("grid", nu, 1.5, a)
+        same_bits(float(values[r]), oracles[0](F[r]))
+        same_bits(subgrads[r], oracles[1](F[r]))
+
+    def estimates(problems, d):
+        return cheeger._lp_estimates(Z.graph, problems, "sup_scale", d, 2, 0,
+                                     Z)
+
+    with pytest.raises(ValueError, match="needs d = 1"):
+        estimates([(1, 1.5), (2, 1.5)], 2)
+    for problems, d in ([(1, 1.5), (2, 1.5)], 1), ([(2, 1.5), (2, 3)], 2):
+        for w, problem in zip(estimates(problems, d), problems):
+            same_witness(w, estimates([problem], d)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -995,28 +1014,20 @@ def test_cheeger_lps_equal_cheeger_lp(gradient, scale, d):
 def mixed_scale_batches(draw):
     """``scale_batches`` with one p per scale: the (scale, p) problems share
     balls across exponents and exponents across balls."""
-    Z, scales, _, d, seed = draw(scale_batches())
+    Z, scales, _, seed = draw(scale_batches())
     ps = draw(st.lists(st.sampled_from([1, 1.5, 2, 2.5, 3]),
                        min_size=len(scales), max_size=len(scales)))
-    return Z, scales, ps, d, seed
+    return Z, scales, ps, seed
 
 
 @settings(max_examples=20, deadline=None)
 @given(mixed_scale_batches())
 def test_mixed_exponent_scale_batch_gives_each_problem_its_bits_alone(case):
-    Z, scales, ps, d, seed = case
-    if d == 1:
-        batched = cheeger.scale_poincare_constants(Z, scales, ps, restarts=2,
-                                                   seed=seed)
-        alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2,
-                                                 seed=seed)
-                 for a, p in zip(scales, ps)]
-    else:
-        batched = cheeger._lp_estimates(Z.graph, list(zip(scales, ps)),
-                                        "sup_scale", d, 2, seed, Z)
-        alone = [cheeger._lp_estimates(Z.graph, [(a, p)], "sup_scale", d, 2,
-                                       seed, Z)[0]
-                 for a, p in zip(scales, ps)]
+    Z, scales, ps, seed = case
+    batched = cheeger.scale_poincare_constants(Z, scales, ps, restarts=2,
+                                               seed=seed)
+    alone = [cheeger.scale_poincare_constant(Z, a, p, restarts=2, seed=seed)
+             for a, p in zip(scales, ps)]
     assert len(batched) == len(scales)
     for w, w_alone in zip(batched, alone):
         same_witness(w, w_alone)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepprof import kernels, profiles
-from sepprof.cheeger import certified_lp_lower, majored_lp_lower
+from sepprof.cheeger import certified_lp_lowers, majored_lp_lower
 from sepprof.constructions import coarsen
 from sepprof.errors import BudgetError, ExactSearchInfeasible
 from sepprof.graphs import Graph, build_family, induced_subgraph, subdivide
@@ -81,7 +81,7 @@ def test_poincare_lower_beats_comparison_constant():
 @pytest.mark.parametrize("p", [1, 1.5, 3])
 def test_bracket_lower_is_the_certified_sandwich(p):
     """The profile's lower end, m times the bracket table's at the majored
-    constant, and certified_lp_lower are one sandwich: equal bits on every
+    constant, and certified_lp_lowers are one sandwich: equal bits on every
     induced subgraph with at least 3 vertices."""
     G = build_family("hypercube", 4)
     for verts in _subset_list(G, 6, DEFAULT_SUBGRAPH_BUDGET):
@@ -97,7 +97,7 @@ def test_bracket_lower_is_the_certified_sandwich(p):
         h, lower, _ = profiles._bracket_table(m, p)
         assert lower[np.searchsorted(h, h_maj)] == m * expected
         sub = induced_subgraph(G, verts)
-        assert certified_lp_lower(sub, p, "sup_scale") == expected
+        assert certified_lp_lowers(sub, [p], "sup_scale") == [expected]
 
 
 def _subset_list(G, n_max, budget):
