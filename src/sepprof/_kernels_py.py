@@ -35,6 +35,8 @@ from math import comb, lcm
 
 import numpy as np
 
+from .graphs import mask_set
+
 # Boundary modes for cheeger_exhaustive.
 MODE_PLAIN = 0
 MODE_MAJORED = 1
@@ -255,14 +257,7 @@ def _components_ok(masks, full, cut_mask, cap):
 def _neighbour_index(masks, n):
     """Row v lists v and its neighbours, padded with n, a vertex no lane
     has."""
-    rows = []
-    for v, m in enumerate(masks):
-        row = [v]
-        while m:
-            low = m & -m
-            row.append(low.bit_length() - 1)
-            m ^= low
-        rows.append(row)
+    rows = [[v, *sorted(mask_set(m))] for v, m in enumerate(masks)]
     index = np.full((n, max(map(len, rows), default=1)), n, np.intp)
     for v, row in enumerate(rows):
         index[v, :len(row)] = row

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, optimize
 from .errors import ExactSearchInfeasible
-from .graphs import (Graph, distance_matrix, validate_measure,
+from .graphs import (Graph, distance_matrix, mask_set, validate_measure,
                      validate_subset)
 from .spectral import fiedler_vector, lambda2
 
@@ -84,15 +84,6 @@ def set_ratio(G: Graph, A, mode: str) -> Fraction:
     for v in A:
         mask |= 1 << v
     return Fraction(boundary_count(G, mask, mode), len(A))
-
-
-def _mask_to_set(mask: int) -> frozenset:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 class _FlipBoundary:
@@ -218,7 +209,7 @@ def cheeger_combinatorial(G: Graph, mode: str = "plain",
         exact = False
     frac = Fraction(num, size)
     return CheegerWitness(
-        value=float(frac), kind="set", set_witness=_mask_to_set(mask),
+        value=float(frac), kind="set", set_witness=mask_set(mask),
         exact=exact, value_exact=frac,
         certified_lower=float(frac) if exact else None)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .graphs import Graph, connected_components, induced_subgraph
+from .graphs import Graph, connected_components, induced_subgraph, mask_set
 from .spectral import fiedler_vector
 
 DEFAULT_CUT_BUDGET = 5_000_000
@@ -92,8 +92,7 @@ def cut(G: Graph, s, mode: str = "exact",
     if mode == "exact":
         mask, examined = kernels.min_cut_exact(
             G.neighbor_masks, n, s.numerator, s.denominator, n, budget)
-        S = frozenset(v for v in range(n) if mask >> v & 1)
-        return _result(G, s, S, exact=True, examined=examined)
+        return _result(G, s, mask_set(mask), exact=True, examined=examined)
     if mode == "heuristic":
         return _result(G, s, _heuristic_cut_set(G, s), exact=False)
     raise ValueError(f"unknown mode {mode!r}")

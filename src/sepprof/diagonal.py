@@ -15,16 +15,19 @@ at lo - k_s, ..., hi + k_s, the positions a generator can write to from
 such a cursor. Each lamp is one base-|G_s| digit, with the group relabelled
 so that its identity is digit 0. A generator reads and rewrites one digit
 per level through the group table, so a BFS frontier steps as one array per
-generator. ``DiagonalElement`` is the form at the API boundary.
+generator. ``DiagonalElement`` is the form at the API boundary. U_r is
+never built as elements: ``in_range_set`` and ``cocycle_norms`` work from
+the codes of the [0, r] cursor box.
 
 Width rule: the digits are packed, in that order, into uint64 words, each
 word taking the next digits while the product of their radices stays at
 most 2^64. Every word value fits, so a code of any width is exact; a window
-of at most 64 bits is one word, through the same code path. A digit is
-rewritten as word + (new - old) * place: uint64 arithmetic wraps modulo
-2^64 in between, and the result is an exact word value. Codes are compared,
-deduplicated and looked up row by row through one stable lexicographic
-sort.
+of at most 64 bits is one word, through the same code path. A code is a
+row of words, lowest first, or one int (``graphs.mask_words`` and
+``word_masks`` convert). A digit is rewritten as word + (new - old) *
+place: uint64 arithmetic wraps modulo 2^64 in between, and the result is
+an exact word value. Codes are compared, deduplicated and looked up row by
+row through one stable lexicographic sort.
 
 Budget rule: a BFS counts its elements one at a time in BFS order, the
 identity first and then each word length in (frontier index, generator
@@ -46,7 +49,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .graphs import Graph
+from .graphs import Graph, mask_words, word_masks
 from .groups import FiniteGroup
 
 # The most elements any one BFS here may reach before it raises BudgetError.
@@ -224,18 +227,6 @@ class _Window:
         """Cursor offsets c - lo: the low digit of word 0."""
         return (codes[:, 0] % np.uint64(self.span)).astype(np.intp)
 
-    def encode_within(self, elements) -> np.ndarray:
-        """Codes of those of ``elements`` that lie in the window; the others
-        are left out."""
-        keys = []
-        for z in elements:
-            key = self.lamp_key(z.lamps, 0)
-            if key is not None and 0 <= z.cursor - self.lo < self.span:
-                keys.append(key + z.cursor - self.lo)
-        return np.array([[key >> (64 * w) & (_WORD - 1)
-                          for w in range(self.words)] for key in keys],
-                        dtype=np.uint64).reshape(len(keys), self.words)
-
     def decode(self, codes: np.ndarray) -> list:
         digits = codes[:, self.word_of] // self.place_of % self.radix_of
         per_level = []
@@ -288,7 +279,10 @@ class _Window:
 
 
 def _first_equal(codes: np.ndarray) -> np.ndarray:
-    """For each code (row), the index of the first row equal to it."""
+    """For each code (row), the index of the first row equal to it. Not
+    ``profiles._first_rows``' void argsort: on these rows lexsort is faster
+    (on a 2-vCPU VM the cocycle suite took 15-16 ms, against 19-21 ms with
+    the void argsort)."""
     order = np.lexsort(codes.T)
     ordered = codes[order]
     head = np.ones(len(codes), dtype=bool)
@@ -367,11 +361,6 @@ def _bfs(win: _Window, gens: list, radius: float, targets=None):
     return levels
 
 
-def _shift_lamps(lamps: tuple, by: int) -> tuple:
-    """The lamps of t^by * z, where z has the lamps ``lamps``."""
-    return tuple(tuple((pos + by, e) for pos, e in level) for level in lamps)
-
-
 def ball(spec: DiagonalSpec, radius: int) -> BallResult:
     """BFS ball around the identity and the induced Cayley graph."""
     if radius < 0:
@@ -404,9 +393,12 @@ def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int) -> int:
     lo_req, hi_req = min(0, z.cursor), max(0, z.cursor)
     for d in range(hi_req - lo_req, window + 1):
         win = _Window(spec, 0, d)
-        targets = win.encode_within(
-            DiagonalElement(z.cursor - lo, _shift_lamps(z.lamps, -lo))
-            for lo in range(hi_req - d, lo_req + 1))
+        # t^-lo z has the cursor z.cursor - lo, in [0, d] for these lo; it
+        # is no target when one of its lamps falls outside the window
+        keys = ((win.lamp_key(z.lamps, -lo), z.cursor - lo)
+                for lo in range(hi_req - d, lo_req + 1))
+        targets = mask_words([key + c for key, c in keys if key is not None],
+                             win.words)
         if _bfs(win, gens, math.inf, targets) is None:
             return d
     raise BudgetError(
@@ -422,37 +414,17 @@ def _box_configs(spec: DiagonalSpec, r: int):
     return win, _distinct(codes)
 
 
-def range_set(spec: DiagonalSpec, r: int) -> frozenset:
-    """U_r: all elements of range <= r (union of diameter-r cursor boxes).
-
-    The box [lo, lo + r] is the left translate by t^lo of the box [0, r],
-    and tau moves the cursor freely within a box, so the [0, r] box is
-    every cursor in [0, r] with every lamp configuration its BFS reaches.
-    """
-    win, codes = _box_configs(spec, r)
-    configs = [z.lamps for z in win.decode(codes)]
-
-    def members():
-        for lamps in configs:
-            for lo in range(-r, 1):
-                # one translated tuple, shared by the r + 1 cursors
-                shifted = _shift_lamps(lamps, lo)
-                for c in range(lo, lo + r + 1):
-                    yield DiagonalElement(c, shifted)
-
-    return frozenset(members())
-
-
 def in_range_set(spec: DiagonalSpec, r: int):
-    """Membership in U_r (``range_set``) without building it: z, with
-    cursor c, is in the box [lo, lo + r] exactly when lo is in
-    [max(-r, c - r), min(0, c)] and t^-lo z has one of the [0, r] box's
-    lamp configurations."""
+    """Membership in U_r, the elements of range <= r: the union of the
+    diameter-r cursor boxes [lo, lo + r], -r <= lo <= 0. The box
+    [lo, lo + r] is the left translate by t^lo of the box [0, r], and tau
+    moves the cursor freely within a box, so the [0, r] box is every cursor
+    in [0, r] with every lamp configuration its BFS reaches. z, with cursor
+    c, is in the box [lo, lo + r] exactly when lo is in
+    [max(-r, c - r), min(0, c)] and t^-lo z has one of those lamp
+    configurations."""
     win, codes = _box_configs(spec, r)
-    size = 8 * win.words
-    data = codes.astype("<u8").tobytes()
-    configs = {int.from_bytes(data[i:i + size], "little")
-               for i in range(0, len(data), size)}
+    configs = set(word_masks(codes))
 
     def contains(z: DiagonalElement) -> bool:
         c = z.cursor
@@ -473,22 +445,33 @@ def cocycle_norms(spec: DiagonalSpec, j: int,
     between phi_r and its translate by g is 2 (||phi_r||^2 - <phi_r,
     phi_r(. g)>), for g = z in the numerator and g = tau in the gradient;
     each inner product is one sum over the support of phi_r, the members of
-    U_r with |cursor| < r. The support is coded once in the window [-r, r];
-    for each g, all its translates u g are formed as codes at once and
+    U_r (``in_range_set``) with |cursor| < r. The support is coded in the
+    window [-r, r] from each lamp configuration of the [0, r] box: its
+    translate into the box [lo, lo + r], with cursor c, has the code
+    ``lamp_key(lamps, lo) + c + r``, for lo in [-r, 0] and c in
+    [lo, lo + r] with |c| < r. ``lamp_key`` never returns None here, as the
+    box [0, r] shifted by lo in [-r, 0] stays inside the window [-r, r].
+    For each g, all the translates u g are formed as codes at once and
     looked up among the support's codes.
 
-    The sums do not depend on the iteration order of the sets. Every tent
-    value 1 - |cursor|/r is a multiple of 2^-j, so every product, partial
-    sum and difference is a multiple of 4^-j of at most (set size) * 4^j
-    units, far below 2^53: each of them is exact, and only the final
-    quotient and square root round.
+    The sums do not depend on the order of the support. Every tent value
+    1 - |cursor|/r is a multiple of 2^-j, so every product, partial sum and
+    difference is a multiple of 4^-j of at most (support size) * 4^j units,
+    far below 2^53: each of them is exact, and only the final quotient and
+    square root round.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     r = 2 ** j
+    box, configs = _box_configs(spec, r)
     win = _Window(spec, -r, r)
-    support = win.encode_within(
-        u for u in range_set(spec, r) if abs(u.cursor) < r)
+    keys = set()
+    for z in box.decode(configs):
+        for lo in range(-r, 1):
+            key = win.lamp_key(z.lamps, lo) - win.lo
+            keys.update(key + c for c in range(max(lo, 1 - r),
+                                               min(lo + r, r - 1) + 1))
+    support = mask_words(keys, win.words)
     phi = 1.0 - np.abs(win.cursors(support) + win.lo) / r
     norm_sq = float((phi * phi).sum())
 

@@ -96,6 +96,29 @@ class ConnectedPartition:
         return len(self.blocks)
 
 
+def mask_words(masks: Iterable[int], W: int) -> np.ndarray:
+    """The masks, each in 0..2^(64 W) - 1, as a (k, W) uint64 array: one
+    row per mask, W words, lowest word first."""
+    data = b"".join(mask.to_bytes(8 * W, "little") for mask in masks)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(-1, W)
+
+
+def word_masks(words: np.ndarray) -> list[int]:
+    """The rows of a (k, W) uint64 array back to ints (``mask_words``'
+    inverse): one list of ints per word, or-ed in above the lower words."""
+    masks = words[:, 0].tolist()
+    for j in range(1, words.shape[1]):
+        masks = [low | high << 64 * j
+                 for low, high in zip(masks, words[:, j].tolist())]
+    return masks
+
+
+def mask_set(mask: int) -> frozenset:
+    """The vertices of the mask (>= 0): v is in it when bit v is set."""
+    return frozenset(v for v, bit in enumerate(reversed(bin(mask)))
+                     if bit == "1")
+
+
 def validate_subset(G: Graph, A: Iterable[int]) -> frozenset:
     A = frozenset(A)
     for v in A:
@@ -291,19 +314,26 @@ def write_edgelist(G: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def _int_pair(path, number: int, line: str, expected: str):
+    """The two integers of line ``number`` of an edge-list file; ValueError
+    naming the file and the line when it holds anything else."""
+    fields = line.split()
+    if len(fields) == 2:
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    raise ValueError(f"{path} line {number}: expected {expected}, "
+                     f"got {line.strip()!r}")
+
+
 def read_edgelist(path) -> Graph:
+    """The graph of a file in ``write_edgelist``'s format; blank edge lines
+    are skipped."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("edge-list header must be 'n m'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+        n, m = _int_pair(path, 1, fh.readline(), "the counts 'n m'")
+        edges = [_int_pair(path, number, line, "two vertex ids")
+                 for number, line in enumerate(fh, start=2) if line.strip()]
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return Graph(n, edges)

@@ -38,6 +38,7 @@ import os
 
 from . import _kernels_py
 from .errors import BudgetError
+from .graphs import word_masks
 
 _compiled = None
 if not os.environ.get("SEPPROF_PURE_PY"):
@@ -104,10 +105,5 @@ def connected_subsets(masks, n, max_size, budget, backend=None):
 
     out = []
     for level in _connected_subsets(masks, n, max_size, budget):
-        # One list of ints per word, or-ed in above the lower words.
-        ints = level[:, 0].tolist()
-        for j in range(1, level.shape[1]):
-            ints = [low | high << 64 * j
-                    for low, high in zip(ints, level[:, j].tolist())]
-        out += ints
+        out += word_masks(level)
     return out

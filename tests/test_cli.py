@@ -126,6 +126,25 @@ def test_family_lamp_malformed_group_file(tmp_path, text, message):
     assert message in res.stderr and not lamp.exists()
 
 
+@pytest.mark.parametrize("text,line", [
+    ("3 1\n0 1 2\n", 2),
+    ("3 2\n0 1\n\n1\n", 4),
+    ("3 1\n0 x\n", 2),
+    ("3 y\n0 1\n", 1),
+])
+def test_malformed_edgelist_names_the_line(tmp_path, capsys, text, line):
+    """An edge line of three fields, one field or a non-integer field, or a
+    header that is not two integers, exits 2 with one error line that names
+    the file and the line number (blank lines count), not Python's own
+    unpacking or int() message."""
+    path = tmp_path / "bad.g"
+    path.write_text(text)
+    code, out, err = run(["invariant", "h", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path} line {line}: expected " in err
+
+
 def test_invariant_hp_with_witness(tmp_path, capsys):
     g_path = str(tmp_path / "c4.g")
     run(["family", "cycle", "4", "--out", g_path], capsys)

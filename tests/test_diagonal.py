@@ -7,7 +7,7 @@ import pytest
 from sepprof import diagonal
 from sepprof.diagonal import (DiagonalElement, DiagonalSpec, apply_generator,
                               ball, cocycle_norms, embed_lamp_graph,
-                              in_range_set, range_of, range_set)
+                              in_range_set, range_of)
 from sepprof.errors import BudgetError
 from sepprof.groups import (cyclic_table, direct_product_table, klein_four,
                             validate_group)
@@ -271,20 +271,13 @@ def test_ball_matches_oracle_on_two_levels(radius):
 
 
 @pytest.mark.parametrize("make_spec", [single_level, two_level])
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_range_set_matches_union_of_boxes(make_spec, r):
-    spec = make_spec()
-    assert range_set(spec, r) == oracle_range_set(spec, r)
-
-
-@pytest.mark.parametrize("make_spec", [single_level, two_level])
 @pytest.mark.parametrize("r", [0, 1, 2, 4])
 def test_in_range_set_is_membership_in_range_set(make_spec, r):
-    """in_range_set answers z in range_set(spec, r) for every member of
-    U_r and for every element of a ball of radius 6 (single level) or 4
-    (two levels)."""
+    """in_range_set answers z in U_r, the union of the diameter-r cursor
+    boxes around 0 (``oracle_range_set``), for every member of U_r and for
+    every element of a ball of radius 6 (single level) or 4 (two levels)."""
     spec = make_spec()
-    members = range_set(spec, r)
+    members = oracle_range_set(spec, r)
     contains = in_range_set(spec, r)
     assert all(contains(z) for z in members)
     radius = 6 if make_spec is single_level else 4
@@ -304,7 +297,9 @@ def test_range_searches_keep_their_budget(monkeypatch):
     spec = two_level()
     monkeypatch.setattr(diagonal, "MAX_ELEMENTS", 100)
     with pytest.raises(BudgetError, match="exceeded"):
-        range_set(spec, 3)
+        in_range_set(spec, 4)
+    with pytest.raises(BudgetError, match="exceeded"):
+        cocycle_norms(spec, 2, [spec.identity()])
     z = spec.identity()
     for _ in range(5):
         z = apply_generator(spec, z, ("tau", 1))
@@ -315,7 +310,7 @@ def test_range_searches_keep_their_budget(monkeypatch):
 
 def test_range_set_is_exact():
     spec = single_level()
-    u2 = range_set(spec, 2)
+    u2 = oracle_range_set(spec, 2)
     for z in u2:
         assert range_of(spec, z, 4) <= 2
     for z in ball(spec, 4).elements:
@@ -359,7 +354,7 @@ def test_cocycle_sums_are_exact(j):
     # the float sums equal the rational ones, so no set order can move them
     spec = single_level()
     r = 2 ** j
-    members = range_set(spec, r)
+    members = oracle_range_set(spec, r)
 
     def r_phi(z):
         # r times the tent value, an integer
@@ -428,8 +423,7 @@ def test_coded_ball_matches_oracle(make_spec, radius):
     (order_six, 0), (order_six, 1), (order_six, 2)])
 def test_coded_range_sets_match_oracle(make_spec, r):
     spec = make_spec()
-    members = range_set(spec, r)
-    assert members == oracle_range_set(spec, r)
+    members = oracle_range_set(spec, r)
     contains = in_range_set(spec, r)
     assert all(contains(z) for z in members)
     elements = ball(spec, 3).elements
@@ -453,7 +447,7 @@ def test_coded_cocycle_norms_match_products(make_spec):
     ``multiply`` on U_2 in exact arithmetic."""
     spec = make_spec()
     r = 2
-    members = range_set(spec, r)
+    members = oracle_range_set(spec, r)
 
     def r_phi(z):
         return r - abs(z.cursor) if z in members and abs(z.cursor) < r else 0
@@ -531,20 +525,27 @@ def test_ball_budget_boundary(monkeypatch, make_spec, radius):
 
 
 @pytest.mark.parametrize("make_spec,r", [
-    (single_level, 3), (three_level, 3), (order_six, 2)])
+    (single_level, 4), (three_level, 4), (order_six, 2)])
 def test_range_set_budget_boundary(monkeypatch, make_spec, r):
+    """in_range_set and cocycle_norms at r = 2^j both run the BFS of the
+    [0, r] cursor box: one below its size and at it, each raises
+    BudgetError exactly when the element-at-a-time search does, and
+    otherwise answers as it does without a budget."""
     spec = make_spec()
+    j = r.bit_length() - 1
     size = sum(1 for _ in counted_bfs(spec, 0, r, math.inf))
-    members = range_set(spec, r)
+    zs = ball(spec, 1).elements
+    norms = cocycle_norms(spec, j, zs)
     for budget in (size - 1, size):
         monkeypatch.setattr(diagonal, "MAX_ELEMENTS", budget)
         expected = outcome(lambda: sum(
             1 for _ in counted_bfs(spec, 0, r, math.inf)))
         assert expected == ("budget" if budget < size else size)
-        assert outcome(lambda: range_set(spec, r)) == (
-            "budget" if expected == "budget" else members)
+        assert outcome(lambda: cocycle_norms(spec, j, zs)) == (
+            "budget" if expected == "budget" else norms)
         contains = outcome(lambda: in_range_set(spec, r))
         assert (contains == "budget") == (expected == "budget")
+        assert contains == "budget" or all(map(contains, zs))
 
 
 def test_range_of_budget_boundary(monkeypatch):

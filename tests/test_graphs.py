@@ -11,7 +11,8 @@ from sepprof.cheeger import boundary_count
 from sepprof.graphs import (ConnectedPartition, Graph, bfs_distances,
                             build_family, cartesian_power,
                             connected_components, distance_matrix,
-                            induced_subgraph, read_edgelist, subdivide,
+                            induced_subgraph, mask_set, mask_words,
+                            read_edgelist, subdivide, word_masks,
                             write_edgelist)
 
 
@@ -214,3 +215,30 @@ def test_edgelist_roundtrip(tmp_path):
     path2 = tmp_path / "h.txt"
     write_edgelist(h, path2)
     assert path.read_text() == path2.read_text()
+
+
+@st.composite
+def word_rows(draw):
+    """A word count W in 1..3 and masks below 2^(64 W), often at the ends
+    of a word: 0, 2^64 - 1, 2^64 and just below 2^(64 W)."""
+    W = draw(st.integers(1, 3))
+    top = 1 << 64 * W
+    ends = [x for x in (0, (1 << 64) - 1, 1 << 64, top - 2, top - 1)
+            if x < top]
+    masks = draw(st.lists(st.one_of(st.sampled_from(ends),
+                                    st.integers(0, top - 1)), max_size=12))
+    return W, masks
+
+
+@given(word_rows())
+def test_mask_words_round_trip(case):
+    """mask_words writes each mask as W uint64 words, lowest word first,
+    word_masks reads the same ints back, and mask_set lists the set bits."""
+    W, masks = case
+    words = mask_words(masks, W)
+    assert words.dtype == np.uint64 and words.shape == (len(masks), W)
+    assert words.tolist() == [[mask >> 64 * j & (1 << 64) - 1
+                               for j in range(W)] for mask in masks]
+    assert word_masks(words) == masks
+    for mask in masks:
+        assert mask_set(mask) == {v for v in range(64 * W) if mask >> v & 1}

@@ -13,7 +13,8 @@ from sepprof import kernels, profiles
 from sepprof.cheeger import certified_lp_lowers, majored_lp_lower
 from sepprof.constructions import coarsen
 from sepprof.errors import BudgetError, ExactSearchInfeasible
-from sepprof.graphs import Graph, build_family, induced_subgraph, subdivide
+from sepprof.graphs import (Graph, build_family, induced_subgraph, subdivide,
+                            word_masks)
 from sepprof.profiles import (DEFAULT_CUT_BUDGET, DEFAULT_SUBGRAPH_BUDGET,
                               ProfileRow, _subgraphs, poincare_profile,
                               separation_profile_exact)
@@ -141,8 +142,7 @@ def _reference_subgraphs(G, n_max):
 def _subgraph_lists(G, n_max, budget=DEFAULT_SUBGRAPH_BUDGET):
     """_subgraphs' output with its arrays as lists: the first subsets as
     masks and the keys as tuples."""
-    return [(m, [profiles._subset_int(words) for words in subsets],
-             [tuple(key) for key in keys.tolist()])
+    return [(m, word_masks(subsets), [tuple(key) for key in keys.tolist()])
             for m, subsets, keys in _subgraphs(G, n_max, budget)]
 
 
@@ -321,9 +321,9 @@ def _assert_enumeration_equals_reference(G, n_max, backends):
     number passes, and one less raises BudgetError, where the reference
     gives up at the same budget."""
     masks, n = G.neighbor_masks, G.vertex_count
-    got = [profiles._subset_int(words)
+    got = [mask
            for subsets in profiles._connected_subsets(masks, n, n_max, 10 ** 7)
-           for words in subsets]
+           for mask in word_masks(subsets)]
     want = dfs_connected_subsets(masks, n, n_max, 10 ** 7)
     assert got == sorted(want, key=int.bit_count)
     assert dfs_connected_subsets(masks, n, n_max, len(got) - 1) is None
