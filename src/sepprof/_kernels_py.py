@@ -15,9 +15,10 @@ small inputs: a full Cheeger search at n = 3 takes 260 us as arrays and 4 us
 as a DFS, and the two meet between 9 and 10 vertices.
 
 - ``cheeger_exhaustive`` without a stop on 10..24 vertices splits the
-  vertices into a low and a high half and evaluates every (low subset, high
-  subset) pair in chunks of at most 4096 (``_cheeger_array``). Stopped
-  searches and smaller graphs take the DFS (``_cheeger_dfs``).
+  vertices into a low half LOW and a high half HIGH and evaluates the (low
+  subset, high subset) pairs in chunks of at most 4096 (``_cheeger_array``),
+  skipping, exactly, the pairs that cannot reach the best ratio so far.
+  Stopped searches and smaller graphs take the DFS (``_cheeger_dfs``).
 - ``min_cut_exact`` checks its first 256 subsets one at a time, and the
   rest of the same enumeration in blocks, each within one size: the first
   takes 2048 subsets and each next one twice as many as the last, up to
@@ -27,7 +28,37 @@ as a DFS, and the two meet between 9 and 10 vertices.
   checked bit-sliced (``_first_cut``): one uint64 plane per vertex, bit i
   for the i-th subset of the block, so one gather of the neighbours' planes
   grows a component in every subset at once. Vertex indices have no width
-  limit, so every vertex count takes this path.
+  limit, so every vertex count takes this path. The check of one subset
+  (``_components_ok``) fails as soon as a component grows past the cap, and
+  passes once at most cap vertices are left.
+
+The half bounds of ``_cheeger_array``. Write A = c | t, with c its part in
+LOW and t its part in HIGH. Each mode's count of A is at least
+hi_bound[t] + lo_bound[c], where each term counts only within its own half:
+
+- plain: |N(t) & HIGH - t|, the outer boundary of t within HIGH;
+- majored: that, plus |t & N(HIGH - t)|, the members of t with a neighbour in
+  HIGH - t;
+- edge: the edges from t to HIGH - t;
+
+and lo_bound[c] the same within LOW. Each of these sets is a part of the
+set that A's count counts: N(t) - t and N(c) - c meet HIGH and LOW in parts
+of N(A) - A, t & N(HIGH - t) is a part of A & N(V - A), and the edges from t
+to HIGH - t leave A. The two halves are disjoint, so the two parts are, and
+the terms add. With scale // |A| the weight of A, the key of the pair is
+then at least (hi_bound[t] + lo_bound[c]) * (scale // (k + j)) for |t| = k
+and |c| = j. Before the high subsets of k vertices are scored, a row t is
+dropped when that bound, with lo_bound[c] replaced by least[j], the least
+lo_bound over the low subsets of j vertices, is above the best key so far
+for every admissible j; then a column c is dropped when its bound, with
+hi_bound[t] replaced by the least hi_bound of the rows kept, is above it.
+
+This is exact, ties included. A pair is dropped only when a lower bound of
+its key is strictly above the best key so far, and the best key never
+rises, so the dropped pair's key is above the final minimum: it neither is
+a minimiser nor ties one. Every pair whose key equals the final minimum is
+scored, so ``_first_in_preorder`` picks the first minimiser from the same
+candidates as the full pass, and the result does not move.
 """
 
 from itertools import chain, combinations, islice
@@ -164,6 +195,31 @@ def _first_in_preorder(cand):
     return int(cand[0])
 
 
+def _pair_counts(mode, rows, cols):
+    """The boundary counts of A = c | t << h for every row t and column c of
+    a block, from the halves' tables gathered at the rows and the columns."""
+    if mode == MODE_EDGE:
+        (base, bits), (c_base, c_cross) = rows, cols
+        return c_base + base[:, None] - 2 * (bits @ c_cross)
+    (high, out, inside), (c_sets, c_out, c_in) = rows, cols
+    a = c_sets | high[:, None]
+    num = np.bitwise_count((c_out | out[:, None]) & ~a)
+    if mode == MODE_MAJORED:
+        num = num + np.bitwise_count((c_in | inside[:, None]) & a)
+    return num
+
+
+def _own_half_counts(mode, sets, out, inside, half):
+    """The part of each subset's boundary count that lies in its own half,
+    for the plain and majored modes: from its table (sets, out, inside), the
+    outer boundary within half and, when majored, the members with a
+    neighbour in the rest of half."""
+    count = np.bitwise_count(out & (half ^ sets)).astype(np.int64)
+    if mode == MODE_MAJORED:
+        count += np.bitwise_count(inside & sets)
+    return count
+
+
 def _cheeger_array(masks, n, mode):
     """cheeger_exhaustive without a stop, as array passes.
 
@@ -172,10 +228,16 @@ def _cheeger_array(masks, n, mode):
     high subset of k vertices the admissible low ones (|A| <= n // 2) are a
     prefix. Ratios are compared exactly as the integer key
     num * (lcm(1..n//2) // size), below 24 * 12 * 27720 at n = 24.
+
+    Before the high subsets of k vertices are scored, the rows (high
+    subsets) and then the columns (low subsets) that cannot reach the best
+    key so far are dropped, by the half bounds of the module docstring.
     """
     h = (n + 1) // 2
     max_size = n // 2
     scale = lcm(*range(1, max_size + 1))
+    # unit[s] = scale // s, the weight of a set of s vertices.
+    unit = scale // np.maximum(np.arange(max_size + 1), 1)
     lo_union, lo_degree, lo_inner = _half_tables(masks, 0, h)
     hi_union, hi_degree, hi_inner = _half_tables(masks, h, n)
     lo_count = np.bitwise_count(np.arange(1 << h))
@@ -195,32 +257,49 @@ def _cheeger_array(masks, n, mode):
         cross = np.stack([np.bitwise_count(lo_sets & masks[v])
                           for v in range(h, n)]).astype(np.int64)
         hi_bits = (hi_sets[:, None] >> np.arange(n - h)) & 1
+        col_tables, row_tables = (lo_base, cross), (hi_base, hi_bits)
+        # A half's own crossing edges: all but those to the other half (the
+        # last low subset is the whole low half).
+        lo_bound = lo_base - cross.sum(axis=0)
+        hi_bound = hi_base - hi_bits @ cross[:, -1]
     else:
-        lo_out = lo_union[order]
         # N(V - A) is the union over the complements in both halves.
         lo_in = lo_union[((1 << h) - 1) ^ lo_sets]
-        hi_in = hi_union[::-1]
+        col_tables = (lo_sets, lo_union[order], lo_in)
+        row_tables = (hi_sets << h, hi_union, hi_union[::-1])
+        lo_bound = _own_half_counts(mode, *col_tables, (1 << h) - 1)
+        hi_bound = _own_half_counts(mode, *row_tables,
+                                    (1 << n) - (1 << h))
+    # least[j]: the least lo_bound of a low subset of j vertices.
+    least = np.minimum.reduceat(lo_bound[:ends[-1]], np.r_[0, ends[:-1]])
     best_key, best_mask = None, 0
     for k in range(n - h + 1):
         cols = slice(1 if k == 0 else 0, ends[max_size - k])
-        c_sets = lo_sets[cols]
-        width = c_sets.size
-        weight = scale // (k + lo_size[cols])
+        weight = unit[k + lo_size[cols]]
         rows_k = hi_sets[hi_size == k]
+        if best_key is not None:
+            # Keep a row if some low size j lets it reach best_key, and then
+            # a column if it reaches best_key with the kept rows' least
+            # bound. Both compare with <=, so a pair that ties best_key is
+            # scored; the column with the least bound of the size j that
+            # kept a row is kept, so some column always is.
+            reach = (hi_bound[rows_k][:, None] + least[:max_size - k + 1]) \
+                * unit[k:]
+            rows_k = rows_k[reach.min(axis=1) <= best_key]
+            if not rows_k.size:
+                continue
+            keep = (lo_bound[cols] + hi_bound[rows_k].min()) * weight \
+                <= best_key
+            if not keep.all():
+                cols, weight = np.flatnonzero(keep) + cols.start, weight[keep]
+        c_sets = lo_sets[cols]
+        col_data = [x[..., cols] for x in col_tables]
+        width = c_sets.size
         step = max(1, _CHUNK // width)
         for r0 in range(0, rows_k.size, step):
             t = rows_k[r0:r0 + step]
-            if mode == MODE_EDGE:
-                num = lo_base[cols] + hi_base[t][:, None] \
-                    - 2 * (hi_bits[t] @ cross[:, cols])
-            else:
-                a = c_sets | (t << h)[:, None]
-                num = np.bitwise_count((lo_out[cols] | hi_union[t][:, None])
-                                       & ~a)
-                if mode == MODE_MAJORED:
-                    num = num + np.bitwise_count(
-                        (lo_in[cols] | hi_in[t][:, None]) & a)
-            key = num * weight
+            key = _pair_counts(mode, [x[t] for x in row_tables],
+                               col_data) * weight
             low = key.min()
             if best_key is not None and low > best_key:
                 continue
@@ -234,23 +313,29 @@ def _cheeger_array(masks, n, mode):
 
 
 def _components_ok(masks, full, cut_mask, cap):
-    # Every component of the graph minus cut_mask must have at most cap vertices.
+    """Whether every component of the graph minus cut_mask has at most cap
+    vertices. It fails as soon as a component grows past cap, and passes
+    once at most cap vertices are left to grow."""
     rem = full & ~cut_mask
-    while rem:
-        low = rem & -rem
-        comp = low
-        frontier = low
-        while frontier:
+    left = rem.bit_count()
+    while left > cap:
+        comp = frontier = rem & -rem
+        size = 1
+        while size <= cap:
             nxt = 0
             while frontier:
                 bit = frontier & -frontier
                 nxt |= masks[bit.bit_length() - 1]
                 frontier ^= bit
             frontier = nxt & rem & ~comp
+            if not frontier:
+                break
             comp |= frontier
-        if comp.bit_count() > cap:
+            size += frontier.bit_count()
+        else:
             return False
-        rem &= ~comp
+        rem ^= comp
+        left -= size
     return True
 
 

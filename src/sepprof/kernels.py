@@ -9,7 +9,12 @@ increasing-cardinality, lexicographic order with the same ``examined`` from
 ``min_cut_exact``. The fallback runs the large searches as numpy array
 passes: full Cheeger searches on 10..24 vertices, and cut searches, on any
 number of vertices, past their first 256 subsets, in bit-sliced blocks of
-2048 to 16384 subsets (see ``_kernels_py``). Backends take plain integers
+2048 to 16384 subsets (see ``_kernels_py``). A full Cheeger search skips,
+exactly, the pairs of a low-half and a high-half subset that a bound split
+over the halves puts above the best ratio so far: on grid 4x6 a search
+takes about 2 ms instead of 50-130 ms, and on grid 4x5 about 1 ms instead
+of 5-8 ms (Python 3.11.7, numpy 2.4.6, 2-vCPU VM); on random regular graphs
+the bound skips little. Backends take plain integers
 only: ``min_cut_exact`` turns the fraction num/den into the component-size
 cap ``num * n // den`` here, so no backend multiplies by an unbounded
 numerator or denominator.

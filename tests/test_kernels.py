@@ -7,13 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepprof import _kernels_py, kernels
 from sepprof.cuts import is_cut_set
 from sepprof.errors import BudgetError
-from sepprof.graphs import Graph, build_family, connected_components, induced_subgraph
+from sepprof.graphs import (Graph, build_family, connected_components,
+                            induced_subgraph, subdivide)
 
 from reference_subsets import dfs_connected_subsets
 
@@ -113,8 +114,37 @@ def test_cheeger_array_is_first_minimizer(G):
             == brute_cheeger_first(G, mode_name)
 
 
-@settings(max_examples=25)
-@given(G=tie_heavy_graphs(10, 16))
+@st.composite
+def pruned_hosts(draw):
+    """Hosts on 10..16 vertices: grids, subdivided cycles and K4, on which
+    the array search's half bounds drop pairs in their own vertex order, and
+    tie-heavy graphs. Each has its vertices optionally shuffled, so that the
+    minimisers and their ties fall in either half."""
+    kind = draw(st.sampled_from(["grid", "cycle", "K4", "ties"]))
+    if kind == "grid":
+        G = draw(st.sampled_from([build_family("grid", r, c)
+                                  for r, c in ((2, 5), (2, 6), (3, 4), (2, 7),
+                                               (3, 5), (2, 8), (4, 4))]))
+    elif kind == "cycle":
+        G = draw(st.sampled_from([subdivide(build_family("cycle", m), kappa)
+                                  for m, kappa in ((3, 3), (3, 4), (4, 2),
+                                                   (5, 2), (4, 3))]))
+    elif kind == "K4":
+        G = subdivide(build_family("complete", 4), 2)
+    else:
+        G = draw(tie_heavy_graphs(10, 16))
+    n = G.vertex_count
+    perm = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    return Graph(n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+# A 12-cycle, relabelled, whose first minimiser in plain mode has a high
+# half whose row bound equals the best key so far: dropping rows on a tie
+# would return a later minimiser.
+@example(G=Graph(12, [(0, 6), (0, 8), (1, 5), (1, 10), (2, 4), (2, 7), (3, 9),
+                      (3, 11), (4, 8), (5, 9), (6, 11), (7, 10)]))
+@settings(max_examples=60)
+@given(G=pruned_hosts())
 def test_cheeger_array_matches_dfs(G):
     masks, n = G.neighbor_masks, G.vertex_count
     for _, mode in _MODES:
@@ -126,6 +156,29 @@ def _random_graph(n, p, seed):
     rng = random.Random(seed)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < p])
+
+
+def test_cheeger_array_skips_pairs_on_grid45(monkeypatch):
+    """The half bounds leave far fewer (row, column) pairs to score than
+    the sum_{s=1}^{10} C(20, s) admissible subsets of grid 4x5, and the
+    result does not move."""
+    G = build_family("grid", 4, 5)
+    masks, n = G.neighbor_masks, G.vertex_count
+    full = sum(math.comb(n, s) for s in range(1, n // 2 + 1))
+    score = _kernels_py._pair_counts
+    scored = []
+
+    def counting(mode, rows, cols):
+        counts = score(mode, rows, cols)
+        scored.append(counts.size)
+        return counts
+
+    monkeypatch.setattr(_kernels_py, "_pair_counts", counting)
+    for _, mode in _MODES:
+        scored.clear()
+        assert _kernels_py._cheeger_array(masks, n, mode) \
+            == _kernels_py._cheeger_dfs(masks, n, mode)
+        assert 0 < sum(scored) < full
 
 
 @pytest.mark.parametrize("G,modes", [
@@ -470,6 +523,44 @@ def test_cheeger_stop_wide_graphs(backends, G, mode, stop):
             break
         assert Fraction(boundary_count(G, subset, mode_name), len(combo)) \
             > Fraction(*stop)
+
+
+def bfs_components_ok(masks, full, cut_mask, cap):
+    """The component check that grows every component in full before it
+    compares its size with cap: the reference for the kernel's early
+    exits."""
+    rem = full & ~cut_mask
+    while rem:
+        comp = frontier = rem & -rem
+        while frontier:
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                nxt |= masks[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = nxt & rem & ~comp
+            comp |= frontier
+        if comp.bit_count() > cap:
+            return False
+        rem &= ~comp
+    return True
+
+
+@settings(max_examples=200)
+@given(st.one_of(small_graphs(), tie_heavy_graphs(1, 14)).flatmap(
+    lambda G: st.tuples(
+        st.just(G),
+        st.integers(0, (1 << G.vertex_count) - 1),
+        st.integers(0, G.vertex_count + 1))))
+def test_components_ok_matches_full_bfs(case):
+    G, cut_mask, cap = case
+    masks, n = G.neighbor_masks, G.vertex_count
+    full = (1 << n) - 1
+    left = n - cut_mask.bit_count()
+    # cap = 0, a cap at or above the vertices left, and the drawn one.
+    for c in (0, left, left + 1, max(left - 1, 0), cap):
+        assert _kernels_py._components_ok(masks, full, cut_mask, c) \
+            == bfs_components_ok(masks, full, cut_mask, c)
 
 
 def scalar_min_cut(masks, n, cap, max_k, budget, min_k=0):
