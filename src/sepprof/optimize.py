@@ -50,7 +50,18 @@ replaced, which tests/test_optimize.py keeps as oracles:
   neighbour sum;
 - the neighbour-sum numerator sums each vertex's row within a group of equal
   degree, so every row keeps its length and numpy's pairwise summation, then
-  adds the per-vertex terms left to right in vertex order (``ordered_sum``).
+  adds the per-vertex terms left to right in vertex order (``ordered_sum``);
+- at d = 1 a ball's width u = max - min is +0.0, positive or NaN, so the sup
+  subgradient takes u as its own |max - min|: only a NaN's sign can tell
+  them apart (inf - inf gives a NaN with its sign bit set), and a row whose
+  subgradient holds a NaN has a NaN norm and never moves;
+- ``x ** 1.0`` is x bit for bit, so ``_run_power`` returns its input where
+  the exponent is 1: p = 1 in the projection and the objective, p = 2 in
+  the subgradient. Its callers only read the result;
+- ``minimize_quotient`` tests its row masks as Python bools (``True in
+  mask.tolist()``), the answers of ``.any()`` and ``.all()``, and in a step
+  in which no row improves it leaves the best values and iterates as they
+  are, without copying.
 
 Batched restarts. ``minimize_quotient`` steps all its starts together as one
 stack: an (R, n, d) array, row r the iterate of start r from first step to
@@ -125,12 +136,14 @@ def per_row(p, ndim: int):
 
 def _run_power(X: np.ndarray, runs, less: float = 0.0) -> np.ndarray:
     """X ** (e - less) on the rows of each ``exponent_runs`` run (start,
-    stop, e); with one run, on all of X."""
+    stop, e); with one run, on all of X, and X itself where that exponent is
+    1, so callers must not write to the result."""
     if len(runs) == 1:
-        return X ** (runs[0][2] - less)
+        e = runs[0][2] - less
+        return X if e == 1 else X ** e
     out = np.empty(X.shape)
     for s, t, e in runs:
-        out[s:t] = X[s:t] ** (e - less)
+        out[s:t] = X[s:t] if e - less == 1 else X[s:t] ** (e - less)
     return out
 
 
@@ -145,8 +158,10 @@ def sphere_projection(nu: np.ndarray, p):
 
     def project(F):
         F = F - ((nu @ F) / total)[:, None, :]
-        row = np.add.reduce(_run_power(np.abs(F), runs), axis=2)
-        norm = np.float_power(rowdot(row, nu), root)
+        row = _run_power(np.abs(F), runs)
+        if F.shape[2] > 1:  # a sum of one coordinate is that coordinate
+            row = np.add.reduce(row, axis=2)
+        norm = np.float_power(rowdot(row.reshape(F.shape[:2]), nu), root)
         return F / norm[:, None, None], (norm >= 1e-12) & (norm < np.inf)
 
     return project
@@ -184,7 +199,7 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
     if len(F):
         projected, alive = project(F)
         F = np.where(alive.reshape(rows), projected, 0.0)
-    if not alive.any():
+    if True not in alive.tolist():
         raise ValueError("no start survived projection onto the unit sphere")
     best_val, best_F = np.where(alive, numer_pow(F), np.inf), F.copy()
     for t in range(1, iters + 1):
@@ -199,22 +214,23 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
             flat = flat / top[:, None]
             norm, G = np.sqrt(rowdot(flat, flat)), flat.reshape(G.shape)
         moving = alive & (norm > min_grad)
-        if moving.any():
+        if True in moving.tolist():
             # Rows that do not move are stepped and projected too, and their
             # results dropped: every row's step is its own.
             stepped, ok = project(F - G / (norm.reshape(rows) * math.sqrt(t)))
             ok &= moving
-            if ok.all():
+            if False not in ok.tolist():
                 F = stepped
             else:
                 F = np.where(ok.reshape(rows), stepped, F)
                 alive &= ok | ~moving
-                if not alive.any():
+                if True not in alive.tolist():
                     break
         val = numer_pow(F)
         better = alive & (val < best_val)
-        np.copyto(best_val, val, where=better)
-        np.copyto(best_F, F, where=better.reshape(rows))
+        if True in better.tolist():
+            np.copyto(best_val, val, where=better)
+            np.copyto(best_F, F, where=better.reshape(rows))
     return best_val, best_F
 
 
@@ -275,7 +291,8 @@ def scatter_pairs(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
     idx = np.empty(2 * len(v), dtype=np.intp)
     idx[0::2], idx[1::2] = plus, minus
     w = np.empty((len(idx),) + tail)
-    w[0::2], w[1::2] = v, -v
+    w[0::2] = v
+    np.negative(v, out=w[1::2])
     if d > 1:
         idx = (idx[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(idx, weights=w.ravel(), minlength=n * d)
@@ -416,16 +433,17 @@ def _ball_extremes(F: np.ndarray, stack, root):
     index, pick, pairs = stack
     m = len(index) // R
     if d == 1:
-        V = np.take(F.reshape(R * n), index)
-        i, j = V.argmax(axis=1), V.argmin(axis=1)
-        u = (np.take(V, pick + i) - np.take(V, pick + j)).reshape(R, m)
-    elif pairs is None:  # every ball is one vertex
+        V = F.reshape(R * n).take(index)
+        i, j = V.argmax(axis=1) + pick, V.argmin(axis=1) + pick
+        u = (V.take(i) - V.take(j)).reshape(R, m)
+        return u, index.take(i), index.take(j)
+    if pairs is None:  # every ball is one vertex
         u, i = np.zeros((R, m)), np.zeros(R * m, dtype=np.intp)
         j = i
     else:
         top, i, j = _widest_pairs(F, pairs)
         u = np.float_power(top.reshape(R, m), root)
-    return u, np.take(index, pick + i), np.take(index, pick + j)
+    return u, index.take(pick + i), index.take(pick + j)
 
 
 def sup_gradient_rows(f: np.ndarray, balls: np.ndarray, p: float) -> np.ndarray:
@@ -462,9 +480,13 @@ def sup_gradient_objective(balls: np.ndarray, nu, p):
     def numer_subgrad(F):
         u, hi, lo = extremes(F)
         flat = F.reshape(-1, F.shape[2])
-        delta = u if F.shape[2] == 1 else flat[hi] - flat[lo]
-        delta = delta.reshape(F.shape)
-        grad = scale * np.sign(delta) * _run_power(np.abs(delta), runs, 1.0)
+        if F.shape[2] == 1:  # u is +0.0, positive or NaN: its own |u|
+            delta = size = u.reshape(F.shape)
+        else:
+            delta = (flat.take(hi, axis=0) - flat.take(lo, axis=0)).reshape(
+                F.shape)
+            size = np.abs(delta)
+        grad = scale * np.sign(delta) * _run_power(size, runs, 1.0)
         v = (weight * grad).reshape(flat.shape)
         return scatter_pairs(len(flat), hi, lo, v).reshape(F.shape)
 
@@ -479,25 +501,26 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
     list per stack (``memo_last``)."""
     x, y = neighbors.src, neighbors.dst
     present, runs = neighbors.degree > 0, exponent_runs(p, np.size(p))
-    weight = (nu[x] * per_row(p, 2))[..., None]
+    weight, nu_present = (nu[x] * per_row(p, 2))[..., None], nu[present]
 
     @memo_last
     def differences(F):
-        return F[:, x] - F[:, y]
+        delta = F.take(x, axis=1) - F.take(y, axis=1)
+        return delta, np.abs(delta)
 
     def numer_pow(F):
-        powers = _run_power(np.abs(differences(F)), runs)
+        powers = _run_power(differences(F)[1], runs)
         rows = np.zeros(F.shape[:2])
         for xs, at in neighbors.groups:
             # np.take, unlike powers[:, at], gives C order, so each sum runs
             # over its row as it did for one function.
             group = np.take(powers, at, axis=1)
             rows[:, xs] = group.reshape(len(F), len(xs), -1).sum(axis=2)
-        return ordered_sum(nu[present] * rows[:, present])
+        return ordered_sum(nu_present * rows[:, present])
 
     def numer_subgrad(F):
-        delta = differences(F)
-        grad = weight * np.sign(delta) * _run_power(np.abs(delta), runs, 1.0)
+        delta, size = differences(F)
+        grad = weight * np.sign(delta) * _run_power(size, runs, 1.0)
         return scatter_rows(F.shape[1], x, y, grad)
 
     return numer_pow, numer_subgrad

@@ -89,8 +89,11 @@ def _steepest_neighbors(f: np.ndarray, nbrs: NeighborIndex):
     d = f[..., i, None] - f[..., cols]
     sq = d * d
     at = sq.argmax(axis=-1)
-    return i, cols[np.arange(len(i)), at], np.take_along_axis(
-        sq, at[..., None], axis=-1)[..., 0]
+    # Flat offsets: into the row of cols of each vertex, and of sq of each
+    # vertex of each function.
+    width = cols.shape[1]
+    return i, cols.take(at + np.arange(len(i)) * width), sq.take(
+        at + np.arange(at.size).reshape(at.shape) * width)
 
 
 def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:

@@ -270,6 +270,13 @@ def same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def same_bits_but_nan(a, b):
+    """same_bits, but for the sign and payload of each NaN."""
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    same_bits(np.where(nan, np.nan, a), np.where(nan, np.nan, b))
+
+
 def sup_oracles_for(Z, nu, p, radius):
     """The sup-gradient (numer_pow, numer_subgrad) on Z as per-vertex loops
     on one function."""
@@ -322,6 +329,97 @@ def test_sup_gradient_objective_matches_loops(case):
     same_rows(optimize.sup_gradient_objective(METRICS[name].balls(radius),
                                               nu, p),
               sup_oracles(name, nu, p, radius), F)
+
+
+# Entries whose ball widths overflow (max - min of +-1e308), are infinite or
+# NaN (inf - inf, and a NaN entry, which argmax and argmin both pick), or tie
+# at +0.0; and a few ordinary values.
+EXTREME_ENTRIES = [1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0,
+                   1.0, -2.5]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["grid", "hypercube", "cycle", "path"]),
+       st.integers(1, 6), st.sampled_from([1, 1.5, 2]), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_sup_gradient_d1_extreme_entries_match_loops(name, radius, p, R,
+                                                     seed):
+    """At d = 1 the subgradient takes each width u = max - min as its own
+    |u|: u is +0.0, positive or NaN. On stacks of entries that overflow, are
+    infinite or NaN, or tie, the objective and subgradient keep the bits of
+    the loops, which take |f(hi) - f(lo)|. A NaN matches any NaN: the sign
+    of a NaN product is left to the compiler (inf - inf gives a NaN with its
+    sign bit set, unlike |u|), and a row whose subgradient holds a NaN has a
+    NaN norm and never moves, while a NaN objective is never best. Every
+    ball has two members or more: the loops skip a singleton ball, which
+    the batched code adds as +-0.0, or as NaN at a non-finite entry."""
+    rng = np.random.default_rng(seed)
+    n = GRAPHS[name].vertex_count
+    pool = rng.choice(EXTREME_ENTRIES, int(rng.integers(1, 5)), replace=False)
+    F = rng.choice(pool, (R, n, 1))
+    nu = rng.uniform(0.5, 2.0, n)
+    numer_pow, numer_subgrad = optimize.sup_gradient_objective(
+        METRICS[name].balls(radius), nu, p)
+    oracles = sup_oracles(name, nu, p, radius)
+    with np.errstate(all="ignore"):
+        values, subgrads = numer_pow(F), numer_subgrad(F)
+        for r, f in enumerate(F):
+            same_bits_but_nan(values[r], np.float64(oracles[0](f)))
+            same_bits_but_nan(subgrads[r], oracles[1](f))
+
+
+def recorded_memos():
+    """``optimize.memo_last`` that also records, per objective built while
+    patched, every result of the function it wraps."""
+    results, real = [], optimize.memo_last
+
+    def memo_last(fn):
+        def recorded(F):
+            results.append(fn(F))
+            return results[-1]
+        return real(recorded)
+
+    return results, memo_last
+
+
+def arrays_of(results):
+    return [a for out in results
+            for a in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("p", [1, 2, [1, 1, 2, 2]])
+@pytest.mark.parametrize("gradient,d", [("sup", 1), ("sup", 2),
+                                        ("modified", 1), ("modified", 2)])
+def test_exponent_one_results_are_never_written(gradient, d, p):
+    """At p = 1 the objective's power ``x ** (p - 0)``, and at p = 2 the
+    subgradient's ``x ** (p - 1)``, is the memoised widths or |differences|
+    themselves. Across the objective and the subgradient, and their second
+    calls on the same stack, the memoised arrays and the stack keep their
+    bytes, the subgradient shares no memory with them, and every row keeps
+    the bits of the loops."""
+    rng = np.random.default_rng(d)
+    nu = rng.uniform(0.5, 2.0, 20)
+    F = np.round(2 * rng.standard_normal((4, 20, d)))  # ties, and zeros
+    results, memo_last = recorded_memos()
+    with mock.patch.object(optimize, "memo_last", memo_last):
+        objective = exponent_objective(gradient, nu, p, 2)
+    stack = F.tobytes()
+    values = objective[0](F)
+    memos = arrays_of(results)
+    assert memos and all(a.flags.writeable for a in memos)
+    kept = [a.tobytes() for a in memos]
+    subgrads = objective[1](F)
+    same_bits(objective[0](F), values)
+    same_bits(objective[1](F), subgrads)
+    assert len(arrays_of(results)) == len(memos)  # one pass per stack
+    assert [a.tobytes() for a in memos] == kept and F.tobytes() == stack
+    assert not any(np.shares_memory(subgrads, a) for a in memos)
+    ps = [p] * len(F) if np.ndim(p) == 0 else p
+    for r, q in enumerate(ps):
+        oracles = (sup_oracles("grid", nu, q, 2) if gradient == "sup"
+                   else modified_oracles("grid", nu, q))
+        same_bits(float(values[r]), float(oracles[0](F[r])))
+        same_bits(subgrads[r], oracles[1](F[r]))
 
 
 def random_balls(rng, m, B, n, overlap=False):
@@ -681,7 +779,10 @@ def test_modified_gradient_without_edges_is_python_zero():
 
 
 def batched_and_oracle(G, gradient, nu, p, radius, starts, iters):
-    """(batched result, oracle result) of the optimizer on one input."""
+    """(batched result, oracle result, steps of the batched run in which no
+    row improved) of the optimizer on one input. A row improves when its
+    objective falls below the least it had before: a frozen row keeps its
+    value, and NaN never improves."""
     if gradient == "sup":
         loops = oracle_balls(WeightedMetricGraph(G), radius)
         new = optimize.sup_gradient_objective(
@@ -693,9 +794,21 @@ def batched_and_oracle(G, gradient, nu, p, radius, starts, iters):
             optimize.NeighborIndex(G.neighbors), nu, p)
         old = (lambda f: oracle_modified_pow(f, G.neighbors, nu, p),
                lambda f: oracle_modified_subgrad(f, G.neighbors, nu, p))
-    return (optimize.first_least(*optimize.minimize_quotient(
-                *new, nu, p, starts, iters=iters)),
-            oracle_minimize_quotient(*old, nu, p, starts, iters))
+    values = []
+
+    def numer_pow(F):
+        values.append(new[0](F))
+        return values[-1]
+
+    batched = optimize.first_least(*optimize.minimize_quotient(
+        numer_pow, new[1], nu, p, starts, iters=iters))
+    # values[0] is the objective before the first step, then one per step.
+    least, idle = values[0], 0
+    for val in values[1:]:
+        idle += not (val < least).any()
+        least = np.minimum(least, val)
+    return (batched, oracle_minimize_quotient(*old, nu, p, starts, iters),
+            idle)
 
 
 @pytest.mark.parametrize("name,gradient,d,p,radius", [
@@ -713,11 +826,16 @@ def batched_and_oracle(G, gradient, nu, p, radius, starts, iters):
     ("grid", "modified", 2, 1, 1),
 ])
 def test_minimize_quotient_same_witness(name, gradient, d, p, radius):
+    """The batched run and the one-start loops give the same witness and
+    value. Every run but the neighbour sum on the irregular graph, where
+    some start improves at every step, takes steps in which no start
+    improves, and leaves the best iterates as they are."""
     n = GRAPHS[name].vertex_count
     nu = np.random.default_rng(0).uniform(0.5, 2.0, n)
     starts = list(np.random.default_rng(1).standard_normal((3, n, d)))
-    (val, f), (val_old, f_old, _) = batched_and_oracle(
+    (val, f), (val_old, f_old, _), idle = batched_and_oracle(
         GRAPHS[name], gradient, nu, p, radius, starts, 60)
+    assert (idle > 0) == ((name, gradient) != ("irregular", "modified"))
     same_bits(val, float(val_old))
     same_bits(f, f_old)
 
@@ -737,7 +855,9 @@ def test_minimize_quotient_same_witness_when_starts_stop(G, gradient, p, seed):
     """On small hosts some steps land on a constant: such a start stops at
     its best iterate while the others go on, and a constant start is
     skipped. On the two disjoint edges a start constant on each edge has a
-    zero subgradient and stays in place while the others step."""
+    zero subgradient and stays in place while the others step, and some
+    start improves at every step; the other runs take steps in which no
+    start improves."""
     n = G.vertex_count
     rng = np.random.default_rng(seed)
     starts = [np.ones((n, 1))]
@@ -745,9 +865,10 @@ def test_minimize_quotient_same_witness_when_starts_stop(G, gradient, p, seed):
         starts.append(np.array([[1.0], [1.0], [-1.0], [-1.0]]))
     starts += [np.round(rng.standard_normal((n, 1))) for _ in range(4)]
     starts += [rng.standard_normal((n, 1)) for _ in range(4)]
-    (val, f), (val_old, f_old, collapsed) = batched_and_oracle(
+    (val, f), (val_old, f_old, collapsed), idle = batched_and_oracle(
         G, gradient, np.ones(n), p, 1, starts, 60)
     assert 0 < collapsed < len(starts) - 1
+    assert (idle > 0) == (G is not TWO_EDGES)
     same_bits(val, float(val_old))
     same_bits(f, f_old)
 
