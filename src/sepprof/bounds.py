@@ -302,7 +302,6 @@ class ConditionReport:
     passed: bool
     worst_x: Optional[float]
     checked: int
-    skipped: int
 
 
 def check_condition(rho: MonotoneTable, kind: str, alpha: float = 0.0,
@@ -320,11 +319,10 @@ def check_condition(rho: MonotoneTable, kind: str, alpha: float = 0.0,
     elif kind != "S_ab":
         raise ValueError(f"unknown condition kind {kind!r}")
     worst = None
-    checked = skipped = 0
+    checked = 0
     for x in grid:
         lhs_arg = x ** (1.0 / beta) / C
         if not (rho.covers_value(lhs_arg) and rho.covers_value(x)):
-            skipped += 1
             continue
         checked += 1
         lhs = rho.inverse(lhs_arg)
@@ -333,4 +331,4 @@ def check_condition(rho: MonotoneTable, kind: str, alpha: float = 0.0,
             if worst is None or x > worst:
                 worst = x
     return ConditionReport(kind=kind, passed=worst is None, worst_x=worst,
-                           checked=checked, skipped=skipped)
+                           checked=checked)

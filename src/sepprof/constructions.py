@@ -72,7 +72,6 @@ class CoarseningResult:
     anchoring: tuple
     min_block: int
     max_block: int
-    partition: ConnectedPartition
 
 
 def coarsen(G: Graph, partition) -> CoarseningResult:
@@ -96,8 +95,7 @@ def coarsen(G: Graph, partition) -> CoarseningResult:
         for i, block in enumerate(partition.blocks))
     sizes = [len(b) for b in partition.blocks]
     return CoarseningResult(coarse_graph=coarse, anchoring=anchoring,
-                            min_block=min(sizes), max_block=max(sizes),
-                            partition=partition)
+                            min_block=min(sizes), max_block=max(sizes))
 
 
 def maximal_b_separated(G: Graph, b: int) -> frozenset:

@@ -324,7 +324,6 @@ def _generator_elements(spec: DiagonalSpec) -> list:
 class BallResult(NamedTuple):
     elements: tuple
     word_length: dict
-    graph: Graph
 
 
 def _bfs(win: _Window, gens: list, radius: float, targets=None):
@@ -362,7 +361,7 @@ def _bfs(win: _Window, gens: list, radius: float, targets=None):
 
 
 def ball(spec: DiagonalSpec, radius: int) -> BallResult:
-    """BFS ball around the identity and the induced Cayley graph."""
+    """BFS ball around the identity: its elements and their word lengths."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     win = _Window(spec, -radius, radius)
@@ -372,13 +371,7 @@ def ball(spec: DiagonalSpec, radius: int) -> BallResult:
     elements = tuple(win.decode(codes))
     dist = dict(zip(elements, np.repeat(
         np.arange(len(levels)), [len(level) for level in levels]).tolist()))
-    images, inside = _neighbours(win, gens, codes)
-    j = np.full(len(images), -1)
-    j[inside] = _find(codes, images[inside])
-    i = np.repeat(np.arange(len(codes)), len(gens))
-    edges = zip(i[j > i].tolist(), j[j > i].tolist())
-    graph = Graph(len(elements), edges, labels=elements)
-    return BallResult(elements, dist, graph)
+    return BallResult(elements, dist)
 
 
 def range_of(spec: DiagonalSpec, z: DiagonalElement, window: int) -> int:

@@ -35,7 +35,9 @@ vertex adds +-0.0 to two bins that start at +0.0, which changes no sum: a sum
 from +0.0 is never -0.0.
 
 Bit-identity. These functions return the bits of the per-vertex loops they
-replaced, which tests/test_optimize.py keeps as oracles:
+replaced, which tests/test_optimize.py keeps as oracles, but for one: at
+d = 1 a NaN objective value may have its sign bit set where the loops' NaN
+has not. A NaN value is never best, so no witness moves.
 
 - the per-ball root ``** (1/p)`` is taken with ``np.float_power``, which
   rounds like the scalar ``pow`` the loops used; ``np.power`` on arrays may
@@ -169,7 +171,7 @@ def sphere_projection(nu: np.ndarray, p):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
-                      project=None, min_grad=1e-15):
+                      project=None):
     """Minimize numerator^p over the weighted mean-zero unit p-sphere from
     each start, all starts stepped together as one stack, start r as row r.
 
@@ -183,8 +185,7 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
     projection, a mask of the rows that survive), each surviving row with its
     bits alone. A start whose projection fails, at the start or later, is
     frozen: it never moves or improves again; one that fails at the start stays
-    at 0 with best value +inf. A subgradient with norm at most ``min_grad``
-    leaves its iterate in place. Raises ValueError when no start survives the
+    at 0 with best value +inf. Raises ValueError when no start survives the
     first projection. Overflow, and the NaN it may cause, raise no numpy
     warning: such an objective is never best, such a row fails projection, and
     a finite subgradient whose norm overflows is rescaled. Every
@@ -213,7 +214,7 @@ def minimize_quotient(numer_pow, numer_subgrad, nu, p, starts, iters=200,
             top = np.where(big, np.abs(flat).max(axis=1), 1.0)
             flat = flat / top[:, None]
             norm, G = np.sqrt(rowdot(flat, flat)), flat.reshape(G.shape)
-        moving = alive & (norm > min_grad)
+        moving = alive & (norm > 1e-15)  # a zero subgradient, up to rounding
         if True in moving.tolist():
             # Rows that do not move are stepped and projected too, and their
             # results dropped: every row's step is its own.

@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphs import Graph
 from .optimize import (NeighborIndex, first_least, memo_last,
-                       minimize_quotient, ordered_sum, rowdot, scatter_rows)
+                       minimize_quotient, ordered_sum, rowdot, scatter_pairs)
 
 
 @dataclass
@@ -79,21 +79,17 @@ def fiedler_vector(G: Graph) -> np.ndarray:
     return lambda2(G).witness_vector
 
 
-def _steepest_neighbors(f: np.ndarray, nbrs: NeighborIndex):
-    """(i, j, (f_i - f_j)^2) for each vertex i with neighbours, ascending:
-    j is its first neighbour in list order maximising the square. f is one
-    function of shape (n,) or a stack (R, n); then j and the squares are
-    (R, len(i)), row r for f[r]."""
-    i = np.flatnonzero(nbrs.degree)
-    cols = nbrs.matrix[i]
-    d = f[..., i, None] - f[..., cols]
-    sq = d * d
-    at = sq.argmax(axis=-1)
-    # Flat offsets: into the row of cols of each vertex, and of sq of each
-    # vertex of each function.
-    width = cols.shape[1]
-    return i, cols.take(at + np.arange(len(i)) * width), sq.take(
-        at + np.arange(at.size).reshape(at.shape) * width)
+def _steepest_neighbors(F: np.ndarray, tables):
+    """For a stack F (R, n) and its ``lambda_infinity_objective`` tables,
+    per row and vertex i with neighbours, ascending: the flat indices into F
+    of i, (R, k, 1), and of its first neighbour j in list order maximising
+    (f_i - f_j)^2, then f_i - f_j and its square, each (R, k)."""
+    rows, cols, pick = tables
+    flat = F.reshape(-1)
+    D = flat.take(rows) - flat.take(cols)
+    sq = D * D
+    at = sq.argmax(axis=2) + pick
+    return rows, cols.take(at), D.take(at), sq.take(at)
 
 
 def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
@@ -104,8 +100,8 @@ def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
     """
     f = np.asarray(f, dtype=float)
     n = G.vertex_count
-    _, _, sq = _steepest_neighbors(f, NeighborIndex(G.neighbors))
-    num = float(ordered_sum(sq)) / n
+    objective = lambda_infinity_objective(NeighborIndex(G.neighbors))[0]
+    num = float(objective(f[None])[0]) / n
     centered = f - f.mean()
     den = 2.0 * float(centered @ centered) / n
     if den == 0.0:
@@ -116,17 +112,29 @@ def lambda_infinity_ratio(G: Graph, f: np.ndarray) -> float:
 def lambda_infinity_objective(nbrs: NeighborIndex):
     """(objective, subgradient) of sum_i max_{j~i} (f_i - f_j)^2 over a
     stack of functions (R, n), for ``minimize_quotient``; the two share the
-    steepest neighbours per stack (``memo_last``)."""
-    steepest = memo_last(lambda F: _steepest_neighbors(F, nbrs))
+    steepest neighbours per stack (``memo_last``). The k vertices with
+    neighbours and their (k, B) rows of neighbours are found once, their
+    flat indices and those of each vertex's B squares once per stack shape."""
+    i = np.flatnonzero(nbrs.degree)
+    cols = nbrs.matrix[i]
+    stacks = {}
+
+    @memo_last
+    def steepest(F):
+        if F.shape not in stacks:
+            (R, n), (k, B) = F.shape, cols.shape
+            offset = (np.arange(R) * n)[:, None, None]
+            stacks[F.shape] = (i[:, None] + offset, cols + offset,
+                               (np.arange(R * k) * B).reshape(R, k))
+        return _steepest_neighbors(F, stacks[F.shape])
 
     def objective(F):
-        return ordered_sum(steepest(F)[2])
+        return ordered_sum(steepest(F)[3])
 
     def subgradient(F):
-        i, j, _ = steepest(F)
-        stack = np.arange(len(F))[:, None]
-        step = 2.0 * (F[stack, i] - F[stack, j])
-        return scatter_rows(F.shape[1], i, j, step)
+        i_at, j_at, delta, _ = steepest(F)
+        return scatter_pairs(F.size, i_at.ravel(), j_at.ravel(),
+                             2.0 * delta.ravel()).reshape(F.shape)
 
     return objective, subgradient
 
@@ -158,5 +166,5 @@ def lambda_infinity_upper(G: Graph, restarts: int = 8, seed: int = 0):
     # nu and p only define the default projection, which unit_sphere replaces.
     _, best_f = first_least(*minimize_quotient(
         *lambda_infinity_objective(NeighborIndex(G.neighbors)), None, 2,
-        starts, project=unit_sphere, min_grad=0.0))
+        starts, project=unit_sphere))
     return lambda_infinity_ratio(G, best_f), best_f

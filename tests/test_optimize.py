@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sepprof import cheeger, optimize, spectral
 from sepprof.cheeger import WeightedMetricGraph, _starts
-from sepprof.graphs import Graph, build_family
+from sepprof.graphs import Graph, build_family, connected_components
 
 # ---------------------------------------------------------------------------
 # Oracles: the per-vertex loops
@@ -233,6 +233,34 @@ GRAPHS = {
     "irregular": irregular_graph(),
 }
 METRICS = {name: WeightedMetricGraph(G) for name, G in GRAPHS.items()}
+K2 = Graph(2, [(0, 1)])
+
+
+@st.composite
+def split_hosts(draw):
+    """K2, or a graph of 2 to 4 components of 1 to 4 vertices, a component
+    of one vertex isolated, each a random spanning tree plus extra edges,
+    their vertices shuffled so that the components interleave: hosts on
+    which the lambda_infinity minimizer drives a component toward a
+    constant."""
+    if draw(st.integers(0, 3)) == 0:
+        return K2
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(sum(sizes)).tolist()
+    edges, first = [], 0
+    for size in sizes:
+        block = range(first, first + size)
+        edges += [(v, int(rng.integers(first, v))) for v in block[1:]]
+        edges += [(u, v) for u in block for v in block
+                  if u < v and rng.random() < 0.3]
+        first += size
+    return Graph(first, [(order[u], order[v]) for u, v in edges])
+
+
+# The lambda_infinity hosts: the five graphs above, K2 and split hosts.
+LINF_HOSTS = st.one_of(st.sampled_from(sorted(GRAPHS)).map(GRAPHS.get),
+                       split_hosts())
 
 
 @st.composite
@@ -749,13 +777,15 @@ def test_modified_gradient_objective_matches_loops(case):
 
 
 @settings(max_examples=150)
-@given(cases())
-def test_lambda_infinity_ratio_matches_loop(case):
-    name, f, _, _, _ = case
-    G = GRAPHS[name]
-    assume(np.ptp(f[:, 0]) > 0)  # the ratio is undefined at a constant
-    same_bits(spectral.lambda_infinity_ratio(G, f[:, 0]),
-              oracle_lambda_infinity_ratio(G, f[:, 0]))
+@given(LINF_HOSTS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_lambda_infinity_ratio_matches_loop(G, rounded, seed):
+    f = np.random.default_rng(seed).standard_normal((G.vertex_count, 2))
+    if rounded:
+        f = np.round(2 * f)  # ties, and functions constant on components
+    f = f[:, 0]  # a strided view, as a column of an (n, d) function
+    assume(np.ptp(f) > 0)  # the ratio is undefined at a constant
+    same_bits(spectral.lambda_infinity_ratio(G, f),
+              oracle_lambda_infinity_ratio(G, f))
 
 
 def test_balls_are_padded_with_first_member():
@@ -908,18 +938,63 @@ def test_lambda_infinity_loop_same_witness_when_a_start_collapses():
     assert collapsed == 1
     val, f = optimize.first_least(*optimize.minimize_quotient(
         *spectral.lambda_infinity_objective(optimize.NeighborIndex(
-            G.neighbors)), None, 2, starts, project=spectral.unit_sphere,
-        min_grad=0.0))
+            G.neighbors)), None, 2, starts, project=spectral.unit_sphere))
     same_bits(val, val_old)
     same_bits(f, f_old)
 
 
+@settings(max_examples=25)
+@given(split_hosts(), st.integers(0, 2 ** 32 - 1))
+def test_lambda_infinity_loop_same_witness_on_split_hosts(G, seed):
+    """On K2 and on hosts with isolated vertices and several components the
+    batched run keeps the bits of the one-start loop, which moves a start
+    whenever its subgradient is not 0. The starts: random ones, a rounded
+    one, one constant on each component (its subgradient is 0; on K2 it is
+    constant and is skipped) and one constant on each component but the
+    largest; alone and as the middle block of a stack. lambda_infinity_upper
+    gives the loops' value and witness. Its first start, the Fiedler vector,
+    is constant on each component only up to rounding, so its subgradient
+    norm can lie in (0, 1e-15]: the loop steps it along rounding noise, the
+    batched run holds it, and its best value stays its start's either way."""
+    n = G.vertex_count
+    rng = np.random.default_rng(seed)
+    comps = connected_components(G)
+    level = np.zeros(n)
+    for c, comp in enumerate(comps):
+        level[list(comp)] = c
+    bent = level.copy()
+    largest = list(max(comps, key=len))
+    bent[largest] += rng.standard_normal(len(largest))
+    starts = [rng.standard_normal(n), np.round(rng.standard_normal(n)),
+              level, bent, rng.standard_normal(n)]
+    other = [rng.standard_normal(n) for _ in range(2)]
+
+    def run(block):
+        return optimize.minimize_quotient(
+            *spectral.lambda_infinity_objective(optimize.NeighborIndex(
+                G.neighbors)), None, 2, block, project=spectral.unit_sphere)
+
+    best_val, best_F = run(other + starts + other)
+    alone_val, alone_F = run(starts)
+    same_bits(best_val[2:-2], alone_val)
+    same_bits(best_F[2:-2], alone_F)
+    val_old, f_old, _ = oracle_lambda_infinity_loop(G, starts)
+    val, f = optimize.first_least(alone_val, alone_F)
+    same_bits(val, val_old)
+    same_bits(f, f_old)
+    value, witness = spectral.lambda_infinity_upper(G, restarts=3, seed=seed)
+    value_old, witness_old = oracle_lambda_infinity_upper(G, 3, seed)
+    same_bits(value, value_old)
+    same_bits(witness, witness_old)
+
+
 @settings(max_examples=100)
-@given(cases())
-def test_lambda_infinity_objective_matches_loops(case):
-    name, f, _, _, _ = case
-    G = GRAPHS[name]
-    F = np.ascontiguousarray(f.T)  # d functions of n vertices
+@given(LINF_HOSTS, st.integers(1, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_lambda_infinity_objective_matches_loops(G, R, rounded, seed):
+    F = np.random.default_rng(seed).standard_normal((R, G.vertex_count))
+    if rounded:
+        F = np.round(2 * F)  # ties, and functions constant on components
     objective, subgradient = spectral.lambda_infinity_objective(
         optimize.NeighborIndex(G.neighbors))
     values, subgrads = objective(F), subgradient(F)
@@ -1223,7 +1298,7 @@ def test_batched_blocks_keep_their_bits_when_a_start_collapses():
 
         return optimize.minimize_quotient(
             recorded, subgradient, None, 2, starts,
-            project=spectral.unit_sphere, min_grad=0.0)
+            project=spectral.unit_sphere)
 
     best_val, best_F = run(other + collapsing + other)
     assert best_val.shape == (10,) and best_F.shape == (10, 4)
