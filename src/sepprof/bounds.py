@@ -20,16 +20,16 @@ from .graphs import Graph, distance_matrix
 
 @dataclass
 class CompressionTable:
-    """rho(t) sampled at integer t >= 0, non-decreasing, rho(0) = 0.
+    """rho(t) sampled at integer t >= 0, non-decreasing, rho(0) = 0, for an
+    embedding into l^p.
 
-    ``lipschitz`` is the embedding's Lipschitz constant; ``rescaled`` records
-    that the map was divided by it to make the table 1-Lipschitz.
+    ``lipschitz`` is the embedding's Lipschitz constant; ``rescaled`` says
+    whether the map was divided by it to make the table 1-Lipschitz.
     """
 
     values: tuple
     p: float
     lipschitz: float = 1.0
-    rescaled: bool = False
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -38,6 +38,10 @@ class CompressionTable:
         if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
             raise ValueError("compression table must be non-decreasing")
         object.__setattr__(self, "values", vals)
+
+    @property
+    def rescaled(self) -> bool:
+        return self.lipschitz > 1.0
 
     @property
     def max_t(self) -> int:
@@ -72,8 +76,7 @@ def compression_function(G: Graph, f, p: float) -> CompressionTable:
         raise ValueError("embedding must give every vertex a finite point")
     edges = np.array(G.edges, dtype=int).reshape(-1, 2)
     lip = float(_lp_lengths(f, edges[:, 0], edges[:, 1], p).max(initial=0.0))
-    rescaled = lip > 1.0
-    scale = 1.0 / lip if rescaled else 1.0
+    scale = 1.0 / lip if lip > 1.0 else 1.0
     u, v = np.triu_indices(n, 1)
     d = distance_matrix(G)[u, v]
     finite = np.isfinite(d)
@@ -84,8 +87,7 @@ def compression_function(G: Graph, f, p: float) -> CompressionTable:
     # rho(t) = min over pairs at distance >= t: suffix minimum.
     values = np.minimum.accumulate(mins[::-1])[::-1]
     values[0] = 0.0
-    return CompressionTable(values=tuple(values), p=p,
-                            lipschitz=lip, rescaled=rescaled)
+    return CompressionTable(values=tuple(values), p=p, lipschitz=lip)
 
 
 @dataclass
@@ -128,10 +130,10 @@ class SphereTable:
         return K
 
 
-def poincare_upper_bound(N: int, p: float, sigma: SphereTable,
-                         rho: CompressionTable,
+def poincare_upper_bound(N: int, sigma: SphereTable, rho: CompressionTable,
                          form: str = "general") -> float:
-    """Upper bound on the Poincare profile at N from a 1-Lipschitz embedding.
+    """Upper bound on the L^p-Poincare profile at N from a 1-Lipschitz
+    embedding into l^p, p being ``rho.p``.
 
     general: 2^((2p-1)/p) * sigma(1)^(1/p) * (N^(p+1) / sum_{n<=K}
     sigma(n) rho(n)^p)^(1/p) with K the largest index whose sphere counts
@@ -141,6 +143,7 @@ def poincare_upper_bound(N: int, p: float, sigma: SphereTable,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    p = rho.p
     if form == "general":
         K = sigma.K(N)
         if K > rho.max_t:
@@ -298,26 +301,20 @@ class MonotoneTable:
 
 @dataclass
 class ConditionReport:
-    kind: str
     passed: bool
     worst_x: Optional[float]
     checked: int
 
 
-def check_condition(rho: MonotoneTable, kind: str, alpha: float = 0.0,
+def check_condition(rho: MonotoneTable, alpha: float = 0.0,
                     beta: float = 1.0, C: float = 1.0,
                     grid: Sequence[float] = ()) -> ConditionReport:
-    """Grid check of the inverse-compression growth conditions.
-
-    S_ab: rho^-1(x^(1/beta) / C) <= rho^-1(x) / x^(1-alpha); SSL is the
-    alpha = 0, beta = 1 case. Grid points whose inverse arguments fall
+    """Grid check of the inverse-compression growth condition S_ab:
+    rho^-1(x^(1/beta) / C) <= rho^-1(x) / x^(1-alpha). The defaults
+    alpha = 0, beta = 1 give SSL. Grid points whose inverse arguments fall
     outside the sampled range are skipped; the report carries the largest
     violating x, if any.
     """
-    if kind == "SSL":
-        alpha, beta = 0.0, 1.0
-    elif kind != "S_ab":
-        raise ValueError(f"unknown condition kind {kind!r}")
     worst = None
     checked = 0
     for x in grid:
@@ -330,5 +327,5 @@ def check_condition(rho: MonotoneTable, kind: str, alpha: float = 0.0,
         if lhs > rhs * (1 + 1e-9):
             if worst is None or x > worst:
                 worst = x
-    return ConditionReport(kind=kind, passed=worst is None, worst_x=worst,
+    return ConditionReport(passed=worst is None, worst_x=worst,
                            checked=checked)

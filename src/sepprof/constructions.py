@@ -232,10 +232,11 @@ def bilip_cut_transfer(Gamma: Graph, X: Graph, f,
         while v != src:
             chosen.add(v)
             v = trees[src][v]
-    image = induced_subgraph(X, chosen)
+    members = sorted(chosen)
+    image = induced_subgraph(X, members)
     inner = cut(image, s, "exact" if image.vertex_count <= EXACT_IMAGE_LIMIT
                 else "heuristic")
-    cut_orig = {image.original_vertices[v] for v in inner.cut_set}
+    cut_orig = {members[v] for v in inner.cut_set}
     # near[x, c]: c lies in the radius-kappa ball about f(x) in X.
     near = dist_x[f] <= kappa
     C = frozenset(np.flatnonzero(near[:, list(cut_orig)].any(axis=1))

@@ -55,9 +55,10 @@ def _heuristic_cut_set(G: Graph, s: Fraction) -> frozenset:
                  if s.denominator * len(c) > s.numerator * n]
         if not comps:
             break
-        H = induced_subgraph(G, max(comps, key=len))
+        comp = sorted(max(comps, key=len))
+        H = induced_subgraph(G, comp)
         if H.vertex_count == 1:
-            removed.add(H.original_vertices[0])
+            removed.add(comp[0])
             continue
         order = np.argsort(fiedler_vector(H))
         half = H.vertex_count // 2
@@ -67,7 +68,7 @@ def _heuristic_cut_set(G: Graph, s: Fraction) -> frozenset:
                and any(u in left for u in H.neighbors[v])}
         if not sep:
             sep = {int(order[half])}
-        removed.update(H.original_vertices[v] for v in sep)
+        removed.update(comp[v] for v in sep)
     # Greedy minimality pass.
     for v in sorted(removed):
         trial = removed - {v}
@@ -134,8 +135,9 @@ def iterated_halving_cut(G: Graph, s, budget: int = DEFAULT_CUT_BUDGET) -> CutRe
         for group in groups:
             if len(group) <= target:
                 continue
-            H = induced_subgraph(G, group)
-            inner = cut(H, half, "exact", budget=budget)
-            chosen.update(H.original_vertices[v] for v in inner.cut_set)
+            group = sorted(group)
+            inner = cut(induced_subgraph(G, group), half, "exact",
+                        budget=budget)
+            chosen.update(group[v] for v in inner.cut_set)
             examined += inner.examined
     return _result(G, s, chosen, exact=False, examined=examined)

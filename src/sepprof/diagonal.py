@@ -486,7 +486,6 @@ def cocycle_norms(spec: DiagonalSpec, j: int,
 
 
 class EmbeddingReport(NamedTuple):
-    vertex_map: dict
     injective: bool
     violations: tuple
     lamp_graph: Graph
@@ -552,6 +551,6 @@ def embed_lamp_graph(spec: DiagonalSpec, s: int, r: int) -> EmbeddingReport:
                 continue
         if apply_generator(spec, zu, gen) != zv:
             violations.append((lu, lv, f"images differ by more than {gen}"))
-    return EmbeddingReport(vertex_map=vertex_map, injective=injective,
-                           violations=tuple(violations), lamp_graph=lamp)
+    return EmbeddingReport(injective=injective, violations=tuple(violations),
+                           lamp_graph=lamp)
 

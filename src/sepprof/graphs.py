@@ -88,12 +88,8 @@ class ConnectedPartition:
             outside = [v for v in range(n) if assign[v] != i]
             if len(connected_components(host, outside)) != 1:
                 raise ValueError(f"block {i} is not connected")
-        self.host = host
         self.blocks = blocks
         self.block_of = tuple(assign)
-
-    def __len__(self):
-        return len(self.blocks)
 
 
 def mask_words(masks: Iterable[int], W: int) -> np.ndarray:
@@ -236,20 +232,15 @@ def subdivide(G: Graph, kappa: int) -> Graph:
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
-    """Induced subgraph on S; vertex i of the result is sorted(S)[i].
-
-    Labels record the original vertices, so witnesses can be mapped back.
-    """
+    """Induced subgraph on S; vertex i of the result is sorted(S)[i], with
+    its label in G, so a witness maps back by indexing sorted(S)."""
     S = sorted(validate_subset(G, S))
     index = {v: i for i, v in enumerate(S)}
     edges = [
         (index[u], index[v])
         for u, v in G.edges if u in index and v in index
     ]
-    labels = [G.label(v) for v in S]
-    sub = Graph(len(S), edges, labels=labels)
-    sub.original_vertices = tuple(S)
-    return sub
+    return Graph(len(S), edges, labels=[G.label(v) for v in S])
 
 
 def connected_components(G: Graph,
@@ -329,11 +320,21 @@ def _int_pair(path, number: int, line: str, expected: str):
 
 def read_edgelist(path) -> Graph:
     """The graph of a file in ``write_edgelist``'s format; blank edge lines
-    are skipped."""
+    are skipped. An edge given twice, in either orientation, raises
+    ValueError naming the file and both lines."""
+    edges = {}  # (lower, higher end): the line that gives the edge first
     with open(path) as fh:
         n, m = _int_pair(path, 1, fh.readline(), "the counts 'n m'")
-        edges = [_int_pair(path, number, line, "two vertex ids")
-                 for number, line in enumerate(fh, start=2) if line.strip()]
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            u, v = _int_pair(path, number, line, "two vertex ids")
+            first = edges.setdefault((min(u, v), max(u, v)), number)
+            if first != number:
+                raise ValueError(
+                    f"{path} line {number}: expected each edge once, got "
+                    f"{u} {v} again (first at line {first})")
     if len(edges) != m:
-        raise ValueError(f"expected {m} edges, found {len(edges)}")
+        raise ValueError(f"{path} line 1: expected {m} edges, found "
+                         f"{len(edges)}")
     return Graph(n, edges)

@@ -206,53 +206,58 @@ def klein_four() -> FiniteGroup:
     return validate_group(table, A=(0, 2), B=(0, 1))
 
 
-def write_group_file(group: FiniteGroup, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"order {group.order}\n")
-        fh.write("table\n")
-        for row in group.table:
-            fh.write(" ".join(map(str, row)) + "\n")
-        fh.write("A " + " ".join(map(str, group.A)) + "\n")
-        fh.write("B " + " ".join(map(str, group.B)) + "\n")
-
-
 def read_group_file(path) -> FiniteGroup:
-    """Parse the structured text format: order, row-major table, A/B lists.
+    """Parse the structured text format: an ``order n`` line, a ``table``
+    line followed by the n rows of the row-major table, and ``A`` and ``B``
+    lines listing the subgroups, each once. Blank lines and lines starting
+    with ``#`` are skipped. A malformed or repeated line, or a table cut
+    short, raises ValueError naming the file and the line.
 
     The listed order of A and B is the cross-level correspondence.
     """
-    order = None
-    table = []
-    A = B = None
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    i = 0
+        lines = [(number, ln.split()) for number, ln in enumerate(fh, start=1)
+                 if ln.strip() and not ln.startswith("#")]
+
+    def fail(number, message):
+        raise ValueError(f"{path} line {number}: {message}")
+
+    def ints(number, fields):
+        try:
+            return [int(v) for v in fields]
+        except ValueError:
+            fail(number, f"expected integers, got {' '.join(fields)!r}")
+
+    first, i = {}, 0
+    order = table = A = B = None
     while i < len(lines):
-        line = lines[i]
-        if line.startswith("order"):
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"order line needs one number: {line!r}")
-            order = int(fields[1])
+        number, (key, *fields) = lines[i]
+        if (key not in ("order", "table", "A", "B")
+                or key == "table" and fields):
+            fail(number, f"unrecognized line: {' '.join([key, *fields])!r}")
+        if key in first:
+            fail(number, f"repeated {key!r} line, first at line {first[key]}")
+        first[key] = number
+        i += 1
+        if key == "order":
+            if len(fields) != 1:
+                fail(number, "order line needs one number")
+            (order,) = ints(number, fields)
             if order < 1:
-                raise ValueError(f"order must be at least 1, got {order}")
-            i += 1
-        elif line == "table":
+                fail(number, f"order must be at least 1, got {order}")
+        elif key == "table":
             if order is None:
-                raise ValueError("order must precede table")
-            rows = lines[i + 1:i + 1 + order]
+                fail(number, "order must precede table")
+            rows = lines[i:i + order]
             if len(rows) < order:
-                raise ValueError(f"table has {len(rows)} rows, order {order}")
-            table += [[int(v) for v in row.split()] for row in rows]
-            i += 1 + order
-        elif line.startswith("A "):
-            A = tuple(int(v) for v in line.split()[1:])
-            i += 1
-        elif line.startswith("B "):
-            B = tuple(int(v) for v in line.split()[1:])
-            i += 1
+                fail(number, f"table has {len(rows)} rows, order {order}")
+            table = [ints(n, row) for n, row in rows]
+            i += order
+        elif key == "A":
+            A = tuple(ints(number, fields))
         else:
-            raise ValueError(f"unrecognized line: {line!r}")
-    if order is None or not table or A is None or B is None:
-        raise ValueError("group file must define order, table, A and B")
+            B = tuple(ints(number, fields))
+    if table is None or A is None or B is None:
+        raise ValueError(f"{path}: group file must define order, table, "
+                         "A and B")
     return validate_group(table, A, B)

@@ -300,17 +300,6 @@ def scatter_pairs(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
     return out.reshape((n,) + tail)
 
 
-def scatter_rows(n: int, plus, minus, v: np.ndarray) -> np.ndarray:
-    """``scatter_pairs(n, plus[r], minus[r], v[r])`` for each row r of the
-    stack v, in one pass: row r's vertices become the bins r * n + vertex.
-    plus and minus are (R, m), or (m,) when every row shares them."""
-    offset = (np.arange(len(v)) * n)[:, None]
-    out = scatter_pairs(len(v) * n, (plus + offset).ravel(),
-                        (minus + offset).ravel(),
-                        v.reshape((-1,) + v.shape[2:]))
-    return out.reshape((len(v), n) + v.shape[2:])
-
-
 def memo_last(fn):
     """fn of one array argument, remembering its result for the last array
     passed, by identity. The memo holds a reference to that array, so its id
@@ -499,10 +488,12 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
     minimize_quotient: a stack F maps to sum_x nu_x sum_{y~x}
     ||F(x)-F(y)||_p^p per row, and to a subgradient of it, p one exponent or
     one per row. The two share the differences F(x) - F(y) over the edge
-    list per stack (``memo_last``)."""
+    list per stack (``memo_last``), and the stacks of one shape the flat
+    scatter bins r * n + x and r * n + y of row r's edges."""
     x, y = neighbors.src, neighbors.dst
     present, runs = neighbors.degree > 0, exponent_runs(p, np.size(p))
     weight, nu_present = (nu[x] * per_row(p, 2))[..., None], nu[present]
+    bins = {}
 
     @memo_last
     def differences(F):
@@ -520,9 +511,13 @@ def modified_gradient_objective(neighbors: NeighborIndex, nu, p):
         return ordered_sum(nu_present * rows[:, present])
 
     def numer_subgrad(F):
+        if F.shape not in bins:
+            offset = (np.arange(len(F)) * F.shape[1])[:, None]
+            bins[F.shape] = (x + offset).ravel(), (y + offset).ravel()
         delta, size = differences(F)
         grad = weight * np.sign(delta) * _run_power(size, runs, 1.0)
-        return scatter_rows(F.shape[1], x, y, grad)
+        return scatter_pairs(F.shape[0] * F.shape[1], *bins[F.shape],
+                             grad.reshape(-1, F.shape[2])).reshape(F.shape)
 
     return numer_pow, numer_subgrad
 

@@ -136,7 +136,6 @@ class ProfileRow:
 @dataclass
 class ProfileTable:
     rows: list[ProfileRow]
-    p: Optional[float] = None
 
     def value(self, n: int) -> ProfileRow:
         for row in self.rows:
@@ -521,6 +520,5 @@ def poincare_profile(G: Graph, n_max: int, p: float,
         return (np.maximum(lower[at], own_lo), np.minimum(upper[at], cap),
                 scaled_bracket)
 
-    return ProfileTable(_sup_rows(G, n_max, budget, scaled_brackets, False),
-                        p)
+    return ProfileTable(_sup_rows(G, n_max, budget, scaled_brackets, False))
 

@@ -591,12 +591,12 @@ def suite_compression_bound(ctx: VerifyContext):
     rows = []
     sig = SphereTable(sigma=tuple(2 ** n for n in range(8)))
     rho = CompressionTable(values=tuple(float(n) for n in range(8)), p=1)
-    val = poincare_upper_bound(16, 1, sig, rho, "general")
+    val = poincare_upper_bound(16, sig, rho, "general")
     rows.append(_row(
         "bound:closed-form-evaluation", "compression-upper-bound",
         abs(val - 1024.0 / 34.0) <= 0.01, val, 1024.0 / 34.0, 0.01))
     zero = CompressionTable(values=(0.0,) * 8, p=1)
-    val = poincare_upper_bound(16, 1, sig, zero, "general")
+    val = poincare_upper_bound(16, sig, zero, "general")
     rows.append(_row(
         "bound:zero-compression-unbounded", "compression-upper-bound",
         math.isinf(val), val, "inf"))
@@ -609,7 +609,7 @@ def suite_compression_bound(ctx: VerifyContext):
         rows.append(_row(
             f"bound:embedding-lipschitz:{name}", "compression-function",
             comp.lipschitz <= 1.0 and not comp.rescaled, comp.lipschitz, 1.0))
-        bounds = [poincare_upper_bound(r.n, 1, sigma, comp, "general")
+        bounds = [poincare_upper_bound(r.n, sigma, comp, "general")
                   for r in table.rows]
         ok = all(b >= r.lower - 1e-9 for b, r in zip(bounds, table.rows))
         finite = [(b, r) for b, r in zip(bounds, table.rows) if not math.isinf(b)]
@@ -621,7 +621,7 @@ def suite_compression_bound(ctx: VerifyContext):
         rows.append(_row(
             f"bound:dominates-upper-bracket:{name}", "compression-upper-bound",
             None, int(diag), 1))
-        expo = poincare_upper_bound(G.vertex_count, 1, sigma, comp, "exponential")
+        expo = poincare_upper_bound(G.vertex_count, sigma, comp, "exponential")
         rows.append(_row(
             f"bound:exponential-form:{name}", "compression-upper-bound",
             expo >= table.value(min(8, G.vertex_count)).lower - 1e-9,
@@ -694,20 +694,19 @@ def suite_conditions(ctx: VerifyContext):
     dom = [10 ** (0.01 * i) for i in range(-200, 1301)]
     sqrt_table = MonotoneTable.sample(math.sqrt, dom)
     grid = [10 ** (0.5 * i) for i in range(2, 13)]
-    rep = check_condition(sqrt_table, "S_ab", alpha=0.0, beta=2.0, C=1.0,
-                          grid=grid)
+    rep = check_condition(sqrt_table, alpha=0.0, beta=2.0, C=1.0, grid=grid)
     rows.append(_row(
         "conditions:sqrt-s02", "condition-sab",
         rep.passed and rep.checked >= 10, rep.checked, 10))
     log_dom = [10 ** (0.01 * i) for i in range(100, 601)]
     log_table = MonotoneTable.sample(lambda x: math.log(1 + x), log_dom)
     log_grid = [5.0 + 0.5 * i for i in range(17)]  # condition variable range
-    rep = check_condition(log_table, "SSL", C=2.0, grid=log_grid)
+    rep = check_condition(log_table, C=2.0, grid=log_grid)
     rows.append(_row(
         "conditions:log-ssl", "condition-ssl",
         rep.passed and rep.checked >= 5, rep.checked, 5))
     id_table = MonotoneTable.sample(lambda x: x, dom)
-    rep = check_condition(id_table, "SSL", C=2.0, grid=grid)
+    rep = check_condition(id_table, C=2.0, grid=grid)
     rows.append(_row(
         "conditions:identity-fails-ssl", "condition-ssl",
         not rep.passed and rep.worst_x == max(grid),

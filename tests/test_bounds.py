@@ -85,8 +85,7 @@ def pair_loop_compression(G, f, p):
     for t in range(max_t, 0, -1):
         running = min(running, mins[t])
         values[t] = 0.0 if running == math.inf else running
-    return CompressionTable(values=tuple(values), p=p, lipschitz=lip,
-                            rescaled=lip > 1.0)
+    return CompressionTable(values=tuple(values), p=p, lipschitz=lip)
 
 
 def pair_loop_sigma(G):
@@ -143,27 +142,41 @@ def test_sphere_table_from_graph():
 def test_upper_bound_closed_form():
     sig = SphereTable(sigma=tuple(2 ** n for n in range(8)))
     rho = CompressionTable(values=tuple(float(n) for n in range(8)), p=1)
-    assert poincare_upper_bound(16, 1, sig, rho) == pytest.approx(1024 / 34)
+    assert poincare_upper_bound(16, sig, rho) == pytest.approx(1024 / 34)
+
+
+def test_upper_bound_reads_p_from_the_table():
+    """The bound's exponent is the table's: grid 3x3 by its coordinates in
+    l^2 has rho = (0, 1, sqrt 2, ...), sigma = (1, 4, 4, 2, 1) and K(9) = 2,
+    so the bound at 9 is 2^(3/2) 4^(1/2) (9^3 / (4 * 1 + 4 * 2))^(1/2),
+    which is sqrt(1944); the p = 1 form would give 648 / (4 + 4 sqrt 2)."""
+    g = build_family("grid", 3, 3)
+    rho = compression_function(g, np.array(g.labels, dtype=float), 2)
+    sigma = SphereTable.from_graph(g)
+    assert rho.values[:3] == pytest.approx((0.0, 1.0, math.sqrt(2)))
+    assert sigma.sigma == (1, 4, 4, 2, 1) and sigma.K(9) == 2
+    assert poincare_upper_bound(9, sigma, rho) == pytest.approx(
+        math.sqrt(1944))
 
 
 def test_upper_bound_zero_compression_unbounded():
     sig = SphereTable(sigma=(1, 2, 4))
     rho = CompressionTable(values=(0.0, 0.0, 0.0), p=1)
-    assert math.isinf(poincare_upper_bound(6, 1, sig, rho))
+    assert math.isinf(poincare_upper_bound(6, sig, rho))
 
 
 def test_upper_bound_coverage_error():
     sig = SphereTable(sigma=(1, 2, 4, 8, 16))
     rho = CompressionTable(values=(0.0, 1.0), p=1)
     with pytest.raises(ValueError, match="covers"):
-        poincare_upper_bound(30, 1, sig, rho)
+        poincare_upper_bound(30, sig, rho)
 
 
 def test_exponential_form_small_n_branch():
     sig = SphereTable(sigma=(1, 3, 9))
     rho = CompressionTable(values=(0.0, 1.0, 2.0, 3.0), p=1)
-    assert poincare_upper_bound(5, 1, sig, rho, "exponential") == 30.0
-    big = poincare_upper_bound(100, 1, sig, rho, "exponential")
+    assert poincare_upper_bound(5, sig, rho, "exponential") == 30.0
+    big = poincare_upper_bound(100, sig, rho, "exponential")
     assert big == pytest.approx(2 ** 1 * 3 ** 3 * 100 / rho.rho(
         math.log(100) / (2 * math.log(3))))
 
@@ -260,14 +273,14 @@ def test_compression_rho1_below_lipschitz():
 def test_conditions_examples():
     dom = [10 ** (0.01 * i) for i in range(-200, 1301)]
     grid = [10 ** (0.5 * i) for i in range(2, 13)]
-    sqrt_rep = check_condition(MonotoneTable.sample(math.sqrt, dom), "S_ab",
+    sqrt_rep = check_condition(MonotoneTable.sample(math.sqrt, dom),
                                alpha=0.0, beta=2.0, C=1.0, grid=grid)
     assert sqrt_rep.passed and sqrt_rep.checked == len(grid)
     log_dom = [10 ** (0.01 * i) for i in range(100, 601)]
     log_rep = check_condition(
-        MonotoneTable.sample(lambda x: math.log(1 + x), log_dom), "SSL",
+        MonotoneTable.sample(lambda x: math.log(1 + x), log_dom),
         C=2.0, grid=[5.0 + 0.5 * i for i in range(17)])
     assert log_rep.passed and log_rep.checked >= 5
-    id_rep = check_condition(MonotoneTable.sample(lambda x: x, dom), "SSL",
+    id_rep = check_condition(MonotoneTable.sample(lambda x: x, dom),
                              C=2.0, grid=grid)
     assert not id_rep.passed and id_rep.worst_x == max(grid)

@@ -13,7 +13,8 @@ from sepprof.cli import main
 from sepprof.cuts import DEFAULT_CUT_BUDGET, is_cut_set
 from sepprof.graphs import (build_family, read_edgelist, subdivide,
                             write_edgelist)
-from sepprof.groups import klein_four, write_group_file
+from group_files import write_group_file
+from sepprof.groups import klein_four
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -110,13 +111,33 @@ def test_family_rejects_bad_parameters(tmp_path, capsys, argv, message):
      "A has element 5 outside 0..1"),
     ("order 2\ntable\n0 1\n1 0\nA 0 1\nB 0 -1\n",
      "B has element -1 outside 0..1"),
+    ("order x\ntable\n0\nA 0\nB 0\n",
+     "bad.grp line 1: expected integers, got 'x'"),
+    ("order 2\ntable\n0 1\n1 z\nA 0 1\nB 0\n",
+     "bad.grp line 4: expected integers, got '1 z'"),
+    ("order 3\ntable\n0 1 2\n1 2 0\n",
+     "bad.grp line 2: table has 2 rows, order 3"),
+    ("order 3\ntable\n0 1 2\nA 0\nB 0\n",
+     "bad.grp line 4: expected integers, got 'A 0'"),
+    ("order 2\norder 2\ntable\n0 1\n1 0\nA 0 1\nB 0\n",
+     "bad.grp line 2: repeated 'order' line, first at line 1"),
+    ("order 2\ntable\n0 1\n1 0\ntable\n0 1\n1 0\nA 0 1\nB 0\n",
+     "bad.grp line 5: repeated 'table' line, first at line 2"),
+    ("order 2\ntable\n0 1\n1 0\nA 0 1\nA 0\nB 0\n",
+     "bad.grp line 6: repeated 'A' line, first at line 5"),
+    ("order 2\ntable\n0 1\n1 0\nB 0\nA 0 1\n\nB 0 1\n",
+     "bad.grp line 8: repeated 'B' line, first at line 5"),
 ])
 def test_family_lamp_malformed_group_file(tmp_path, text, message):
     """A table shorter than its order, an order line without a number or
     below 1, or a subgroup element outside the table is a validation error
     with exit code 2 and one error line, not a traceback or a hang (an
     order of -1 once read the table forever), so the CLI runs in a process
-    with a timeout."""
+    with a timeout. A non-integer token (a section line where a table row
+    should be included), a table cut short by the end of the file and a
+    repeated order, table, A or B line name the file and the line (blank
+    lines count), where a second A line once replaced the first and a
+    second table appended its rows."""
     grp = tmp_path / "bad.grp"
     grp.write_text(text)
     lamp = tmp_path / "lamp.g"
@@ -131,12 +152,17 @@ def test_family_lamp_malformed_group_file(tmp_path, text, message):
     ("3 2\n0 1\n\n1\n", 4),
     ("3 1\n0 x\n", 2),
     ("3 y\n0 1\n", 1),
+    ("3 2\n0 1\n0 1\n", 3),
+    ("3 2\n0 1\n\n1 0\n", 4),
+    ("3 2\n0 1\n", 1),
 ])
 def test_malformed_edgelist_names_the_line(tmp_path, capsys, text, line):
-    """An edge line of three fields, one field or a non-integer field, or a
-    header that is not two integers, exits 2 with one error line that names
-    the file and the line number (blank lines count), not Python's own
-    unpacking or int() message."""
+    """An edge line of three fields, one field or a non-integer field, a
+    header that is not two integers, an edge given twice in either
+    orientation, or fewer edges than the header counts, exits 2 with one error line that names the file and the
+    line number (blank lines count), not Python's own unpacking or int()
+    message; a repeated edge also names its first line, where it once
+    loaded as one edge under a header that counts two."""
     path = tmp_path / "bad.g"
     path.write_text(text)
     code, out, err = run(["invariant", "h", str(path)], capsys)

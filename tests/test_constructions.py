@@ -303,10 +303,11 @@ def pair_loop_transfer(Gamma, X, f, kappa, s):
             v = parent[v]
             if v != f[x]:
                 chosen.add(v)
-    image = induced_subgraph(X, chosen)
+    members = sorted(chosen)
+    image = induced_subgraph(X, members)
     inner = cut(image, s, "exact" if image.vertex_count <= EXACT_IMAGE_LIMIT
                 else "heuristic")
-    cut_orig = {image.original_vertices[v] for v in inner.cut_set}
+    cut_orig = {members[v] for v in inner.cut_set}
     dist_x = host_distances(X)
     n = Gamma.vertex_count
     C = frozenset(x for x in range(n)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from group_files import write_group_file
 from sepprof.groups import (FiniteGroup, GroupValidationError, cayley_graph,
                             cyclic_table, direct_product_table, klein_four,
-                            read_group_file, validate_group, write_group_file)
+                            read_group_file, validate_group)
 
 
 def z2_z3():

@@ -733,24 +733,6 @@ def test_scatter_pairs_matches_loop(n, d, m, seed):
 
 
 @settings(max_examples=150)
-@given(st.integers(1, 6), st.sampled_from([None, 1, 2, 3]),
-       st.integers(0, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_scatter_rows_matches_scatter_pairs_per_row(n, d, m, R, seed):
-    rng = np.random.default_rng(seed)
-    plus, minus = rng.integers(0, n, (R, m)), rng.integers(0, n, (R, m))
-    shape = (R, m) if d is None else (R, m, d)
-    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-    out = optimize.scatter_rows(n, plus, minus, v)
-    assert out.shape == (R, n) + shape[2:]
-    for r in range(R):
-        same_bits(out[r], optimize.scatter_pairs(n, plus[r], minus[r], v[r]))
-    shared = optimize.scatter_rows(n, plus[0], minus[0], v)
-    for r in range(R):
-        same_bits(shared[r],
-                  optimize.scatter_pairs(n, plus[0], minus[0], v[r]))
-
-
-@settings(max_examples=150)
 @given(cases())
 def test_modified_gradient_matches_loops(case):
     name, f, nu, p, _ = case
